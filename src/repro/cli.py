@@ -28,7 +28,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro import __version__
 from repro.analysis.metrics import group_rollup_rows, routing_share_rows
@@ -53,6 +53,7 @@ from repro.perf import (
 )
 from repro.multisite.spec import BROKER_POLICIES
 from repro.scenarios import (
+    CampaignError,
     CampaignRunner,
     ShardSpec,
     builtin_specs,
@@ -354,7 +355,11 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_campaign(args: argparse.Namespace) -> int:
-    """Run many scenarios across workers and print the comparison table."""
+    """Run many scenarios across workers and print the comparison table.
+
+    When some scenarios raise, the others' rows are still printed (and
+    written), each failure's traceback goes to stderr, and the exit code is 1.
+    """
     if args.only:
         try:
             specs = [get_scenario(name.strip()) for name in args.only.split(",")]
@@ -374,7 +379,11 @@ def _cmd_scenario_campaign(args: argparse.Namespace) -> int:
             execution=args.execution,
             telemetry=args.telemetry or bool(args.record_out),
         )
-        campaign = runner.run(specs)
+        failed: Optional[CampaignError] = None
+        try:
+            campaign = runner.run(specs)
+        except CampaignError as error:
+            failed, campaign = error, error.partial
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -414,6 +423,11 @@ def _cmd_scenario_campaign(args: argparse.Namespace) -> int:
             + "\n"
         )
         log.info("wrote campaign manifest %s", manifest_path)
+    if failed is not None:
+        for name, trace in failed.failures:
+            print(f"scenario {name} failed:\n{trace}", file=sys.stderr)
+        print(f"error: {failed}", file=sys.stderr)
+        return 1
     return 0
 
 

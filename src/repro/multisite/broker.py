@@ -179,6 +179,23 @@ def _weighted_round_robin(
     return assigned
 
 
+#: First chunk of the vectorised spill walk; it doubles after every chunk
+#: that needs no spill and drops back here after one that does.
+_SPILL_CHUNK = 64
+
+
+def _exclusive_rank(values: np.ndarray) -> np.ndarray:
+    """Per entry, how many earlier entries hold the same value (as floats)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    positions = np.arange(values.size)
+    new_run = np.r_[True, ordered[1:] != ordered[:-1]]
+    run_start = np.maximum.accumulate(np.where(new_run, positions, 0))
+    rank = np.empty(values.size, dtype=float)
+    rank[order] = positions - run_start
+    return rank
+
+
 def broker_assign(
     *,
     arrival_ms: np.ndarray,
@@ -385,7 +402,16 @@ class DynamicBroker:
        group's live admission capacity — the level at which the group would
        start rejecting — to the cheapest/nearest available site whose
        eligible group still has room, re-applying the WAN penalty for the
-       new serving site.
+       new serving site.  The walk runs a chunk at a time: a request's
+       running count on its (site, group) cell is the cell's committed count
+       plus its rank among the chunk's earlier requests there, so
+       ``max(0, backlog + used − drain·t) + 1 ≤ limit`` is tested for the
+       whole chunk in numpy.  This is exact, not an approximation: counts are
+       whole numbers (exact in float64), the test keeps the scalar operation
+       order, and the passing prefix is committed with ``np.add.at``, which
+       applies updates in index order, so work sums accumulate as in a
+       one-by-one loop.  Only the first failing request and the rest of its
+       chunk take the scalar spill search.
 
     Single-group federations degenerate to the historical fleet-scalar
     behaviour exactly (one column, every user in it); the spec's
@@ -578,6 +604,78 @@ class DynamicBroker:
                 return weights
         return np.where(available, 1.0, 0.0)
 
+    def _spill_walk(
+        self,
+        lo: int,
+        proposals: np.ndarray,
+        request_keys: np.ndarray,
+        available: np.ndarray,
+        elapsed_in_slot: np.ndarray,
+        used_requests: np.ndarray,
+        used_work: np.ndarray,
+        queue_limit: np.ndarray,
+        drain_rate: np.ndarray,
+    ) -> None:
+        """Step 3 over one segment, updating the proposals and counts in place."""
+        work = self.plan.work_units[lo:lo + proposals.size]
+        homes = self.home_site_of_user[self.plan.user_ids[lo:lo + proposals.size]]
+
+        def fits(site: int, group: int, t_rel: float) -> bool:
+            col = self._clamp_col[site, group]
+            queued = max(
+                0.0,
+                self.backlog_requests[site, col]
+                + used_requests[site, col]
+                - drain_rate[site, col] * t_rel,
+            )
+            return queued + 1.0 <= queue_limit[site, col]
+
+        def settle(k: int) -> None:
+            site, group = int(proposals[k]), int(request_keys[k])
+            t_rel = float(elapsed_in_slot[k])
+            if not fits(site, group, t_rel):
+                for candidate in self._spill_rank[int(homes[k])]:
+                    candidate = int(candidate)
+                    if candidate != site and available[candidate] and fits(
+                        candidate, group, t_rel
+                    ):
+                        site = proposals[k] = candidate
+                        self.spilled[lo + k] = True
+                        break
+                # Otherwise a federation-wide overload: nowhere to spill to.
+            col = self._clamp_col[site, group]
+            used_requests[site, col] += 1.0
+            used_work[site, col] += float(work[k])
+
+        routed = np.flatnonzero(proposals != UNROUTED)
+        cells = proposals[routed] * self._columns + self._clamp_col[
+            proposals[routed], request_keys[routed]
+        ]
+        # Flat views: the two ``used`` matrices are written through them.
+        used_n, used_w, backlog, drain, limit = (
+            m.reshape(-1)
+            for m in (
+                used_requests, used_work, self.backlog_requests, drain_rate, queue_limit
+            )
+        )
+        start, chunk = 0, _SPILL_CHUNK
+        while start < routed.size:
+            ks, cs = routed[start:start + chunk], cells[start:start + chunk]
+            queued = np.fmax(
+                0.0,
+                backlog[cs]
+                + (used_n[cs] + _exclusive_rank(cs))
+                - drain[cs] * elapsed_in_slot[ks],
+            )
+            passing = queued + 1.0 <= limit[cs]
+            clean = ks.size if passing.all() else int(np.argmin(passing))
+            np.add.at(used_n, cs[:clean], 1.0)
+            np.add.at(used_w, cs[:clean], work[ks[:clean]])
+            for k in ks[clean:]:
+                settle(int(k))
+            start += ks.size
+            chunk = 2 * chunk if clean == ks.size else _SPILL_CHUNK
+
     # -- the slot-boundary step ----------------------------------------------
 
     def broker_slot(
@@ -660,16 +758,14 @@ class DynamicBroker:
         self._snapshot(slot_available, capacity, remaining_cap, admission)
 
         # 2. re-weight the round-robin for this slot, per requesting group.
-        spilled_this_slot = 0
         counts_for: Dict[int, np.ndarray] = {}
         used_work = np.zeros((site_count, self._columns), dtype=float)
         used_requests = np.zeros((site_count, self._columns), dtype=float)
+        drain_rate = capacity / self._mean_work  # requests per ms, per column
         if self.spillover is not None:
             queue_limit = self.spillover.queue_limit_fraction * admission.astype(float)
-            drain_rate = capacity / self._mean_work  # requests per ms, per column
         else:
-            queue_limit = None
-            drain_rate = None
+            queue_limit = np.full(capacity.shape, np.inf)
 
         for seg_start, seg_end, available in self._segments:
             lo = max(int(np.searchsorted(arrival, max(seg_start, start_ms), side="left")), i0)
@@ -702,61 +798,19 @@ class DynamicBroker:
             # continuously at that group's serving rate; a request that
             # would push its serving group's projected in-flight count past
             # the admission-derived limit is re-brokered to the preferred
-            # site whose eligible group has room.
-            if queue_limit is not None:
-                work = self.plan.work_units[lo:hi]
-                homes = self.home_site_of_user[self.plan.user_ids[lo:hi]]
-                elapsed_in_slot = arrival[lo:hi] - start_ms
-
-                def projected_queue(site: int, col: int, t_rel: float) -> float:
-                    return max(
-                        0.0,
-                        self.backlog_requests[site, col]
-                        + used_requests[site, col]
-                        - drain_rate[site, col] * t_rel,
-                    )
-
-                for k in range(proposals.size):
-                    site = int(proposals[k])
-                    if site == UNROUTED:
-                        continue
-                    group = int(request_keys[k])
-                    col = int(self._clamp_col[site, group])
-                    t_rel = float(elapsed_in_slot[k])
-                    if projected_queue(site, col, t_rel) + 1.0 <= queue_limit[site, col]:
-                        used_requests[site, col] += 1.0
-                        used_work[site, col] += float(work[k])
-                        continue
-                    for candidate in self._spill_rank[int(homes[k])]:
-                        candidate = int(candidate)
-                        if candidate == site or not available[candidate]:
-                            continue
-                        ccol = int(self._clamp_col[candidate, group])
-                        if (
-                            projected_queue(candidate, ccol, t_rel) + 1.0
-                            <= queue_limit[candidate, ccol]
-                        ):
-                            proposals[k] = candidate
-                            used_requests[candidate, ccol] += 1.0
-                            used_work[candidate, ccol] += float(work[k])
-                            self.spilled[lo + k] = True
-                            spilled_this_slot += 1
-                            break
-                    else:
-                        # Federation-wide overload: nowhere to spill to.
-                        used_requests[site, col] += 1.0
-                        used_work[site, col] += float(work[k])
-            else:
-                routed_mask = proposals >= 0
-                if np.any(routed_mask):
-                    sites_r = proposals[routed_mask]
-                    cols_r = self._clamp_col[sites_r, request_keys[routed_mask]]
-                    np.add.at(used_requests, (sites_r, cols_r), 1.0)
-                    np.add.at(
-                        used_work,
-                        (sites_r, cols_r),
-                        self.plan.work_units[lo:hi][routed_mask],
-                    )
+            # site whose eligible group has room.  Without spillover the
+            # limit is infinite and every request is admitted where proposed.
+            self._spill_walk(
+                lo,
+                proposals,
+                request_keys,
+                available,
+                arrival[lo:hi] - start_ms,
+                used_requests,
+                used_work,
+                queue_limit,
+                drain_rate,
+            )
             self.site_ids[lo:hi] = proposals
 
         # 4. settle the window: WAN penalties, backlog, routing shares.
@@ -771,6 +825,7 @@ class DynamicBroker:
         self.backlog_requests += used_requests
         served = window_sites[window_sites >= 0]
         self.slot_site_requests.append(np.bincount(served, minlength=site_count))
+        spilled_this_slot = int(np.count_nonzero(self.spilled[i0:i1]))
         self.slot_spilled.append(spilled_this_slot)
         self.requests_spilled += spilled_this_slot
         return i0, i1

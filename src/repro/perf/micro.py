@@ -14,7 +14,9 @@ Each benchmark times one primitive in isolation and reports its throughput:
   churn the lazy-cancellation scheme targets.
 * ``broker.slot_state`` — the dynamic federation broker consuming
   matrix-valued (site × acceleration group) live-state snapshots: per-group
-  re-weighting, fluid queues and the spillover guard, per slot boundary.
+  re-weighting, fluid queues and the spillover guard, per slot boundary
+  (the ``spilled`` extra counts re-brokered requests, so a zero would show
+  the walk's scalar spill search went unexercised).
 * ``telemetry.registry`` — metrics-registry write path (counter inc, gauge
   set, histogram observe): the cost a run pays per instrument touch when
   ``--telemetry`` is on.
@@ -252,7 +254,7 @@ def bench_broker_slot_state(slots: int, requests: int, seed: int) -> BenchRecord
     remaining = np.zeros(site_count, dtype=np.int64)
     user_groups = rng.integers(1, 3, size=users)
 
-    def run() -> float:
+    def drive() -> DynamicBroker:
         broker = DynamicBroker(
             plan=plan,
             users=users,
@@ -269,13 +271,17 @@ def bench_broker_slot_state(slots: int, requests: int, seed: int) -> BenchRecord
                 admission_capacity=admissions[index],
                 group_of_user=user_groups,
             )
-        return float(np.count_nonzero(broker.site_ids >= 0))
+        return broker
+
+    def run() -> float:
+        return float(np.count_nonzero(drive().site_ids >= 0))
 
     # One untimed pass first: the broker path crosses several modules whose
     # first call pays import/JIT-ish warmup noise a 10 ms smoke budget would
-    # otherwise amplify into false CI regressions.
-    run()
-    return timed("broker.slot_state", run, slots=float(slots))
+    # otherwise amplify into false CI regressions.  It also supplies the
+    # ``spilled`` extra.
+    spilled = drive().requests_spilled
+    return timed("broker.slot_state", run, slots=float(slots), spilled=float(spilled))
 
 
 def bench_telemetry_registry(ops: int, seed: int) -> BenchRecord:

@@ -20,6 +20,7 @@ True
 """
 
 from repro.scenarios.campaign import (
+    CampaignError,
     CampaignResult,
     CampaignRunner,
     derive_scenario_seed,
@@ -61,6 +62,7 @@ __all__ = [
     "ROUTING_POLICIES",
     "RequestPlan",
     "build_request_plan",
+    "CampaignError",
     "CampaignResult",
     "CampaignRunner",
     "CloudSpec",

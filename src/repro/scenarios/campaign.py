@@ -9,13 +9,16 @@ Scenarios are independent simulations, so the runner fans them out over a
 each scenario's seed is derived from the campaign root seed and the scenario
 *name* (not submission order or worker id), every random draw inside a run
 comes from that scenario's own named streams, and results are returned in
-submission order.
+submission order.  One raising scenario does not cost the others: every job
+runs to completion, and the failures are then raised together in a
+:class:`CampaignError` that carries the successful results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,6 +57,16 @@ def _run_job(
     telemetry = Telemetry()
     result = run_scenario(spec, seed=seed, telemetry=telemetry)
     return result, build_run_record(spec, result, telemetry)
+
+
+def _run_job_guarded(
+    job: "Tuple[ScenarioSpec, int, bool]",
+) -> "Tuple[Optional[Tuple[ScenarioResult, Optional[RunRecord]]], Optional[str]]":
+    """:func:`_run_job`, with an exception returned as its traceback text."""
+    try:
+        return _run_job(job), None
+    except Exception:
+        return None, traceback.format_exc()
 
 
 @dataclass(frozen=True)
@@ -110,6 +123,26 @@ class CampaignResult:
         return write_csv(self.rows(), path)
 
 
+class CampaignError(RuntimeError):
+    """Some scenarios of a campaign raised; the others' results are kept.
+
+    ``partial`` is the :class:`CampaignResult` of the scenarios that
+    succeeded, in submission order; ``failures`` lists ``(scenario name,
+    traceback text)`` for each one that raised, also in submission order.
+    """
+
+    def __init__(
+        self, partial: CampaignResult, failures: Sequence[Tuple[str, str]]
+    ) -> None:
+        self.partial = partial
+        self.failures = tuple(failures)
+        names = ", ".join(name for name, _ in self.failures)
+        super().__init__(
+            f"{len(self.failures)} of {len(partial) + len(self.failures)} "
+            f"scenarios failed: {names}"
+        )
+
+
 class CampaignRunner:
     """Executes a list of scenario specs, optionally across processes.
 
@@ -149,7 +182,11 @@ class CampaignRunner:
         return derive_scenario_seed(self.seed, spec.name)
 
     def run(self, specs: Optional[Sequence[ScenarioSpec]] = None) -> CampaignResult:
-        """Run ``specs`` (default: every built-in scenario) and collect results."""
+        """Run ``specs`` (default: every built-in scenario) and collect results.
+
+        Raises :class:`CampaignError` after every job has finished when any
+        scenario raised.
+        """
         specs = list(specs) if specs is not None else builtin_specs()
         if not specs:
             raise ValueError("campaign needs at least one scenario")
@@ -163,15 +200,24 @@ class CampaignRunner:
         if workers is None:
             workers = min(len(jobs), os.cpu_count() or 1)
         if workers <= 1 or len(jobs) == 1:
-            outcomes = [_run_job(job) for job in jobs]
+            outcomes = [_run_job_guarded(job) for job in jobs]
         else:
             context = execution_context()
             with context.Pool(processes=min(workers, len(jobs))) as pool:
-                outcomes = pool.map(_run_job, jobs, chunksize=1)
-        results = tuple(result for result, _ in outcomes)
+                outcomes = pool.map(_run_job_guarded, jobs, chunksize=1)
+        done = [outcome for outcome, _ in outcomes if outcome is not None]
+        results = tuple(result for result, _ in done)
         # Keep index-wise alignment with ``results``: scenarios without
         # telemetry contribute a None placeholder, never a shifted tuple.
-        records = tuple(record for _, record in outcomes)
+        records = tuple(record for _, record in done)
         if all(record is None for record in records):
             records = ()
-        return CampaignResult(seed=self.seed, results=results, records=records)
+        campaign = CampaignResult(seed=self.seed, results=results, records=records)
+        failures = [
+            (spec.name, error)
+            for spec, (_, error) in zip(specs, outcomes)
+            if error is not None
+        ]
+        if failures:
+            raise CampaignError(campaign, failures)
+        return campaign

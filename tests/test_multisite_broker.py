@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.multisite.broker import (
     UNROUTED,
+    DynamicBroker,
     assign_home_sites,
     availability_segments,
     broker_assign,
@@ -514,3 +517,209 @@ class TestGroupAwareBroker:
             self.slot(broker, 0.0, 50_000.0, [[0.5], [5.0]])
             self.slot(broker, 50_000.0, 100_000.0, [[0.5], [5.0]])
         np.testing.assert_array_equal(grouped.site_ids, fleet.site_ids)
+
+
+def scalar_spill_walk(
+    broker,
+    lo,
+    proposals,
+    request_keys,
+    available,
+    elapsed_in_slot,
+    used_requests,
+    used_work,
+    queue_limit,
+    drain_rate,
+):
+    """Reference: the request-by-request spill walk the chunked one replaces."""
+    hi = lo + proposals.size
+    work = broker.plan.work_units[lo:hi]
+    homes = broker.home_site_of_user[broker.plan.user_ids[lo:hi]]
+
+    def projected_queue(site, col, t_rel):
+        return max(
+            0.0,
+            broker.backlog_requests[site, col]
+            + used_requests[site, col]
+            - drain_rate[site, col] * t_rel,
+        )
+
+    for k in range(proposals.size):
+        site = int(proposals[k])
+        if site == UNROUTED:
+            continue
+        group = int(request_keys[k])
+        col = int(broker._clamp_col[site, group])
+        t_rel = float(elapsed_in_slot[k])
+        if projected_queue(site, col, t_rel) + 1.0 <= queue_limit[site, col]:
+            used_requests[site, col] += 1.0
+            used_work[site, col] += float(work[k])
+            continue
+        for candidate in broker._spill_rank[int(homes[k])]:
+            candidate = int(candidate)
+            if candidate == site or not available[candidate]:
+                continue
+            ccol = int(broker._clamp_col[candidate, group])
+            if projected_queue(candidate, ccol, t_rel) + 1.0 <= queue_limit[candidate, ccol]:
+                proposals[k] = candidate
+                used_requests[candidate, ccol] += 1.0
+                used_work[candidate, ccol] += float(work[k])
+                broker.spilled[lo + k] = True
+                break
+        else:
+            used_requests[site, col] += 1.0
+            used_work[site, col] += float(work[k])
+
+
+class ScalarSpillBroker(DynamicBroker):
+    """The dynamic broker with the reference walk in place of the chunked one."""
+
+    _spill_walk = scalar_spill_walk
+
+
+#: Instance types per acceleration group, distinct across groups.
+DIFF_GROUP_TYPES = {1: "t2.nano", 2: "t2.medium", 3: "m4.4xlarge"}
+DIFF_DURATION_MS = 400_000.0
+DIFF_SLOT_MS = 100_000.0
+DIFF_USERS = 16
+
+
+@st.composite
+def spill_federations(draw):
+    """1–4 sites over 1–3 groups with dense spills and mid-slot outages."""
+    group_count = draw(st.integers(min_value=1, max_value=3))
+    site_count = draw(st.integers(min_value=1, max_value=4))
+    # Outage edges off the slot grid, so windows split slots; a shared
+    # blackout leaves segments with every site down.
+    fractions = st.sampled_from([0.05 * step for step in range(20)])
+    blackout = None
+    if draw(st.booleans()):
+        start = draw(fractions)
+        blackout = OutageWindow(start=start, end=min(1.0, start + 0.15))
+    sites = []
+    for index in range(site_count):
+        groups = draw(
+            st.lists(
+                st.integers(min_value=1, max_value=group_count),
+                min_size=1, max_size=group_count, unique=True,
+            )
+        )
+        outages = []
+        if draw(st.booleans()):
+            start = draw(fractions)
+            outages.append(OutageWindow(start=start, end=min(1.0, start + 0.2)))
+        if blackout is not None:
+            outages.append(blackout)
+        sites.append(
+            SiteSpec(
+                name=f"s{index}",
+                cloud=CloudSpec(
+                    group_types={group: DIFF_GROUP_TYPES[group] for group in groups},
+                    instance_cap=4,
+                ),
+                wan_rtt_ms=float(draw(st.integers(min_value=0, max_value=60))),
+                weight=float(draw(st.integers(min_value=1, max_value=8))),
+                population_share=float(draw(st.integers(min_value=1, max_value=4))),
+                outages=tuple(outages),
+            )
+        )
+    spillover = SpilloverSpec(
+        queue_limit_fraction=draw(st.floats(min_value=0.02, max_value=1.0)),
+        prefer=draw(st.sampled_from(["nearest-rtt", "cheapest"])),
+    )
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        spillover = None  # the walk then admits every request where proposed
+    return MultiSiteSpec(
+        sites=tuple(sites),
+        policy="dynamic-load",
+        spillover=spillover,
+        capacity_signal=draw(st.sampled_from(["per-group", "fleet"])),
+    )
+
+
+def run_differential(broker_class, federation, seed, count, promoted):
+    from repro.scenarios.plan import RequestPlan
+
+    rng = np.random.default_rng(seed)
+    plan = RequestPlan(
+        arrival_ms=np.sort(rng.uniform(0.0, DIFF_DURATION_MS, size=count)),
+        user_ids=rng.integers(0, DIFF_USERS, size=count),
+        work_units=rng.uniform(100.0, 600.0, size=count),
+        jitter_z=np.zeros(count),
+        t1_ms=np.zeros(count),
+        t2_ms=np.zeros(count),
+        routing_ms=np.zeros(count),
+    )
+    site_count = len(federation.sites)
+    columns = len(federation.group_axis)
+    broker = broker_class(
+        plan=plan,
+        users=DIFF_USERS,
+        federation=federation,
+        duration_ms=DIFF_DURATION_MS,
+        access_rtt_ms=list(rng.uniform(10.0, 60.0, size=site_count)),
+    )
+    for start in np.arange(0.0, DIFF_DURATION_MS, DIFF_SLOT_MS):
+        # Some columns lose all capacity; small admissions keep spills dense.
+        capacity = rng.uniform(0.0, 6.0, size=(site_count, columns))
+        capacity *= rng.random((site_count, columns)) > 0.2
+        group_of_user = None
+        if promoted:
+            group_of_user = rng.integers(0, max(federation.group_axis) + 2, DIFF_USERS)
+        broker.broker_slot(
+            float(start),
+            float(start + DIFF_SLOT_MS),
+            capacity_work_per_ms=capacity,
+            remaining_instance_cap=np.zeros(site_count, dtype=np.int64),
+            admission_capacity=rng.integers(0, 60, size=(site_count, columns)),
+            group_of_user=group_of_user,
+        )
+    return broker
+
+
+def assert_bitwise_equal(left, right):
+    assert left.tobytes() == right.tobytes()
+    assert left.dtype == right.dtype and left.shape == right.shape
+
+
+class TestChunkedSpillWalkMatchesScalar:
+    """The chunked spill walk decides exactly as the request-by-request one."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        federation=spill_federations(),
+        seed=st.integers(min_value=0, max_value=2**31),
+        count=st.integers(min_value=0, max_value=1500),
+        promoted=st.booleans(),
+    )
+    def test_matches_scalar_reference(self, federation, seed, count, promoted):
+        chunked = run_differential(DynamicBroker, federation, seed, count, promoted)
+        scalar = run_differential(ScalarSpillBroker, federation, seed, count, promoted)
+        for name in (
+            "site_ids", "spilled", "extra_rtt_ms", "backlog_work", "backlog_requests",
+        ):
+            assert_bitwise_equal(getattr(chunked, name), getattr(scalar, name))
+        assert len(chunked.slot_site_requests) == len(scalar.slot_site_requests)
+        for left, right in zip(chunked.slot_site_requests, scalar.slot_site_requests):
+            assert_bitwise_equal(left, right)
+        assert chunked.slot_spilled == scalar.slot_spilled
+        assert chunked.requests_spilled == scalar.requests_spilled
+        assert repr(chunked.load_history) == repr(scalar.load_history)
+
+    def test_dense_spills_are_exercised(self):
+        # Guard against a generator that never spills: one hand-picked
+        # federation where about a quarter of the requests spill.
+        federation = MultiSiteSpec(
+            sites=(
+                SiteSpec(name="a", cloud=CloudSpec(group_types={1: "t2.nano"})),
+                SiteSpec(name="b", cloud=CloudSpec(group_types={1: "t2.nano"}),
+                         wan_rtt_ms=20.0),
+            ),
+            policy="dynamic-load",
+            spillover=SpilloverSpec(queue_limit_fraction=0.02),
+        )
+        chunked = run_differential(DynamicBroker, federation, 3, 1200, False)
+        scalar = run_differential(ScalarSpillBroker, federation, 3, 1200, False)
+        assert chunked.requests_spilled > 200
+        assert_bitwise_equal(chunked.site_ids, scalar.site_ids)
+        assert chunked.slot_spilled == scalar.slot_spilled

@@ -9,6 +9,8 @@ match exactly.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import pytest
@@ -462,6 +464,36 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         spec = stochastic_spec(execution="batched")
         assert run_scenario(spec, seed=1).as_row() != run_scenario(spec, seed=2).as_row()
+
+
+#: Result digests of the dynamic-load registry scenarios at seed 0, in both
+#: execution modes.  A change meant to keep results bit-identical (such as a
+#: faster broker walk) must leave every one unchanged; a change that moves
+#: results on purpose re-pins them and says why.
+DYNAMIC_LOAD_DIGESTS = {
+    ("hotspot-spillover", "event"): "c295e749091a581f",
+    ("hotspot-spillover", "batched"): "8498fd9852db016e",
+    ("load-chase", "event"): "eef6383596fcbbae",
+    ("load-chase", "batched"): "7c8c33c2289dfa87",
+    ("mixed-fleet-miscount", "event"): "a48ab21c09e2880f",
+    ("mixed-fleet-miscount", "batched"): "59ba38ebe128c0b0",
+    ("stale-broker", "event"): "8516161f530f3349",
+    ("stale-broker", "batched"): "0d4ba661b6267e8c",
+}
+
+
+def result_digest(result) -> str:
+    """Every field of a result, exact to the last float bit, as a short hash."""
+    text = json.dumps(dataclasses.asdict(result), sort_keys=True, allow_nan=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+class TestDynamicLoadDigests:
+    @pytest.mark.parametrize("name, execution", sorted(DYNAMIC_LOAD_DIGESTS))
+    def test_result_digest_pinned(self, name, execution):
+        spec = get_scenario(name).with_overrides(execution=execution)
+        result = run_scenario(spec, seed=0)
+        assert result_digest(result) == DYNAMIC_LOAD_DIGESTS[(name, execution)]
 
 
 class TestGroupAwareCapacityAccounting:

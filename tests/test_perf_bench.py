@@ -125,6 +125,17 @@ class TestSuites:
             "faults.injection",
         }
         assert all(record.ops_per_s > 0 for record in records)
+        broker = next(r for r in records if r.name == "broker.slot_state")
+        assert "spilled" in broker.extras
+
+    def test_full_broker_bench_exercises_spills(self):
+        from repro.perf.micro import BUDGETS, bench_broker_slot_state
+
+        sizes = BUDGETS["full"]
+        record = bench_broker_slot_state(
+            sizes["broker_slots"], sizes["broker_requests"], seed=0
+        )
+        assert record.extras["spilled"] > 0
 
     def test_unknown_budget_rejected(self):
         with pytest.raises(ValueError):

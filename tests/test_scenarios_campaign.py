@@ -4,6 +4,8 @@ import pytest
 
 from repro.analysis.reporting import read_csv
 from repro.scenarios import (
+    CampaignError,
+    CampaignResult,
     CampaignRunner,
     ScenarioSpec,
     WorkloadSpec,
@@ -21,6 +23,13 @@ def tiny_spec(name: str, **kwargs) -> ScenarioSpec:
     )
     defaults.update(kwargs)
     return ScenarioSpec(**defaults)
+
+
+def broken_spec(name: str) -> ScenarioSpec:
+    """A spec that validates but raises once run: its task is unknown."""
+    spec = tiny_spec(name)
+    object.__setattr__(spec, "task_name", "no-such-task")
+    return spec
 
 
 class TestSeedDerivation:
@@ -163,3 +172,65 @@ class TestMixedTelemetryRecordAlignment:
         campaign = CampaignRunner(workers=2, seed=0).run(specs)
         assert campaign.records[0] is None
         assert campaign.records[1].scenario == "pool-traced"
+
+
+class TestCampaignFailures:
+    """One raising scenario must not discard the rest of the campaign."""
+
+    SPECS = ("ok-first", "broken", "ok-last")
+
+    def specs(self):
+        return [
+            broken_spec(name) if name == "broken" else tiny_spec(name)
+            for name in self.SPECS
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_keeps_partial_results(self, workers):
+        with pytest.raises(CampaignError) as caught:
+            CampaignRunner(workers=workers, seed=0).run(self.specs())
+        error = caught.value
+        assert [name for name, _ in error.failures] == ["broken"]
+        assert "no-such-task" in error.failures[0][1]
+        assert "Traceback" in error.failures[0][1]
+        assert "1 of 3 scenarios failed: broken" in str(error)
+        partial = error.partial
+        assert isinstance(partial, CampaignResult)
+        assert [r.name for r in partial.results] == ["ok-first", "ok-last"]
+        clean = CampaignRunner(workers=1, seed=0).run(
+            [tiny_spec("ok-first"), tiny_spec("ok-last")]
+        )
+        assert partial.rows() == clean.rows()
+        assert partial.records == ()
+
+    def test_partial_records_align_with_partial_results(self):
+        specs = [tiny_spec("traced-a"), broken_spec("broken"), tiny_spec("traced-b")]
+        with pytest.raises(CampaignError) as caught:
+            CampaignRunner(workers=1, seed=0, telemetry=True).run(specs)
+        partial = caught.value.partial
+        assert [r.scenario for r in partial.records] == ["traced-a", "traced-b"]
+
+    def test_every_scenario_failing(self):
+        with pytest.raises(CampaignError) as caught:
+            CampaignRunner(workers=1).run([broken_spec("x"), broken_spec("y")])
+        assert len(caught.value.partial) == 0
+        assert [name for name, _ in caught.value.failures] == ["x", "y"]
+
+    def test_cli_prints_successes_and_failures(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        monkeypatch.setattr(
+            cli,
+            "get_scenario",
+            lambda name: broken_spec(name) if name == "broken" else tiny_spec(name),
+        )
+        code = cli.main(
+            ["scenario", "campaign", "--only", "ok-first,broken,ok-last", "--workers", "1"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "ok-first" in captured.out and "ok-last" in captured.out
+        assert "broken" not in captured.out
+        assert "scenario broken failed:" in captured.err
+        assert "no-such-task" in captured.err
+        assert "1 of 3 scenarios failed: broken" in captured.err
