@@ -55,11 +55,9 @@ from repro.multisite.spec import BROKER_POLICIES
 from repro.scenarios import (
     CampaignError,
     CampaignRunner,
-    ShardSpec,
     builtin_specs,
     get_scenario,
     run_scenario,
-    run_sharded_scenario,
 )
 from repro.telemetry import (
     Telemetry,
@@ -283,25 +281,12 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         # Build the collector here (rather than letting the runner resolve
         # the spec knob) so the CLI can read it back for the summary/exports.
         telemetry = Telemetry() if spec.telemetry else None
-        if args.shards > 1:
-            result = run_sharded_scenario(
-                spec,
-                seed=args.seed,
-                telemetry=telemetry,
-                sharding=ShardSpec(shards=args.shards, workers=args.shard_workers),
-            )
-        else:
-            result = run_scenario(spec, seed=args.seed, telemetry=telemetry)
+        result = run_scenario(spec, seed=args.seed, telemetry=telemetry)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.record_out and telemetry is not None:
-        record = build_run_record(
-            spec,
-            result,
-            telemetry,
-            shards=args.shards if args.shards > 1 else None,
-        )
+        record = build_run_record(spec, result, telemetry)
         record_path = record.save(
             Path(args.record_out) / record_filename(record)
         )
@@ -478,8 +463,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         record_b,
         max_counter_delta_pct=args.max_counter_delta_pct,
         max_series_divergence=args.max_series_divergence,
-        counter_filter=args.counter or None,
-        series_filter=args.series or None,
     )
     if args.json:
         print(json.dumps(_jsonify(diff.as_dict()), indent=2))
@@ -655,18 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution mode (batched = vectorised fast path)",
     )
     scenario_run.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the user population across N worker processes "
-        "(batched execution with a static broker only; shards=1 is "
-        "bit-identical to an unsharded run)",
-    )
-    scenario_run.add_argument(
-        "--shard-workers", type=int, default=None, dest="shard_workers",
-        metavar="N",
-        help="process-pool size for --shards (default: one per shard; "
-        "1 runs every shard sequentially in-process)",
-    )
-    scenario_run.add_argument(
         "--broker", default=None,
         help="override the federation broker policy (multi-site scenarios "
         "only; e.g. dynamic-load)",
@@ -817,16 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_series_divergence", metavar="VALUE",
         help="largest acceptable per-slot absolute series divergence "
         "(default 0: any divergence is a regression)",
-    )
-    diff.add_argument(
-        "--counter", action="append", default=[], metavar="PATTERN",
-        help="compare only counters matching this fnmatch pattern "
-        "(repeatable; default: all counters)",
-    )
-    diff.add_argument(
-        "--series", action="append", default=[], metavar="PATTERN",
-        help="compare only series matching this fnmatch pattern "
-        "(repeatable; default: all series)",
     )
     diff.add_argument(
         "--limit", type=int, default=12,

@@ -36,7 +36,7 @@ drop totals).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -710,14 +710,17 @@ def execute_batched_multisite(
                     period - 1, site.provisioner, prefix=f"site.{site.name}"
                 )
 
-    while sample_cursor < len(sample_times):
-        append_utilization(sample_times[sample_cursor])
-        sample_cursor += 1
+    # A trailing sample can land exactly on the run horizon, after the final
+    # scaling action — same ordering as the event loop's FIFO tie-break.
+    with telemetry.span("slot.drain"):
+        while sample_cursor < len(sample_times):
+            append_utilization(sample_times[sample_cursor])
+            sample_cursor += 1
 
-    engine.clock.advance_to(horizon)
-    responses = (
-        np.concatenate(success_chunks) if success_chunks else np.empty(0, dtype=float)
-    )
+        engine.clock.advance_to(horizon)
+        responses = (
+            np.concatenate(success_chunks) if success_chunks else np.empty(0, dtype=float)
+        )
     return FederationMetrics(
         requests_total=requests_total,
         requests_dropped=dropped_total,
@@ -738,8 +741,6 @@ def run_multisite_scenario(
     *,
     seed: int = 0,
     telemetry=None,
-    shard: Optional[Tuple[int, int]] = None,
-    raw_sink: Optional[Dict[str, object]] = None,
 ) -> ScenarioResult:
     """Execute one multi-site scenario end to end (both execution modes).
 
@@ -747,35 +748,22 @@ def run_multisite_scenario(
     optional collaborator resolved against ``spec.telemetry``, observing but
     never changing the run (per-site signals additionally roll up through
     :func:`repro.analysis.metrics.federation_rollup` into the registry).
-
-    ``shard``/``raw_sink`` mirror the single-site runner's sharding hooks
-    (see :mod:`repro.scenarios.sharded`): ``(index, count)`` restricts the
-    executed plan to users with ``user_id % count == index`` after all RNG
-    draws, and ``raw_sink`` captures pre-aggregation arrays the parent fold
-    needs.  Sharding requires a static brokering policy — the dynamic
-    broker's live load view is global and cannot be replicated per shard.
     """
     if spec.sites is None:
         raise ValueError(f"scenario {spec.name!r} declares no sites")
     telemetry = resolve_telemetry(telemetry, spec.telemetry)
     with telemetry.span("scenario.run"):
-        return _run_multisite(spec, seed, telemetry, shard=shard, raw_sink=raw_sink)
+        return _run_multisite(spec, seed, telemetry)
 
 
-def _run_multisite(
-    spec: ScenarioSpec,
-    seed: int,
-    telemetry,
-    shard: Optional[Tuple[int, int]] = None,
-    raw_sink: Optional[Dict[str, object]] = None,
-) -> ScenarioResult:
-    streams = RandomStreams(seed)
-    engine = SimulationEngine()
-    rng_workload = streams.stream("scenario-workload")
-    rng_devices = streams.stream("scenario-devices")
-    rng_routing = streams.stream("scenario-sdn")
-
+def _run_multisite(spec: ScenarioSpec, seed: int, telemetry) -> ScenarioResult:
     with telemetry.span("scenario.setup"):
+        streams = RandomStreams(seed)
+        engine = SimulationEngine()
+        rng_workload = streams.stream("scenario-workload")
+        rng_devices = streams.stream("scenario-devices")
+        rng_routing = streams.stream("scenario-sdn")
+
         task = DEFAULT_TASK_POOL.get(spec.task_name)
         duration_ms = spec.duration_ms
         slot_ms = spec.slot_length_ms
@@ -901,32 +889,6 @@ def _run_multisite(
                 ),
             )
 
-        # --- shard slice: applied *after* every named-stream draw so each
-        # shard sees positionally identical randomness, then keeps only the
-        # rows of users it owns.  Per-user state (devices, moderators,
-        # home_site_of_user) stays full-length — it is indexed by user id.
-        if shard is not None and shard[1] > 1:
-            if slot_broker.is_dynamic:
-                raise ValueError(
-                    "sharded execution requires a static brokering policy; "
-                    "the dynamic-load broker re-brokers from global live "
-                    "state every slot and cannot be replicated per shard"
-                )
-            shard_index, shard_count = shard
-            picks = np.flatnonzero(plan.user_ids % shard_count == shard_index)
-            plan = plan.take(picks)
-            slot_broker = StaticSlotBroker(
-                plan=plan,
-                brokered=BrokeredPlan(
-                    site_ids=slot_broker.site_ids[picks],
-                    extra_rtt_ms=slot_broker.extra_rtt_ms[picks],
-                    home_site_of_user=slot_broker.home_site_of_user,
-                ),
-                site_count=len(spec.sites.sites),
-            )
-            if fault_plane is not None:
-                fault_plane.overlay = fault_plane.overlay.take(picks)
-
     if spec.execution == "batched":
         metrics = execute_batched_multisite(
             spec=spec,
@@ -970,7 +932,6 @@ def _run_multisite(
             telemetry=telemetry,
             plan=plan,
             fault_plane=fault_plane,
-            raw_sink=raw_sink,
         )
 
 
@@ -986,7 +947,6 @@ def _fold_multisite_result(
     telemetry,
     plan: "RequestPlan | None" = None,
     fault_plane: "MultisiteFaultPlane | None" = None,
-    raw_sink: Optional[Dict[str, object]] = None,
 ) -> ScenarioResult:
     successes = metrics.success_response_ms
     requests_total = metrics.requests_total
@@ -1094,20 +1054,6 @@ def _fold_multisite_result(
                 ),
             )
         )
-
-    if raw_sink is not None:
-        # Pre-aggregation arrays the sharded parent fold needs: means and
-        # percentiles are recomputed over the shard-concatenated raw samples
-        # rather than averaged from per-shard aggregates.
-        raw_sink["successes"] = successes
-        raw_sink["utilization_samples"] = list(metrics.utilization_samples)
-        raw_sink["accuracy_samples"] = list(accuracies)
-        raw_sink["site_successes"] = [
-            metrics.per_site[site.index].success_response_ms for site in federation
-        ]
-        raw_sink["site_utilization_samples"] = [
-            list(site.utilization_samples) for site in federation
-        ]
 
     if telemetry.enabled:
         registry = telemetry.registry

@@ -27,7 +27,7 @@ DEFAULT_REGRESSION_THRESHOLD = 0.20
 def peak_rss_kb() -> int:
     """Peak resident set size in kilobytes, across this process and its children.
 
-    Campaign pools and sharded workers allocate in child processes, so the
+    Campaign pools allocate in child processes, so the
     parent's ``RUSAGE_SELF`` alone under-reports any multiprocessing
     benchmark; the reported peak is the max of the two rusage domains
     (``RUSAGE_CHILDREN`` folds in terminated, waited-for children).

@@ -10,12 +10,7 @@ requests per second; the batched record carries the measured speedup as an
 extra.
 
 The 1M-request size is batched-only (the event path would take minutes) and
-only runs at the ``xl`` budget.  The ``full`` and ``xl`` budgets additionally
-time the 1M batched run sharded across :data:`SHARD_COUNT` worker processes
-(``macro.batched.1M.sharded``): its ``speedup_vs_single_shard`` extra is the
-measured scaling against the plain batched run, which tops out at
-``min(shards, cores)`` — on a single-core runner sharding pays pure process
-overhead, so the honest expectation there is ~1x or below.
+only runs at the ``xl`` budget.
 """
 
 from __future__ import annotations
@@ -26,8 +21,7 @@ from typing import Dict, List, Sequence
 
 from repro.perf.harness import BenchRecord
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.sharded import run_sharded_scenario
-from repro.scenarios.spec import CloudSpec, ScenarioSpec, ShardSpec, WorkloadSpec
+from repro.scenarios.spec import CloudSpec, ScenarioSpec, WorkloadSpec
 
 #: Macro sizes per budget: (requests, run_event_path_too).
 SIZES: Dict[str, Sequence["tuple[int, bool]"]] = {
@@ -35,10 +29,6 @@ SIZES: Dict[str, Sequence["tuple[int, bool]"]] = {
     "full": ((10_000, True), (100_000, True)),
     "xl": ((10_000, True), (100_000, True), (1_000_000, False)),
 }
-
-#: Shards for the sharded macro record (and request count it runs at).
-SHARD_COUNT = 4
-SHARDED_REQUESTS = 1_000_000
 
 
 def perf_scenario(requests: int, execution: str = "event") -> ScenarioSpec:
@@ -78,36 +68,6 @@ def bench_scenario(requests: int, execution: str, seed: int) -> BenchRecord:
     )
 
 
-def bench_sharded(
-    requests: int, shards: int, seed: int, single_shard_ops_per_s: float
-) -> BenchRecord:
-    """Time the sharded batched run at ``shards`` workers.
-
-    ``single_shard_ops_per_s`` is the plain batched run's throughput at the
-    same size and seed; the ratio lands in the record's extras so the bench
-    gate can watch the measured scaling directly.
-    """
-    spec = perf_scenario(requests, "batched")
-    started = time.perf_counter()
-    result = run_sharded_scenario(
-        spec, seed=seed, sharding=ShardSpec(shards=shards)
-    )
-    elapsed = time.perf_counter() - started
-    record = BenchRecord(
-        name=f"macro.batched.{requests // 1_000_000}M.sharded",
-        wall_s=elapsed,
-        ops=float(result.requests_total),
-        extras={
-            "shards": float(shards),
-            "drop_rate": result.drop_rate,
-            "mean_response_ms": result.mean_response_ms,
-        },
-    )
-    extras = dict(record.extras)
-    extras["speedup_vs_single_shard"] = record.ops_per_s / single_shard_ops_per_s
-    return dataclasses.replace(record, extras=extras)
-
-
 def run_macro_suite(budget: str = "full", seed: int = 0) -> List[BenchRecord]:
     """Run the macro sizes for ``budget``; batched records carry speedups."""
     if budget not in SIZES:
@@ -126,22 +86,4 @@ def run_macro_suite(budget: str = "full", seed: int = 0) -> List[BenchRecord]:
             )
             batched_record = dataclasses.replace(batched_record, extras=extras)
         records.append(batched_record)
-    if budget in ("full", "xl"):
-        single_shard = next(
-            (
-                record
-                for record in records
-                if record.name == f"macro.batched.{SHARDED_REQUESTS}"
-            ),
-            None,
-        )
-        if single_shard is None:
-            # The full budget does not record a plain 1M batched run; time
-            # one here as the sharded record's single-shard reference.
-            single_shard = bench_scenario(SHARDED_REQUESTS, "batched", seed)
-        records.append(
-            bench_sharded(
-                SHARDED_REQUESTS, SHARD_COUNT, seed, single_shard.ops_per_s
-            )
-        )
     return records

@@ -530,14 +530,15 @@ def execute_batched(
 
     # A trailing sample can land exactly on the run horizon, after the final
     # scaling action — same ordering as the event loop's FIFO tie-break.
-    while sample_cursor < len(sample_times):
-        append_utilization(sample_times[sample_cursor])
-        sample_cursor += 1
+    with telemetry.span("slot.drain"):
+        while sample_cursor < len(sample_times):
+            append_utilization(sample_times[sample_cursor])
+            sample_cursor += 1
 
-    engine.clock.advance_to(horizon)
-    responses = (
-        np.concatenate(success_chunks) if success_chunks else np.empty(0, dtype=float)
-    )
+        engine.clock.advance_to(horizon)
+        responses = (
+            np.concatenate(success_chunks) if success_chunks else np.empty(0, dtype=float)
+        )
     return ExecutionMetrics(
         requests_total=requests_total,
         requests_dropped=dropped_total,

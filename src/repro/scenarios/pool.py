@@ -1,7 +1,6 @@
 """Pinned multiprocessing context for scenario worker pools.
 
-Both the campaign runner and the intra-scenario sharding executor fan
-scenario work out to worker processes.  Relying on
+The campaign runner fans scenario work out to worker processes.  Relying on
 ``multiprocessing.get_context()`` ties behaviour to the platform default
 start method — ``fork`` on POSIX today, which is unsafe once any thread
 exists in the parent and is being phased out as the default in newer

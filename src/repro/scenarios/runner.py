@@ -663,8 +663,6 @@ def run_scenario(
     *,
     seed: Optional[int] = None,
     telemetry=None,
-    shard: Optional[Tuple[int, int]] = None,
-    raw_sink: Optional[Dict[str, object]] = None,
 ) -> ScenarioResult:
     """Execute one scenario end to end and return its metric summary.
 
@@ -680,56 +678,29 @@ def run_scenario(
     collect metrics and a slot-phase trace, or leave it ``None`` to follow
     ``spec.telemetry`` (off by default).  Telemetry never changes the
     result — the parity suite pins bit-identical output on vs off.
-
-    ``shard``/``raw_sink`` are the sharded executor's hooks (see
-    :mod:`repro.scenarios.sharded` and :func:`_run_single_site`); leave them
-    ``None`` for a normal run.
     """
     effective_seed = seed if seed is not None else (spec.seed if spec.seed is not None else 0)
     telemetry = resolve_telemetry(telemetry, spec.telemetry)
     if spec.sites is not None:
         from repro.multisite.runner import run_multisite_scenario
 
-        return run_multisite_scenario(
-            spec,
-            seed=effective_seed,
-            telemetry=telemetry,
-            shard=shard,
-            raw_sink=raw_sink,
-        )
+        return run_multisite_scenario(spec, seed=effective_seed, telemetry=telemetry)
     with telemetry.span("scenario.run"):
-        return _run_single_site(
-            spec, effective_seed, telemetry, shard=shard, raw_sink=raw_sink
-        )
+        return _run_single_site(spec, effective_seed, telemetry)
 
 
 def _run_single_site(
-    spec: ScenarioSpec,
-    effective_seed: int,
-    telemetry,
-    shard: Optional[Tuple[int, int]] = None,
-    raw_sink: Optional[Dict[str, object]] = None,
+    spec: ScenarioSpec, effective_seed: int, telemetry
 ) -> ScenarioResult:
-    """One single-site run; ``shard``/``raw_sink`` serve the sharded executor.
-
-    ``shard=(index, count)`` makes this process simulate only the users with
-    ``user_id % count == index``: the *full* plan and fault overlay are drawn
-    first from the shared named streams (positional stability — every shard
-    consumes identical draws), then row-sliced to the owned users before
-    execution.  The control plane (backend, autoscaler, model, devices) is
-    fully replicated per shard.  ``raw_sink`` (a dict) receives the raw
-    sample arrays the parent needs for an exact cross-shard fold
-    (``successes``, ``utilization_samples``, ``accuracy_samples``).
-    """
-    streams = RandomStreams(effective_seed)
-    engine = SimulationEngine()
-    rng_workload = streams.stream("scenario-workload")
-    rng_devices = streams.stream("scenario-devices")
-    rng_cloud = streams.stream("scenario-cloud")
-    rng_sdn = streams.stream("scenario-sdn")
-    rng_network = streams.stream("scenario-network")
-
     with telemetry.span("scenario.setup"):
+        streams = RandomStreams(effective_seed)
+        engine = SimulationEngine()
+        rng_workload = streams.stream("scenario-workload")
+        rng_devices = streams.stream("scenario-devices")
+        rng_cloud = streams.stream("scenario-cloud")
+        rng_sdn = streams.stream("scenario-sdn")
+        rng_network = streams.stream("scenario-network")
+
         task = DEFAULT_TASK_POOL.get(spec.task_name)
         groups = sorted(spec.cloud.group_types)
         lowest_group, highest_group = groups[0], groups[-1]
@@ -851,13 +822,6 @@ def _run_single_site(
             overlay.apply_latency(plan)
             overlay.apply_network_factor(plan)
 
-    if shard is not None and shard[1] > 1:
-        shard_index, shard_count = shard
-        picks = np.flatnonzero(plan.user_ids % shard_count == shard_index)
-        plan = plan.take(picks)
-        if overlay is not None:
-            overlay = overlay.take(picks)
-
     if spec.execution == "batched":
         metrics = execute_batched(
             spec=spec,
@@ -926,10 +890,6 @@ def _run_single_site(
         predictions = sum(
             1 for action in autoscaler.actions if action.decision is not None
         )
-        if raw_sink is not None:
-            raw_sink["successes"] = successes
-            raw_sink["utilization_samples"] = list(metrics.utilization_samples)
-            raw_sink["accuracy_samples"] = list(accuracies)
 
         if telemetry.enabled:
             registry = telemetry.registry

@@ -61,37 +61,6 @@ DEFAULT_GROUP_TYPES: Dict[int, str] = {1: "t2.nano", 2: "t2.large", 3: "m4.4xlar
 
 
 @dataclass(frozen=True)
-class ShardSpec:
-    """How one scenario's user population is split across worker processes.
-
-    Deliberately *not* a :class:`ScenarioSpec` field: sharding is an
-    execution strategy, not part of the simulated world, so it stays out of
-    the spec hash and a ``shards=1`` run produces byte-identical artifacts
-    to an unsharded one.  Shard ``k`` of ``N`` owns the users with
-    ``user_id % N == k``; see :mod:`repro.scenarios.sharded` for the
-    determinism and merge contract.
-
-    ``workers`` caps the process-pool size (defaults to ``shards``); with
-    ``workers=1`` the shards run sequentially in-process, which pins the
-    invariant that results are independent of the worker count.
-    """
-
-    shards: int = 1
-    workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-    @property
-    def pool_size(self) -> int:
-        """The number of worker processes the sharded run may use."""
-        return min(self.shards, self.workers if self.workers else self.shards)
-
-
-@dataclass(frozen=True)
 class WorkloadSpec:
     """How offloading requests arrive over the run.
 

@@ -24,8 +24,7 @@ check a plain exit-code assertion.
 from __future__ import annotations
 
 import dataclasses
-from fnmatch import fnmatchcase
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.telemetry.record import RunRecord
 
@@ -235,37 +234,15 @@ class RecordDiff:
         return lines
 
 
-def _matches(name: str, patterns: Optional[Sequence[str]]) -> bool:
-    """Whether ``name`` passes the filter (no patterns = everything passes)."""
-    if not patterns:
-        return True
-    return any(fnmatchcase(name, pattern) for pattern in patterns)
-
-
 def diff_records(
     a: RunRecord,
     b: RunRecord,
     *,
     max_counter_delta_pct: float = 0.0,
     max_series_divergence: float = 0.0,
-    counter_filter: Optional[Sequence[str]] = None,
-    series_filter: Optional[Sequence[str]] = None,
 ) -> RecordDiff:
-    """Align two records by instrument name and slot index and compare.
-
-    ``counter_filter``/``series_filter`` restrict the comparison to
-    instruments whose names match at least one ``fnmatch`` pattern (e.g.
-    ``["slot.*", "requests.*"]``).  Filtered-out instruments are ignored
-    entirely — they contribute neither deltas nor only-in-one-side entries —
-    which is how the sharded CI smoke compares only the signals that are
-    invariant across shard counts (arrival series, request counters) while
-    the replicated control plane legitimately diverges.
-    """
-    counter_names = sorted(
-        name
-        for name in set(a.counters) | set(b.counters)
-        if _matches(name, counter_filter)
-    )
+    """Align two records by instrument name and slot index and compare."""
+    counter_names = sorted(set(a.counters) | set(b.counters))
     counters = [
         CounterDelta(
             name=name,
@@ -274,8 +251,8 @@ def diff_records(
         )
         for name in counter_names
     ]
-    series_a = {name for name in a.series if _matches(name, series_filter)}
-    series_b = {name for name in b.series if _matches(name, series_filter)}
+    series_a = set(a.series)
+    series_b = set(b.series)
     shared_series = sorted(series_a & series_b)
     series = []
     for name in shared_series:

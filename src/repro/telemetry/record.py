@@ -147,17 +147,13 @@ def record_filename(record: RunRecord) -> str:
     return f"{record.scenario}-{record.execution}-seed{record.seed}.json"
 
 
-def build_run_record(
-    spec, result, telemetry, *, environment=True, shards: Optional[int] = None
-) -> RunRecord:
+def build_run_record(spec, result, telemetry, *, environment=True) -> RunRecord:
     """Assemble a :class:`RunRecord` from a finished run.
 
     ``telemetry`` must be a live :class:`~repro.telemetry.facade.Telemetry`
     (the recorder and registry are read, never mutated).  Pass
     ``environment=False`` to omit the host envelope (useful in tests that
-    compare full dicts).  ``shards`` notes how many workers a sharded run
-    folded; it lands in the *non-canonical* ``environment`` envelope so a
-    ``shards=1`` run stays byte-identical to an unsharded one.
+    compare full dicts).
     """
     if not telemetry.enabled:
         raise ValueError("building a run record requires live telemetry")
@@ -171,8 +167,6 @@ def build_run_record(
             "platform": sys.platform,
             "argv": list(sys.argv),
         }
-    if shards is not None:
-        env["shards"] = int(shards)
     return RunRecord(
         schema=RECORD_SCHEMA,
         scenario=spec.name,

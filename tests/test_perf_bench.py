@@ -218,7 +218,7 @@ class TestPeakRssChildFold:
     def test_folds_in_child_process_peaks(self):
         """A terminated child's peak must show up in the reported RSS.
 
-        Campaign pools and shard workers allocate in children; a
+        Campaign pools allocate in child processes; a
         ``RUSAGE_SELF``-only implementation under-reports them entirely.
         The child touches every page so the allocation is resident, not
         just mapped.

@@ -1,5 +1,7 @@
 """Tests for the parallel campaign runner."""
 
+import pickle
+
 import pytest
 
 from repro.analysis.reporting import read_csv
@@ -11,6 +13,7 @@ from repro.scenarios import (
     WorkloadSpec,
     derive_scenario_seed,
 )
+from repro.scenarios.pool import execution_context
 
 
 def tiny_spec(name: str, **kwargs) -> ScenarioSpec:
@@ -234,3 +237,27 @@ class TestCampaignFailures:
         assert "scenario broken failed:" in captured.err
         assert "no-such-task" in captured.err
         assert "1 of 3 scenarios failed: broken" in captured.err
+
+
+class TestSpawnPickleContract:
+    """Every pool payload must survive the spawn/forkserver pickler."""
+
+    def test_execution_context_is_pinned(self):
+        method = execution_context().get_start_method()
+        assert method in ("forkserver", "spawn")
+
+    def test_campaign_job_round_trips(self):
+        from repro.scenarios.campaign import _run_job
+
+        spec = tiny_spec(
+            "pickle-job",
+            users=24,
+            duration_hours=0.5,
+            task_name="fibonacci",
+            execution="batched",
+            workload=WorkloadSpec(target_requests=120),
+        )
+        job = pickle.loads(pickle.dumps((spec, 3, False)))
+        result, record = _run_job(job)
+        assert result.requests_total > 0
+        assert record is None
