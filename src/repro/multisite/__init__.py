@@ -16,8 +16,10 @@ global broker that assigns every request to a site.
   inside the slot loop from live per-site backlog, with optional cross-site
   spillover.
 * :mod:`repro.multisite.federation` — one serving stack per site.
-* :mod:`repro.multisite.runner` — the end-to-end executor for both the
-  event and the batched (per-site Lindley recursion) execution modes.
+* :mod:`repro.multisite.runner` — the end-to-end runner behind
+  ``run_scenario`` for both the event and the batched (per-site Lindley
+  recursion) execution modes; a spec without ``sites:`` runs through it as
+  an implicit one-site federation.
 
 Quick start
 -----------

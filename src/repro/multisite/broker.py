@@ -250,7 +250,7 @@ def broker_assign(
 
     routed = site_ids >= 0
     extra = np.zeros(count, dtype=float)
-    if routed.any():
+    if penalty.any() and routed.any():
         extra[routed] = penalty[home[user_ids[routed]], site_ids[routed]]
     return BrokeredPlan(site_ids=site_ids, extra_rtt_ms=extra, home_site_of_user=home)
 

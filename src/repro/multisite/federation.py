@@ -10,7 +10,9 @@ executors need (clamp tables, availability, aggregate cost).
 Sites are deliberately independent: prediction histories, allocation plans
 and billing never mix across sites, exactly like the FLICU-style multi-site
 deployments in the related work where each site trains on local traffic and
-only the thin broker layer is global.
+only the thin broker layer is global.  A single deployment is therefore just
+the one-site case: a spec without ``sites:`` builds an *implicit* federation
+(see :func:`build_federation`).
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ class SiteRuntime:
     autoscaler: Autoscaler
     channel: CommunicationChannel
     level_for_type: Dict[str, int]
+    #: Telemetry name prefix of this site's fleet series and serving-stack
+    #: metrics (``site.<name>``; empty for the implicit site).
+    metric_prefix: str
     accelerator: Optional[SDNAccelerator] = None
     utilization_samples: List[float] = field(default_factory=list)
 
@@ -187,14 +192,20 @@ def build_site_runtime(
     streams: RandomStreams,
     task,
     with_accelerator: bool,
+    stream_prefix: str,
+    metric_prefix: str,
 ) -> SiteRuntime:
-    """Assemble one site's stack from its spec (mirrors the single-site runner)."""
+    """Assemble one site's stack from its spec.
+
+    The site draws from the named streams ``<stream_prefix>cloud``, ``-sdn``
+    and ``-network``; ``metric_prefix`` names its telemetry.
+    """
     from repro.scenarios.runner import build_channel  # local: avoids module cycle
 
     slot_ms = scenario.slot_length_ms
-    rng_cloud = streams.stream(f"site-{site.name}-cloud")
-    rng_sdn = streams.stream(f"site-{site.name}-sdn")
-    rng_network = streams.stream(f"site-{site.name}-network")
+    rng_cloud = streams.stream(f"{stream_prefix}cloud")
+    rng_sdn = streams.stream(f"{stream_prefix}sdn")
+    rng_network = streams.stream(f"{stream_prefix}network")
 
     catalog = build_site_catalog(site)
     backend = BackendPool()
@@ -257,20 +268,28 @@ def build_site_runtime(
         autoscaler=autoscaler,
         channel=channel,
         level_for_type=level_for_type,
+        metric_prefix=metric_prefix,
         accelerator=accelerator,
     )
 
 
 class Federation:
-    """One runtime per site plus federation-wide helpers."""
+    """One runtime per site plus federation-wide helpers.
 
-    def __init__(self, spec: MultiSiteSpec, sites: List[SiteRuntime]) -> None:
+    ``implicit`` marks the one-site stand-in for a spec without ``sites:``:
+    it has nothing to broker and is reported as a single-site run.
+    """
+
+    def __init__(
+        self, spec: MultiSiteSpec, sites: List[SiteRuntime], *, implicit: bool = False
+    ) -> None:
         if len(spec.sites) != len(sites):
             raise ValueError(
                 f"spec declares {len(spec.sites)} sites but {len(sites)} runtimes given"
             )
         self.spec = spec
         self.sites = list(sites)
+        self.implicit = implicit
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -335,9 +354,27 @@ def build_federation(
     task,
     with_accelerators: bool,
 ) -> Federation:
-    """Build every site runtime of a scenario's federation."""
-    if scenario.sites is None:
-        raise ValueError(f"scenario {scenario.name!r} declares no sites")
+    """Build every site runtime of a scenario's federation.
+
+    A spec without ``sites:`` runs as an implicit one-site federation,
+    derived from the spec rather than configured (and never written back
+    into it, so ``spec_hash`` is unchanged): the site takes the scenario's
+    cloud and network, has no WAN RTT and no outages, and draws from the
+    single-site stream names ``scenario-cloud``, ``scenario-sdn`` and
+    ``scenario-network``.
+    """
+    implicit = scenario.sites is None
+    if implicit:
+        spec = MultiSiteSpec(
+            sites=(
+                SiteSpec(
+                    name=scenario.name, cloud=scenario.cloud, network=scenario.network
+                ),
+            ),
+            policy="failover",
+        )
+    else:
+        spec = scenario.sites
     runtimes = [
         build_site_runtime(
             index=index,
@@ -347,7 +384,9 @@ def build_federation(
             streams=streams,
             task=task,
             with_accelerator=with_accelerators,
+            stream_prefix="scenario-" if implicit else f"site-{site.name}-",
+            metric_prefix="" if implicit else f"site.{site.name}",
         )
-        for index, site in enumerate(scenario.sites.sites)
+        for index, site in enumerate(spec.sites)
     ]
-    return Federation(scenario.sites, runtimes)
+    return Federation(spec, runtimes, implicit=implicit)

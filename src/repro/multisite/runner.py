@@ -1,11 +1,11 @@
-"""Execute a multi-site scenario end to end (event and batched modes).
+"""Run a scenario over its N >= 1 sites (event and batched modes).
 
-``run_multisite_scenario`` is the federation twin of
-:func:`repro.scenarios.runner.run_scenario`: it builds one serving stack per
-site (:mod:`repro.multisite.federation`), lets the global broker partition
-the pre-drawn request plan across sites (:mod:`repro.multisite.broker`),
-samples each request's network latency from its *serving* site's access
-model plus the WAN penalty, and then drives the plan through either
+This is the one runner behind :func:`repro.scenarios.runner.run_scenario`.
+It builds one serving stack per site (:mod:`repro.multisite.federation`),
+lets the global broker partition the pre-drawn request plan across sites
+(:mod:`repro.multisite.broker`), samples each request's network latency from
+its *serving* site's access model plus the WAN penalty, and then drives the
+plan through either
 
 * the **event** executor — per-request events on the shared engine, one SDN
   front-end per site, exact processor-sharing service; or
@@ -13,6 +13,13 @@ model plus the WAN penalty, and then drives the plan through either
   site-partitioned plan, reusing the single-site vectorised data plane
   (:func:`repro.scenarios.batched.serve_slot_requests`) with one instance
   state table per site.
+
+A spec without a ``sites:`` section runs as an *implicit* one-site
+federation: the site is derived from the spec (its cloud and network, no WAN
+RTT, no outages, the single-site stream names), has nothing to broker and is
+folded into a single-site result.  Its batched runs keep the single-site
+data plane, :func:`repro.scenarios.batched.execute_batched`, whose dispatch
+times round differently from the federation's batched executor.
 
 Both executors consult the same broker object through one shared
 slot-boundary step (:func:`run_slot_brokering`): static policies keep their
@@ -22,9 +29,9 @@ plan-time pre-partition (served slot by slot through a
 optionally spills overflow across sites mid-slot
 (:class:`~repro.multisite.broker.DynamicBroker`).  Either way site
 assignment, arrivals, work, RTTs and jitter are identical across modes;
-only the documented single-site queueing approximations differ.  The
-control plane is fully per-site: each site's adaptive model observes only
-the requests that site served and its autoscaler re-shapes only that site's
+only the documented batched queueing approximations differ.  The control
+plane is fully per-site: each site's adaptive model observes only the
+requests that site served and its autoscaler re-shapes only that site's
 fleet, at the same slot boundaries in both modes.
 
 Requests that arrive while no site is available (federation-wide outage) are
@@ -35,11 +42,15 @@ drop totals).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 import numpy as np
 
+from repro.core.model import AdaptiveModel
+from repro.core.prediction import prediction_accuracy
+from repro.core.timeslots import TimeSlot
 from repro.faults.overlay import (
     FAULT_CONTROL_STREAM,
     FAULT_STREAM,
@@ -49,7 +60,12 @@ from repro.faults.overlay import (
     build_fault_overlay,
 )
 from repro.mobile.device import DEVICE_PROFILES, MobileDevice
-from repro.mobile.moderator import Moderator
+from repro.mobile.moderator import (
+    BatteryAwarePolicy,
+    Moderator,
+    ResponseTimeThresholdPolicy,
+    StaticProbabilityPolicy,
+)
 from repro.mobile.tasks import DEFAULT_TASK_POOL
 from repro.multisite.broker import (
     UNROUTED,
@@ -63,6 +79,7 @@ from repro.scenarios.batched import (
     DRAIN_MARGIN_MS,
     InstanceState,
     clamp_table,
+    execute_batched,
     serve_slot_requests,
 )
 from repro.scenarios.plan import RequestPlan, build_request_plan
@@ -70,12 +87,11 @@ from repro.scenarios.runner import (
     ScenarioResult,
     SiteGroupResult,
     SiteResult,
-    _build_promotion_policy,
     build_arrival_process,
-    prediction_accuracy_samples,
 )
 from repro.scenarios.spec import ScenarioSpec
 from repro.sdn.accelerator import DeliveryBuffer, RequestRecord
+from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
 from repro.telemetry import NULL_TELEMETRY, resolve_telemetry
@@ -88,7 +104,6 @@ from repro.telemetry.publish import (
     publish_requests,
     publish_serving_stack,
 )
-from repro.core.timeslots import TimeSlot
 
 
 @dataclass
@@ -130,6 +145,37 @@ class FederationMetrics:
     per_site: List[SiteExecutionStats]
 
 
+def prediction_accuracy_samples(autoscaler: Autoscaler, model: AdaptiveModel) -> List[float]:
+    """Realised accuracy of each of an autoscaler's predictive decisions.
+
+    A decision made at the end of slot ``i`` predicted slot ``i + 1``; once
+    that slot is in the model's history the prediction can be scored.
+    """
+    accuracies: List[float] = []
+    history = model.history
+    for action in autoscaler.actions:
+        decision = action.decision
+        if decision is None:
+            continue
+        realised_index = decision.current_slot.index + 1
+        if realised_index < len(history):
+            accuracies.append(
+                prediction_accuracy(
+                    decision.prediction.predicted_slot, history[realised_index]
+                )
+            )
+    return accuracies
+
+
+def _build_promotion_policy(spec: ScenarioSpec):
+    policy = spec.policy
+    if policy.promotion == "static":
+        return StaticProbabilityPolicy(probability=policy.promotion_probability)
+    if policy.promotion == "threshold":
+        return ResponseTimeThresholdPolicy(threshold_ms=policy.promotion_threshold_ms)
+    return BatteryAwarePolicy(base_probability=policy.promotion_probability)
+
+
 def sample_network_for_sites(
     *,
     plan: RequestPlan,
@@ -150,6 +196,8 @@ def sample_network_for_sites(
         picks = brokered.indices_for_site(site.index)
         if picks.size == 0:
             continue
+        if picks.size == len(plan):
+            picks = slice(None)  # one site serves the whole plan
         t1[picks] = site.channel.sample_t1_many(hours[picks])
         t2[picks] = site.channel.sample_t2_many(hours[picks])
     t1 += brokered.extra_rtt_ms
@@ -251,7 +299,23 @@ def execute_event_multisite(
     telemetry=NULL_TELEMETRY,
     fault_plane: "MultisiteFaultPlane | None" = None,
 ) -> FederationMetrics:
-    """Drive the brokered plan through per-site SDN front-ends on one engine."""
+    """Drive the brokered plan through per-site SDN front-ends on one engine.
+
+    This is the exact simulation: per-request events, processor-sharing
+    service, promotions applied at delivery time.  All per-request randomness
+    comes from the plan, so it consumes the same draws as the batched path.
+
+    Requests whose fault verdict is not ``OUTCOME_OK`` never reach an
+    accelerator; their degradation/drop is tallied at fold time, from the
+    overlay, identically to the batched path.
+
+    The engine runs in per-period chunks (``engine.run`` up to each slot
+    boundary, then a final drain) so the tracer can attribute wall time to
+    ``slot.serve`` spans.  Chunking is unconditional — the engine pops the
+    same events in the same order either way (the heap is untouched and the
+    ``time_ms > until_ms`` stop condition is exact), so the telemetry-on and
+    telemetry-off paths share one code path and one result.
+    """
     completion_callbacks: Dict[int, Callable[[RequestRecord], None]] = {}
     per_site: List[SiteExecutionStats] = [SiteExecutionStats() for _ in federation]
     unrouted = 0
@@ -278,55 +342,66 @@ def execute_event_multisite(
 
     task_name = task.name
     site_ids = slot_broker.site_ids
+    arrivals = plan.arrival_ms
+    count = len(plan)
+    accelerators = [site.accelerator for site in federation]
+    requested_groups: List[List[int]] = [[] for _ in federation]
 
     # Fused delivery: one shared buffer across every site accelerator, so
     # deliveries retain their global (time, issue-order) sequence even when
     # per-user moderators span sites.  Drained strictly-before-now at each
-    # submission and slot boundary, which reproduces the legacy per-delivery
-    # event ordering exactly (deliver events always lost same-instant ties to
-    # setup-scheduled submit/broker/scale events).
+    # submission and slot boundary (the points where delivery effects become
+    # observable) — see DeliveryBuffer for why the ordering is identical to
+    # the event-per-delivery path.
     buffer = DeliveryBuffer()
     for site in federation:
         site.accelerator.delivery_buffer = buffer
     drain = buffer.drain_until
 
     # --- slot-boundary brokering + per-site provisioning control loops ------
-    # Scheduling order matters at equal timestamps (the engine heap is FIFO
-    # per timestamp): the brokering step for slot k+1 must observe the fleet
-    # *after* slot k's scaling actions, and every arrival inside a slot must
-    # find its window already brokered.  Interleaving broker(k) / scale(k)
-    # per period and scheduling submissions afterwards yields exactly the
-    # batched executor's boundary ordering: scale(k) → broker(k+1) →
-    # arrivals of slot k+1.
+    # Boundary events are front-scheduled before the first arrival, so at
+    # equal timestamps they run ahead of every arrival (the pump's later
+    # front events) and of every run-time event.  Interleaving broker(k) /
+    # scale(k) per period yields exactly the batched executor's boundary
+    # ordering: scale(k) → broker(k+1) → arrivals of slot k+1.  The implicit
+    # site has nothing to broker and schedules no broker event (the engine's
+    # event count is part of the canonical record).
     for period in range(1, spec.periods + 1):
         period_start = (period - 1) * slot_ms
         period_end = min(period * slot_ms, duration_ms)
 
-        def _broker(
-            start: float = period_start,
-            end: float = period_end,
-            slot_index: int = period - 1,
-        ) -> None:
-            drain(engine.now_ms)
-            run_slot_brokering(
-                slot_broker,
-                plan=plan,
-                federation=federation,
-                start_ms=start,
-                end_ms=end,
-                # The live promotion-level view at this boundary: promotions
-                # from requests delivered before it have already been applied
-                # (completion events precede the boundary event on the heap).
-                group_of_user=np.asarray(
-                    [devices[user].acceleration_group for user in range(spec.users)],
-                    dtype=np.int64,
-                ),
-                telemetry=telemetry,
-                slot_index=slot_index,
-                fault_plane=fault_plane,
-            )
+        if not federation.implicit:
 
-        engine.schedule_at(period_start, _broker, label=f"multisite:broker-{period}")
+            def _broker(
+                start: float = period_start,
+                end: float = period_end,
+                slot_index: int = period - 1,
+            ) -> None:
+                drain(engine.now_ms)
+                run_slot_brokering(
+                    slot_broker,
+                    plan=plan,
+                    federation=federation,
+                    start_ms=start,
+                    end_ms=end,
+                    # The live promotion-level view at this boundary:
+                    # promotions from requests delivered before it have
+                    # already been applied (the drain above delivers them).
+                    group_of_user=np.asarray(
+                        [
+                            devices[user].acceleration_group
+                            for user in range(spec.users)
+                        ],
+                        dtype=np.int64,
+                    ),
+                    telemetry=telemetry,
+                    slot_index=slot_index,
+                    fault_plane=fault_plane,
+                )
+
+            engine.schedule_at(
+                period_start, _broker, label=f"multisite:broker-{period}", front=True
+            )
         for site in federation:
 
             def _scale(
@@ -343,65 +418,71 @@ def execute_event_multisite(
                     # Post-scaling fleet state at the boundary, per site —
                     # sampled at the same instant in the batched executor.
                     telemetry.recorder.sample_fleet(
-                        slot_index, site.provisioner, prefix=f"site.{site.name}"
+                        slot_index, site.provisioner, prefix=site.metric_prefix
                     )
 
             engine.schedule_at(
-                period_end, _scale, label=f"multisite:scale-{site.name}-{period}"
+                period_end,
+                _scale,
+                label=f"multisite:scale-{site.name}-{period}",
+                front=True,
             )
 
-    with telemetry.span("scenario.schedule"):
-        for index in range(len(plan)):
-
-            def _submit(index: int = index) -> None:
-                nonlocal unrouted
-                drain(engine.now_ms)
-                user_id = int(plan.user_ids[index])
-                device = devices[user_id]
-                device.requests_sent += 1
-                site_index = int(site_ids[index])
-                if site_index == UNROUTED:
-                    # Federation-wide outage: the broker rejects the request
-                    # immediately; no site ever sees it.
-                    unrouted += 1
-                    device.record_failure()
-                    return
-                if fault_outcome is not None and fault_outcome[index] != OUTCOME_OK:
-                    # Degraded-local / fault-dropped: never dispatches; the
-                    # verdict is tallied at fold time, from the overlay.
-                    return
-                site = federation.site(site_index)
-                # Per-group site tallies key on the *requesting* group — the
-                # user's promotion level as routed, not the post-clamp serving
-                # group the record carries — so both executors report the same
-                # cohort breakdown.  Tallied at delivery, when success is known.
-                requested_group = device.acceleration_group
-                stats = per_site[site_index]
-                user_callback = _completion_for(user_id)
-
-                def _on_complete(
-                    record: RequestRecord,
-                    stats: SiteExecutionStats = stats,
-                    group: int = requested_group,
-                ) -> None:
-                    stats.tally_group(group, 1, 0 if record.success else 1)
-                    user_callback(record)
-
-                site.accelerator.submit_planned(
-                    user_id=user_id,
-                    acceleration_group=requested_group,
-                    work_units=float(plan.work_units[index]),
-                    t1_ms=float(plan.t1_ms[index]),
-                    t2_ms=float(plan.t2_ms[index]),
-                    routing_ms=float(plan.routing_ms[index]),
-                    jitter_z=float(plan.jitter_z[index]),
-                    task_name=task_name,
-                    battery_level=device.battery.level,
-                    on_complete=_on_complete,
-                )
-
+    # Arrival pump: each submission schedules the next one instead of all of
+    # them being pre-scheduled, keeping the event heap at O(in-flight) rather
+    # than O(requests).  ``front=True`` keeps arrivals ahead of every
+    # run-time event at the same instant, as pre-scheduling did.
+    def _submit(index: int) -> None:
+        nonlocal unrouted
+        drain(engine.now_ms)
+        next_index = index + 1
+        if next_index < count:
             engine.schedule_at(
-                float(plan.arrival_ms[index]), _submit, label="multisite:request"
+                float(arrivals[next_index]),
+                functools.partial(_submit, next_index),
+                label="scenario:request",
+                front=True,
+            )
+        user_id = int(plan.user_ids[index])
+        device = devices[user_id]
+        device.requests_sent += 1
+        site_index = int(site_ids[index])
+        if site_index == UNROUTED:
+            # Federation-wide outage: the broker rejects the request
+            # immediately; no site ever sees it.
+            unrouted += 1
+            device.record_failure()
+            return
+        if fault_outcome is not None and fault_outcome[index] != OUTCOME_OK:
+            # Degraded-local / fault-dropped: never dispatches; the verdict
+            # is tallied at fold time, from the overlay.
+            return
+        # Per-group site tallies key on the *requesting* group — the user's
+        # promotion level as routed, not the post-clamp serving group the
+        # record carries — so both executors report the same cohort
+        # breakdown.  Indexed by the site accelerator's request id.
+        requested_group = device.acceleration_group
+        requested_groups[site_index].append(requested_group)
+        accelerators[site_index].submit_planned(
+            user_id=user_id,
+            acceleration_group=requested_group,
+            work_units=float(plan.work_units[index]),
+            t1_ms=float(plan.t1_ms[index]),
+            t2_ms=float(plan.t2_ms[index]),
+            routing_ms=float(plan.routing_ms[index]),
+            jitter_z=float(plan.jitter_z[index]),
+            task_name=task_name,
+            battery_level=device.battery.level,
+            on_complete=_completion_for(user_id),
+        )
+
+    with telemetry.span("scenario.schedule"):
+        if count:
+            engine.schedule_at(
+                float(arrivals[0]),
+                functools.partial(_submit, 0),
+                label="scenario:request",
+                front=True,
             )
 
     # --- utilization sampling (federation-wide and per site) ----------------
@@ -409,6 +490,9 @@ def execute_event_multisite(
     sample_interval_ms = max(slot_ms / 10.0, 30_000.0)
 
     def _sample_utilization() -> None:
+        # Core occupancy across the running fleets: jobs in service (capped
+        # at each instance's core count) over total cores.  Admission limits
+        # are far above core counts, so they would flatten the signal.
         busy = 0.0
         cores = 0.0
         for site in federation:
@@ -426,8 +510,8 @@ def execute_event_multisite(
 
     engine.schedule_at(0.0, _sample_utilization, label="multisite:utilization")
 
-    # One engine chunk per provisioning period (identical event order to a
-    # single run — see the single-site event executor), then a final drain.
+    # Run to the end plus a drain margin for in-flight requests, one chunk
+    # per provisioning period so wall time lands in per-slot serve spans.
     for period in range(1, spec.periods + 1):
         period_end = min(period * slot_ms, duration_ms)
         with telemetry.span("slot.serve", slot=period - 1):
@@ -440,12 +524,23 @@ def execute_event_multisite(
         records = site.accelerator.records
         stats = per_site[site.index]
         stats.requests_total = len(records)
-        stats.requests_dropped = sum(1 for record in records if not record.success)
+        failed = np.asarray([not record.success for record in records], dtype=bool)
+        stats.requests_dropped = int(np.count_nonzero(failed))
         stats.success_chunks.append(
             np.asarray(
                 [r.response_time_ms for r in records if r.success], dtype=float
             )
         )
+        groups = np.asarray(requested_groups[site.index], dtype=np.int64)[
+            np.asarray([record.request_id for record in records], dtype=np.int64)
+        ]
+        for group in np.unique(groups):
+            picks = groups == group
+            stats.tally_group(
+                int(group),
+                int(np.count_nonzero(picks)),
+                int(np.count_nonzero(picks & failed)),
+            )
 
     successes = (
         np.concatenate([stats.success_response_ms for stats in per_site])
@@ -707,7 +802,7 @@ def execute_batched_multisite(
                 site.autoscaler.scale_for_slot(slot, end)
                 # Same boundary instant the event executor samples this site.
                 telemetry.recorder.sample_fleet(
-                    period - 1, site.provisioner, prefix=f"site.{site.name}"
+                    period - 1, site.provisioner, prefix=site.metric_prefix
                 )
 
     # A trailing sample can land exactly on the run horizon, after the final
@@ -732,207 +827,245 @@ def execute_batched_multisite(
 
 
 # ---------------------------------------------------------------------------
-# The multi-site runner
+# The runner
 # ---------------------------------------------------------------------------
 
 
 def run_multisite_scenario(
     spec: ScenarioSpec,
     *,
-    seed: int = 0,
+    seed: "int | None" = None,
     telemetry=None,
 ) -> ScenarioResult:
-    """Execute one multi-site scenario end to end (both execution modes).
+    """Execute one scenario with a ``sites:`` section (both execution modes).
 
-    ``telemetry`` follows the same contract as the single-site runner: an
-    optional collaborator resolved against ``spec.telemetry``, observing but
-    never changing the run (per-site signals additionally roll up through
+    Same contract as :func:`repro.scenarios.runner.run_scenario`, which
+    calls this for such specs: ``seed`` overrides ``spec.seed`` (seed 0 when
+    neither is given), and ``telemetry`` is an optional collaborator
+    resolved against ``spec.telemetry`` that observes but never changes the
+    run (per-site signals additionally roll up through
     :func:`repro.analysis.metrics.federation_rollup` into the registry).
     """
     if spec.sites is None:
         raise ValueError(f"scenario {spec.name!r} declares no sites")
+    return _run_multisite(spec, seed, telemetry)
+
+
+def _run_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> ScenarioResult:
+    """Set up, execute and fold one run of ``spec`` over its N >= 1 sites.
+
+    The one place the seed resolves: the argument, then ``spec.seed``,
+    then 0.
+    """
+    seed = seed if seed is not None else (spec.seed if spec.seed is not None else 0)
     telemetry = resolve_telemetry(telemetry, spec.telemetry)
     with telemetry.span("scenario.run"):
-        return _run_multisite(spec, seed, telemetry)
+        with telemetry.span("scenario.setup"):
+            streams = RandomStreams(seed)
+            engine = SimulationEngine()
+            rng_workload = streams.stream("scenario-workload")
+            rng_devices = streams.stream("scenario-devices")
+            rng_routing = streams.stream("scenario-sdn")
 
+            task = DEFAULT_TASK_POOL.get(spec.task_name)
+            duration_ms = spec.duration_ms
+            slot_ms = spec.slot_length_ms
 
-def _run_multisite(spec: ScenarioSpec, seed: int, telemetry) -> ScenarioResult:
-    with telemetry.span("scenario.setup"):
-        streams = RandomStreams(seed)
-        engine = SimulationEngine()
-        rng_workload = streams.stream("scenario-workload")
-        rng_devices = streams.stream("scenario-devices")
-        rng_routing = streams.stream("scenario-sdn")
+            federation = build_federation(
+                scenario=spec,
+                engine=engine,
+                streams=streams,
+                task=task,
+                with_accelerators=spec.execution == "event",
+            )
+            sites_spec = federation.spec
 
-        task = DEFAULT_TASK_POOL.get(spec.task_name)
-        duration_ms = spec.duration_ms
-        slot_ms = spec.slot_length_ms
-
-        federation = build_federation(
-            scenario=spec,
-            engine=engine,
-            streams=streams,
-            task=task,
-            with_accelerators=spec.execution == "event",
-        )
-
-    # --- workload + brokering ------------------------------------------------
-    with telemetry.span("plan.generate"):
-        arrival_process = build_arrival_process(spec.workload, duration_ms)
-        plan = build_request_plan(
-            arrival_process=arrival_process,
-            channel=None,  # sampled per serving site below
-            task=task,
-            users=spec.users,
-            duration_ms=duration_ms,
-            rng_workload=rng_workload,
-            rng_routing=rng_routing,
-            rng_jitter=streams.stream("scenario-jitter"),
-        )
-
-    with telemetry.span("scenario.setup"):
-        if spec.sites.policy == "dynamic-load":
-            # Brokering (and per-site network sampling) happens inside the slot
-            # loop: the executors call run_slot_brokering at every boundary.
-            slot_broker = DynamicBroker(
-                plan=plan,
+        # --- workload + brokering --------------------------------------------
+        with telemetry.span("plan.generate"):
+            arrival_process = build_arrival_process(spec.workload, duration_ms)
+            plan = build_request_plan(
+                arrival_process=arrival_process,
+                task=task,
                 users=spec.users,
-                federation=spec.sites,
                 duration_ms=duration_ms,
-                access_rtt_ms=federation.mean_access_rtt_ms(),
+                rng_workload=rng_workload,
+                rng_routing=rng_routing,
+                rng_jitter=streams.stream("scenario-jitter"),
+            )
+
+        with telemetry.span("scenario.setup"):
+            if sites_spec.policy == "dynamic-load":
+                # Brokering (and per-site network sampling) happens inside the
+                # slot loop: the executors call run_slot_brokering at every
+                # boundary.
+                slot_broker = DynamicBroker(
+                    plan=plan,
+                    users=spec.users,
+                    federation=sites_spec,
+                    duration_ms=duration_ms,
+                    access_rtt_ms=federation.mean_access_rtt_ms(),
+                )
+            else:
+                brokered = broker_assign(
+                    arrival_ms=plan.arrival_ms,
+                    user_ids=plan.user_ids,
+                    users=spec.users,
+                    federation=sites_spec,
+                    duration_ms=duration_ms,
+                    access_rtt_ms=federation.mean_access_rtt_ms(),
+                )
+                plan = sample_network_for_sites(
+                    plan=plan, brokered=brokered, federation=federation
+                )
+                slot_broker = StaticSlotBroker(
+                    plan=plan, brokered=brokered, site_count=len(federation)
+                )
+
+            # --- devices (homed per site, shared moderators) -----------------
+            profile_names = sorted(spec.devices.weights)
+            raw_weights = np.asarray(
+                [spec.devices.weights[name] for name in profile_names], dtype=float
+            )
+            probabilities = raw_weights / raw_weights.sum()
+            promotion_policy = _build_promotion_policy(spec)
+            max_group = federation.highest_group()
+            devices: Dict[int, MobileDevice] = {}
+            moderators: Dict[int, Moderator] = {}
+            for user_id in range(spec.users):
+                chosen = profile_names[
+                    int(rng_devices.choice(len(profile_names), p=probabilities))
+                ]
+                home = federation.site(int(slot_broker.home_site_of_user[user_id]))
+                devices[user_id] = MobileDevice(
+                    user_id=user_id,
+                    profile=DEVICE_PROFILES[chosen],
+                    acceleration_group=home.lowest_group(),
+                )
+                moderators[user_id] = Moderator(
+                    promotion_policy,
+                    max_group=max_group,
+                    rng=streams.stream(f"scenario-moderator-{user_id}"),
+                )
+
+            # --- fault plane: pre-computed verdicts + slot-boundary steps ----
+            fault_plane = None
+            if spec.faults is not None:
+                overlay = build_fault_overlay(
+                    plan=plan,
+                    faults=spec.faults,
+                    duration_ms=duration_ms,
+                    rng=streams.stream(FAULT_STREAM),
+                    # Static brokering fixed the site of every request at plan
+                    # time, which is what scopes site-named preemption
+                    # windows; the dynamic broker assigns per slot, so only
+                    # global fault processes apply to its draws.
+                    site_ids=(
+                        None if slot_broker.is_dynamic else slot_broker.site_ids
+                    ),
+                    site_names=sites_spec.site_names,
+                )
+                overlay.set_local_execution(
+                    plan,
+                    np.asarray(
+                        [
+                            devices[user_id].profile.local_speed_factor
+                            for user_id in range(spec.users)
+                        ],
+                        dtype=float,
+                    ),
+                )
+                overlay.apply_latency(plan)
+                if not slot_broker.samples_network:
+                    # Static brokering sampled T1/T2 at plan time; the dynamic
+                    # broker samples per slot, so the factor is applied inside
+                    # run_slot_brokering right after each window's sampling.
+                    overlay.apply_network_factor(plan)
+                fault_plane = MultisiteFaultPlane(
+                    overlay=overlay,
+                    federation_spec=sites_spec,
+                    duration_ms=duration_ms,
+                    access_rtt_ms=federation.mean_access_rtt_ms(),
+                    home_site_of_user=slot_broker.home_site_of_user,
+                    control_rng=(
+                        streams.stream(FAULT_CONTROL_STREAM)
+                        if spec.faults.control_plane is not None
+                        else None
+                    ),
+                )
+
+        if spec.execution == "batched" and federation.implicit:
+            # Single-site batched runs keep their own data plane: it rounds
+            # dispatch times differently from execute_batched_multisite, so
+            # merging the two would move results.
+            site = federation.site(0)
+            single = execute_batched(
+                spec=spec,
+                plan=plan,
+                engine=engine,
+                devices=devices,
+                moderators=moderators,
+                backend=site.backend,
+                autoscaler=site.autoscaler,
+                model=site.model,
+                round_robin_routing=spec.policy.routing == "round-robin",
+                duration_ms=duration_ms,
+                slot_ms=slot_ms,
+                telemetry=telemetry,
+                overlay=None if fault_plane is None else fault_plane.overlay,
+            )
+            # The implicit site reports no per-site breakdown.
+            metrics = FederationMetrics(
+                requests_total=single.requests_total,
+                requests_dropped=single.requests_dropped,
+                requests_unrouted=0,
+                success_response_ms=single.success_response_ms,
+                utilization_samples=single.utilization_samples,
+                per_site=[],
+            )
+        elif spec.execution == "batched":
+            metrics = execute_batched_multisite(
+                spec=spec,
+                plan=plan,
+                slot_broker=slot_broker,
+                engine=engine,
+                federation=federation,
+                devices=devices,
+                moderators=moderators,
+                duration_ms=duration_ms,
+                slot_ms=slot_ms,
+                telemetry=telemetry,
+                fault_plane=fault_plane,
             )
         else:
-            brokered = broker_assign(
-                arrival_ms=plan.arrival_ms,
-                user_ids=plan.user_ids,
-                users=spec.users,
-                federation=spec.sites,
-                duration_ms=duration_ms,
-                access_rtt_ms=federation.mean_access_rtt_ms(),
-            )
-            plan = sample_network_for_sites(
-                plan=plan, brokered=brokered, federation=federation
-            )
-            slot_broker = StaticSlotBroker(
-                plan=plan, brokered=brokered, site_count=len(spec.sites.sites)
-            )
-
-        # --- devices (homed per site, shared moderators) ---------------------
-        profile_names = sorted(spec.devices.weights)
-        raw_weights = np.asarray(
-            [spec.devices.weights[name] for name in profile_names], dtype=float
-        )
-        probabilities = raw_weights / raw_weights.sum()
-        promotion_policy = _build_promotion_policy(spec)
-        max_group = federation.highest_group()
-        devices: Dict[int, MobileDevice] = {}
-        moderators: Dict[int, Moderator] = {}
-        for user_id in range(spec.users):
-            chosen = profile_names[
-                int(rng_devices.choice(len(profile_names), p=probabilities))
-            ]
-            home = federation.site(int(slot_broker.home_site_of_user[user_id]))
-            devices[user_id] = MobileDevice(
-                user_id=user_id,
-                profile=DEVICE_PROFILES[chosen],
-                acceleration_group=home.lowest_group(),
-            )
-            moderators[user_id] = Moderator(
-                promotion_policy,
-                max_group=max_group,
-                rng=streams.stream(f"scenario-moderator-{user_id}"),
-            )
-
-        # --- fault plane: pre-computed verdicts + slot-boundary processing ---
-        fault_plane = None
-        if spec.faults is not None:
-            overlay = build_fault_overlay(
+            metrics = execute_event_multisite(
+                spec=spec,
                 plan=plan,
-                faults=spec.faults,
+                slot_broker=slot_broker,
+                engine=engine,
+                federation=federation,
+                devices=devices,
+                moderators=moderators,
+                task=task,
                 duration_ms=duration_ms,
-                rng=streams.stream(FAULT_STREAM),
-                # Static brokering fixed the site of every request at plan
-                # time, which is what scopes site-named preemption windows;
-                # the dynamic broker assigns per slot, so only global fault
-                # processes apply to its draws.
-                site_ids=(
-                    None if slot_broker.is_dynamic else slot_broker.site_ids
-                ),
-                site_names=[site.name for site in spec.sites.sites],
-            )
-            overlay.set_local_execution(
-                plan,
-                np.asarray(
-                    [
-                        devices[user_id].profile.local_speed_factor
-                        for user_id in range(spec.users)
-                    ],
-                    dtype=float,
-                ),
-            )
-            overlay.apply_latency(plan)
-            if not slot_broker.samples_network:
-                # Static brokering sampled T1/T2 at plan time; the dynamic
-                # broker samples per slot, so the factor is applied inside
-                # run_slot_brokering right after each window's sampling.
-                overlay.apply_network_factor(plan)
-            fault_plane = MultisiteFaultPlane(
-                overlay=overlay,
-                federation_spec=spec.sites,
-                duration_ms=duration_ms,
-                access_rtt_ms=federation.mean_access_rtt_ms(),
-                home_site_of_user=slot_broker.home_site_of_user,
-                control_rng=(
-                    streams.stream(FAULT_CONTROL_STREAM)
-                    if spec.faults.control_plane is not None
-                    else None
-                ),
+                slot_ms=slot_ms,
+                telemetry=telemetry,
+                fault_plane=fault_plane,
             )
 
-    if spec.execution == "batched":
-        metrics = execute_batched_multisite(
-            spec=spec,
-            plan=plan,
-            slot_broker=slot_broker,
-            engine=engine,
-            federation=federation,
-            devices=devices,
-            moderators=moderators,
-            duration_ms=duration_ms,
-            slot_ms=slot_ms,
-            telemetry=telemetry,
-            fault_plane=fault_plane,
-        )
-    else:
-        metrics = execute_event_multisite(
-            spec=spec,
-            plan=plan,
-            slot_broker=slot_broker,
-            engine=engine,
-            federation=federation,
-            devices=devices,
-            moderators=moderators,
-            task=task,
-            duration_ms=duration_ms,
-            slot_ms=slot_ms,
-            telemetry=telemetry,
-            fault_plane=fault_plane,
-        )
-
-    # --- federation-wide + per-site metrics ----------------------------------
-    with telemetry.span("stats.fold"):
-        return _fold_multisite_result(
-            spec=spec,
-            seed=seed,
-            engine=engine,
-            federation=federation,
-            slot_broker=slot_broker,
-            devices=devices,
-            metrics=metrics,
-            telemetry=telemetry,
-            plan=plan,
-            fault_plane=fault_plane,
-        )
+        # --- federation-wide + per-site metrics ------------------------------
+        with telemetry.span("stats.fold"):
+            return _fold_multisite_result(
+                spec=spec,
+                seed=seed,
+                engine=engine,
+                federation=federation,
+                slot_broker=slot_broker,
+                devices=devices,
+                metrics=metrics,
+                telemetry=telemetry,
+                plan=plan,
+                fault_plane=fault_plane,
+            )
 
 
 def _fold_multisite_result(
@@ -945,9 +1078,15 @@ def _fold_multisite_result(
     devices: Dict[int, MobileDevice],
     metrics: FederationMetrics,
     telemetry,
-    plan: "RequestPlan | None" = None,
+    plan: RequestPlan,
     fault_plane: "MultisiteFaultPlane | None" = None,
 ) -> ScenarioResult:
+    """Fold the executor outputs into one :class:`ScenarioResult`.
+
+    The implicit site of a single-site spec is reported as a single-site
+    run: no ``sites``, no ``slot_site_requests``, unprefixed serving-stack
+    metrics and no ``site.*``, ``federation.*`` or ``broker.*`` signals.
+    """
     successes = metrics.success_response_ms
     requests_total = metrics.requests_total
     dropped_total = metrics.requests_dropped
@@ -981,79 +1120,20 @@ def _fold_multisite_result(
     else:
         mean_ms = p50 = p95 = p99 = float("nan")
 
-    site_count = len(spec.sites.sites)
-    spilled_mask = slot_broker.spilled
-    spilled_in = (
-        np.bincount(slot_broker.site_ids[spilled_mask], minlength=site_count)
-        if np.any(spilled_mask)
-        else np.zeros(site_count, dtype=np.int64)
-    )
-
-    # Per-site fault/resilience attribution: retried counts land on the site
-    # that finally served the request, failovers on the destination site, and
-    # degraded-local requests on the site they were last assigned to.
-    zeros = np.zeros(site_count, dtype=np.int64)
-    site_retried = site_failed_over = site_local = zeros
-    if overlay is not None:
-        sids = slot_broker.site_ids
-        routed_mask = sids >= 0
-        site_retried = np.bincount(
-            sids[routed_mask & (overlay.attempts > 1)], minlength=site_count
-        )
-        site_failed_over = np.bincount(
-            sids[routed_mask & overlay.rerouted], minlength=site_count
-        )
-        site_local = np.bincount(
-            sids[routed_mask & (overlay.outcome == OUTCOME_DEGRADED_LOCAL)],
-            minlength=site_count,
-        )
-
     accuracies: List[float] = []
-    predictions_total = 0
-    site_results: List[SiteResult] = []
     for site in federation:
-        stats = metrics.per_site[site.index]
-        site_successes = stats.success_response_ms
-        site_predictions = sum(
-            1 for action in site.autoscaler.actions if action.decision is not None
-        )
-        predictions_total += site_predictions
         accuracies.extend(prediction_accuracy_samples(site.autoscaler, site.model))
-        site_results.append(
-            SiteResult(
-                name=site.name,
-                requests_total=stats.requests_total,
-                requests_dropped=stats.requests_dropped,
-                mean_response_ms=(
-                    float(site_successes.mean()) if site_successes.size else float("nan")
-                ),
-                p95_response_ms=(
-                    float(np.percentile(site_successes, 95.0))
-                    if site_successes.size
-                    else float("nan")
-                ),
-                allocation_cost_usd=site.total_cost(),
-                scaling_actions=len(site.autoscaler.actions),
-                predictions=site_predictions,
-                mean_utilization=(
-                    float(np.mean(site.utilization_samples))
-                    if site.utilization_samples
-                    else 0.0
-                ),
-                requests_spilled_in=int(spilled_in[site.index]),
-                requests_retried=int(site_retried[site.index]),
-                requests_failed_over=int(site_failed_over[site.index]),
-                requests_degraded_local=int(site_local[site.index]),
-                groups=tuple(
-                    SiteGroupResult(
-                        group=group,
-                        requests_total=stats.group_requests.get(group, 0),
-                        requests_dropped=stats.group_dropped.get(group, 0),
-                    )
-                    for group in sorted(stats.group_requests)
-                ),
-            )
-        )
+    predictions_total = sum(
+        1
+        for site in federation
+        for action in site.autoscaler.actions
+        if action.decision is not None
+    )
+    site_results = (
+        []
+        if federation.implicit
+        else _site_results(federation, slot_broker, metrics, overlay)
+    )
 
     if telemetry.enabled:
         registry = telemetry.registry
@@ -1077,21 +1157,16 @@ def _fold_multisite_result(
                 registry,
                 provisioner=site.provisioner,
                 autoscaler=site.autoscaler,
-                prefix=f"site.{site.name}",
+                prefix=site.metric_prefix,
             )
-        publish_federation(registry, site_results)
-        publish_broker(
-            registry, unrouted=metrics.requests_unrouted, broker=slot_broker
-        )
         recorder = telemetry.recorder
-        site_names = [
-            site.name for site in sorted(federation, key=lambda s: s.index)
-        ]
-        if plan is not None:
-            recorder.ingest_plan(
-                plan, slot_ms=spec.slot_length_ms, periods=spec.periods
+        recorder.ingest_plan(plan, slot_ms=spec.slot_length_ms, periods=spec.periods)
+        if not federation.implicit:
+            publish_federation(registry, site_results)
+            publish_broker(
+                registry, unrouted=metrics.requests_unrouted, broker=slot_broker
             )
-        recorder.ingest_broker(slot_broker, site_names)
+            recorder.ingest_broker(slot_broker, [site.name for site in federation])
         if overlay is not None:
             recorder.ingest_faults(
                 overlay,
@@ -1137,9 +1212,93 @@ def _fold_multisite_result(
         requests_degraded_local=(
             fault_summary.requests_local if fault_summary is not None else 0
         ),
-        slot_site_requests=tuple(
-            tuple(int(count) for count in row)
-            for row in slot_broker.slot_site_requests
+        slot_site_requests=(
+            ()
+            if federation.implicit
+            else tuple(
+                tuple(int(count) for count in row)
+                for row in slot_broker.slot_site_requests
+            )
         ),
         sites=tuple(site_results),
     )
+
+
+def _site_results(
+    federation: Federation,
+    slot_broker,
+    metrics: FederationMetrics,
+    overlay,
+) -> List[SiteResult]:
+    """One :class:`SiteResult` per declared site, in declaration order."""
+    site_count = len(federation)
+    spilled_mask = slot_broker.spilled
+    spilled_in = (
+        np.bincount(slot_broker.site_ids[spilled_mask], minlength=site_count)
+        if np.any(spilled_mask)
+        else np.zeros(site_count, dtype=np.int64)
+    )
+
+    # Per-site fault/resilience attribution: retried counts land on the site
+    # that finally served the request, failovers on the destination site, and
+    # degraded-local requests on the site they were last assigned to.
+    zeros = np.zeros(site_count, dtype=np.int64)
+    site_retried = site_failed_over = site_local = zeros
+    if overlay is not None:
+        sids = slot_broker.site_ids
+        routed_mask = sids >= 0
+        site_retried = np.bincount(
+            sids[routed_mask & (overlay.attempts > 1)], minlength=site_count
+        )
+        site_failed_over = np.bincount(
+            sids[routed_mask & overlay.rerouted], minlength=site_count
+        )
+        site_local = np.bincount(
+            sids[routed_mask & (overlay.outcome == OUTCOME_DEGRADED_LOCAL)],
+            minlength=site_count,
+        )
+
+    site_results: List[SiteResult] = []
+    for site in federation:
+        stats = metrics.per_site[site.index]
+        site_successes = stats.success_response_ms
+        site_results.append(
+            SiteResult(
+                name=site.name,
+                requests_total=stats.requests_total,
+                requests_dropped=stats.requests_dropped,
+                mean_response_ms=(
+                    float(site_successes.mean()) if site_successes.size else float("nan")
+                ),
+                p95_response_ms=(
+                    float(np.percentile(site_successes, 95.0))
+                    if site_successes.size
+                    else float("nan")
+                ),
+                allocation_cost_usd=site.total_cost(),
+                scaling_actions=len(site.autoscaler.actions),
+                predictions=sum(
+                    1
+                    for action in site.autoscaler.actions
+                    if action.decision is not None
+                ),
+                mean_utilization=(
+                    float(np.mean(site.utilization_samples))
+                    if site.utilization_samples
+                    else 0.0
+                ),
+                requests_spilled_in=int(spilled_in[site.index]),
+                requests_retried=int(site_retried[site.index]),
+                requests_failed_over=int(site_failed_over[site.index]),
+                requests_degraded_local=int(site_local[site.index]),
+                groups=tuple(
+                    SiteGroupResult(
+                        group=group,
+                        requests_total=stats.group_requests.get(group, 0),
+                        requests_dropped=stats.group_dropped.get(group, 0),
+                    )
+                    for group in sorted(stats.group_requests)
+                ),
+            )
+        )
+    return site_results

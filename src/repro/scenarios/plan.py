@@ -11,7 +11,8 @@ draws forward into a handful of vectorised numpy calls:
   (chunked gap draws + ``cumsum`` instead of a Python loop),
 * RTTs come from ``CommunicationChannel.sample_t1_many/sample_t2_many``
   (``LogNormalLatencyModel`` sampled once per hop with per-request
-  hour-of-day modulation),
+  hour-of-day modulation) once the broker has picked each request's
+  serving site (:meth:`RequestPlan.with_network`),
 * work units come from :meth:`OffloadableTask.sample_work_units_many`, and
 * service jitter is pre-drawn as standard-normal values that
   :meth:`CloudInstance.effective_work_units` scales by the landing
@@ -28,12 +29,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.mobile.tasks import OffloadableTask
-from repro.network.channel import CommunicationChannel
 from repro.workload.arrival import ArrivalProcess
 
 
@@ -74,7 +73,7 @@ class RequestPlan:
     def with_network(self, t1_ms: np.ndarray, t2_ms: np.ndarray) -> "RequestPlan":
         """A copy with the network draws replaced.
 
-        The multi-site runner builds the plan without network samples first
+        The runner builds the plan without network samples first
         (the serving site — and hence the latency model — is only known once
         the broker has assigned sites), then fills T1/T2 per site partition
         and the WAN penalty through this method.
@@ -86,7 +85,6 @@ class RequestPlan:
 def build_request_plan(
     *,
     arrival_process: ArrivalProcess,
-    channel: Optional[CommunicationChannel],
     task: OffloadableTask,
     users: int,
     duration_ms: float,
@@ -100,13 +98,12 @@ def build_request_plan(
 
     Stream discipline mirrors the event loop's draw order: the workload
     stream yields arrival gaps, then user assignments, then work units; the
-    network stream yields all T1 samples then all T2 samples; the SDN stream
-    yields the routing overheads; a dedicated jitter stream yields the
-    service-time draws.
+    SDN stream yields the routing overheads; a dedicated jitter stream
+    yields the service-time draws.
 
-    ``channel=None`` leaves T1/T2 zero-filled: the multi-site runner samples
-    the network per serving site once the broker has assigned the requests
-    (see :meth:`RequestPlan.with_network`).
+    T1/T2 stay zero-filled: the runner samples the network per serving site
+    once the broker has assigned the requests (see
+    :meth:`RequestPlan.with_network`).
     """
     if users < 1:
         raise ValueError(f"users must be >= 1, got {users}")
@@ -116,13 +113,6 @@ def build_request_plan(
     count = arrivals.size
     user_ids = rng_workload.integers(0, users, size=count)
     work = task.sample_work_units_many(rng_workload, count)
-    hours = (arrivals / 3_600_000.0) % 24.0
-    if channel is None:
-        t1 = np.zeros(count)
-        t2 = np.zeros(count)
-    else:
-        t1 = channel.sample_t1_many(hours)
-        t2 = channel.sample_t2_many(hours)
     if routing_overhead_std_ms == 0:
         routing = np.full(count, routing_overhead_mean_ms)
     else:
@@ -138,7 +128,7 @@ def build_request_plan(
         user_ids=user_ids,
         work_units=work,
         jitter_z=jitter_z,
-        t1_ms=t1,
-        t2_ms=t2,
+        t1_ms=np.zeros(count),
+        t2_ms=np.zeros(count),
         routing_ms=routing,
     )

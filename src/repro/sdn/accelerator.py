@@ -98,13 +98,14 @@ class DeliveryBuffer:
     delivery ordering relative to submissions and control-loop reads is
     identical to the event-per-delivery path: at equal timestamps a
     setup-scheduled submission/scale event always preceded a run-time
-    scheduled delivery event anyway.  Order among deliveries is
+    scheduled delivery event anyway (the federation event executor
+    front-schedules both).  Order among deliveries is
     ``(delivered_ms, push order)``; push order equals the order the old
     delivery events would have been scheduled in, so the tie-break matches
-    too.  One buffer can be shared by several accelerators (the multi-site
-    executor does): each entry carries its owning accelerator, keeping the
-    per-site trace logs and record lists intact while preserving the global
-    delivery order the shared per-user moderators observe.
+    too.  One buffer can be shared by several accelerators (the federation
+    event executor does): each entry carries its owning accelerator, keeping
+    the per-site trace logs and record lists intact while preserving the
+    global delivery order the shared per-user moderators observe.
     """
 
     __slots__ = ("_heap", "_sequence")

@@ -107,9 +107,10 @@ class SimulationEngine:
 
         ``front=True`` places the event ahead of every normally-scheduled
         event at the same instant (front events stay FIFO among themselves).
-        The scenario runner's arrival pump uses this to schedule request
-        submissions lazily while preserving the tie-break order that
-        pre-scheduling all submissions up front used to give them.
+        The federation event executor front-schedules its slot-boundary
+        events up front and then its arrival pump, which submits requests
+        lazily: boundaries run first at any instant, then arrivals, then
+        every run-time event.
         """
         if time_ms < self.clock.now_ms:
             raise ValueError(

@@ -454,6 +454,16 @@ class TestFederationRollup:
 
 
 class TestDeterminism:
+    def test_both_entry_points_use_the_spec_seed(self):
+        from repro.multisite.runner import run_multisite_scenario
+
+        spec = dataclasses.replace(
+            get_scenario("edge-vs-core").with_overrides(target_requests=600), seed=5
+        )
+        direct = run_multisite_scenario(spec)
+        assert direct.seed == 5
+        assert result_digest(direct) == result_digest(run_scenario(spec))
+
     def test_same_seed_same_result(self):
         spec = stochastic_spec(execution="batched")
         first = run_scenario(spec, seed=9)

@@ -17,7 +17,12 @@ from repro.scenarios import (
     get_scenario,
     run_scenario,
 )
-from repro.scenarios.runner import build_catalog, build_channel
+from repro.mobile.tasks import DEFAULT_TASK_POOL
+from repro.multisite.federation import build_federation, build_site_catalog
+from repro.scenarios.runner import build_channel
+from repro.simulation.engine import SimulationEngine
+from repro.simulation.randomness import RandomStreams
+from repro.telemetry import Telemetry, build_run_record
 from repro.workload.arrival import ModulatedPoissonProcess
 
 
@@ -90,11 +95,18 @@ class TestArrivalCalibration:
 
 
 class TestBuilders:
-    def test_build_catalog_applies_price_multipliers(self):
+    def test_implicit_site_catalog_applies_price_multipliers(self):
         spec = small_spec(
             cloud=CloudSpec(price_multipliers={"m4.4xlarge": 8.0})
         )
-        catalog = build_catalog(spec)
+        federation = build_federation(
+            scenario=spec,
+            engine=SimulationEngine(),
+            streams=RandomStreams(0),
+            task=DEFAULT_TASK_POOL.get(spec.task_name),
+            with_accelerators=False,
+        )
+        catalog = build_site_catalog(federation.site(0).spec)
         base = DEFAULT_CATALOG.get("m4.4xlarge").price_per_hour
         assert catalog.get("m4.4xlarge").price_per_hour == pytest.approx(8.0 * base)
         assert catalog.get("t2.nano").price_per_hour == pytest.approx(
@@ -114,6 +126,31 @@ class TestBuilders:
         assert degraded.access_model.mean_ms == pytest.approx(
             2.0 * plain.access_model.mean_ms
         )
+
+
+class TestImplicitSite:
+    """A spec without ``sites:`` runs as a one-site federation, reported as single-site."""
+
+    @pytest.mark.parametrize("execution", ["event", "batched"])
+    def test_result_carries_no_site_breakdown(self, execution):
+        result = run_scenario(small_spec(execution=execution), seed=0)
+        assert result.sites == ()
+        assert result.slot_site_requests == ()
+        assert not result.is_multisite
+
+    @pytest.mark.parametrize("execution", ["event", "batched"])
+    def test_record_has_no_federation_signals(self, execution):
+        spec = small_spec(execution=execution)
+        telemetry = Telemetry()
+        result = run_scenario(spec, seed=0, telemetry=telemetry)
+        record = build_run_record(spec, result, telemetry, environment=False)
+        names = [*record.counters, *record.gauges, *record.series]
+        assert names
+        assert not [
+            name
+            for name in names
+            if name.startswith(("site.", "federation.", "broker."))
+        ]
 
 
 class TestRunScenario:
