@@ -45,12 +45,6 @@ from repro.experiments import (
     run_fig10a_prediction_accuracy,
     run_fig11_network_latency,
 )
-from repro.perf import (
-    DEFAULT_REGRESSION_THRESHOLD,
-    BenchReport,
-    compare_reports,
-    run_benchmarks,
-)
 from repro.multisite.spec import BROKER_POLICIES
 from repro.scenarios import (
     CampaignError,
@@ -69,7 +63,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.publish import to_openmetrics
 
-#: Progress / bookkeeping messages ("wrote <path>", "peak RSS ...") go through
+#: Progress / bookkeeping messages ("wrote <path>") go through
 #: this logger onto stderr, gated by ``--verbose``/``--quiet`` — result tables
 #: and JSON payloads stay on stdout, so piping output never mixes the two.
 log = logging.getLogger("repro")
@@ -248,7 +242,10 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    """Run one named scenario and print its metric row (or JSON)."""
+    """Run one named scenario and print its metric row (or JSON).
+
+    An output path that cannot be written exits 2 with an ``error:`` line.
+    """
     try:
         spec = get_scenario(args.name)
     except KeyError as error:
@@ -285,26 +282,30 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.record_out and telemetry is not None:
-        record = build_run_record(spec, result, telemetry)
-        record_path = record.save(
-            Path(args.record_out) / record_filename(record)
-        )
-        log.info("wrote run record %s", record_path)
-    if args.metrics_out and telemetry is not None:
-        metrics_path = Path(args.metrics_out)
-        metrics_path.parent.mkdir(parents=True, exist_ok=True)
-        metrics_path.write_text(
-            json.dumps(_jsonify(telemetry.as_dict()), indent=2) + "\n"
-        )
-        log.info("wrote telemetry metrics %s", metrics_path)
-    if args.trace_out and telemetry is not None:
-        trace_path = Path(args.trace_out)
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        trace_path.write_text(
-            json.dumps(telemetry.tracer.to_chrome_trace(), indent=2)
-        )
-        log.info("wrote Chrome trace %s", trace_path)
+    try:
+        if args.record_out and telemetry is not None:
+            record = build_run_record(spec, result, telemetry)
+            record_path = record.save(
+                Path(args.record_out) / record_filename(record)
+            )
+            log.info("wrote run record %s", record_path)
+        if args.metrics_out and telemetry is not None:
+            metrics_path = Path(args.metrics_out)
+            metrics_path.parent.mkdir(parents=True, exist_ok=True)
+            metrics_path.write_text(
+                json.dumps(_jsonify(telemetry.as_dict()), indent=2) + "\n"
+            )
+            log.info("wrote telemetry metrics %s", metrics_path)
+        if args.trace_out and telemetry is not None:
+            trace_path = Path(args.trace_out)
+            trace_path.parent.mkdir(parents=True, exist_ok=True)
+            trace_path.write_text(
+                json.dumps(telemetry.tracer.to_chrome_trace(), indent=2)
+            )
+            log.info("wrote Chrome trace %s", trace_path)
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.json:
         payload = _jsonify(dataclasses.asdict(result))
         if telemetry is not None:
@@ -344,6 +345,7 @@ def _cmd_scenario_campaign(args: argparse.Namespace) -> int:
 
     When some scenarios raise, the others' rows are still printed (and
     written), each failure's traceback goes to stderr, and the exit code is 1.
+    An output path that cannot be written exits 2 with an ``error:`` line.
     """
     if args.only:
         try:
@@ -373,41 +375,45 @@ def _cmd_scenario_campaign(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(campaign.format_table())
-    if args.csv:
-        path = campaign.to_csv(args.csv)
-        log.info("wrote %s", path)
-    if args.record_out and campaign.records:
-        out_dir = Path(args.record_out)
-        entries = []
-        for record in campaign.records:
-            if record is None:
-                # Records align index-wise with results; scenarios that ran
-                # without live telemetry hold a None placeholder.
-                continue
-            record_path = record.save(out_dir / record_filename(record))
-            entries.append(
-                {
-                    "scenario": record.scenario,
-                    "execution": record.execution,
-                    "seed": record.seed,
-                    "spec_hash": record.spec_hash,
-                    "file": record_path.name,
-                }
+    try:
+        if args.csv:
+            path = campaign.to_csv(args.csv)
+            log.info("wrote %s", path)
+        if args.record_out and campaign.records:
+            out_dir = Path(args.record_out)
+            entries = []
+            for record in campaign.records:
+                if record is None:
+                    # Records align index-wise with results; scenarios that ran
+                    # without live telemetry hold a None placeholder.
+                    continue
+                record_path = record.save(out_dir / record_filename(record))
+                entries.append(
+                    {
+                        "scenario": record.scenario,
+                        "execution": record.execution,
+                        "seed": record.seed,
+                        "spec_hash": record.spec_hash,
+                        "file": record_path.name,
+                    }
+                )
+                log.info("wrote run record %s", record_path)
+            manifest_path = out_dir / "manifest.json"
+            manifest_path.write_text(
+                json.dumps(
+                    {
+                        "schema": "repro.campaign-manifest/1",
+                        "campaign_seed": campaign.seed,
+                        "records": entries,
+                    },
+                    indent=2,
+                )
+                + "\n"
             )
-            log.info("wrote run record %s", record_path)
-        manifest_path = out_dir / "manifest.json"
-        manifest_path.write_text(
-            json.dumps(
-                {
-                    "schema": "repro.campaign-manifest/1",
-                    "campaign_seed": campaign.seed,
-                    "records": entries,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        log.info("wrote campaign manifest %s", manifest_path)
+            log.info("wrote campaign manifest %s", manifest_path)
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if failed is not None:
         for name, trace in failed.failures:
             print(f"scenario {name} failed:\n{trace}", file=sys.stderr)
@@ -470,96 +476,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         for line in diff.summary_lines(limit=args.limit):
             print(line)
     return 1 if diff.verdict == "regression" else 0
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    """Run a benchmark suite and write ``BENCH_<label>.json``."""
-    try:
-        records = run_benchmarks(suite=args.suite, budget=args.budget, seed=args.seed)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    report = BenchReport(
-        label=args.label, suite=args.suite, budget=args.budget, seed=args.seed,
-        records=records,
-    ).finalize()
-    rows = [
-        {
-            "benchmark": record.name,
-            "wall_s": round(record.wall_s, 4),
-            "ops": int(record.ops),
-            "ops_per_s": round(record.ops_per_s, 1),
-            **{key: round(value, 3) for key, value in record.extras.items()},
-        }
-        for record in report.records
-    ]
-    print(format_table(rows))
-    print(f"peak RSS: {report.peak_rss_kb} kB")
-    path = report.write(args.output_dir)
-    log.info("wrote %s", path)
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Compare two bench reports; nonzero exit on >threshold regressions."""
-    try:
-        baseline = BenchReport.load(args.baseline)
-        current = BenchReport.load(args.current)
-        comparisons, regressions, missing = compare_reports(
-            baseline, current, threshold=args.threshold
-        )
-    except (OSError, ValueError, KeyError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    rows = [
-        {
-            "benchmark": comparison.name,
-            "baseline_ops_per_s": round(comparison.baseline_ops_per_s, 1),
-            "current_ops_per_s": round(comparison.current_ops_per_s, 1),
-            "ratio": round(comparison.ratio, 3),
-            "status": "REGRESSED" if comparison.regressed(args.threshold) else "ok",
-        }
-        for comparison in comparisons
-    ]
-    rows.extend(
-        {
-            "benchmark": name,
-            "baseline_ops_per_s": "-",
-            "current_ops_per_s": "-",
-            "ratio": "-",
-            "status": "UNMEASURED",
-        }
-        for name in missing
-    )
-    print(format_table(rows))
-    if baseline.peak_rss_kb and current.peak_rss_kb:
-        rss_ratio = current.peak_rss_kb / baseline.peak_rss_kb
-        print(
-            f"peak RSS: baseline {baseline.peak_rss_kb} kB -> "
-            f"current {current.peak_rss_kb} kB (x{rss_ratio:.2f})"
-        )
-    if not comparisons:
-        print("no matching benchmarks between the two reports", file=sys.stderr)
-        return 2
-    failed = False
-    if regressions:
-        print(
-            f"{len(regressions)} benchmark(s) regressed by more than "
-            f"{args.threshold:.0%}",
-            file=sys.stderr,
-        )
-        failed = True
-    if missing:
-        print(
-            f"{len(missing)} baseline benchmark(s) unmeasured in the current "
-            f"report: {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
-        return 1
-    print(f"no regression beyond {args.threshold:.0%}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -716,40 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         "into DIR (implies --telemetry)",
     )
     scenario_campaign.set_defaults(handler=_cmd_scenario_campaign)
-
-    bench = subparsers.add_parser(
-        "bench", help="performance benchmarks (run | compare)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="run micro/macro benchmarks and write BENCH_<label>.json"
-    )
-    bench_run.add_argument("--label", default="current", help="label for the BENCH json")
-    bench_run.add_argument(
-        "--suite", default="all", choices=("micro", "macro", "all"),
-        help="which benchmark suite to run",
-    )
-    bench_run.add_argument(
-        "--budget", default="full", choices=("smoke", "full", "xl"),
-        help="smoke: CI-sized, full: 10k/100k macro runs, xl: adds a 1M batched run",
-    )
-    bench_run.add_argument("--seed", type=int, default=0, help="root random seed")
-    bench_run.add_argument(
-        "--output-dir", default=".", help="directory for the BENCH json"
-    )
-    bench_run.set_defaults(handler=_cmd_bench_run)
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="compare two BENCH json files, fail on regressions"
-    )
-    bench_compare.add_argument("baseline", help="baseline BENCH_<label>.json")
-    bench_compare.add_argument("current", help="current BENCH_<label>.json")
-    bench_compare.add_argument(
-        "--threshold", type=float, default=DEFAULT_REGRESSION_THRESHOLD,
-        help="relative throughput drop that counts as a regression (default 0.2)",
-    )
-    bench_compare.set_defaults(handler=_cmd_bench_compare)
 
     report = subparsers.add_parser(
         "report",

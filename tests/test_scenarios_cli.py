@@ -282,3 +282,32 @@ class TestCapacitySignalFlag:
             assert "groups" in site
             for entry in site["groups"]:
                 assert {"group", "requests_total", "requests_dropped"} <= set(entry)
+
+
+_RUN_ARGV = [
+    "scenario", "run", "paper-baseline",
+    "--users", "8", "--hours", "0.25", "--requests", "60",
+]
+_CAMPAIGN_ARGV = ["scenario", "campaign", "--only", "cold-history", "--workers", "1"]
+
+
+class TestUnwritableOutputPath:
+    @pytest.mark.parametrize(
+        "argv, option, target",
+        [
+            (_RUN_ARGV, "--record-out", "sub"),
+            (_RUN_ARGV, "--metrics-out", "m.json"),
+            (_RUN_ARGV, "--trace-out", "t.json"),
+            (_CAMPAIGN_ARGV, "--record-out", "sub"),
+            (_CAMPAIGN_ARGV, "--csv", "out.csv"),
+        ],
+        ids=["run-record", "run-metrics", "run-trace", "campaign-record", "campaign-csv"],
+    )
+    def test_bad_output_path_exits_2_with_error(
+        self, tmp_path, capsys, argv, option, target
+    ):
+        # A regular file used as a parent directory cannot be written under.
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        assert main(argv + [option, str(blocker / target)]) == 2
+        assert "error:" in capsys.readouterr().err
