@@ -28,8 +28,7 @@ Package layout
     profiles, battery model and the client-side moderator with its promotion
     policies.
 ``repro.workload``
-    Request trace log, arrival processes, concurrent and inter-arrival
-    workload generators, the synthetic smartphone usage study.
+    Request trace log and arrival processes.
 ``repro.sdn``
     The SDN-accelerator front-end (request handling, routing, logging) and the
     predictive autoscaling control loop.

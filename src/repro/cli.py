@@ -193,6 +193,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
         "fig10a_prediction_accuracy": lambda: run_fig10a_prediction_accuracy(seed=args.seed).rows(),
         "fig11_network_latency": lambda: run_fig11_network_latency(seed=args.seed).rows(),
     }
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     written = []
     for name, runner in experiments.items():
         path = write_csv(runner(), output_dir / f"{name}.csv")
@@ -431,26 +436,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 2
     record_path = Path(args.record)
     html_path = Path(args.out) if args.out else record_path.with_suffix(".html")
-    html_path.parent.mkdir(parents=True, exist_ok=True)
-    html_path.write_text(render_report(record), encoding="utf-8")
-    log.info("wrote HTML report %s", html_path)
     om_path = (
         Path(args.openmetrics)
         if args.openmetrics
         else record_path.with_suffix(".om")
     )
-    om_path.parent.mkdir(parents=True, exist_ok=True)
-    om_path.write_text(
-        to_openmetrics(
-            {
-                "counters": record.counters,
-                "gauges": record.gauges,
-                "histograms": record.histograms,
-            }
-        ),
-        encoding="utf-8",
-    )
-    log.info("wrote OpenMetrics export %s", om_path)
+    try:
+        html_path.parent.mkdir(parents=True, exist_ok=True)
+        html_path.write_text(render_report(record), encoding="utf-8")
+        log.info("wrote HTML report %s", html_path)
+        om_path.parent.mkdir(parents=True, exist_ok=True)
+        om_path.write_text(
+            to_openmetrics(
+                {
+                    "counters": record.counters,
+                    "gauges": record.gauges,
+                    "histograms": record.histograms,
+                }
+            ),
+            encoding="utf-8",
+        )
+        log.info("wrote OpenMetrics export %s", om_path)
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"report: {html_path}")
     print(f"openmetrics: {om_path}")
     return 0

@@ -4,8 +4,8 @@ Every function here regenerates the data behind one figure (or a group of
 related figures) of the paper's evaluation section, returning plain result
 objects with the plotted series and the headline numbers.  The benchmark
 suite under ``benchmarks/`` wraps these runners with ``pytest-benchmark`` and
-prints the same rows the paper reports; ``EXPERIMENTS.md`` records the
-paper-vs-measured comparison.
+prints the same rows the paper reports, and :mod:`repro.experiments.summary`
+compares the headline numbers with the paper's.
 
 ============================  ==========================================================
 Module                        Figures

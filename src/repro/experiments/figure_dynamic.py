@@ -17,12 +17,9 @@ reports:
 * **Fig. 10c** — the promotion rate: users gradually move to higher groups
   and the overall response time decreases with promotion.
 
-Substitutions relative to the paper's testbed (documented in DESIGN.md): the
-EC2 back-end is the simulated instance model; the 50-concurrent-user
-background load the paper injects to demonstrate stability is optional
-(``background_users``) and disabled by default to keep the event count low —
-enabling it changes absolute response times slightly but not the figure
-shapes.
+Substitutions relative to the paper's testbed: the EC2 back-end is the
+simulated instance model, and the 50-concurrent-user background load the paper
+injects to demonstrate stability is not simulated.
 """
 
 from __future__ import annotations
@@ -194,7 +191,6 @@ def run_dynamic_acceleration(
     task_name: str = "minimax",
     instance_cap: int = 20,
     response_threshold_ms: float = 5000.0,
-    background_users: int = 0,
     initial_instances_per_group: int = 1,
     capacity_override: Optional[Mapping[str, float]] = None,
 ) -> DynamicAccelerationResult:
@@ -208,9 +204,6 @@ def run_dynamic_acceleration(
         derived from it.
     promotion_policy:
         Defaults to the paper's static 1/50 probability.
-    background_users:
-        Optional constant concurrent background load per group (the paper
-        injects 50); disabled by default for speed.
     """
     if users < 1:
         raise ValueError(f"users must be >= 1, got {users}")
@@ -313,25 +306,6 @@ def run_dynamic_acceleration(
             )
 
         engine.schedule_at(arrival, _submit, label="dynamic:request")
-
-    # Optional background load: a constant pool of extra concurrent requests
-    # per group, refreshed periodically (the paper uses 50 users every 2 s).
-    if background_users > 0:
-        background_interval_ms = 10_000.0
-
-        def _background() -> None:
-            for group in groups:
-                for background_id in range(background_users):
-                    accelerator.submit(
-                        user_id=users + background_id,
-                        acceleration_group=group,
-                        work_units=task.sample_work_units(rng_workload),
-                        task_name=task.name,
-                    )
-            if engine.now_ms + background_interval_ms < duration_ms:
-                engine.schedule_after(background_interval_ms, _background, label="dynamic:background")
-
-        engine.schedule_at(0.0, _background, label="dynamic:background")
 
     # Hourly control loop: slot the finished hour and re-provision.
     hours = int(np.ceil(duration_hours))

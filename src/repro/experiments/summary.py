@@ -2,11 +2,10 @@
 
 :func:`build_reproduction_summary` runs the fast experiments behind the
 paper's headline claims and returns comparison rows (metric, paper value,
-measured value, relative deviation) — the programmatic counterpart of
-``EXPERIMENTS.md``.  The heavyweight discrete-event experiments (Fig. 9/10b)
-are summarised by their own benches; this summary sticks to the quantities
-that run in a few seconds so it can be used in CI and from the CLI
-(``repro-accel summary``).
+measured value, relative deviation).  The heavyweight discrete-event
+experiments (Fig. 9/10b) are summarised by their own benches; this summary
+sticks to the quantities that run in a few seconds so it can be used in CI and
+from the CLI (``repro-accel summary``).
 """
 
 from __future__ import annotations

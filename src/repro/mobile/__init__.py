@@ -34,7 +34,6 @@ from repro.mobile.tasks import (
     DEFAULT_TASK_POOL,
     OffloadableTask,
     TaskPool,
-    TaskRequest,
     build_default_task_pool,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "ResponseTimeThresholdPolicy",
     "StaticProbabilityPolicy",
     "TaskPool",
-    "TaskRequest",
     "build_default_task_pool",
     "lte_energy_model",
     "three_g_energy_model",

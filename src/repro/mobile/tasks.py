@@ -305,19 +305,6 @@ class OffloadableTask:
         return self.runner(*args)
 
 
-@dataclass(frozen=True)
-class TaskRequest:
-    """One offloading request: a task instance bound to a user and a time."""
-
-    request_id: int
-    user_id: int
-    task: OffloadableTask
-    work_units: float
-    created_at_ms: float
-    acceleration_group: int
-    battery_level: float = 1.0
-
-
 class TaskPool:
     """A pool of offloadable tasks from which requests draw randomly."""
 

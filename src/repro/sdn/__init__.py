@@ -12,29 +12,13 @@ request.
   provisioning period, feeds the trace log to the
   :class:`~repro.core.model.AdaptiveModel` and re-provisions the back-end to
   the returned allocation plan.
-* :mod:`repro.sdn.flowtable` — the software-defined match-action layer: flow
-  rules mapping users (or whole device classes) to acceleration groups, and
-  the controller that installs rules on promotions and administrator
-  overrides.
 """
 
 from repro.sdn.accelerator import RequestRecord, RoutingPolicy, SDNAccelerator
 from repro.sdn.autoscaler import Autoscaler, ReactiveAutoscaler, ScalingAction
-from repro.sdn.flowtable import (
-    FlowController,
-    FlowMatch,
-    FlowRule,
-    FlowTable,
-    FlowTableRouting,
-)
 
 __all__ = [
     "Autoscaler",
-    "FlowController",
-    "FlowMatch",
-    "FlowRule",
-    "FlowTable",
-    "FlowTableRouting",
     "ReactiveAutoscaler",
     "RequestRecord",
     "RoutingPolicy",

@@ -23,13 +23,12 @@ Design goals
 
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import Event, SimulationEngine
-from repro.simulation.queues import FifoQueue, ProcessorSharingServer, ServerBusyError
+from repro.simulation.queues import ProcessorSharingServer, ServerBusyError
 from repro.simulation.randomness import RandomStreams
 from repro.simulation.stats import OnlineStatistics, TimeSeries, percentile_summary
 
 __all__ = [
     "Event",
-    "FifoQueue",
     "OnlineStatistics",
     "ProcessorSharingServer",
     "RandomStreams",

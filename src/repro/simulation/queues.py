@@ -1,21 +1,16 @@
-"""Queueing primitives used by the cloud-instance server model.
+"""Queueing primitive used by the cloud-instance server model.
 
-Two primitives are provided:
-
-* :class:`FifoQueue` — a bounded FIFO admission queue.  Requests that arrive
-  when the queue is full are dropped; the drop counter is what produces the
-  success/fail split of Fig. 8c.
-* :class:`ProcessorSharingServer` — an egalitarian processor-sharing service
-  model.  All admitted jobs share the server's total service rate equally,
-  which reproduces the characteristic response-time growth with concurrency of
-  Fig. 4: doubling the number of concurrent users roughly doubles the response
-  time once the server's parallelism is exhausted.
+:class:`ProcessorSharingServer` is an egalitarian processor-sharing service
+model.  All admitted jobs share the server's total service rate equally, which
+reproduces the characteristic response-time growth with concurrency of Fig. 4:
+doubling the number of concurrent users roughly doubles the response time once
+the server's parallelism is exhausted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 
 class ServerBusyError(RuntimeError):
@@ -28,46 +23,6 @@ class _Job:
     remaining_work: float
     submitted_at_ms: float
     on_complete: Callable[[float], None]
-
-
-class FifoQueue:
-    """A bounded FIFO queue with drop accounting."""
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 0:
-            raise ValueError(f"queue capacity must be non-negative, got {capacity}")
-        self._capacity = capacity
-        self._items: List[object] = []
-        self.dropped = 0
-        self.accepted = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def capacity(self) -> Optional[int]:
-        return self._capacity
-
-    def offer(self, item: object) -> bool:
-        """Add ``item`` if there is room; return whether it was accepted."""
-        if self._capacity is not None and len(self._items) >= self._capacity:
-            self.dropped += 1
-            return False
-        self._items.append(item)
-        self.accepted += 1
-        return True
-
-    def poll(self) -> Optional[object]:
-        """Remove and return the oldest item, or ``None`` when empty."""
-        if not self._items:
-            return None
-        return self._items.pop(0)
-
-    def peek(self) -> Optional[object]:
-        """Return the oldest item without removing it."""
-        if not self._items:
-            return None
-        return self._items[0]
 
 
 class ProcessorSharingServer:

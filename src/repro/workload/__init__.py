@@ -1,65 +1,19 @@
 """Workload substrate.
 
-Reproduces the paper's workload machinery:
-
 * :mod:`repro.workload.traces` — the request trace log.  The paper stores one
   record per processed request in MySQL with the schema
   ``<timestamp, user-id, acceleration-group, battery-level, round-trip-time>``;
   here the log is an in-memory store with CSV import/export.
-* :mod:`repro.workload.arrival` — arrival processes (fixed-rate, Poisson and
-  empirical/trace-driven inter-arrival times).
-* :mod:`repro.workload.generator` — the two operational modes of the paper's
-  simulator: **concurrent mode** (n simultaneous offloading threads, used to
-  benchmark instances) and **inter-arrival mode** (a time-varying stream of
-  requests from a population of devices, used for the system experiments).
-* :mod:`repro.workload.sessions` — a synthetic stand-in for the 3-month,
-  6-participant smartphone usage study, producing realistic time-varying
-  inter-arrival traces (100–5000 ms between app sessions, diurnal activity,
-  inactive nights).
+* :mod:`repro.workload.arrival` — arrival processes (fixed-rate, Poisson,
+  uniform and non-homogeneous modulated Poisson inter-arrival times).
 """
 
-from repro.workload.arrival import (
-    EmpiricalArrivalProcess,
-    FixedRateArrivalProcess,
-    PoissonArrivalProcess,
-)
-from repro.workload.generator import (
-    ConcurrentWorkloadGenerator,
-    InterArrivalWorkloadGenerator,
-    WorkloadRequest,
-)
-from repro.workload.sessions import (
-    SmartphoneUsageStudy,
-    UsageSession,
-    UsageTrace,
-    synthesize_usage_study,
-)
+from repro.workload.arrival import FixedRateArrivalProcess, PoissonArrivalProcess
 from repro.workload.traces import TraceLog, TraceRecord
 
 __all__ = [
-    "ConcurrentWorkloadGenerator",
-    "EmpiricalArrivalProcess",
     "FixedRateArrivalProcess",
-    "InterArrivalWorkloadGenerator",
     "PoissonArrivalProcess",
-    "ReplayResult",
-    "SmartphoneUsageStudy",
     "TraceLog",
-    "TraceReplayer",
     "TraceRecord",
-    "UsageSession",
-    "UsageTrace",
-    "WorkloadRequest",
-    "synthesize_usage_study",
 ]
-
-
-def __getattr__(name: str):
-    # ``repro.workload.replay`` depends on the SDN front-end, which itself
-    # depends on (other parts of) this package; importing it lazily keeps the
-    # convenience re-export without creating an import cycle.
-    if name in ("TraceReplayer", "ReplayResult"):
-        from repro.workload import replay
-
-        return getattr(replay, name)
-    raise AttributeError(f"module 'repro.workload' has no attribute {name!r}")

@@ -1,16 +1,16 @@
 """Arrival processes.
 
-The paper's simulator drives its inter-arrival mode with either a fixed
-inter-arrival time, a doubling arrival rate (Fig. 8b: 1 Hz to 1024 Hz), or a
-realistic time-varying inter-arrival distribution extracted from the
-smartphone usage study (100–5000 ms between requests).  These classes provide
-the corresponding arrival-time generators.
+The paper's simulator drives its inter-arrival mode with a fixed inter-arrival
+time, Poisson arrivals, or a time-varying rate; its smartphone usage study
+reports 100–5000 ms between requests.  These classes provide the
+corresponding arrival-time generators: fixed-rate, Poisson, uniform gaps and a
+non-homogeneous (modulated) Poisson process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -159,31 +159,6 @@ class PoissonArrivalProcess(ArrivalProcess):
 
 
 @dataclass
-class EmpiricalArrivalProcess(ArrivalProcess):
-    """Arrivals drawn from an empirical set of inter-arrival gaps.
-
-    This is how the smartphone usage study feeds the simulator: the observed
-    gaps (100–5000 ms, night gaps removed) are resampled with replacement.
-    """
-
-    gaps_ms: Sequence[float]
-
-    def __post_init__(self) -> None:
-        if len(self.gaps_ms) == 0:
-            raise ValueError("gaps_ms must be non-empty")
-        if any(gap < 0 for gap in self.gaps_ms):
-            raise ValueError("gaps_ms must all be non-negative")
-
-    def next_gap_ms(self, rng: np.random.Generator) -> float:
-        index = int(rng.integers(0, len(self.gaps_ms)))
-        return float(self.gaps_ms[index])
-
-    def sample_gaps_ms(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        pool = np.asarray(self.gaps_ms, dtype=float)
-        return pool[rng.integers(0, pool.size, size=size)]
-
-
-@dataclass
 class UniformArrivalProcess(ArrivalProcess):
     """Arrivals with gaps uniform in ``[low_ms, high_ms]``.
 
@@ -326,29 +301,3 @@ class ModulatedPoissonProcess(ArrivalProcess):
             rng, start_ms=start_ms, end_ms=end_ms, max_arrivals=max_arrivals
         ).tolist()
 
-
-def doubling_rate_schedule(
-    *,
-    initial_rate_hz: float = 1.0,
-    final_rate_hz: float = 1024.0,
-    step_duration_ms: float = 5 * 60 * 1000.0,
-) -> List[tuple]:
-    """The Fig. 8b arrival-rate schedule: the rate doubles every step.
-
-    Returns a list of ``(start_ms, end_ms, rate_hz)`` segments starting at
-    time zero.
-    """
-    if initial_rate_hz <= 0 or final_rate_hz < initial_rate_hz:
-        raise ValueError(
-            f"need 0 < initial_rate_hz <= final_rate_hz, got {initial_rate_hz}, {final_rate_hz}"
-        )
-    if step_duration_ms <= 0:
-        raise ValueError(f"step_duration_ms must be positive, got {step_duration_ms}")
-    segments: List[tuple] = []
-    rate = initial_rate_hz
-    start = 0.0
-    while rate <= final_rate_hz:
-        segments.append((start, start + step_duration_ms, rate))
-        start += step_duration_ms
-        rate *= 2.0
-    return segments

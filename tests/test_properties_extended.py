@@ -1,5 +1,5 @@
-"""Property-based tests for the trace store, pricing, flow table, offloading
-state and parallelization extensions."""
+"""Property-based tests for the trace store, pricing, offloading state and
+parallelization extensions."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from repro.core.allocation import InstanceOption
 from repro.core.pricing import AccelerationPlan, CaaSPricingModel
 from repro.mobile.tasks import OffloadableTask
 from repro.offloading.state import ApplicationState, deserialize_state, serialize_state
-from repro.sdn.flowtable import FlowMatch, FlowTable
 from repro.workload.traces import TraceLog
 
 
@@ -83,43 +82,6 @@ class TestPricingProperties:
         assert report.monthly_revenue == pytest.approx(0.99 * basic + 2.99 * fast)
         bigger = model.monthly_report({1: basic + 50, 2: fast})
         assert bigger.monthly_provisioning_cost >= report.monthly_provisioning_cost - 1e-9
-
-
-# --- flow table ------------------------------------------------------------------
-
-
-class TestFlowTableProperties:
-    @given(
-        rules=st.lists(
-            st.tuples(
-                st.one_of(st.none(), st.integers(min_value=0, max_value=10)),  # user match
-                st.integers(min_value=0, max_value=4),                          # group
-                st.integers(min_value=-5, max_value=5),                         # priority
-            ),
-            max_size=15,
-        ),
-        user=st.integers(min_value=0, max_value=10),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_lookup_returns_highest_priority_matching_rule(self, rules, user):
-        table = FlowTable(default_group=0)
-        for user_match, group, priority in rules:
-            table.install(FlowMatch(user_id=user_match), group, priority=priority)
-        resolved = table.lookup(user)
-        matching = [
-            rule for rule in table.rules
-            if rule.match.matches(user)
-        ]
-        if not matching:
-            assert resolved == 0
-        else:
-            best_priority = max(rule.priority for rule in matching)
-            allowed = {
-                rule.acceleration_group
-                for rule in matching
-                if rule.priority == best_priority
-            }
-            assert resolved in allowed
 
 
 # --- offloading state -------------------------------------------------------------

@@ -289,6 +289,7 @@ _RUN_ARGV = [
     "--users", "8", "--hours", "0.25", "--requests", "60",
 ]
 _CAMPAIGN_ARGV = ["scenario", "campaign", "--only", "cold-history", "--workers", "1"]
+_EXPORT_ARGV = ["export", "--samples", "5"]
 
 
 class TestUnwritableOutputPath:
@@ -300,8 +301,12 @@ class TestUnwritableOutputPath:
             (_RUN_ARGV, "--trace-out", "t.json"),
             (_CAMPAIGN_ARGV, "--record-out", "sub"),
             (_CAMPAIGN_ARGV, "--csv", "out.csv"),
+            (_EXPORT_ARGV, "--output-dir", "sub"),
         ],
-        ids=["run-record", "run-metrics", "run-trace", "campaign-record", "campaign-csv"],
+        ids=[
+            "run-record", "run-metrics", "run-trace", "campaign-record",
+            "campaign-csv", "export-dir",
+        ],
     )
     def test_bad_output_path_exits_2_with_error(
         self, tmp_path, capsys, argv, option, target
@@ -310,4 +315,14 @@ class TestUnwritableOutputPath:
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
         assert main(argv + [option, str(blocker / target)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--out", "--openmetrics"])
+    def test_report_bad_output_path_exits_2_with_error(self, tmp_path, capsys, option):
+        assert main(_RUN_ARGV + ["--record-out", str(tmp_path / "rec")]) == 0
+        (record,) = (tmp_path / "rec").glob("*.json")
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        capsys.readouterr()
+        assert main(["report", str(record), option, str(blocker / "x")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,43 +1,9 @@
-"""Tests for the FIFO queue and processor-sharing server."""
+"""Tests for the processor-sharing server."""
 
 import pytest
 
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.queues import FifoQueue, ProcessorSharingServer, ServerBusyError
-
-
-class TestFifoQueue:
-    def test_offer_and_poll_preserve_order(self):
-        queue = FifoQueue()
-        for item in "abc":
-            assert queue.offer(item)
-        assert [queue.poll(), queue.poll(), queue.poll()] == list("abc")
-
-    def test_poll_empty_returns_none(self):
-        assert FifoQueue().poll() is None
-
-    def test_peek_does_not_remove(self):
-        queue = FifoQueue()
-        queue.offer("x")
-        assert queue.peek() == "x"
-        assert len(queue) == 1
-
-    def test_bounded_queue_drops_beyond_capacity(self):
-        queue = FifoQueue(capacity=2)
-        assert queue.offer(1)
-        assert queue.offer(2)
-        assert not queue.offer(3)
-        assert queue.dropped == 1
-        assert queue.accepted == 2
-
-    def test_zero_capacity_drops_everything(self):
-        queue = FifoQueue(capacity=0)
-        assert not queue.offer(1)
-        assert queue.dropped == 1
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FifoQueue(capacity=-1)
+from repro.simulation.queues import ProcessorSharingServer, ServerBusyError
 
 
 class TestProcessorSharingServer:

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.workload.arrival import (
-    EmpiricalArrivalProcess,
     FixedRateArrivalProcess,
     ModulatedPoissonProcess,
     PoissonArrivalProcess,
     UniformArrivalProcess,
-    doubling_rate_schedule,
 )
 
 
@@ -53,20 +51,6 @@ class TestPoisson:
         process = PoissonArrivalProcess(rate_hz=1.0)
         gaps = {process.next_gap_ms(rng) for _ in range(10)}
         assert len(gaps) > 1
-
-
-class TestEmpirical:
-    def test_samples_come_from_observed_gaps(self, rng):
-        process = EmpiricalArrivalProcess(gaps_ms=[100.0, 200.0, 300.0])
-        samples = {process.next_gap_ms(rng) for _ in range(200)}
-        assert samples <= {100.0, 200.0, 300.0}
-        assert len(samples) == 3
-
-    def test_rejects_empty_or_negative(self):
-        with pytest.raises(ValueError):
-            EmpiricalArrivalProcess(gaps_ms=[])
-        with pytest.raises(ValueError):
-            EmpiricalArrivalProcess(gaps_ms=[10.0, -1.0])
 
 
 class TestUniform:
@@ -129,23 +113,3 @@ class TestModulatedPoisson:
         with pytest.raises(NotImplementedError):
             process.next_gap_ms(np.random.default_rng(0))
 
-
-class TestDoublingSchedule:
-    def test_paper_schedule_1_to_1024_hz(self):
-        segments = doubling_rate_schedule()
-        rates = [rate for _, _, rate in segments]
-        assert rates == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-        # Contiguous 5-minute segments.
-        assert segments[0][0] == 0.0
-        assert all(b[0] == a[1] for a, b in zip(segments, segments[1:]))
-        assert segments[0][1] - segments[0][0] == 5 * 60 * 1000.0
-
-    def test_custom_bounds(self):
-        segments = doubling_rate_schedule(initial_rate_hz=2.0, final_rate_hz=8.0, step_duration_ms=1000.0)
-        assert [rate for _, _, rate in segments] == [2.0, 4.0, 8.0]
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            doubling_rate_schedule(initial_rate_hz=0.0)
-        with pytest.raises(ValueError):
-            doubling_rate_schedule(step_duration_ms=0.0)
