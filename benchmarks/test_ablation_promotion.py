@@ -11,24 +11,20 @@ import numpy as np
 from conftest import print_rows, run_once
 
 from repro.experiments.figure_dynamic import run_dynamic_acceleration
-from repro.mobile.moderator import (
-    BatteryAwarePolicy,
-    ResponseTimeThresholdPolicy,
-    StaticProbabilityPolicy,
-)
+from repro.scenarios.spec import PolicySpec
 
 POLICIES = {
-    "no-promotion": StaticProbabilityPolicy(probability=0.0),
-    "static 1/50 (paper)": StaticProbabilityPolicy(probability=1.0 / 50.0),
-    "static 1/10": StaticProbabilityPolicy(probability=1.0 / 10.0),
-    "threshold 2000 ms": ResponseTimeThresholdPolicy(threshold_ms=2000.0, window=5),
-    "battery-aware": BatteryAwarePolicy(),
+    "no-promotion": PolicySpec(promotion_probability=0.0),
+    "static 1/50 (paper)": PolicySpec(),
+    "static 1/10": PolicySpec(promotion_probability=0.1),
+    "threshold 2000 ms": PolicySpec(promotion="threshold", promotion_threshold_ms=2000.0),
+    "battery-aware": PolicySpec(promotion="battery"),
 }
 
 
 def _run_policy(policy):
     result = run_dynamic_acceleration(
-        seed=5, users=60, duration_hours=1.5, target_requests=2500, promotion_policy=policy
+        seed=5, users=60, duration_hours=1.5, target_requests=2500, policy=policy
     )
     responses = [record.response_time_ms for record in result.records if record.success]
     return {

@@ -42,9 +42,6 @@ Package layout
     diurnal cycles, price spikes, ...), and the parallel
     :class:`~repro.scenarios.campaign.CampaignRunner` compares many scenarios
     in one table.
-``repro.baselines``
-    Round-robin routing, static/over-provisioning, greedy allocation, reactive
-    autoscaling and naive predictors.
 
 Quick start
 -----------

@@ -267,7 +267,6 @@ def build_group_options(
     level_for_type: Mapping[str, int],
     work_units: float,
     response_threshold_ms: float,
-    capacity_override: Optional[Mapping[str, float]] = None,
 ) -> List[InstanceOption]:
     """Catalog options with each type's acceleration group remapped.
 
@@ -283,7 +282,6 @@ def build_group_options(
         catalog,
         work_units=work_units,
         response_threshold_ms=response_threshold_ms,
-        capacity_override=capacity_override,
     ):
         group = level_for_type.get(option.type_name, option.acceleration_group)
         options.append(

@@ -17,7 +17,8 @@ Module                        Figures
 ``figure_sdn_overhead``       Fig. 8a (≈150 ms routing overhead per group)
 ``figure_saturation``         Fig. 8b/8c (t2.large under doubling arrival rates)
 ``figure_dynamic``            Fig. 9b/9c and Fig. 10b/10c (8-hour, 100-user dynamic
-                              acceleration experiment)
+                              acceleration experiment: an unregistered scenario
+                              spec run on the scenario runner's event executor)
 ``figure_prediction``         Fig. 10a (prediction accuracy vs history size, 10-fold CV)
 ``figure_network``            Fig. 11 (3G/LTE RTT per operator)
 ============================  ==========================================================

@@ -17,6 +17,14 @@ reports:
 * **Fig. 10c** — the promotion rate: users gradually move to higher groups
   and the overall response time decreases with promotion.
 
+The deployment is a scenario spec (:func:`dynamic_acceleration_spec`) with
+hourly slots, a uniform workload, the default cloud and the LTE network; it
+runs on the scenario runner's event executor
+(:func:`repro.multisite.runner.execute_multisite`), and the per-request
+records, devices and scaling actions are read from the state that run leaves
+behind.  Each request's uplink T1 and downlink T2 come from the spec's LTE
+channel.
+
 Substitutions relative to the paper's testbed: the EC2 back-end is the
 simulated instance model, and the 50-concurrent-user background load the paper
 injects to demonstrate stability is not simulated.
@@ -24,29 +32,17 @@ injects to demonstrate stability is not simulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
-from repro.cloud.backend import BackendPool
-from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog
-from repro.cloud.provisioner import Provisioner
-from repro.core.allocation import InstanceOption, build_options_from_catalog
-from repro.core.model import AdaptiveModel
-from repro.mobile.device import DEVICE_PROFILES, MobileDevice
-from repro.mobile.moderator import Moderator, PromotionPolicy, StaticProbabilityPolicy
-from repro.mobile.tasks import DEFAULT_TASK_POOL
-from repro.sdn.accelerator import RequestRecord, SDNAccelerator
-from repro.sdn.autoscaler import Autoscaler
-from repro.simulation.clock import MILLISECONDS_PER_HOUR
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.randomness import RandomStreams
-from repro.workload.arrival import UniformArrivalProcess
+from repro.mobile.device import MobileDevice
+from repro.multisite.runner import execute_multisite
+from repro.scenarios.spec import PolicySpec, ScenarioSpec, WorkloadSpec
+from repro.sdn.accelerator import RequestRecord
+from repro.telemetry import NULL_TELEMETRY
 from repro.workload.traces import TraceLog
-
-#: Acceleration groups and their instance types in the Section VI-C deployment.
-DEFAULT_GROUP_TYPES: Dict[int, str] = {1: "t2.nano", 2: "t2.large", 3: "m4.4xlarge"}
 
 
 @dataclass
@@ -179,20 +175,35 @@ class DynamicAccelerationResult:
         return rows
 
 
+def dynamic_acceleration_spec(
+    *, users: int, duration_hours: float, target_requests: int, policy: PolicySpec
+) -> ScenarioSpec:
+    """The Section VI-C deployment as a scenario spec (not in the registry).
+
+    Hourly provisioning slots, a ``uniform`` workload of ``target_requests``
+    over the run, the default cloud (groups t2.nano/t2.large/m4.4xlarge, cap
+    20, one initial instance per group), the default LTE network and the
+    event executor.
+    """
+    return ScenarioSpec(
+        name="dynamic-acceleration",
+        description="Section VI-C: hourly re-provisioning under client promotion",
+        users=users,
+        duration_hours=duration_hours,
+        slot_minutes=60.0,
+        execution="event",
+        workload=WorkloadSpec(pattern="uniform", target_requests=target_requests),
+        policy=policy,
+    )
+
+
 def run_dynamic_acceleration(
     *,
     seed: int = 0,
-    catalog: Optional[InstanceCatalog] = None,
-    group_types: Optional[Mapping[int, str]] = None,
     users: int = 100,
     duration_hours: float = 8.0,
     target_requests: int = 4000,
-    promotion_policy: Optional[PromotionPolicy] = None,
-    task_name: str = "minimax",
-    instance_cap: int = 20,
-    response_threshold_ms: float = 5000.0,
-    initial_instances_per_group: int = 1,
-    capacity_override: Optional[Mapping[str, float]] = None,
+    policy: PolicySpec = PolicySpec(),
 ) -> DynamicAccelerationResult:
     """Run the full 100-user dynamic acceleration experiment.
 
@@ -202,132 +213,24 @@ def run_dynamic_acceleration(
         Approximate number of offloading requests over the whole run (the
         paper observes ≈4000 over 8 hours); the combined inter-arrival gap is
         derived from it.
-    promotion_policy:
-        Defaults to the paper's static 1/50 probability.
+    policy:
+        The client promotion policy; defaults to the paper's static 1/50
+        probability.
     """
-    if users < 1:
-        raise ValueError(f"users must be >= 1, got {users}")
-    if duration_hours <= 0:
-        raise ValueError(f"duration_hours must be positive, got {duration_hours}")
-    if target_requests < users:
-        raise ValueError("target_requests must be at least the number of users")
-    catalog = catalog if catalog is not None else DEFAULT_CATALOG
-    group_types = dict(group_types) if group_types is not None else dict(DEFAULT_GROUP_TYPES)
-    groups = sorted(group_types)
-    lowest_group, highest_group = groups[0], groups[-1]
-
-    streams = RandomStreams(seed)
-    engine = SimulationEngine()
-    rng_workload = streams.stream("dynamic-workload")
-    rng_devices = streams.stream("dynamic-devices")
-    rng_cloud = streams.stream("dynamic-cloud")
-    rng_sdn = streams.stream("dynamic-sdn")
-    task = DEFAULT_TASK_POOL.get(task_name)
-
-    # --- back-end ------------------------------------------------------------
-    backend = BackendPool()
-    provisioner = Provisioner(engine, catalog, instance_cap=instance_cap, rng=rng_cloud)
-    level_for_type = {type_name: group for group, type_name in group_types.items()}
-    for group, type_name in group_types.items():
-        for _ in range(initial_instances_per_group):
-            backend.add_instance(provisioner.launch(type_name), group)
-
-    # --- adaptive model + autoscaler ------------------------------------------
-    restricted_catalog = catalog.subset(list(group_types.values()))
-    options: List[InstanceOption] = []
-    for option in build_options_from_catalog(
-        restricted_catalog,
-        work_units=task.work_units,
-        response_threshold_ms=response_threshold_ms,
-        capacity_override=capacity_override,
-    ):
-        # Re-map the catalog's acceleration level to the experiment's group id.
-        options.append(
-            InstanceOption(
-                type_name=option.type_name,
-                acceleration_group=level_for_type[option.type_name],
-                cost_per_hour=option.cost_per_hour,
-                capacity=option.capacity,
-            )
-        )
-    model = AdaptiveModel(options, instance_cap=instance_cap)
-    trace_log = TraceLog()
-    accelerator = SDNAccelerator(engine, backend, trace_log=trace_log, rng=rng_sdn)
-    autoscaler = Autoscaler(
-        model, provisioner, backend, level_for_type=level_for_type, minimum_per_group=1
-    )
-
-    # --- devices and moderators ------------------------------------------------
-    profile_names = list(DEVICE_PROFILES)
-    devices: Dict[int, MobileDevice] = {}
-    moderators: Dict[int, Moderator] = {}
-    for user_id in range(users):
-        profile = DEVICE_PROFILES[profile_names[int(rng_devices.integers(0, len(profile_names)))]]
-        devices[user_id] = MobileDevice(
-            user_id=user_id, profile=profile, acceleration_group=lowest_group
-        )
-        moderators[user_id] = Moderator(
-            promotion_policy if promotion_policy is not None else StaticProbabilityPolicy(),
-            max_group=highest_group,
-            rng=streams.stream(f"moderator-{user_id}"),
-        )
-
-    # --- workload ---------------------------------------------------------------
-    duration_ms = duration_hours * MILLISECONDS_PER_HOUR
-    mean_gap_ms = duration_ms / target_requests
-    arrival_process = UniformArrivalProcess(low_ms=0.5 * mean_gap_ms, high_ms=1.5 * mean_gap_ms)
-    arrival_times = arrival_process.arrival_times_ms(
-        rng_workload, start_ms=0.0, end_ms=duration_ms
-    )
-
-    def _make_completion(user_id: int):
-        def _on_complete(record: RequestRecord) -> None:
-            device = devices[user_id]
-            if record.success:
-                moderators[user_id].observe(device, record.response_time_ms, engine.now_ms)
-            else:
-                device.record_failure()
-
-        return _on_complete
-
-    for arrival in arrival_times:
-        user_id = int(rng_workload.integers(0, users))
-
-        def _submit(user_id: int = user_id) -> None:
-            device = devices[user_id]
-            device.requests_sent += 1
-            accelerator.submit(
-                user_id=user_id,
-                acceleration_group=device.acceleration_group,
-                work_units=task.sample_work_units(rng_workload),
-                task_name=task.name,
-                battery_level=device.battery.level,
-                on_complete=_make_completion(user_id),
-            )
-
-        engine.schedule_at(arrival, _submit, label="dynamic:request")
-
-    # Hourly control loop: slot the finished hour and re-provision.
-    hours = int(np.ceil(duration_hours))
-    for hour in range(1, hours + 1):
-        period_end = min(hour * MILLISECONDS_PER_HOUR, duration_ms)
-        period_start = (hour - 1) * MILLISECONDS_PER_HOUR
-
-        def _scale(period_start: float = period_start, period_end: float = period_end) -> None:
-            autoscaler.run_period_end(trace_log, period_start, period_end)
-
-        engine.schedule_at(period_end, _scale, label=f"dynamic:scale-hour{hour}")
-
-    # Run to the end of the experiment plus a drain margin for in-flight requests.
-    engine.run(until_ms=duration_ms + 60_000.0)
-    total_cost = provisioner.total_cost(include_running=True)
-
-    return DynamicAccelerationResult(
-        records=list(accelerator.records),
-        devices=devices,
-        scaling_actions=list(autoscaler.actions),
-        trace_log=trace_log,
-        group_types=dict(group_types),
+    spec = dynamic_acceleration_spec(
+        users=users,
         duration_hours=duration_hours,
-        total_cost=total_cost,
+        target_requests=target_requests,
+        policy=policy,
+    )
+    run = execute_multisite(spec, seed, NULL_TELEMETRY)
+    site = run.federation.site(0)
+    return DynamicAccelerationResult(
+        records=list(site.accelerator.records),
+        devices=run.devices,
+        scaling_actions=list(site.autoscaler.actions),
+        trace_log=site.accelerator.trace_log,
+        group_types=dict(spec.cloud.group_types),
+        duration_hours=duration_hours,
+        total_cost=site.total_cost(),
     )

@@ -1,8 +1,11 @@
 """Run a scenario over its N >= 1 sites (event and batched modes).
 
-This is the one runner behind :func:`repro.scenarios.runner.run_scenario`.
-It builds one serving stack per site (:mod:`repro.multisite.federation`),
-lets the global broker partition the pre-drawn request plan across sites
+This is the one runner behind :func:`repro.scenarios.runner.run_scenario`
+and behind the Section VI-C experiment
+(:mod:`repro.experiments.figure_dynamic`), which reads its per-request
+records from the state :func:`execute_multisite` returns.  It builds one
+serving stack per site (:mod:`repro.multisite.federation`), lets the global
+broker partition the pre-drawn request plan across sites
 (:mod:`repro.multisite.broker`), samples each request's network latency from
 its *serving* site's access model plus the WAN penalty, and then drives the
 plan through either
@@ -851,235 +854,243 @@ def run_multisite_scenario(
     return _run_multisite(spec, seed, telemetry)
 
 
-def _run_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> ScenarioResult:
-    """Set up, execute and fold one run of ``spec`` over its N >= 1 sites.
+@dataclass
+class MultisiteRun:
+    """The state one executed run leaves behind, before the result fold."""
 
-    The one place the seed resolves: the argument, then ``spec.seed``,
-    then 0.
-    """
-    seed = seed if seed is not None else (spec.seed if spec.seed is not None else 0)
+    seed: int
+    engine: SimulationEngine
+    federation: Federation
+    slot_broker: object
+    devices: Dict[int, MobileDevice]
+    plan: RequestPlan
+    fault_plane: "MultisiteFaultPlane | None"
+    metrics: FederationMetrics
+
+
+def _run_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> ScenarioResult:
+    """Set up, execute and fold one run of ``spec`` over its N >= 1 sites."""
     telemetry = resolve_telemetry(telemetry, spec.telemetry)
     with telemetry.span("scenario.run"):
-        with telemetry.span("scenario.setup"):
-            streams = RandomStreams(seed)
-            engine = SimulationEngine()
-            rng_workload = streams.stream("scenario-workload")
-            rng_devices = streams.stream("scenario-devices")
-            rng_routing = streams.stream("scenario-sdn")
-
-            task = DEFAULT_TASK_POOL.get(spec.task_name)
-            duration_ms = spec.duration_ms
-            slot_ms = spec.slot_length_ms
-
-            federation = build_federation(
-                scenario=spec,
-                engine=engine,
-                streams=streams,
-                task=task,
-                with_accelerators=spec.execution == "event",
-            )
-            sites_spec = federation.spec
-
-        # --- workload + brokering --------------------------------------------
-        with telemetry.span("plan.generate"):
-            arrival_process = build_arrival_process(spec.workload, duration_ms)
-            plan = build_request_plan(
-                arrival_process=arrival_process,
-                task=task,
-                users=spec.users,
-                duration_ms=duration_ms,
-                rng_workload=rng_workload,
-                rng_routing=rng_routing,
-                rng_jitter=streams.stream("scenario-jitter"),
-            )
-
-        with telemetry.span("scenario.setup"):
-            if sites_spec.policy == "dynamic-load":
-                # Brokering (and per-site network sampling) happens inside the
-                # slot loop: the executors call run_slot_brokering at every
-                # boundary.
-                slot_broker = DynamicBroker(
-                    plan=plan,
-                    users=spec.users,
-                    federation=sites_spec,
-                    duration_ms=duration_ms,
-                    access_rtt_ms=federation.mean_access_rtt_ms(),
-                )
-            else:
-                brokered = broker_assign(
-                    arrival_ms=plan.arrival_ms,
-                    user_ids=plan.user_ids,
-                    users=spec.users,
-                    federation=sites_spec,
-                    duration_ms=duration_ms,
-                    access_rtt_ms=federation.mean_access_rtt_ms(),
-                )
-                plan = sample_network_for_sites(
-                    plan=plan, brokered=brokered, federation=federation
-                )
-                slot_broker = StaticSlotBroker(
-                    plan=plan, brokered=brokered, site_count=len(federation)
-                )
-
-            # --- devices (homed per site, shared moderators) -----------------
-            profile_names = sorted(spec.devices.weights)
-            raw_weights = np.asarray(
-                [spec.devices.weights[name] for name in profile_names], dtype=float
-            )
-            probabilities = raw_weights / raw_weights.sum()
-            promotion_policy = _build_promotion_policy(spec)
-            max_group = federation.highest_group()
-            devices: Dict[int, MobileDevice] = {}
-            moderators: Dict[int, Moderator] = {}
-            for user_id in range(spec.users):
-                chosen = profile_names[
-                    int(rng_devices.choice(len(profile_names), p=probabilities))
-                ]
-                home = federation.site(int(slot_broker.home_site_of_user[user_id]))
-                devices[user_id] = MobileDevice(
-                    user_id=user_id,
-                    profile=DEVICE_PROFILES[chosen],
-                    acceleration_group=home.lowest_group(),
-                )
-                moderators[user_id] = Moderator(
-                    promotion_policy,
-                    max_group=max_group,
-                    rng=streams.stream(f"scenario-moderator-{user_id}"),
-                )
-
-            # --- fault plane: pre-computed verdicts + slot-boundary steps ----
-            fault_plane = None
-            if spec.faults is not None:
-                overlay = build_fault_overlay(
-                    plan=plan,
-                    faults=spec.faults,
-                    duration_ms=duration_ms,
-                    rng=streams.stream(FAULT_STREAM),
-                    # Static brokering fixed the site of every request at plan
-                    # time, which is what scopes site-named preemption
-                    # windows; the dynamic broker assigns per slot, so only
-                    # global fault processes apply to its draws.
-                    site_ids=(
-                        None if slot_broker.is_dynamic else slot_broker.site_ids
-                    ),
-                    site_names=sites_spec.site_names,
-                )
-                overlay.set_local_execution(
-                    plan,
-                    np.asarray(
-                        [
-                            devices[user_id].profile.local_speed_factor
-                            for user_id in range(spec.users)
-                        ],
-                        dtype=float,
-                    ),
-                )
-                overlay.apply_latency(plan)
-                if not slot_broker.samples_network:
-                    # Static brokering sampled T1/T2 at plan time; the dynamic
-                    # broker samples per slot, so the factor is applied inside
-                    # run_slot_brokering right after each window's sampling.
-                    overlay.apply_network_factor(plan)
-                fault_plane = MultisiteFaultPlane(
-                    overlay=overlay,
-                    federation_spec=sites_spec,
-                    duration_ms=duration_ms,
-                    access_rtt_ms=federation.mean_access_rtt_ms(),
-                    home_site_of_user=slot_broker.home_site_of_user,
-                    control_rng=(
-                        streams.stream(FAULT_CONTROL_STREAM)
-                        if spec.faults.control_plane is not None
-                        else None
-                    ),
-                )
-
-        if spec.execution == "batched" and federation.implicit:
-            # Single-site batched runs keep their own data plane: it rounds
-            # dispatch times differently from execute_batched_multisite, so
-            # merging the two would move results.
-            site = federation.site(0)
-            single = execute_batched(
-                spec=spec,
-                plan=plan,
-                engine=engine,
-                devices=devices,
-                moderators=moderators,
-                backend=site.backend,
-                autoscaler=site.autoscaler,
-                model=site.model,
-                round_robin_routing=spec.policy.routing == "round-robin",
-                duration_ms=duration_ms,
-                slot_ms=slot_ms,
-                telemetry=telemetry,
-                overlay=None if fault_plane is None else fault_plane.overlay,
-            )
-            # The implicit site reports no per-site breakdown.
-            metrics = FederationMetrics(
-                requests_total=single.requests_total,
-                requests_dropped=single.requests_dropped,
-                requests_unrouted=0,
-                success_response_ms=single.success_response_ms,
-                utilization_samples=single.utilization_samples,
-                per_site=[],
-            )
-        elif spec.execution == "batched":
-            metrics = execute_batched_multisite(
-                spec=spec,
-                plan=plan,
-                slot_broker=slot_broker,
-                engine=engine,
-                federation=federation,
-                devices=devices,
-                moderators=moderators,
-                duration_ms=duration_ms,
-                slot_ms=slot_ms,
-                telemetry=telemetry,
-                fault_plane=fault_plane,
-            )
-        else:
-            metrics = execute_event_multisite(
-                spec=spec,
-                plan=plan,
-                slot_broker=slot_broker,
-                engine=engine,
-                federation=federation,
-                devices=devices,
-                moderators=moderators,
-                task=task,
-                duration_ms=duration_ms,
-                slot_ms=slot_ms,
-                telemetry=telemetry,
-                fault_plane=fault_plane,
-            )
-
+        run = execute_multisite(spec, seed, telemetry)
         # --- federation-wide + per-site metrics ------------------------------
         with telemetry.span("stats.fold"):
-            return _fold_multisite_result(
-                spec=spec,
-                seed=seed,
-                engine=engine,
-                federation=federation,
-                slot_broker=slot_broker,
-                devices=devices,
-                metrics=metrics,
-                telemetry=telemetry,
+            return _fold_multisite_result(spec, run, telemetry)
+
+
+def execute_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> MultisiteRun:
+    """Set up and execute one run of ``spec`` over its N >= 1 sites.
+
+    The one place the seed resolves: the argument, then ``spec.seed``,
+    then 0.  ``telemetry`` must already be resolved.
+    """
+    seed = seed if seed is not None else (spec.seed if spec.seed is not None else 0)
+    with telemetry.span("scenario.setup"):
+        streams = RandomStreams(seed)
+        engine = SimulationEngine()
+        rng_workload = streams.stream("scenario-workload")
+        rng_devices = streams.stream("scenario-devices")
+        rng_routing = streams.stream("scenario-sdn")
+
+        task = DEFAULT_TASK_POOL.get(spec.task_name)
+        duration_ms = spec.duration_ms
+        slot_ms = spec.slot_length_ms
+
+        federation = build_federation(
+            scenario=spec,
+            engine=engine,
+            streams=streams,
+            task=task,
+            with_accelerators=spec.execution == "event",
+        )
+        sites_spec = federation.spec
+
+    # --- workload + brokering --------------------------------------------
+    with telemetry.span("plan.generate"):
+        arrival_process = build_arrival_process(spec.workload, duration_ms)
+        plan = build_request_plan(
+            arrival_process=arrival_process,
+            task=task,
+            users=spec.users,
+            duration_ms=duration_ms,
+            rng_workload=rng_workload,
+            rng_routing=rng_routing,
+            rng_jitter=streams.stream("scenario-jitter"),
+        )
+
+    with telemetry.span("scenario.setup"):
+        if sites_spec.policy == "dynamic-load":
+            # Brokering (and per-site network sampling) happens inside the
+            # slot loop: the executors call run_slot_brokering at every
+            # boundary.
+            slot_broker = DynamicBroker(
                 plan=plan,
-                fault_plane=fault_plane,
+                users=spec.users,
+                federation=sites_spec,
+                duration_ms=duration_ms,
+                access_rtt_ms=federation.mean_access_rtt_ms(),
             )
+        else:
+            brokered = broker_assign(
+                arrival_ms=plan.arrival_ms,
+                user_ids=plan.user_ids,
+                users=spec.users,
+                federation=sites_spec,
+                duration_ms=duration_ms,
+                access_rtt_ms=federation.mean_access_rtt_ms(),
+            )
+            plan = sample_network_for_sites(
+                plan=plan, brokered=brokered, federation=federation
+            )
+            slot_broker = StaticSlotBroker(
+                plan=plan, brokered=brokered, site_count=len(federation)
+            )
+
+        # --- devices (homed per site, shared moderators) -----------------
+        profile_names = sorted(spec.devices.weights)
+        raw_weights = np.asarray(
+            [spec.devices.weights[name] for name in profile_names], dtype=float
+        )
+        probabilities = raw_weights / raw_weights.sum()
+        promotion_policy = _build_promotion_policy(spec)
+        max_group = federation.highest_group()
+        devices: Dict[int, MobileDevice] = {}
+        moderators: Dict[int, Moderator] = {}
+        for user_id in range(spec.users):
+            chosen = profile_names[
+                int(rng_devices.choice(len(profile_names), p=probabilities))
+            ]
+            home = federation.site(int(slot_broker.home_site_of_user[user_id]))
+            devices[user_id] = MobileDevice(
+                user_id=user_id,
+                profile=DEVICE_PROFILES[chosen],
+                acceleration_group=home.lowest_group(),
+            )
+            moderators[user_id] = Moderator(
+                promotion_policy,
+                max_group=max_group,
+                rng=streams.stream(f"scenario-moderator-{user_id}"),
+            )
+
+        # --- fault plane: pre-computed verdicts + slot-boundary steps ----
+        fault_plane = None
+        if spec.faults is not None:
+            overlay = build_fault_overlay(
+                plan=plan,
+                faults=spec.faults,
+                duration_ms=duration_ms,
+                rng=streams.stream(FAULT_STREAM),
+                # Static brokering fixed the site of every request at plan
+                # time, which is what scopes site-named preemption
+                # windows; the dynamic broker assigns per slot, so only
+                # global fault processes apply to its draws.
+                site_ids=(
+                    None if slot_broker.is_dynamic else slot_broker.site_ids
+                ),
+                site_names=sites_spec.site_names,
+            )
+            overlay.set_local_execution(
+                plan,
+                np.asarray(
+                    [
+                        devices[user_id].profile.local_speed_factor
+                        for user_id in range(spec.users)
+                    ],
+                    dtype=float,
+                ),
+            )
+            overlay.apply_latency(plan)
+            if not slot_broker.samples_network:
+                # Static brokering sampled T1/T2 at plan time; the dynamic
+                # broker samples per slot, so the factor is applied inside
+                # run_slot_brokering right after each window's sampling.
+                overlay.apply_network_factor(plan)
+            fault_plane = MultisiteFaultPlane(
+                overlay=overlay,
+                federation_spec=sites_spec,
+                duration_ms=duration_ms,
+                access_rtt_ms=federation.mean_access_rtt_ms(),
+                home_site_of_user=slot_broker.home_site_of_user,
+                control_rng=(
+                    streams.stream(FAULT_CONTROL_STREAM)
+                    if spec.faults.control_plane is not None
+                    else None
+                ),
+            )
+
+    if spec.execution == "batched" and federation.implicit:
+        # Single-site batched runs keep their own data plane: it rounds
+        # dispatch times differently from execute_batched_multisite, so
+        # merging the two would move results.
+        site = federation.site(0)
+        single = execute_batched(
+            spec=spec,
+            plan=plan,
+            engine=engine,
+            devices=devices,
+            moderators=moderators,
+            backend=site.backend,
+            autoscaler=site.autoscaler,
+            model=site.model,
+            round_robin_routing=spec.policy.routing == "round-robin",
+            duration_ms=duration_ms,
+            slot_ms=slot_ms,
+            telemetry=telemetry,
+            overlay=None if fault_plane is None else fault_plane.overlay,
+        )
+        # The implicit site reports no per-site breakdown.
+        metrics = FederationMetrics(
+            requests_total=single.requests_total,
+            requests_dropped=single.requests_dropped,
+            requests_unrouted=0,
+            success_response_ms=single.success_response_ms,
+            utilization_samples=single.utilization_samples,
+            per_site=[],
+        )
+    elif spec.execution == "batched":
+        metrics = execute_batched_multisite(
+            spec=spec,
+            plan=plan,
+            slot_broker=slot_broker,
+            engine=engine,
+            federation=federation,
+            devices=devices,
+            moderators=moderators,
+            duration_ms=duration_ms,
+            slot_ms=slot_ms,
+            telemetry=telemetry,
+            fault_plane=fault_plane,
+        )
+    else:
+        metrics = execute_event_multisite(
+            spec=spec,
+            plan=plan,
+            slot_broker=slot_broker,
+            engine=engine,
+            federation=federation,
+            devices=devices,
+            moderators=moderators,
+            task=task,
+            duration_ms=duration_ms,
+            slot_ms=slot_ms,
+            telemetry=telemetry,
+            fault_plane=fault_plane,
+        )
+
+    return MultisiteRun(
+        seed=seed,
+        engine=engine,
+        federation=federation,
+        slot_broker=slot_broker,
+        devices=devices,
+        plan=plan,
+        fault_plane=fault_plane,
+        metrics=metrics,
+    )
 
 
 def _fold_multisite_result(
-    *,
-    spec: ScenarioSpec,
-    seed: int,
-    engine: SimulationEngine,
-    federation: Federation,
-    slot_broker,
-    devices: Dict[int, MobileDevice],
-    metrics: FederationMetrics,
-    telemetry,
-    plan: RequestPlan,
-    fault_plane: "MultisiteFaultPlane | None" = None,
+    spec: ScenarioSpec, run: MultisiteRun, telemetry
 ) -> ScenarioResult:
     """Fold the executor outputs into one :class:`ScenarioResult`.
 
@@ -1087,6 +1098,8 @@ def _fold_multisite_result(
     run: no ``sites``, no ``slot_site_requests``, unprefixed serving-stack
     metrics and no ``site.*``, ``federation.*`` or ``broker.*`` signals.
     """
+    federation, slot_broker, devices = run.federation, run.slot_broker, run.devices
+    metrics, plan, fault_plane = run.metrics, run.plan, run.fault_plane
     successes = metrics.success_response_ms
     requests_total = metrics.requests_total
     dropped_total = metrics.requests_dropped
@@ -1137,7 +1150,7 @@ def _fold_multisite_result(
 
     if telemetry.enabled:
         registry = telemetry.registry
-        publish_engine(registry, engine)
+        publish_engine(registry, run.engine)
         publish_requests(
             registry,
             total=requests_total,
@@ -1178,7 +1191,7 @@ def _fold_multisite_result(
 
     return ScenarioResult(
         name=spec.name,
-        seed=seed,
+        seed=run.seed,
         users=spec.users,
         duration_hours=spec.duration_hours,
         requests_total=requests_total,

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.experiments.figure_dynamic import run_dynamic_acceleration
-from repro.mobile.moderator import StaticProbabilityPolicy
+from repro.experiments.figure_dynamic import (
+    dynamic_acceleration_spec,
+    run_dynamic_acceleration,
+)
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import PolicySpec
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +119,7 @@ class TestConfigurations:
     def test_zero_promotion_probability_keeps_everyone_in_lowest_group(self):
         result = run_dynamic_acceleration(
             seed=5, users=20, duration_hours=0.5, target_requests=300,
-            promotion_policy=StaticProbabilityPolicy(probability=0.0),
+            policy=PolicySpec(promotion_probability=0.0),
         )
         assert all(not device.promotions for device in result.devices.values())
         assert set(result.mean_response_by_group()) == {min(result.group_types)}
@@ -130,3 +134,25 @@ class TestConfigurations:
         # the post-scaling steady state.
         assert windows[0] > 1.5 * windows[-1]
         assert any(action.launched for action in result.scaling_actions)
+
+
+class TestScenarioRunnerRun:
+    def test_experiment_matches_run_scenario_on_its_spec(self):
+        """The experiment is the scenario runner's run of its Section VI-C spec.
+
+        The short, overloaded run drops requests, so the dropped count is
+        compared on a non-trivial value.
+        """
+        spec = dynamic_acceleration_spec(
+            users=20, duration_hours=0.25, target_requests=2500, policy=PolicySpec()
+        )
+        scenario = run_scenario(spec, seed=4)
+        result = run_dynamic_acceleration(
+            seed=4, users=20, duration_hours=0.25, target_requests=2500
+        )
+        successes = [record.response_time_ms for record in result.records if record.success]
+        dropped = sum(1 for record in result.records if not record.success)
+        assert dropped > 0
+        assert len(result.records) == scenario.requests_total
+        assert dropped == scenario.requests_dropped
+        assert np.mean(successes) == pytest.approx(scenario.mean_response_ms)

@@ -1,11 +1,13 @@
-"""Every plain module under ``src/repro`` is reachable from what users run.
+"""Every module under ``src/repro`` that holds code is reachable from what users run.
 
 The walk follows ``import`` statements with :mod:`ast`, starting from
 :mod:`repro.cli` and every ``examples/*.py`` script.  A package ``__init__`` is
 read as a list of re-exports: ``from repro.pkg import name`` reaches the module
 that defines ``name``, not every module the package happens to import.  A
 module nothing reaches is dead code; delete it or wire it to a command or an
-example.  Package ``__init__`` files are namespaces and are not checked.
+example.  A package ``__init__`` that only re-exports is a namespace and is not
+checked; one that defines a function or class is checked like a module, and is
+reached only when something imports from the package itself.
 """
 
 import ast
@@ -55,10 +57,7 @@ class _ImportWalker:
                         self.import_from(child.module, alias.name)
 
     def reach(self, module: str) -> None:
-        """Mark ``module`` and its parent packages reached; walk a plain module."""
-        parts = module.split(".")
-        for depth in range(1, len(parts)):
-            self.reached.add(".".join(parts[:depth]))
+        """Mark ``module`` reached; walk a plain module."""
         if module in self.reached or _module_path(module) is None:
             return
         self.reached.add(module)
@@ -95,12 +94,20 @@ class _ImportWalker:
                 return
 
 
-def _plain_modules() -> Set[str]:
-    return {
-        ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for path in (SRC / PACKAGE).rglob("*.py")
-        if path.name != "__init__.py"
-    }
+def _defines_code(path: Path) -> bool:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return any(isinstance(node, (ast.FunctionDef, ast.ClassDef)) for node in tree.body)
+
+
+def _checked_modules() -> Set[str]:
+    """Plain modules plus the package ``__init__`` files that define code."""
+    checked = set()
+    for path in (SRC / PACKAGE).rglob("*.py"):
+        if path.name != "__init__.py":
+            checked.add(".".join(path.relative_to(SRC).with_suffix("").parts))
+        elif _defines_code(path):
+            checked.add(".".join(path.parent.relative_to(SRC).parts))
+    return checked
 
 
 def test_every_module_is_reached_from_the_cli_or_an_example():
@@ -110,5 +117,5 @@ def test_every_module_is_reached_from_the_cli_or_an_example():
     assert examples
     for script in examples:
         walker.follow(ast.parse(script.read_text(), filename=str(script)))
-    unreached = sorted(_plain_modules() - walker.reached)
+    unreached = sorted(_checked_modules() - walker.reached)
     assert unreached == [], f"modules no command or example imports: {unreached}"

@@ -39,7 +39,6 @@ class TestSubpackageExports:
             "repro.sdn",
             "repro.analysis",
             "repro.simulation",
-            "repro.baselines",
             "repro.experiments",
         ],
     )
