@@ -17,19 +17,19 @@ def _run_both():
     with_sdn = run_fig7_decomposition(seed=0, rounds=4)
 
     # The same workload with a zero-overhead front-end (direct routing).
+    import numpy as np
+
     import repro.experiments.figure_decomposition as decomposition_module
-    from repro.sdn.accelerator import SDNAccelerator
 
-    class _ZeroOverheadAccelerator(SDNAccelerator):
-        def _sample_routing_overhead_ms(self) -> float:
-            return 0.0
+    def _zero_routing_overhead_ms(rng, count):
+        return np.zeros(count)
 
-    original = decomposition_module.SDNAccelerator
-    decomposition_module.SDNAccelerator = _ZeroOverheadAccelerator
+    original = decomposition_module.draw_routing_overhead_ms
+    decomposition_module.draw_routing_overhead_ms = _zero_routing_overhead_ms
     try:
         without_sdn = run_fig7_decomposition(seed=0, rounds=4)
     finally:
-        decomposition_module.SDNAccelerator = original
+        decomposition_module.draw_routing_overhead_ms = original
     return with_sdn, without_sdn
 
 

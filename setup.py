@@ -1,11 +1,9 @@
 """Setuptools shim.
 
-The canonical project metadata lives in ``pyproject.toml``.  This file exists
-only so that ``pip install -e .`` works in offline environments whose
-setuptools/pip combination cannot perform PEP 660 editable installs (no
-``wheel`` package available); in that case run::
-
-    pip install -e . --no-build-isolation --no-use-pep517
+The project metadata lives in ``pyproject.toml``; ``pip install -e .``
+installs the ``repro`` package and the ``repro-accel`` console script.
+Offline, pip needs the ``wheel`` package to build the project; without it,
+``python setup.py develop`` installs the same package and script.
 """
 
 from setuptools import setup

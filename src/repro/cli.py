@@ -208,12 +208,16 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
-    result = run_dynamic_acceleration(
-        seed=args.seed,
-        users=args.users,
-        duration_hours=args.hours,
-        target_requests=args.requests,
-    )
+    try:
+        result = run_dynamic_acceleration(
+            seed=args.seed,
+            users=args.users,
+            duration_hours=args.hours,
+            target_requests=args.requests,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     _print_rows(result.rows())
     stable = result.stable_user()
     print(f"stable user (Fig. 9b analogue): user {stable}")

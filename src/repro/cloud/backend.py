@@ -124,14 +124,14 @@ class BackendPool:
         level: int,
         work_units: float,
         on_complete: Callable[[OffloadOutcome], None],
-        jitter_z: Optional[float] = None,
+        jitter_z: float,
     ) -> Optional[OffloadOutcome]:
         """Route one request to the least-loaded instance of ``level``.
 
         Returns ``None`` on admission (completion arrives via ``on_complete``)
         or an immediate rejected outcome when the chosen instance drops the
-        request.  ``jitter_z`` forwards a pre-drawn service-time jitter draw
-        to the instance (see :meth:`CloudInstance.submit`).
+        request.  ``jitter_z`` is the request's pre-drawn service-time jitter
+        draw, forwarded to the instance (see :meth:`CloudInstance.submit`).
         """
         instance = self.select_instance(self.clamp_level(level))
         return instance.submit(work_units, on_complete, jitter_z=jitter_z)

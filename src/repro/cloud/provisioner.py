@@ -13,7 +13,7 @@ allocation policy alongside its performance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class Provisioner:
         catalog: InstanceCatalog,
         *,
         instance_cap: int = DEFAULT_INSTANCE_CAP,
-        rng: Optional[np.random.Generator] = None,
         boot_delay_ms: float = 0.0,
     ) -> None:
         if instance_cap < 1:
@@ -62,7 +61,6 @@ class Provisioner:
         self.catalog = catalog
         self.instance_cap = instance_cap
         self.boot_delay_ms = boot_delay_ms
-        self._rng = rng
         self._running: Dict[str, CloudInstance] = {}
         self._billing: List[BillingRecord] = []
 
@@ -110,7 +108,6 @@ class Provisioner:
         instance = CloudInstance(
             self.engine,
             instance_type,
-            rng=self._rng,
             ready_at_ms=self.engine.now_ms + self.boot_delay_ms,
         )
         self._running[instance.instance_id] = instance

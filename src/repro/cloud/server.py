@@ -66,7 +66,6 @@ class CloudInstance:
         engine: SimulationEngine,
         instance_type: InstanceType,
         *,
-        rng: Optional[np.random.Generator] = None,
         admission_limit: Optional[int] = None,
         instance_id: Optional[str] = None,
         ready_at_ms: Optional[float] = None,
@@ -74,7 +73,6 @@ class CloudInstance:
         self.engine = engine
         self.instance_type = instance_type
         self.instance_id = instance_id or f"{instance_type.name}-{next(self._ids)}"
-        self._rng = rng
         profile = instance_type.profile
         # Default admission limit: the concurrency at which a median task from
         # the workload pool would exceed ~5 seconds, bounded to a sane range.
@@ -142,11 +140,10 @@ class CloudInstance:
     def effective_work_units(self, work_units: float, jitter_z: float) -> float:
         """Apply a pre-drawn standard-normal jitter draw to ``work_units``.
 
-        ``1 + z·jitter_fraction`` is distributionally identical to the
-        instance's own ``normal(1, jitter_fraction)`` draw; taking ``z`` as a
-        parameter lets the scenario runner pre-draw all jitter in one
-        vectorised call and keeps the event and batched execution paths on
-        exactly the same random values.
+        The factor ``1 + z·jitter_fraction`` is a ``normal(1,
+        jitter_fraction)`` draw; taking ``z`` as a parameter lets callers
+        pre-draw all jitter in one vectorised call and keeps the event and
+        batched execution paths on exactly the same random values.
         """
         return float(
             jittered_work_units(
@@ -158,15 +155,15 @@ class CloudInstance:
         self,
         work_units: float,
         on_complete: Callable[[OffloadOutcome], None],
-        jitter_z: Optional[float] = None,
+        jitter_z: float,
     ) -> OffloadOutcome | None:
         """Submit one offloaded request.
 
         Returns ``None`` when the request is admitted (the outcome is
         delivered later through ``on_complete``), or an immediate rejected
-        :class:`OffloadOutcome` when the request is dropped.  ``jitter_z``
-        optionally supplies the request's service-time jitter as a pre-drawn
-        standard-normal value instead of consuming the instance's own RNG.
+        :class:`OffloadOutcome` when the request is dropped.  ``jitter_z`` is
+        the request's pre-drawn standard-normal service-time jitter (see
+        :meth:`effective_work_units`); ``0.0`` runs the work unjittered.
         """
         if not self.is_running:
             raise RuntimeError(f"instance {self.instance_id} has been terminated")
@@ -183,16 +180,7 @@ class CloudInstance:
             return outcome
         self.accepted_requests += 1
         # Per-request jitter models variation in code paths and VM scheduling.
-        effective_work = work_units
-        if jitter_z is not None:
-            effective_work = self.effective_work_units(work_units, jitter_z)
-        elif self._rng is not None:
-            # normal(1, f) is computed by numpy as 1 + f·z, so drawing the
-            # standard normal and reusing the shared helper is draw-for-draw
-            # identical to the historical inline formula.
-            effective_work = self.effective_work_units(
-                work_units, float(self._rng.standard_normal())
-            )
+        effective_work = self.effective_work_units(work_units, jitter_z)
         overhead = self.instance_type.profile.base_overhead_ms
 
         def _finished(sojourn_ms: float, request_id: int = request_id) -> None:

@@ -13,21 +13,29 @@ the contribution of each component to the total response time:
 The total communication time ``T1 + T2`` stays under one second; ``T_cloud``
 dominates and decreases monotonically from acceleration level 1 to level 4
 (the c4.8xlarge instance the paper adds for this experiment).
+
+:func:`run_bursts` is the burst harness this experiment shares with Fig. 8a
+(:mod:`repro.experiments.figure_sdn_overhead`): it draws every per-request
+sample up front and submits the bursts through
+:meth:`SDNAccelerator.submit_planned`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cloud.backend import BackendPool
-from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog
+from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog, InstanceType
 from repro.cloud.server import CloudInstance
-from repro.mobile.tasks import DEFAULT_TASK_POOL
+from repro.mobile.tasks import DEFAULT_TASK_POOL, OffloadableTask
 from repro.network.channel import CommunicationChannel
-from repro.sdn.accelerator import SDNAccelerator
+from repro.sdn.accelerator import RequestRecord, SDNAccelerator, draw_routing_overhead_ms
+from repro.simulation.clock import MILLISECONDS_PER_HOUR
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
 
@@ -79,6 +87,69 @@ class DecompositionResult:
 DEFAULT_INSTANCES_PER_LEVEL: Dict[int, int] = {1: 8, 2: 4, 3: 1, 4: 1}
 
 
+def run_bursts(
+    *,
+    instance_type: InstanceType,
+    instances: int,
+    level: int,
+    task: OffloadableTask,
+    rng: np.random.Generator,
+    burst_sizes: Sequence[int],
+    burst_gap_ms: float,
+) -> Tuple[List[RequestRecord], np.ndarray]:
+    """Push bursts of simultaneous offloads through one SDN front-end.
+
+    Burst ``k`` submits ``burst_sizes[k]`` requests (users ``0..size-1``) at
+    ``k * burst_gap_ms`` to ``instances`` instances of ``instance_type``
+    serving ``level``.  Every per-request sample is drawn from ``rng`` up
+    front, in this order: work units, T1 and T2 over the default LTE
+    channel, service jitter and routing overhead.  Routing comes last, so
+    swapping the routing model leaves every other draw unchanged.
+
+    Returns the delivered records and the routing overhead of every
+    submitted request, in submission order.
+    """
+    engine = SimulationEngine()
+    backend = BackendPool()
+    for _ in range(instances):
+        backend.add_instance(CloudInstance(engine, instance_type), level)
+    accelerator = SDNAccelerator(engine, backend)
+
+    bounds = np.concatenate(([0], np.cumsum(burst_sizes))).tolist()
+    arrival_ms = np.repeat(np.arange(len(burst_sizes)) * burst_gap_ms, burst_sizes)
+    count = arrival_ms.size
+    hours_of_day = arrival_ms / MILLISECONDS_PER_HOUR
+    channel = CommunicationChannel(rng=rng)
+    work_units = task.sample_work_units_many(rng, count)
+    t1_ms = channel.sample_t1_many(hours_of_day)
+    t2_ms = channel.sample_t2_many(hours_of_day)
+    jitter_z = rng.standard_normal(count)
+    routing_ms = draw_routing_overhead_ms(rng, count)
+
+    def _submit_burst(first: int, end: int) -> None:
+        for index in range(first, end):
+            accelerator.submit_planned(
+                user_id=index - first,
+                acceleration_group=level,
+                work_units=float(work_units[index]),
+                t1_ms=float(t1_ms[index]),
+                t2_ms=float(t2_ms[index]),
+                routing_ms=float(routing_ms[index]),
+                jitter_z=float(jitter_z[index]),
+                task_name=task.name,
+            )
+
+    for burst in range(len(burst_sizes)):
+        engine.schedule_at(
+            burst * burst_gap_ms,
+            functools.partial(_submit_burst, bounds[burst], bounds[burst + 1]),
+            label=f"burst{burst}",
+        )
+    engine.run()
+    accelerator.delivery_buffer.flush(math.inf)
+    return accelerator.records, routing_ms
+
+
 def run_fig7_decomposition(
     *,
     seed: int = 0,
@@ -113,32 +184,16 @@ def run_fig7_decomposition(
 
     component_means: Dict[int, Dict[str, float]] = {}
     for level, type_name in sorted(level_types.items()):
-        engine = SimulationEngine()
-        rng = streams.stream(f"fig7-{type_name}")
-        backend = BackendPool()
-        for _ in range(instances_per_level.get(level, 1)):
-            backend.add_instance(CloudInstance(engine, catalog.get(type_name), rng=rng), level)
-        accelerator = SDNAccelerator(
-            engine,
-            backend,
-            channel=CommunicationChannel(rng=rng),
-            rng=rng,
+        records, _ = run_bursts(
+            instance_type=catalog.get(type_name),
+            instances=instances_per_level.get(level, 1),
+            level=level,
+            task=task,
+            rng=streams.stream(f"fig7-{type_name}"),
+            burst_sizes=[concurrent_users] * rounds,
+            burst_gap_ms=round_gap_ms,
         )
-        for round_index in range(rounds):
-            start = round_index * round_gap_ms
-
-            def _submit_round(start_ms: float = start, level: int = level) -> None:
-                for user_id in range(concurrent_users):
-                    accelerator.submit(
-                        user_id=user_id,
-                        acceleration_group=level,
-                        work_units=task.sample_work_units(rng),
-                        task_name=task.name,
-                    )
-
-            engine.schedule_at(start, _submit_round, label=f"fig7:round{round_index}")
-        engine.run()
-        breakdowns = [record.breakdown for record in accelerator.records if record.success]
+        breakdowns = [record.breakdown for record in records if record.success]
         if not breakdowns:
             raise RuntimeError(f"no successful requests for level {level}")
         component_means[level] = {

@@ -124,10 +124,7 @@ def run_fig8_saturation(
         # independent measurements (the paper's server also drains between
         # configurations thanks to the cool-down interval).
         engine = SimulationEngine()
-        rng = streams.stream(f"fig8-{instance_type_name}-{rate}")
-        instance = CloudInstance(
-            engine, instance_type, rng=rng, admission_limit=admission_limit
-        )
+        instance = CloudInstance(engine, instance_type, admission_limit=admission_limit)
         response_times: List[float] = []
         dropped = 0
 
@@ -136,11 +133,14 @@ def run_fig8_saturation(
 
         arrivals = int(min(rate * step_duration_s, max_requests_per_step))
         gap_ms = 1000.0 / rate
+        # One service-jitter draw per arrival, admitted or not.
+        rng = streams.stream(f"fig8-{instance_type_name}-{rate}")
+        jitter_z = rng.standard_normal(arrivals)
         for index in range(arrivals):
 
-            def _submit() -> None:
+            def _submit(z: float = float(jitter_z[index])) -> None:
                 nonlocal dropped
-                outcome = instance.submit(work_units, _on_complete)
+                outcome = instance.submit(work_units, _on_complete, z)
                 if outcome is not None:
                     dropped += 1
 

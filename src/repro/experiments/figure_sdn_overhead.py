@@ -14,13 +14,9 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.cloud.backend import BackendPool
 from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog
-from repro.cloud.server import CloudInstance
-from repro.experiments.figure_decomposition import DEFAULT_LEVEL_TYPES
+from repro.experiments.figure_decomposition import DEFAULT_LEVEL_TYPES, run_bursts
 from repro.mobile.tasks import DEFAULT_TASK_POOL
-from repro.sdn.accelerator import SDNAccelerator
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
 
 
@@ -72,34 +68,21 @@ def run_fig8a_sdn_overhead(
     streams = RandomStreams(seed)
     task = DEFAULT_TASK_POOL.get(task_name)
 
+    # Bursts of `concurrent_users`, spaced so the instance drains between them.
+    full_bursts, remainder = divmod(requests_per_group, concurrent_users)
+    burst_sizes = [concurrent_users] * full_bursts + ([remainder] if remainder else [])
     routing_samples: Dict[int, List[float]] = {}
     for level, type_name in sorted(level_types.items()):
-        engine = SimulationEngine()
-        rng = streams.stream(f"fig8a-{type_name}")
-        backend = BackendPool()
-        backend.add_instance(CloudInstance(engine, catalog.get(type_name), rng=rng), level)
-        accelerator = SDNAccelerator(engine, backend, rng=rng)
-        # Submit the requests in bursts of `concurrent_users`, spaced so the
-        # instance drains between bursts.
-        burst_count = int(np.ceil(requests_per_group / concurrent_users))
-        submitted = 0
-        for burst in range(burst_count):
-            remaining = min(concurrent_users, requests_per_group - submitted)
-            submitted += remaining
-            start = burst * 5_000.0
-
-            def _submit(count: int = remaining, level: int = level) -> None:
-                for user_id in range(count):
-                    accelerator.submit(
-                        user_id=user_id,
-                        acceleration_group=level,
-                        work_units=task.sample_work_units(rng),
-                        task_name=task.name,
-                    )
-
-            engine.schedule_at(start, _submit, label=f"fig8a:burst{burst}")
-        engine.run()
-        routing_samples[level] = list(accelerator.per_group_routing.get(level, []))
+        _, routing_ms = run_bursts(
+            instance_type=catalog.get(type_name),
+            instances=1,
+            level=level,
+            task=task,
+            rng=streams.stream(f"fig8a-{type_name}"),
+            burst_sizes=burst_sizes,
+            burst_gap_ms=5_000.0,
+        )
+        routing_samples[level] = routing_ms.tolist()
     all_samples = [sample for samples in routing_samples.values() for sample in samples]
     return SdnOverheadResult(
         routing_samples_ms=routing_samples,

@@ -197,14 +197,12 @@ def build_site_runtime(
 ) -> SiteRuntime:
     """Assemble one site's stack from its spec.
 
-    The site draws from the named streams ``<stream_prefix>cloud``, ``-sdn``
-    and ``-network``; ``metric_prefix`` names its telemetry.
+    The site's channel draws from the named stream
+    ``<stream_prefix>network``; ``metric_prefix`` names its telemetry.
     """
     from repro.scenarios.runner import build_channel  # local: avoids module cycle
 
     slot_ms = scenario.slot_length_ms
-    rng_cloud = streams.stream(f"{stream_prefix}cloud")
-    rng_sdn = streams.stream(f"{stream_prefix}sdn")
     rng_network = streams.stream(f"{stream_prefix}network")
 
     catalog = build_site_catalog(site)
@@ -213,7 +211,6 @@ def build_site_runtime(
         engine,
         catalog,
         instance_cap=site.cloud.instance_cap,
-        rng=rng_cloud,
         boot_delay_ms=site.cloud.boot_delay_ms,
     )
     level_for_type = {name: group for group, name in site.cloud.group_types.items()}
@@ -251,13 +248,7 @@ def build_site_runtime(
         routing_policy = (
             RoundRobinRouting() if scenario.policy.routing == "round-robin" else None
         )
-        accelerator = SDNAccelerator(
-            engine,
-            backend,
-            channel=channel,
-            rng=rng_sdn,
-            routing_policy=routing_policy,
-        )
+        accelerator = SDNAccelerator(engine, backend, routing_policy=routing_policy)
     return SiteRuntime(
         index=index,
         spec=site,
@@ -359,9 +350,8 @@ def build_federation(
     A spec without ``sites:`` runs as an implicit one-site federation,
     derived from the spec rather than configured (and never written back
     into it, so ``spec_hash`` is unchanged): the site takes the scenario's
-    cloud and network, has no WAN RTT and no outages, and draws from the
-    single-site stream names ``scenario-cloud``, ``scenario-sdn`` and
-    ``scenario-network``.
+    cloud and network, has no WAN RTT and no outages, and its channel draws
+    from the single-site stream name ``scenario-network``.
     """
     implicit = scenario.sites is None
     if implicit:

@@ -350,12 +350,12 @@ def execute_event_multisite(
     accelerators = [site.accelerator for site in federation]
     requested_groups: List[List[int]] = [[] for _ in federation]
 
-    # Fused delivery: one shared buffer across every site accelerator, so
-    # deliveries retain their global (time, issue-order) sequence even when
-    # per-user moderators span sites.  Drained strictly-before-now at each
-    # submission and slot boundary (the points where delivery effects become
-    # observable) — see DeliveryBuffer for why the ordering is identical to
-    # the event-per-delivery path.
+    # One delivery buffer shared by every site accelerator, so deliveries keep
+    # one global (time, push-order) sequence even when per-user moderators
+    # span sites.  It is drained at each submission and slot boundary (the
+    # points where delivery effects become observable), delivering only
+    # results strictly before now: a result due at the same instant as a
+    # submission or boundary is delivered after it.
     buffer = DeliveryBuffer()
     for site in federation:
         site.accelerator.delivery_buffer = buffer

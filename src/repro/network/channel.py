@@ -10,9 +10,9 @@ small and stable), and ``T_cloud`` is the code execution time on the instance.
 The paper assumes the forward and return legs of each hop are symmetric
 because the channel stays open for the duration of the operation.
 
-:class:`CommunicationChannel` samples the two hops; the SDN front-end adds its
-own routing overhead (≈150 ms, Fig. 8a) which is accounted separately by
-:class:`~repro.sdn.accelerator.SDNAccelerator`.
+:class:`CommunicationChannel` samples the two hops in bulk; the SDN front-end's
+routing overhead (≈150 ms, Fig. 8a) is drawn separately by
+:func:`~repro.sdn.accelerator.draw_routing_overhead_ms`.
 """
 
 from __future__ import annotations
@@ -73,56 +73,10 @@ class CommunicationChannel:
         )
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def sample_t1_ms(self, hour_of_day: float = 12.0) -> float:
-        """Round trip mobile → front-end → mobile (both legs)."""
-        one_way = self.access_model.sample_rtt_ms(self._rng, hour_of_day) / 2.0
-        return 2.0 * one_way
-
-    def sample_t2_ms(self, hour_of_day: float = 12.0) -> float:
-        """Round trip front-end → back-end → front-end (both legs)."""
-        one_way = self.intra_cloud_model.sample_rtt_ms(self._rng, hour_of_day) / 2.0
-        return 2.0 * one_way
-
-    def _sample_many(self, model: LatencyModel, hours_of_day: np.ndarray) -> np.ndarray:
-        sampler = getattr(model, "sample_many_at", None)
-        if sampler is not None:
-            samples = sampler(self._rng, hours_of_day)
-        else:
-            samples = np.asarray(
-                [model.sample_rtt_ms(self._rng, float(hour)) for hour in hours_of_day],
-                dtype=float,
-            )
-        return 2.0 * (samples / 2.0)
-
     def sample_t1_many(self, hours_of_day: np.ndarray) -> np.ndarray:
-        """Bulk :meth:`sample_t1_ms`: one RTT per entry of ``hours_of_day``.
-
-        Models with a vectorised ``sample_many_at`` (the log-normal and
-        constant models) are sampled in one RNG call; anything else falls
-        back to scalar sampling per request.
-        """
-        return self._sample_many(self.access_model, np.asarray(hours_of_day, dtype=float))
+        """Round trip mobile → front-end → mobile, one per ``hours_of_day`` entry."""
+        return self.access_model.sample_many_at(self._rng, hours_of_day)
 
     def sample_t2_many(self, hours_of_day: np.ndarray) -> np.ndarray:
-        """Bulk :meth:`sample_t2_ms` over the intra-cloud hop."""
-        return self._sample_many(
-            self.intra_cloud_model, np.asarray(hours_of_day, dtype=float)
-        )
-
-    def breakdown(
-        self,
-        cloud_ms: float,
-        routing_ms: float = 0.0,
-        hour_of_day: float = 12.0,
-    ) -> ResponseTimeBreakdown:
-        """Assemble a full response-time breakdown around a cloud execution time."""
-        if cloud_ms < 0:
-            raise ValueError(f"cloud_ms must be >= 0, got {cloud_ms}")
-        if routing_ms < 0:
-            raise ValueError(f"routing_ms must be >= 0, got {routing_ms}")
-        return ResponseTimeBreakdown(
-            t1_ms=self.sample_t1_ms(hour_of_day),
-            t2_ms=self.sample_t2_ms(hour_of_day),
-            routing_ms=routing_ms,
-            cloud_ms=cloud_ms,
-        )
+        """Round trip front-end → back-end → front-end, one per entry."""
+        return self.intra_cloud_model.sample_many_at(self._rng, hours_of_day)

@@ -25,6 +25,12 @@ class LatencyModel(Protocol):
         """Draw one RTT sample, optionally conditioned on the hour of day."""
         ...
 
+    def sample_many_at(
+        self, rng: np.random.Generator, hours_of_day: np.ndarray
+    ) -> np.ndarray:
+        """Draw one RTT sample per entry of ``hours_of_day``."""
+        ...
+
     def mean_rtt_ms(self) -> float:
         """Long-run mean RTT of the model."""
         ...

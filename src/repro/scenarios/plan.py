@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mobile.tasks import OffloadableTask
+from repro.sdn.accelerator import draw_routing_overhead_ms
 from repro.workload.arrival import ArrivalProcess
 
 
@@ -91,14 +92,13 @@ def build_request_plan(
     rng_workload: np.random.Generator,
     rng_routing: np.random.Generator,
     rng_jitter: np.random.Generator,
-    routing_overhead_mean_ms: float = 150.0,
-    routing_overhead_std_ms: float = 25.0,
 ) -> RequestPlan:
     """Draw one scenario's complete request plan in bulk.
 
     Stream discipline mirrors the event loop's draw order: the workload
     stream yields arrival gaps, then user assignments, then work units; the
-    SDN stream yields the routing overheads; a dedicated jitter stream
+    SDN stream yields the routing overheads
+    (:func:`~repro.sdn.accelerator.draw_routing_overhead_ms`); a dedicated jitter stream
     yields the service-time draws.
 
     T1/T2 stay zero-filled: the runner samples the network per serving site
@@ -113,15 +113,7 @@ def build_request_plan(
     count = arrivals.size
     user_ids = rng_workload.integers(0, users, size=count)
     work = task.sample_work_units_many(rng_workload, count)
-    if routing_overhead_std_ms == 0:
-        routing = np.full(count, routing_overhead_mean_ms)
-    else:
-        routing = np.maximum(
-            rng_routing.normal(
-                routing_overhead_mean_ms, routing_overhead_std_ms, size=count
-            ),
-            1.0,
-        )
+    routing = draw_routing_overhead_ms(rng_routing, count)
     jitter_z = rng_jitter.standard_normal(count)
     return RequestPlan(
         arrival_ms=arrivals,

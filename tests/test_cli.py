@@ -64,6 +64,21 @@ class TestExecution:
         assert "success_rate_pct" in output
         assert "stable user" in output
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--users", "0"],
+            ["--hours", "0"],
+            ["--users", "10", "--requests", "5"],
+        ],
+        ids=["no-users", "no-hours", "requests-below-users"],
+    )
+    def test_dynamic_bad_input_exits_2_without_traceback(self, capsys, options):
+        assert main(["dynamic", *options]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_export_writes_csv_files(self, tmp_path, capsys):
         assert main(["export", "--output-dir", str(tmp_path), "--samples", "40"]) == 0
         written = sorted(path.name for path in tmp_path.glob("*.csv"))

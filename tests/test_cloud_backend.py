@@ -80,7 +80,7 @@ class TestRoutingHelpers:
         idle = make_instance(engine, "t2.nano")
         pool.add_instance(busy, 1)
         pool.add_instance(idle, 1)
-        busy.submit(1000.0, lambda o: None)
+        busy.submit(1000.0, lambda o: None, 0.0)
         assert pool.select_instance(1) is idle
 
     def test_select_missing_level_raises(self, pool):
@@ -90,7 +90,7 @@ class TestRoutingHelpers:
 
     def test_dispatch_runs_request(self, engine, pool):
         outcomes = []
-        assert pool.dispatch(1, 200.0, outcomes.append) is None
+        assert pool.dispatch(1, 200.0, outcomes.append, jitter_z=0.0) is None
         engine.run()
         assert len(outcomes) == 1
         assert outcomes[0].accepted
@@ -98,15 +98,19 @@ class TestRoutingHelpers:
     def test_dispatch_reports_drop(self, engine):
         pool = BackendPool()
         pool.add_instance(make_instance(engine, "t2.nano", admission_limit=1), 1)
-        assert pool.dispatch(1, 100.0, lambda o: None) is None
-        dropped = pool.dispatch(1, 100.0, lambda o: None)
+        assert pool.dispatch(1, 100.0, lambda o: None, jitter_z=0.0) is None
+        dropped = pool.dispatch(1, 100.0, lambda o: None, jitter_z=0.0)
         assert dropped is not None and not dropped.accepted
+
+    def test_dispatch_requires_jitter_draw(self, pool):
+        with pytest.raises(TypeError):
+            pool.dispatch(1, 100.0, lambda o: None)
 
     def test_group_load_and_drop_counts(self, engine):
         pool = BackendPool()
         pool.add_instance(make_instance(engine, "t2.nano", admission_limit=1), 1)
-        pool.dispatch(1, 100.0, lambda o: None)
-        pool.dispatch(1, 100.0, lambda o: None)
+        pool.dispatch(1, 100.0, lambda o: None, jitter_z=0.0)
+        pool.dispatch(1, 100.0, lambda o: None, jitter_z=0.0)
         assert pool.group_load() == {1: 1}
         assert pool.drop_counts() == {1: 1}
 

@@ -14,7 +14,7 @@ class TestSubmission:
     def test_single_request_completes_with_execution_time(self, engine):
         instance = make_instance(engine)
         outcomes = []
-        assert instance.submit(300.0, outcomes.append) is None
+        assert instance.submit(300.0, outcomes.append, 0.0) is None
         engine.run()
         assert len(outcomes) == 1
         outcome = outcomes[0]
@@ -23,27 +23,28 @@ class TestSubmission:
         # 300 work units at speed 1.0 plus the 5 ms base overhead.
         assert outcome.execution_time_ms == pytest.approx(305.0, rel=0.01)
 
-    def test_jitter_changes_execution_time_but_not_determinism(self, rng, streams):
+    def test_jitter_changes_execution_time_but_not_determinism(self, streams):
         from repro.simulation.engine import SimulationEngine
 
-        def run(seed_stream):
+        def run(jitter):
             engine = SimulationEngine()
-            instance = make_instance(engine, rng=seed_stream)
+            instance = make_instance(engine)
             results = []
-            for _ in range(5):
-                instance.submit(300.0, lambda o: results.append(o.execution_time_ms))
+            for z in jitter:
+                instance.submit(300.0, lambda o: results.append(o.execution_time_ms), float(z))
             engine.run()
             return results
 
-        a = run(streams.spawn("a").stream("x"))
-        b = run(streams.spawn("a").stream("x"))
+        a = run(streams.spawn("a").stream("x").standard_normal(5))
+        b = run(streams.spawn("a").stream("x").standard_normal(5))
         assert a == b
+        assert a != run([0.0] * 5)
 
     def test_concurrent_requests_slow_each_other_down(self, engine):
         instance = make_instance(engine, type_name="t2.nano")
         outcomes = []
         for _ in range(9):  # 9 jobs on 3 effective cores -> 3x slowdown
-            instance.submit(300.0, outcomes.append)
+            instance.submit(300.0, outcomes.append, 0.0)
         engine.run()
         assert len(outcomes) == 9
         assert all(o.execution_time_ms > 600.0 for o in outcomes)
@@ -52,7 +53,7 @@ class TestSubmission:
         instance = make_instance(engine, admission_limit=2)
         accepted, rejected = [], []
         for _ in range(4):
-            outcome = instance.submit(500.0, accepted.append)
+            outcome = instance.submit(500.0, accepted.append, 0.0)
             if outcome is not None:
                 rejected.append(outcome)
         assert len(rejected) == 2
@@ -64,20 +65,24 @@ class TestSubmission:
     def test_invalid_work_rejected(self, engine):
         instance = make_instance(engine)
         with pytest.raises(ValueError):
-            instance.submit(-1.0, lambda o: None)
+            instance.submit(-1.0, lambda o: None, 0.0)
+
+    def test_jitter_draw_is_required(self, engine):
+        with pytest.raises(TypeError):
+            make_instance(engine).submit(10.0, lambda o: None)
 
     def test_submit_after_terminate_raises(self, engine):
         instance = make_instance(engine)
         instance.terminate()
         with pytest.raises(RuntimeError):
-            instance.submit(10.0, lambda o: None)
+            instance.submit(10.0, lambda o: None, 0.0)
 
 
 class TestAccounting:
     def test_counters_track_accept_drop_complete(self, engine):
         instance = make_instance(engine, admission_limit=3)
         for _ in range(5):
-            instance.submit(100.0, lambda o: None)
+            instance.submit(100.0, lambda o: None, 0.0)
         engine.run()
         assert instance.accepted_requests == 3
         assert instance.dropped_requests == 2
@@ -87,7 +92,7 @@ class TestAccounting:
     def test_utilization(self, engine):
         instance = make_instance(engine, admission_limit=10)
         for _ in range(5):
-            instance.submit(1000.0, lambda o: None)
+            instance.submit(1000.0, lambda o: None, 0.0)
         assert instance.utilization() == pytest.approx(0.5)
         engine.run()
         assert instance.utilization() == 0.0
@@ -96,8 +101,8 @@ class TestAccounting:
         nano_times, big_times = [], []
         nano = make_instance(engine, "t2.nano")
         big = make_instance(engine, "m4.10xlarge")
-        nano.submit(1000.0, lambda o: nano_times.append(o.execution_time_ms))
-        big.submit(1000.0, lambda o: big_times.append(o.execution_time_ms))
+        nano.submit(1000.0, lambda o: nano_times.append(o.execution_time_ms), 0.0)
+        big.submit(1000.0, lambda o: big_times.append(o.execution_time_ms), 0.0)
         engine.run()
         assert big_times[0] < nano_times[0]
         assert nano_times[0] / big_times[0] == pytest.approx(1.73, rel=0.05)

@@ -6,6 +6,8 @@ groups, run workloads through the SDN front-end and let the autoscaler follow
 the load — and check the cross-module invariants.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from repro.core.allocation import AllocationProblem, IlpAllocator, build_options
 from repro.core.model import AdaptiveModel
 from repro.core.timeslots import TimeSlotHistory
 from repro.mobile.tasks import DEFAULT_TASK_POOL
-from repro.sdn.accelerator import SDNAccelerator
+from repro.network.channel import CommunicationChannel
+from repro.sdn.accelerator import SDNAccelerator, draw_routing_overhead_ms
 from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
 from repro.simulation.engine import SimulationEngine
@@ -84,62 +87,87 @@ class TestFullSystemSmallRun:
         )
         model = AdaptiveModel(options, instance_cap=10)
         trace_log = TraceLog()
-        accelerator = SDNAccelerator(engine, backend, trace_log=trace_log, rng=streams.stream("sdn"))
+        accelerator = SDNAccelerator(engine, backend, trace_log=trace_log)
         autoscaler = Autoscaler(model, provisioner, backend, minimum_per_group=1)
 
+        count = 200
         rng = streams.stream("workload")
-        half_hour = MILLISECONDS_PER_HOUR / 2.0
-        for index in range(200):
-            arrival = float(rng.uniform(0, 2 * MILLISECONDS_PER_HOUR))
+        arrivals = rng.uniform(0, 2 * MILLISECONDS_PER_HOUR, size=count)
+        work = task.sample_work_units_many(rng, count)
+        channel = CommunicationChannel(rng=streams.stream("network"))
+        hours_of_day = arrivals / MILLISECONDS_PER_HOUR
+        t1 = channel.sample_t1_many(hours_of_day)
+        t2 = channel.sample_t2_many(hours_of_day)
+        routing = draw_routing_overhead_ms(streams.stream("sdn"), count)
+        jitter = streams.stream("jitter").standard_normal(count)
+        for index in range(count):
             group = 1 if index % 3 else 2
 
-            def _submit(arrival=arrival, group=group, index=index):
-                accelerator.submit(
+            def _submit(group=group, index=index):
+                accelerator.submit_planned(
                     user_id=index % 40,
                     acceleration_group=group,
-                    work_units=task.sample_work_units(rng),
+                    work_units=float(work[index]),
+                    t1_ms=float(t1[index]),
+                    t2_ms=float(t2[index]),
+                    routing_ms=float(routing[index]),
+                    jitter_z=float(jitter[index]),
                     task_name=task.name,
                 )
 
-            engine.schedule_at(arrival, _submit)
-        for hour in (1, 2):
-            engine.schedule_at(
-                hour * MILLISECONDS_PER_HOUR,
-                lambda hour=hour: autoscaler.run_period_end(
-                    trace_log, (hour - 1) * MILLISECONDS_PER_HOUR, hour * MILLISECONDS_PER_HOUR
-                ),
+            engine.schedule_at(float(arrivals[index]), _submit)
+
+        def _period_end(hour):
+            accelerator.delivery_buffer.drain_until(engine.now_ms)
+            autoscaler.run_period_end(
+                trace_log, (hour - 1) * MILLISECONDS_PER_HOUR, hour * MILLISECONDS_PER_HOUR
             )
-        engine.run(until_ms=2 * MILLISECONDS_PER_HOUR + 60_000.0)
+
+        for hour in (1, 2):
+            engine.schedule_at(hour * MILLISECONDS_PER_HOUR, lambda hour=hour: _period_end(hour))
+        horizon_ms = 2 * MILLISECONDS_PER_HOUR + 60_000.0
+        engine.run(until_ms=horizon_ms)
+        accelerator.delivery_buffer.flush(horizon_ms)
 
         # Every submitted request was processed and logged.
-        assert accelerator.processed_requests == 200
+        records = accelerator.records
+        assert len(records) == 200
         assert len(trace_log) == 200
-        assert accelerator.success_rate() > 0.95
+        assert sum(record.success for record in records) / len(records) > 0.95
         # The autoscaler ran twice and the account cap was respected throughout.
         assert len(autoscaler.actions) == 2
         assert provisioner.running_count <= 10
         # The trace log slots into exactly the history the model consumed.
         assert len(model.history) == 2
         # Requests routed to group 2 ran faster on average than group 1.
-        by_group = accelerator.response_times_by_group()
+        by_group = {1: [], 2: []}
+        for record in records:
+            if record.success:
+                by_group[record.acceleration_group].append(record.response_time_ms)
         assert np.mean(by_group[2]) < np.mean(by_group[1])
 
     def test_trace_log_round_trips_into_model_history(self, tmp_path):
         """Traces written by the front-end can be reloaded and re-slotted."""
-        streams = RandomStreams(3)
         engine = SimulationEngine()
         backend = BackendPool()
         backend.add_instance(CloudInstance(engine, DEFAULT_CATALOG.get("t2.nano")), 1)
         trace_log = TraceLog()
-        accelerator = SDNAccelerator(engine, backend, trace_log=trace_log, rng=streams.stream("sdn"))
+        accelerator = SDNAccelerator(engine, backend, trace_log=trace_log)
         for index in range(50):
             engine.schedule_at(
                 index * 30_000.0,
-                lambda index=index: accelerator.submit(
-                    user_id=index % 7, acceleration_group=1, work_units=200.0
+                lambda index=index: accelerator.submit_planned(
+                    user_id=index % 7,
+                    acceleration_group=1,
+                    work_units=200.0,
+                    t1_ms=40.0,
+                    t2_ms=10.0,
+                    routing_ms=150.0,
+                    jitter_z=0.0,
                 ),
             )
         engine.run()
+        accelerator.delivery_buffer.flush(math.inf)
         path = trace_log.to_csv(tmp_path / "log.csv")
         reloaded = TraceLog.from_csv(path)
         history = TimeSlotHistory.from_trace_log(reloaded, groups=[1])

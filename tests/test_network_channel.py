@@ -28,36 +28,20 @@ class TestCommunicationChannel:
             intra_cloud_model=ConstantLatencyModel(10.0),
             rng=rng,
         )
-        assert channel.sample_t1_ms() == pytest.approx(40.0)
-        assert channel.sample_t2_ms() == pytest.approx(10.0)
-
-    def test_breakdown_assembles_all_parts(self, rng):
-        channel = CommunicationChannel(
-            access_model=ConstantLatencyModel(40.0),
-            intra_cloud_model=ConstantLatencyModel(10.0),
-            rng=rng,
-        )
-        breakdown = channel.breakdown(cloud_ms=1000.0, routing_ms=150.0)
-        assert breakdown.t1_ms == 40.0
-        assert breakdown.t2_ms == 10.0
-        assert breakdown.total_ms == pytest.approx(1200.0)
-
-    def test_breakdown_rejects_negative_components(self, rng):
-        channel = CommunicationChannel(rng=rng)
-        with pytest.raises(ValueError):
-            channel.breakdown(cloud_ms=-1.0)
-        with pytest.raises(ValueError):
-            channel.breakdown(cloud_ms=1.0, routing_ms=-1.0)
+        hours = np.asarray([0.0, 12.0, 20.0])
+        assert channel.sample_t1_many(hours).tolist() == [40.0, 40.0, 40.0]
+        assert channel.sample_t2_many(hours).tolist() == [10.0, 10.0, 10.0]
 
     def test_default_channel_keeps_communication_under_a_second(self, rng):
         """The paper observes T1 + T2 well under one second over LTE."""
         channel = CommunicationChannel(rng=rng)
-        totals = [channel.sample_t1_ms() + channel.sample_t2_ms() for _ in range(500)]
+        hours = np.full(500, 12.0)
+        totals = channel.sample_t1_many(hours) + channel.sample_t2_many(hours)
         assert np.mean(totals) < 1000.0
 
     def test_intra_cloud_latency_is_small_and_stable(self, rng):
         """T2 comes from the cloud's private network: small mean, small spread."""
         channel = CommunicationChannel(rng=rng)
-        samples = [channel.sample_t2_ms() for _ in range(500)]
+        samples = channel.sample_t2_many(np.full(500, 12.0))
         assert np.mean(samples) < 30.0
         assert np.std(samples) < np.mean(samples)
