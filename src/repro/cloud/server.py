@@ -82,7 +82,6 @@ class CloudInstance:
             engine,
             service_rate_per_core=profile.speed_factor,
             cores=profile.service_lanes,
-            max_concurrency=None,
             name=self.instance_id,
         )
         self.admission_limit = admission_limit

@@ -287,6 +287,62 @@ def run_slot_brokering(
 # ---------------------------------------------------------------------------
 
 
+class _PumpColumns:
+    """The plan columns the arrival pump reads, as Python scalars by chunk.
+
+    One ``tolist`` per column and chunk replaces a numpy scalar index plus
+    ``float``/``int`` cast per request and column; the values are the same.
+    Memory stays at one chunk, whatever the plan size.  The slot-boundary
+    broker and fault plane rewrite the site, fault verdict, T1/T2 and routing
+    of their window ``[i0, i1)`` before its first arrival, so the executor
+    calls :meth:`invalidate` after every brokering step, which drops the
+    loaded chunk.  Chunks loaded after it stop at ``i1``: the next brokering
+    step would drop anything beyond.
+    """
+
+    CHUNK = 4096
+
+    def __init__(self, plan: RequestPlan, site_ids: np.ndarray, fault_outcome) -> None:
+        self._plan = plan
+        self._site_ids = site_ids
+        self._fault_outcome = fault_outcome
+        self._count = len(plan)
+        self._limit = self._count
+        self.start = 0
+        self.end = 0
+        self.columns: tuple = ()
+
+    def invalidate(self, window_end: int) -> None:
+        """Drop the loaded chunk; later chunks stop at ``window_end``."""
+        self.end = 0
+        self._limit = window_end
+
+    def load(self, index: int) -> None:
+        """Load the chunk starting at request ``index``.
+
+        ``columns`` holds arrival (one entry past the chunk, for the next
+        arrival), user, site, fault verdict (``None`` without faults), work,
+        T1, T2, routing and jitter.
+        """
+        limit = self._limit if index < self._limit else self._count
+        end = min(index + self.CHUNK, limit)
+        plan = self._plan
+        window = slice(index, end)
+        outcome = self._fault_outcome
+        self.start, self.end = index, end
+        self.columns = (
+            plan.arrival_ms[index : end + 1].tolist(),
+            plan.user_ids[window].tolist(),
+            self._site_ids[window].tolist(),
+            None if outcome is None else outcome[window].tolist(),
+            plan.work_units[window].tolist(),
+            plan.t1_ms[window].tolist(),
+            plan.t2_ms[window].tolist(),
+            plan.routing_ms[window].tolist(),
+            plan.jitter_z[window].tolist(),
+        )
+
+
 def execute_event_multisite(
     *,
     spec: ScenarioSpec,
@@ -344,9 +400,8 @@ def execute_event_multisite(
         return callback
 
     task_name = task.name
-    site_ids = slot_broker.site_ids
-    arrivals = plan.arrival_ms
     count = len(plan)
+    pump = _PumpColumns(plan, slot_broker.site_ids, fault_outcome)
     accelerators = [site.accelerator for site in federation]
     requested_groups: List[List[int]] = [[] for _ in federation]
 
@@ -381,7 +436,7 @@ def execute_event_multisite(
                 slot_index: int = period - 1,
             ) -> None:
                 drain(engine.now_ms)
-                run_slot_brokering(
+                _, window_end = run_slot_brokering(
                     slot_broker,
                     plan=plan,
                     federation=federation,
@@ -401,6 +456,7 @@ def execute_event_multisite(
                     slot_index=slot_index,
                     fault_plane=fault_plane,
                 )
+                pump.invalidate(window_end)
 
             engine.schedule_at(
                 period_start, _broker, label=f"multisite:broker-{period}", front=True
@@ -438,25 +494,29 @@ def execute_event_multisite(
     def _submit(index: int) -> None:
         nonlocal unrouted
         drain(engine.now_ms)
+        if index >= pump.end:
+            pump.load(index)
+        offset = index - pump.start
+        arrival, user, site, verdict, work, t1, t2, routing, jitter = pump.columns
         next_index = index + 1
         if next_index < count:
             engine.schedule_at(
-                float(arrivals[next_index]),
+                arrival[offset + 1],
                 functools.partial(_submit, next_index),
                 label="scenario:request",
                 front=True,
             )
-        user_id = int(plan.user_ids[index])
+        user_id = user[offset]
         device = devices[user_id]
         device.requests_sent += 1
-        site_index = int(site_ids[index])
+        site_index = site[offset]
         if site_index == UNROUTED:
             # Federation-wide outage: the broker rejects the request
             # immediately; no site ever sees it.
             unrouted += 1
             device.record_failure()
             return
-        if fault_outcome is not None and fault_outcome[index] != OUTCOME_OK:
+        if verdict is not None and verdict[offset] != OUTCOME_OK:
             # Degraded-local / fault-dropped: never dispatches; the verdict
             # is tallied at fold time, from the overlay.
             return
@@ -469,11 +529,11 @@ def execute_event_multisite(
         accelerators[site_index].submit_planned(
             user_id=user_id,
             acceleration_group=requested_group,
-            work_units=float(plan.work_units[index]),
-            t1_ms=float(plan.t1_ms[index]),
-            t2_ms=float(plan.t2_ms[index]),
-            routing_ms=float(plan.routing_ms[index]),
-            jitter_z=float(plan.jitter_z[index]),
+            work_units=work[offset],
+            t1_ms=t1[offset],
+            t2_ms=t2[offset],
+            routing_ms=routing[offset],
+            jitter_z=jitter[offset],
             task_name=task_name,
             battery_level=device.battery.level,
             on_complete=_completion_for(user_id),
@@ -482,7 +542,7 @@ def execute_event_multisite(
     with telemetry.span("scenario.schedule"):
         if count:
             engine.schedule_at(
-                float(arrivals[0]),
+                float(plan.arrival_ms[0]),
                 functools.partial(_submit, 0),
                 label="scenario:request",
                 front=True,

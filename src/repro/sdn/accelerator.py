@@ -220,7 +220,7 @@ class SDNAccelerator:
 
         Returns the request id assigned by the front-end.
         """
-        if work_units <= 0:
+        if not work_units > 0:
             raise ValueError(f"work_units must be positive, got {work_units}")
         request_id = next(self._request_ids)
         arrival_ms = self.engine.now_ms

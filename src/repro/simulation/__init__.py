@@ -23,7 +23,7 @@ Design goals
 
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import Event, SimulationEngine
-from repro.simulation.queues import ProcessorSharingServer, ServerBusyError
+from repro.simulation.queues import ProcessorSharingServer
 from repro.simulation.randomness import RandomStreams
 from repro.simulation.stats import OnlineStatistics, TimeSeries, percentile_summary
 
@@ -32,7 +32,6 @@ __all__ = [
     "OnlineStatistics",
     "ProcessorSharingServer",
     "RandomStreams",
-    "ServerBusyError",
     "SimulationClock",
     "SimulationEngine",
     "TimeSeries",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,11 +27,10 @@ class Event:
     Events fire in ``(time_ms, sequence)`` order so that events scheduled for
     the same instant fire in the order they were scheduled (FIFO tie-break),
     which keeps runs deterministic.  The engine's heap holds plain
-    ``(time_ms, sequence, event)`` tuples rather than the events themselves:
-    heap sift comparisons then run as C-level tuple comparisons instead of a
-    generated Python ``__lt__``, which is worth ~20% of event-path wall time
-    on large scenarios.  ``__slots__`` keeps the per-event footprint small —
-    large scenarios allocate one event per request hop.
+    ``(time_ms, sequence, event)`` tuples rather than the events themselves,
+    so heap sift comparisons run as C-level tuple comparisons instead of a
+    generated Python ``__lt__``.  ``__slots__`` keeps the per-event footprint
+    small — large scenarios allocate one event per request hop.
     """
 
     time_ms: float
@@ -63,12 +63,11 @@ class SimulationEngine:
         self._processed_events = 0
         self._cancelled_pending = 0
         self._cancelled_total = 0
-        self._running = False
 
     @property
     def now_ms(self) -> float:
         """Current simulation time in milliseconds."""
-        return self.clock.now_ms
+        return self.clock._now_ms
 
     @property
     def processed_events(self) -> int:
@@ -112,29 +111,26 @@ class SimulationEngine:
         lazily: boundaries run first at any instant, then arrivals, then
         every run-time event.
         """
-        if time_ms < self.clock.now_ms:
+        now = self.clock._now_ms
+        # Inverted so that a NaN time (which compares False) is refused too.
+        if not time_ms >= now:
             raise ValueError(
-                f"cannot schedule event in the past: now={self.clock.now_ms} "
+                f"cannot schedule event in the past: now={now} "
                 f"requested={time_ms} label={label!r}"
             )
+        time_ms = float(time_ms)
         sequence = next(self._front_sequence) if front else next(self._sequence)
-        event = Event(
-            time_ms=float(time_ms),
-            sequence=sequence,
-            callback=callback,
-            label=label,
-            _owner=self,
-        )
-        heapq.heappush(self._queue, (event.time_ms, sequence, event))
+        event = Event(time_ms, sequence, callback, label, False, self)
+        heapq.heappush(self._queue, (time_ms, sequence, event))
         return event
 
     def schedule_after(self, delay_ms: float, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` after ``delay_ms`` simulated milliseconds."""
-        if delay_ms < 0:
+        if not delay_ms >= 0:
             raise ValueError(f"delay must be non-negative, got {delay_ms}")
-        return self.schedule_at(self.clock.now_ms + delay_ms, callback, label)
+        return self.schedule_at(self.clock._now_ms + delay_ms, callback, label)
 
-    def run(self, until_ms: Optional[float] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until_ms: Optional[float] = None) -> int:
         """Run the event loop.
 
         Parameters
@@ -144,36 +140,39 @@ class SimulationEngine:
             clock is advanced to ``until_ms`` when the horizon is reached so
             that time-based reporting covers the full interval.  ``None`` runs
             until the queue drains.
-        max_events:
-            Optional safety limit on the number of events to execute.
 
         Returns
         -------
         int
             The number of events executed by this call.
         """
+        queue = self._queue
+        heappop = heapq.heappop
+        clock = self.clock
+        horizon = math.inf if until_ms is None else until_ms
         executed = 0
-        self._running = True
         try:
-            while self._queue:
-                if max_events is not None and executed >= max_events:
+            while queue:
+                time_ms, _, event = queue[0]
+                if time_ms > horizon:
                     break
-                event = self._queue[0][2]
-                if until_ms is not None and event.time_ms > until_ms:
-                    break
-                heapq.heappop(self._queue)
+                heappop(queue)
                 event._owner = None  # late cancels must not skew the live count
                 if event.cancelled:
                     self._cancelled_pending -= 1
                     continue
-                self.clock.advance_to(event.time_ms)
+                if time_ms < clock._now_ms:
+                    raise ValueError(
+                        f"cannot move clock backwards: now={clock._now_ms} "
+                        f"requested={time_ms}"
+                    )
+                clock._now_ms = time_ms
                 event.callback()
                 executed += 1
-                self._processed_events += 1
         finally:
-            self._running = False
-        if until_ms is not None and until_ms > self.clock.now_ms:
-            self.clock.advance_to(until_ms)
+            self._processed_events += executed
+        if until_ms is not None and until_ms > clock._now_ms:
+            clock.advance_to(until_ms)
         return executed
 
     def __repr__(self) -> str:

@@ -108,6 +108,14 @@ class TestRequestFlow:
         with pytest.raises(ValueError):
             submit(accelerator, work_units=0.0)
 
+    def test_nan_work_rejected(self, engine):
+        backend = make_backend(engine, {1: "t2.nano"})
+        accelerator = SDNAccelerator(engine, backend)
+        with pytest.raises(ValueError, match="work_units must be positive"):
+            submit(accelerator, work_units=float("nan"))
+        assert engine.pending_events == 0
+        assert submit(accelerator, work_units=10.0) == 0
+
     def test_request_ids_increment(self, engine):
         backend = make_backend(engine, {1: "t2.nano"})
         accelerator = SDNAccelerator(engine, backend)

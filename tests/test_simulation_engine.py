@@ -87,12 +87,6 @@ class TestRun:
         engine.run()
         assert engine.pending_events == 0
 
-    def test_max_events_limit(self, engine):
-        for t in range(10):
-            engine.schedule_at(float(t), lambda: None)
-        assert engine.run(max_events=4) == 4
-        assert engine.pending_events == 6
-
     def test_processed_events_accumulates(self, engine):
         engine.schedule_at(1.0, lambda: None)
         engine.run()

@@ -125,15 +125,36 @@ class TestSchedulingFromCallbacks:
         assert engine.now_ms == 35.0  # clock advanced to the horizon
         assert engine.pending_events == 1  # the 40 ms tick stays queued
 
-    def test_max_events_stops_mid_cascade(self):
+    def test_processed_count_is_exact_when_a_callback_raises(self):
         engine = SimulationEngine()
-        count = []
 
-        def spawn():
-            count.append(engine.now_ms)
-            engine.schedule_after(1.0, spawn)
+        def boom():
+            raise RuntimeError("boom")
 
-        engine.schedule_at(0.0, spawn)
-        executed = engine.run(max_events=5)
-        assert executed == 5
-        assert len(count) == 5
+        engine.schedule_at(1.0, lambda: None)
+        engine.schedule_at(2.0, boom)
+        engine.schedule_at(3.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            engine.run()
+        # The raising event is not counted; the one before it is.
+        assert engine.processed_events == 1
+        assert engine.run() == 1
+        assert engine.processed_events == 2
+
+
+class TestNanTimes:
+    """NaN compares False with everything, so it must fail the time checks."""
+
+    def test_schedule_at_nan_is_refused(self):
+        engine = SimulationEngine()
+        with pytest.raises(ValueError, match="cannot schedule event in the past"):
+            engine.schedule_at(float("nan"), lambda: None)
+        assert engine.pending_events == 0
+        engine.run()
+        assert engine.now_ms == 0.0
+
+    def test_schedule_after_nan_is_refused(self):
+        engine = SimulationEngine()
+        with pytest.raises(ValueError, match="delay must be non-negative"):
+            engine.schedule_after(float("nan"), lambda: None)
+        assert engine.pending_events == 0
