@@ -13,15 +13,15 @@ benchmarked capacity in requests (users) per provisioning period, and ``CC``
 the cloud vendor's cap on simultaneously running instances (20 for a standard
 Amazon account).
 
-Two solvers are provided with identical interfaces:
+Solvers share one interface:
 
-* :class:`IlpAllocator` — exact optimisation via :func:`scipy.optimize.milp`
-  when available, with a pure-Python exact branch-and-bound fallback (per
-  acceleration group, since groups do not share instances the problem
+* :class:`IlpAllocator` — the exact optimum, by a pure-Python per-group
+  branch-and-bound.  Groups do not share instances, so the problem
   decomposes into independent small knapsack-style subproblems coupled only
-  by the instance cap).
+  by the instance cap.
 * :class:`GreedyAllocator` — a cost-per-capacity greedy baseline used by the
   ablation benchmarks.
+* :class:`OverProvisioningAllocator` — the static worst-case baseline.
 """
 
 from __future__ import annotations
@@ -30,16 +30,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
-
-try:  # scipy.optimize.milp exists from scipy 1.9 onwards
-    from scipy.optimize import LinearConstraint, milp
-    from scipy.optimize import Bounds as _Bounds
-
-    _HAVE_SCIPY_MILP = True
-except ImportError:  # pragma: no cover - depends on installed scipy version
-    _HAVE_SCIPY_MILP = False
 
 
 class AllocationError(RuntimeError):
@@ -109,10 +99,11 @@ class AllocationProblem:
 
         With ``strict_demand`` (the paper's strict ``>`` inequality) the
         capacity must strictly exceed the workload; we realise that as
-        ``workload + epsilon`` so integer capacities equal to the workload are
-        rejected, matching the constraint as printed.  The epsilon is chosen
-        large enough (1e-3 users) to survive the feasibility tolerance of the
-        MILP solver while remaining far below one user.
+        ``workload + 1e-3`` so integer capacities equal to the workload are
+        rejected, matching the constraint as printed.  The epsilon is far
+        below one user, but a fractional capacity can still land between
+        ``workload`` and ``workload + 1e-3``, so its value stays as it is:
+        every pinned result depends on it.
         """
         workload = self.group_workloads.get(group, 0)
         if workload == 0:
@@ -296,16 +287,18 @@ def build_group_options(
 
 
 class IlpAllocator:
-    """Exact cost-minimising allocator.
+    """Exact cost-minimising allocator: a per-group branch-and-bound.
 
-    Uses :func:`scipy.optimize.milp` when available and falls back to an exact
-    per-group branch-and-bound enumeration otherwise.  Both paths produce the
-    same optimal plans (the fallback is also used as a cross-check in the test
-    suite).
+    Per demanded group, every vector of per-type counts ``n_s`` up to
+    ``min(ceil(required / K_s), cap)`` is visited and the Pareto-optimal
+    (instance count, cost) covers are kept; the groups' covers are then
+    combined under the shared cap.  A group with types ``s`` thus costs
+    ``∏ (n_s + 1)`` visits: O(cap) for one type, a few hundred for two types
+    at cap 20, but 10^5 to 10^6 for three types at cap 200 (3.6e5 visits
+    took 0.7 s on a 2-vCPU Xeon VM).  Scenario sites configure one instance type per acceleration group
+    (``CloudSpec.group_types``) and the figure experiments at most two per
+    group at cap 20, so every problem the simulator builds stays small.
     """
-
-    def __init__(self, *, prefer_scipy: bool = True) -> None:
-        self.prefer_scipy = prefer_scipy and _HAVE_SCIPY_MILP
 
     def allocate(self, problem: AllocationProblem) -> AllocationPlan:
         """Solve the allocation ILP; raises :class:`AllocationError` if infeasible."""
@@ -323,52 +316,7 @@ class IlpAllocator:
                 raise AllocationError(
                     f"no instance option can serve acceleration group {group}"
                 )
-        if self.prefer_scipy:
-            plan = self._allocate_scipy(problem)
-            if plan is not None:
-                return plan
         return self._allocate_branch_and_bound(problem)
-
-    # -- scipy path ----------------------------------------------------------
-
-    def _allocate_scipy(self, problem: AllocationProblem) -> Optional[AllocationPlan]:
-        options = list(problem.options)
-        costs = np.array([option.cost_per_hour for option in options], dtype=float)
-        demanded = problem.demanded_groups()
-
-        constraints = []
-        # Per-group capacity constraints: sum of capacities >= workload (+eps).
-        for group in demanded:
-            row = np.array(
-                [
-                    option.capacity if option.acceleration_group == group else 0.0
-                    for option in options
-                ],
-                dtype=float,
-            )
-            constraints.append(
-                LinearConstraint(row, lb=problem.required_capacity(group), ub=np.inf)
-            )
-        # Account cap: total instances <= cap.
-        constraints.append(
-            LinearConstraint(np.ones(len(options)), lb=0, ub=problem.instance_cap)
-        )
-        bounds = _Bounds(lb=np.zeros(len(options)), ub=np.full(len(options), problem.instance_cap))
-        result = milp(
-            c=costs,
-            constraints=constraints,
-            integrality=np.ones(len(options)),
-            bounds=bounds,
-        )
-        if not result.success:
-            return None
-        counts = {
-            option.type_name: int(round(x))
-            for option, x in zip(options, result.x)
-        }
-        return self._finalise_plan(problem, counts, solver="scipy-milp")
-
-    # -- exact fallback -------------------------------------------------------
 
     def _allocate_branch_and_bound(self, problem: AllocationProblem) -> AllocationPlan:
         """Exact enumeration, decomposed per acceleration group.
@@ -459,8 +407,6 @@ class IlpAllocator:
                 continue
             pareto.append((count, cost, counts))
         return pareto
-
-    # -- shared ---------------------------------------------------------------
 
     def _finalise_plan(
         self, problem: AllocationProblem, counts: Dict[str, int], solver: str

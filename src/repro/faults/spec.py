@@ -66,7 +66,7 @@ class DegradedWindow:
 
     def __post_init__(self) -> None:
         _check_fraction_window(self.start, self.end, "DegradedWindow")
-        if self.rtt_multiplier < 1.0:
+        if not self.rtt_multiplier >= 1.0:
             raise ValueError(
                 f"rtt_multiplier must be >= 1, got {self.rtt_multiplier}"
             )
@@ -156,15 +156,15 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.attempt_timeout_ms <= 0:
+        if not self.attempt_timeout_ms > 0:
             raise ValueError(
                 f"attempt_timeout_ms must be > 0, got {self.attempt_timeout_ms}"
             )
-        if self.backoff_base_ms < 0:
+        if not self.backoff_base_ms >= 0:
             raise ValueError(
                 f"backoff_base_ms must be >= 0, got {self.backoff_base_ms}"
             )
-        if self.backoff_multiplier < 1.0:
+        if not self.backoff_multiplier >= 1.0:
             raise ValueError(
                 f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
             )
@@ -223,7 +223,7 @@ class FaultSpec:
         _check_probability(
             self.offload_failure_probability, "offload_failure_probability"
         )
-        if self.failure_detection_ms < 0:
+        if not self.failure_detection_ms >= 0:
             raise ValueError(
                 f"failure_detection_ms must be >= 0, got {self.failure_detection_ms}"
             )

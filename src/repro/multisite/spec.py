@@ -155,17 +155,17 @@ class SiteSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("site name must be non-empty")
-        if self.wan_rtt_ms < 0:
+        if not self.wan_rtt_ms >= 0:
             raise ValueError(f"wan_rtt_ms must be >= 0, got {self.wan_rtt_ms}")
-        if self.price_multiplier <= 0:
+        if not self.price_multiplier > 0:
             raise ValueError(
                 f"price_multiplier must be positive, got {self.price_multiplier}"
             )
-        if self.population_share < 0:
+        if not self.population_share >= 0:
             raise ValueError(
                 f"population_share must be >= 0, got {self.population_share}"
             )
-        if self.weight is not None and self.weight <= 0:
+        if self.weight is not None and not self.weight > 0:
             raise ValueError(f"weight must be positive, got {self.weight}")
         outages = tuple(
             window if isinstance(window, OutageWindow) else OutageWindow(**window)

@@ -99,7 +99,7 @@ class WorkloadSpec:
             raise ValueError(
                 f"target_requests must be >= 1, got {self.target_requests}"
             )
-        if self.burst_factor < 1.0:
+        if not self.burst_factor >= 1.0:
             raise ValueError(f"burst_factor must be >= 1.0, got {self.burst_factor}")
         if not 0.0 <= self.burst_start <= 1.0:
             raise ValueError(f"burst_start must be in [0, 1], got {self.burst_start}")
@@ -138,9 +138,9 @@ class DeviceMixSpec:
                 raise ValueError(
                     f"unknown device profile {name!r}; known: {sorted(DEVICE_PROFILES)}"
                 )
-            if weight < 0:
+            if not weight >= 0:
                 raise ValueError(f"weight for {name!r} must be >= 0, got {weight}")
-        if sum(weights.values()) <= 0:
+        if not sum(weights.values()) > 0:
             raise ValueError("device mix weights must sum to a positive value")
         object.__setattr__(self, "weights", weights)
 
@@ -198,11 +198,12 @@ class CloudSpec:
                 "initial_instances_per_group must be >= 1, got "
                 f"{self.initial_instances_per_group}"
             )
-        if self.response_threshold_ms <= 0:
+        if not 0 < self.response_threshold_ms < math.inf:
             raise ValueError(
-                f"response_threshold_ms must be positive, got {self.response_threshold_ms}"
+                "response_threshold_ms must be positive and finite, got "
+                f"{self.response_threshold_ms}"
             )
-        if self.boot_delay_ms < 0:
+        if not self.boot_delay_ms >= 0:
             raise ValueError(
                 f"boot_delay_ms must be >= 0, got {self.boot_delay_ms}"
             )
@@ -212,7 +213,7 @@ class CloudSpec:
                 raise ValueError(
                     f"price multiplier for unknown instance type {type_name!r}"
                 )
-            if multiplier <= 0:
+            if not multiplier > 0:
                 raise ValueError(
                     f"price multiplier for {type_name!r} must be positive, got {multiplier}"
                 )
@@ -238,11 +239,11 @@ class NetworkSpec:
             raise ValueError(
                 f"profile must be one of {NETWORK_PROFILES}, got {self.profile!r}"
             )
-        if self.constant_rtt_ms < 0:
+        if not self.constant_rtt_ms >= 0:
             raise ValueError(
                 f"constant_rtt_ms must be >= 0, got {self.constant_rtt_ms}"
             )
-        if self.degradation < 1.0:
+        if not self.degradation >= 1.0:
             raise ValueError(f"degradation must be >= 1.0, got {self.degradation}")
 
 
@@ -273,7 +274,7 @@ class PolicySpec:
             raise ValueError(
                 f"promotion_probability must be in [0, 1], got {self.promotion_probability}"
             )
-        if self.promotion_threshold_ms <= 0:
+        if not self.promotion_threshold_ms > 0:
             raise ValueError(
                 f"promotion_threshold_ms must be positive, got {self.promotion_threshold_ms}"
             )
@@ -324,12 +325,14 @@ class ScenarioSpec:
             raise ValueError("scenario name must be non-empty")
         if self.users < 1:
             raise ValueError(f"users must be >= 1, got {self.users}")
-        if self.duration_hours <= 0:
+        if not 0 < self.duration_hours < math.inf:
             raise ValueError(
-                f"duration_hours must be positive, got {self.duration_hours}"
+                f"duration_hours must be positive and finite, got {self.duration_hours}"
             )
-        if self.slot_minutes <= 0:
-            raise ValueError(f"slot_minutes must be positive, got {self.slot_minutes}")
+        if not 0 < self.slot_minutes < math.inf:
+            raise ValueError(
+                f"slot_minutes must be positive and finite, got {self.slot_minutes}"
+            )
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.task_name not in DEFAULT_TASK_POOL.names:

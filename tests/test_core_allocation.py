@@ -1,6 +1,7 @@
 """Tests for the ILP resource allocator and its baselines."""
 
 import pytest
+from milp_reference import assert_matches_reference
 
 from repro.cloud.catalog import DEFAULT_CATALOG
 from repro.core.allocation import (
@@ -60,10 +61,10 @@ class TestAllocationProblem:
         assert relaxed.required_capacity(1) == 10.0
 
 
-@pytest.fixture(params=["scipy", "fallback"])
+@pytest.fixture(params=["fallback"])
 def allocator(request) -> IlpAllocator:
-    """Run every allocator test against both the scipy and the exact fallback paths."""
-    return IlpAllocator(prefer_scipy=(request.param == "scipy"))
+    """The exact allocator; the ``fallback`` param keeps the test ids stable."""
+    return IlpAllocator()
 
 
 class TestIlpAllocator:
@@ -117,7 +118,7 @@ class TestIlpAllocator:
     def test_solver_label_is_set(self, allocator):
         problem = AllocationProblem(options=OPTIONS, group_workloads={1: 5})
         plan = allocator.allocate(problem)
-        assert plan.solver in {"scipy-milp", "branch-and-bound"}
+        assert plan.solver == "branch-and-bound"
 
     def test_prefers_one_big_instance_when_cheaper(self, allocator):
         # Group 2 workload of 120 with a cheap bulk option: one bulk instance
@@ -130,6 +131,8 @@ class TestIlpAllocator:
 
 
 class TestScipyAndFallbackAgree:
+    """The allocator's plan equals an independent SciPy MILP reference's."""
+
     @pytest.mark.parametrize(
         "workloads",
         [
@@ -138,14 +141,12 @@ class TestScipyAndFallbackAgree:
             {1: 25, 2: 70, 3: 10},
             {1: 0, 2: 41},
             {1: 33, 3: 149},
+            {1: 500},  # beyond the cap: both must find no plan
         ],
     )
     def test_same_optimal_cost(self, workloads):
         problem = AllocationProblem(options=OPTIONS, group_workloads=workloads)
-        scipy_plan = IlpAllocator(prefer_scipy=True).allocate(problem)
-        exact_plan = IlpAllocator(prefer_scipy=False).allocate(problem)
-        assert scipy_plan.total_cost == pytest.approx(exact_plan.total_cost, rel=1e-6)
-        assert scipy_plan.feasible and exact_plan.feasible
+        assert_matches_reference(IlpAllocator(), problem)
 
 
 class TestGreedyAllocator:

@@ -21,6 +21,10 @@ class TestWindowValidation:
         with pytest.raises(ValueError, match="rtt_multiplier"):
             DegradedWindow(start=0.1, end=0.2, rtt_multiplier=0.5)
 
+    def test_degraded_window_rejects_nan_rtt(self):
+        with pytest.raises(ValueError, match="rtt_multiplier"):
+            DegradedWindow(start=0.1, end=0.2, rtt_multiplier=float("nan"))
+
     def test_preemption_window_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="kill_probability"):
             PreemptionWindow(start=0.1, end=0.2, kill_probability=1.5)
@@ -47,6 +51,14 @@ class TestRetryPolicyValidation:
     def test_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             RetryPolicy(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        ["attempt_timeout_ms", "backoff_base_ms", "backoff_multiplier", "backoff_jitter"],
+    )
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: float("nan")})
 
     def test_backoff_grows_exponentially(self):
         policy = RetryPolicy(
@@ -102,6 +114,10 @@ class TestFaultSpec:
     def test_rejects_negative_detection_time(self):
         with pytest.raises(ValueError, match="failure_detection_ms"):
             FaultSpec(failure_detection_ms=-1.0)
+
+    def test_rejects_nan_detection_time(self):
+        with pytest.raises(ValueError, match="failure_detection_ms"):
+            FaultSpec(failure_detection_ms=float("nan"))
 
     def test_dict_round_trip(self):
         spec = self.full_spec()

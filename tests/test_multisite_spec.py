@@ -65,6 +65,13 @@ class TestSiteSpec:
         with pytest.raises(ValueError, match="weight"):
             SiteSpec(name="x", weight=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["wan_rtt_ms", "price_multiplier", "population_share", "weight"]
+    )
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            SiteSpec(name="x", **{field: float("nan")})
+
     def test_broker_weight_defaults_to_instance_cap(self):
         site = SiteSpec(name="x", cloud=CloudSpec(instance_cap=7))
         assert site.broker_weight == 7.0

@@ -1,6 +1,11 @@
 """Tests for the public package surface: exports, docstring example, lazy imports."""
 
 import doctest
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +57,38 @@ class TestSubpackageExports:
     def test_workload_lazy_replay_export(self):
         with pytest.raises(AttributeError):
             repro.workload.does_not_exist  # noqa: B018
+
+
+class TestRunPathImports:
+    def test_a_run_imports_no_scipy(self):
+        """Importing ``repro`` and running scenarios loads no SciPy.
+
+        A fresh interpreter runs a single-site and a federated registry
+        scenario in both execution modes.  SciPy's import would add about
+        half a second and 40 MB to every CLI call and campaign worker.
+        """
+        script = textwrap.dedent(
+            """
+            import sys
+
+            from repro import get_scenario, run_scenario
+
+            for name in ("paper-baseline", "load-chase"):
+                for execution in ("event", "batched"):
+                    spec = get_scenario(name).with_overrides(
+                        users=5, duration_hours=0.25, target_requests=50,
+                        execution=execution,
+                    )
+                    run_scenario(spec, seed=0)
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert completed.stdout.splitlines()[-1] == "[]"

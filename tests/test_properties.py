@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from milp_reference import assert_matches_reference
 
 from repro.core.allocation import AllocationError, AllocationProblem, IlpAllocator, InstanceOption
 from repro.core.distance import group_edit_distance, normalized_slot_distance, slot_edit_distance
@@ -121,7 +122,7 @@ class TestAllocationProperties:
     @settings(max_examples=60, deadline=None)
     def test_plans_are_feasible_and_within_cap_or_error(self, options, workloads):
         problem = AllocationProblem(options=tuple(options), group_workloads=workloads, instance_cap=20)
-        allocator = IlpAllocator(prefer_scipy=False)
+        allocator = IlpAllocator()
         try:
             plan = allocator.allocate(problem)
         except AllocationError:
@@ -148,12 +149,7 @@ class TestAllocationProperties:
             InstanceOption("large", 2, 0.101, 40.0),
         )
         problem = AllocationProblem(options=options, group_workloads=workloads, instance_cap=20)
-        try:
-            exact = IlpAllocator(prefer_scipy=False).allocate(problem)
-        except AllocationError:
-            return
-        scipy_plan = IlpAllocator(prefer_scipy=True).allocate(problem)
-        assert scipy_plan.total_cost == pytest.approx(exact.total_cost, rel=1e-6, abs=1e-9)
+        assert_matches_reference(IlpAllocator(), problem)
 
     @given(
         workloads=st.dictionaries(
@@ -176,7 +172,7 @@ class TestAllocationProperties:
             group_workloads={g: w * scale for g, w in workloads.items()},
             instance_cap=1000,
         )
-        allocator = IlpAllocator(prefer_scipy=False)
+        allocator = IlpAllocator()
         assert allocator.allocate(big).total_cost >= allocator.allocate(small).total_cost
 
 

@@ -53,6 +53,13 @@ class TestScenarioExecution:
         assert main(["scenario", "run", "paper-baseline", "--users", "0"]) == 2
         assert "users must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hours", ["nan", "inf"])
+    def test_run_non_finite_hours_exits_2_with_error(self, capsys, hours):
+        assert main(["scenario", "run", "paper-baseline", "--hours", hours]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "duration_hours must be positive and finite" in err
+
     def test_campaign_invalid_workers_exits_nonzero(self, capsys):
         assert main(["scenario", "campaign", "--workers", "0",
                      "--only", "cold-history"]) == 2

@@ -163,6 +163,51 @@ class TestScenarioSpec:
             spec.users = 5
 
 
+#: (builder, field named in the error) for every validated float field.
+_NAN_CASES = [
+    (lambda v: WorkloadSpec(burst_factor=v), "burst_factor"),
+    (lambda v: DeviceMixSpec(weights={"tablet": v}), "weight"),
+    (lambda v: CloudSpec(response_threshold_ms=v), "response_threshold_ms"),
+    (lambda v: CloudSpec(boot_delay_ms=v), "boot_delay_ms"),
+    (lambda v: CloudSpec(price_multipliers={"t2.nano": v}), "price multiplier"),
+    (lambda v: NetworkSpec(constant_rtt_ms=v), "constant_rtt_ms"),
+    (lambda v: NetworkSpec(degradation=v), "degradation"),
+    (lambda v: PolicySpec(promotion_threshold_ms=v), "promotion_threshold_ms"),
+    (lambda v: ScenarioSpec(name="x", duration_hours=v), "duration_hours"),
+    (lambda v: ScenarioSpec(name="x", slot_minutes=v), "slot_minutes"),
+]
+
+#: The fields a run cannot use at infinity (the slot count and the
+#: allocator's capacities overflow).
+_INF_CASES = [
+    case
+    for case in _NAN_CASES
+    if case[1] in ("response_threshold_ms", "duration_hours", "slot_minutes")
+]
+
+
+class TestNonFiniteValues:
+    """NaN fails every float check; inf fails where a run cannot use it."""
+
+    @pytest.mark.parametrize(
+        "build, field", _NAN_CASES, ids=[field for _, field in _NAN_CASES]
+    )
+    def test_nan_rejected(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build(float("nan"))
+
+    @pytest.mark.parametrize(
+        "build, field", _INF_CASES, ids=[field for _, field in _INF_CASES]
+    )
+    def test_inf_rejected_where_a_run_needs_a_finite_value(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            build(float("inf"))
+
+    def test_nan_override_rejected(self):
+        with pytest.raises(ValueError, match="duration_hours"):
+            ScenarioSpec(name="x").with_overrides(duration_hours=float("nan"))
+
+
 class TestBootDelay:
     def test_defaults_to_zero(self):
         assert CloudSpec().boot_delay_ms == 0.0
