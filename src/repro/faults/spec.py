@@ -12,8 +12,9 @@ Window semantics
 ----------------
 
 :class:`DegradedWindow` and :class:`PreemptionWindow` bounds are fractions of
-the scenario duration (like :class:`repro.multisite.spec.OutageWindow`), half
-open ``[start, end)``.  A degraded window is *partial* failure: the network
+the scenario duration, half open ``[start, end)``: like
+:class:`repro.multisite.spec.OutageWindow` they extend
+:class:`repro.scenarios.rules.FractionWindow`.  A degraded window is *partial* failure: the network
 still works, but round-trips stretch by ``rtt_multiplier`` and each offload
 attempt inside the window fails with an extra ``failure_probability`` — in
 contrast to an ``OutageWindow``, where the site is simply gone.  A preemption
@@ -34,6 +35,14 @@ device (the paper's no-offloading baseline path) and still counts as a
 success; without it the request is dropped.  ``reroute_on_retry`` lets
 multi-site retries land on the next spill-ranked site instead of hammering
 the one that failed.
+
+Validation
+----------
+
+Each numeric field declares its rule next to it and construction checks them
+through :func:`repro.scenarios.rules.check`: numbers must be finite, integer
+fields integral, and a bad value raises ``"<field> must be <rule>, got
+<value>"``.  Nested sections may be given in their dict form.
 """
 
 from __future__ import annotations
@@ -42,69 +51,23 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Tuple
 
-
-def _check_fraction_window(start: float, end: float, kind: str) -> None:
-    if not (0.0 <= start < end <= 1.0):
-        raise ValueError(
-            f"{kind} must satisfy 0 <= start < end <= 1, got [{start}, {end})"
-        )
-
-
-def _check_probability(value: float, name: str) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+from repro.scenarios.rules import FractionWindow, check, coerce, integer, real
 
 
 @dataclass(frozen=True)
-class DegradedWindow:
+class DegradedWindow(FractionWindow):
     """A partial-failure window: slow network plus elevated attempt failure."""
 
-    start: float
-    end: float
-    rtt_multiplier: float = 2.0
-    failure_probability: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_fraction_window(self.start, self.end, "DegradedWindow")
-        if not self.rtt_multiplier >= 1.0:
-            raise ValueError(
-                f"rtt_multiplier must be >= 1, got {self.rtt_multiplier}"
-            )
-        _check_probability(self.failure_probability, "failure_probability")
-
-    def contains(self, t_ms: float, duration_ms: float) -> bool:
-        return self.start * duration_ms <= t_ms < self.end * duration_ms
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DegradedWindow":
-        return cls(**dict(payload))
+    rtt_multiplier: float = real(2.0, ge=1.0)
+    failure_probability: float = real(0.0, ge=0.0, le=1.0)
 
 
 @dataclass(frozen=True)
-class PreemptionWindow:
+class PreemptionWindow(FractionWindow):
     """A spot-style revocation window: attempts inside it are killed."""
 
-    start: float
-    end: float
-    kill_probability: float = 0.5
+    kill_probability: float = real(0.5, ge=0.0, le=1.0)
     site: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        _check_fraction_window(self.start, self.end, "PreemptionWindow")
-        _check_probability(self.kill_probability, "kill_probability")
-
-    def contains(self, t_ms: float, duration_ms: float) -> bool:
-        return self.start * duration_ms <= t_ms < self.end * duration_ms
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "PreemptionWindow":
-        return cls(**dict(payload))
 
 
 @dataclass(frozen=True)
@@ -120,58 +83,27 @@ class ControlPlaneFaults:
     ``dynamic-load`` brokering policy: the static broker never reads load.
     """
 
-    snapshot_delay_slots: int = 0
-    snapshot_loss_probability: float = 0.0
+    snapshot_delay_slots: int = integer(0, ge=0)
+    snapshot_loss_probability: float = real(0.0, ge=0.0, le=1.0)
 
     def __post_init__(self) -> None:
-        if self.snapshot_delay_slots < 0:
-            raise ValueError(
-                "snapshot_delay_slots must be >= 0, got "
-                f"{self.snapshot_delay_slots}"
-            )
-        _check_probability(
-            self.snapshot_loss_probability, "snapshot_loss_probability"
-        )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ControlPlaneFaults":
-        return cls(**dict(payload))
+        check(self)
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """How an offloading request answers a failed attempt."""
 
-    max_attempts: int = 3
-    attempt_timeout_ms: float = 2_000.0
-    backoff_base_ms: float = 200.0
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.1
+    max_attempts: int = integer(3, ge=1)
+    attempt_timeout_ms: float = real(2_000.0, gt=0.0)
+    backoff_base_ms: float = real(200.0, ge=0.0)
+    backoff_multiplier: float = real(2.0, ge=1.0)
+    backoff_jitter: float = real(0.1, ge=0.0, lt=1.0)
     reroute_on_retry: bool = False
     local_fallback: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not self.attempt_timeout_ms > 0:
-            raise ValueError(
-                f"attempt_timeout_ms must be > 0, got {self.attempt_timeout_ms}"
-            )
-        if not self.backoff_base_ms >= 0:
-            raise ValueError(
-                f"backoff_base_ms must be >= 0, got {self.backoff_base_ms}"
-            )
-        if not self.backoff_multiplier >= 1.0:
-            raise ValueError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-        if not (0.0 <= self.backoff_jitter < 1.0):
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1), got {self.backoff_jitter}"
-            )
+        check(self)
 
     def backoff_ms(self, attempt: int, jitter_unit: float) -> float:
         """Backoff after failed attempt ``attempt`` (1-based).
@@ -185,13 +117,6 @@ class RetryPolicy:
             * self.backoff_multiplier ** (attempt - 1)
             * scale
         )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RetryPolicy":
-        return cls(**dict(payload))
 
 
 @dataclass(frozen=True)
@@ -211,8 +136,8 @@ class FaultSpec:
     Scenarios without a ``FaultSpec`` keep the legacy lenient behavior.
     """
 
-    offload_failure_probability: float = 0.0
-    failure_detection_ms: float = 250.0
+    offload_failure_probability: float = real(0.0, ge=0.0, le=1.0)
+    failure_detection_ms: float = real(250.0, ge=0.0)
     preemptions: Tuple[PreemptionWindow, ...] = ()
     degraded_windows: Tuple[DegradedWindow, ...] = ()
     control_plane: Optional[ControlPlaneFaults] = None
@@ -220,37 +145,11 @@ class FaultSpec:
     lenient_outages: bool = False
 
     def __post_init__(self) -> None:
-        _check_probability(
-            self.offload_failure_probability, "offload_failure_probability"
-        )
-        if not self.failure_detection_ms >= 0:
-            raise ValueError(
-                f"failure_detection_ms must be >= 0, got {self.failure_detection_ms}"
-            )
-        object.__setattr__(
-            self,
-            "preemptions",
-            tuple(
-                PreemptionWindow.from_dict(w) if isinstance(w, Mapping) else w
-                for w in self.preemptions
-            ),
-        )
-        object.__setattr__(
-            self,
-            "degraded_windows",
-            tuple(
-                DegradedWindow.from_dict(w) if isinstance(w, Mapping) else w
-                for w in self.degraded_windows
-            ),
-        )
-        if isinstance(self.control_plane, Mapping):
-            object.__setattr__(
-                self,
-                "control_plane",
-                ControlPlaneFaults.from_dict(self.control_plane),
-            )
-        if isinstance(self.retry, Mapping):
-            object.__setattr__(self, "retry", RetryPolicy.from_dict(self.retry))
+        check(self)
+        coerce(self, "preemptions", PreemptionWindow, many=True)
+        coerce(self, "degraded_windows", DegradedWindow, many=True)
+        coerce(self, "control_plane", ControlPlaneFaults)
+        coerce(self, "retry", RetryPolicy)
 
     def without_resilience(self) -> "FaultSpec":
         """The same fault plane with retries and local fallback disabled.

@@ -7,9 +7,12 @@ brokered to it from elsewhere, a site-wide pricing multiplier and scheduled
 outage windows.  A :class:`MultiSiteSpec` bundles several sites with the
 global broker policy that assigns each request to a site.
 
-Like the scenario specs these are frozen dataclasses of plain values: they
-validate on construction, round-trip through ``to_dict``/``from_dict`` and
-pickle cleanly across campaign worker processes.
+Like the scenario specs these are frozen dataclasses of plain values: each
+numeric or choice field declares its rule next to it and construction checks
+them through :func:`repro.scenarios.rules.check` (finite numbers, one
+``"<field> must be <rule>, got <value>"`` message form).  Nested sections may
+be given in their dict form, so the specs round-trip through
+``to_dict``/``from_dict`` and pickle cleanly across campaign worker processes.
 
 Latency model
 -------------
@@ -41,8 +44,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.scenarios.rules import FractionWindow, check, choice, coerce, real
 from repro.scenarios.spec import CloudSpec, NetworkSpec
 
 #: Supported global broker routing policies (see :mod:`repro.multisite.broker`).
@@ -87,25 +91,8 @@ CAPACITY_SIGNALS = ("per-group", "fleet")
 
 
 @dataclass(frozen=True)
-class OutageWindow:
+class OutageWindow(FractionWindow):
     """One scheduled unavailability window, as fractions of the run duration."""
-
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.start < 1.0:
-            raise ValueError(f"outage start must be in [0, 1), got {self.start}")
-        if not 0.0 < self.end <= 1.0:
-            raise ValueError(f"outage end must be in (0, 1], got {self.end}")
-        if self.end <= self.start:
-            raise ValueError(
-                f"outage end ({self.end}) must be after its start ({self.start})"
-            )
-
-    def contains(self, t_ms: float, duration_ms: float) -> bool:
-        """Whether simulated time ``t_ms`` falls inside the window."""
-        return self.start * duration_ms <= t_ms < self.end * duration_ms
 
 
 @dataclass(frozen=True)
@@ -124,19 +111,11 @@ class SpilloverSpec:
     (federation-wide overload spills nowhere).
     """
 
-    queue_limit_fraction: float = 0.8
-    prefer: str = "nearest-rtt"
+    queue_limit_fraction: float = real(0.8, gt=0.0, le=1.0)
+    prefer: str = choice("nearest-rtt", SPILLOVER_PREFERENCES)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.queue_limit_fraction <= 1.0:
-            raise ValueError(
-                "queue_limit_fraction must be in (0, 1], got "
-                f"{self.queue_limit_fraction}"
-            )
-        if self.prefer not in SPILLOVER_PREFERENCES:
-            raise ValueError(
-                f"prefer must be one of {SPILLOVER_PREFERENCES}, got {self.prefer!r}"
-            )
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -146,32 +125,19 @@ class SiteSpec:
     name: str
     cloud: CloudSpec = field(default_factory=CloudSpec)
     network: NetworkSpec = field(default_factory=NetworkSpec)
-    wan_rtt_ms: float = 0.0
-    price_multiplier: float = 1.0
-    population_share: float = 1.0
-    weight: Optional[float] = None
+    wan_rtt_ms: float = real(0.0, ge=0.0)
+    price_multiplier: float = real(1.0, gt=0.0)
+    population_share: float = real(1.0, ge=0.0)
+    weight: Optional[float] = real(None, gt=0.0)
     outages: Tuple[OutageWindow, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("site name must be non-empty")
-        if not self.wan_rtt_ms >= 0:
-            raise ValueError(f"wan_rtt_ms must be >= 0, got {self.wan_rtt_ms}")
-        if not self.price_multiplier > 0:
-            raise ValueError(
-                f"price_multiplier must be positive, got {self.price_multiplier}"
-            )
-        if not self.population_share >= 0:
-            raise ValueError(
-                f"population_share must be >= 0, got {self.population_share}"
-            )
-        if self.weight is not None and not self.weight > 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        outages = tuple(
-            window if isinstance(window, OutageWindow) else OutageWindow(**window)
-            for window in self.outages
-        )
-        object.__setattr__(self, "outages", outages)
+        check(self)
+        coerce(self, "cloud", CloudSpec)
+        coerce(self, "network", NetworkSpec)
+        coerce(self, "outages", OutageWindow, many=True)
 
     @property
     def broker_weight(self) -> float:
@@ -197,41 +163,26 @@ class MultiSiteSpec:
     """
 
     sites: Tuple[SiteSpec, ...]
-    policy: str = "nearest-rtt"
+    policy: str = choice("nearest-rtt", BROKER_POLICIES)
     spillover: Optional[SpilloverSpec] = None
-    capacity_signal: str = "per-group"
+    capacity_signal: str = choice("per-group", CAPACITY_SIGNALS)
 
     def __post_init__(self) -> None:
-        sites = tuple(
-            site if isinstance(site, SiteSpec) else SiteSpec(**site)
-            for site in self.sites
-        )
-        if not sites:
+        check(self)
+        coerce(self, "sites", SiteSpec, many=True)
+        coerce(self, "spillover", SpilloverSpec)
+        if not self.sites:
             raise ValueError("a federation needs at least one site")
-        names = [site.name for site in sites]
+        names = [site.name for site in self.sites]
         if len(set(names)) != len(names):
             raise ValueError(f"site names must be unique, got {names}")
-        if self.policy not in BROKER_POLICIES:
-            raise ValueError(
-                f"policy must be one of {BROKER_POLICIES}, got {self.policy!r}"
-            )
-        if all(site.population_share == 0 for site in sites):
+        if all(site.population_share == 0 for site in self.sites):
             raise ValueError("at least one site needs a positive population_share")
-        spillover = self.spillover
-        if spillover is not None and not isinstance(spillover, SpilloverSpec):
-            spillover = SpilloverSpec(**spillover)
-        if spillover is not None and self.policy != "dynamic-load":
+        if self.spillover is not None and self.policy != "dynamic-load":
             raise ValueError(
                 "spillover requires the dynamic-load policy, "
                 f"got policy {self.policy!r}"
             )
-        if self.capacity_signal not in CAPACITY_SIGNALS:
-            raise ValueError(
-                f"capacity_signal must be one of {CAPACITY_SIGNALS}, "
-                f"got {self.capacity_signal!r}"
-            )
-        object.__setattr__(self, "spillover", spillover)
-        object.__setattr__(self, "sites", sites)
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -267,24 +218,4 @@ class MultiSiteSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "MultiSiteSpec":
         """Rebuild a federation spec from :meth:`to_dict` output."""
-        data = dict(payload)
-        raw_sites: Sequence[Any] = data.get("sites", ())
-        sites = []
-        for raw in raw_sites:
-            if isinstance(raw, SiteSpec):
-                sites.append(raw)
-                continue
-            site = dict(raw)
-            if isinstance(site.get("cloud"), Mapping):
-                site["cloud"] = CloudSpec(**site["cloud"])
-            if isinstance(site.get("network"), Mapping):
-                site["network"] = NetworkSpec(**site["network"])
-            if "outages" in site:
-                site["outages"] = tuple(
-                    window if isinstance(window, OutageWindow) else OutageWindow(**window)
-                    for window in site["outages"]
-                )
-            sites.append(SiteSpec(**site))
-        data["sites"] = tuple(sites)
-        # spillover dicts are coerced by MultiSiteSpec.__post_init__.
-        return cls(**data)
+        return cls(**dict(payload))

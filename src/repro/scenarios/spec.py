@@ -9,10 +9,13 @@ model — as plain data.  The scenario runner
 discrete-event simulation without any hand-written experiment module, so new
 workloads beyond the paper's eight fixed figure experiments are one spec away.
 
-All spec classes are frozen dataclasses of plain values: they validate on
-construction, round-trip through :meth:`ScenarioSpec.to_dict` /
-:meth:`ScenarioSpec.from_dict`, and pickle cleanly across the campaign
-runner's worker processes.
+All spec classes are frozen dataclasses of plain values.  Each numeric or
+choice field declares its rule next to it (:mod:`repro.scenarios.rules`), and
+construction checks them all: a bad value raises ``ValueError("<field> must
+be <rule>, got <value>")`` and numbers must be finite.  Nested sections may be
+given in their dict form, so specs round-trip through
+:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`, and they
+pickle cleanly across the campaign runner's worker processes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 from repro.cloud.catalog import DEFAULT_CATALOG
 from repro.mobile.device import DEVICE_PROFILES
 from repro.mobile.tasks import DEFAULT_TASK_POOL
+from repro.scenarios.rules import check, choice, coerce, integer, real
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (multisite uses our specs)
     from repro.faults.spec import FaultSpec
@@ -81,40 +85,17 @@ class WorkloadSpec:
       at ``burst_factor``× the base rate.
     """
 
-    pattern: str = "uniform"
-    target_requests: int = 800
-    burst_factor: float = 4.0
-    burst_start: float = 0.5
-    burst_duration: float = 0.15
-    burst_count: int = 4
-    trough_factor: float = 0.25
-    peak_hour: float = 20.0
+    pattern: str = choice("uniform", ARRIVAL_PATTERNS)
+    target_requests: int = integer(800, ge=1)
+    burst_factor: float = real(4.0, ge=1.0)
+    burst_start: float = real(0.5, ge=0.0, le=1.0)
+    burst_duration: float = real(0.15, gt=0.0, le=1.0)
+    burst_count: int = integer(4, ge=1)
+    trough_factor: float = real(0.25, gt=0.0, le=1.0)
+    peak_hour: float = real(20.0, ge=0.0, lt=24.0)
 
     def __post_init__(self) -> None:
-        if self.pattern not in ARRIVAL_PATTERNS:
-            raise ValueError(
-                f"pattern must be one of {ARRIVAL_PATTERNS}, got {self.pattern!r}"
-            )
-        if self.target_requests < 1:
-            raise ValueError(
-                f"target_requests must be >= 1, got {self.target_requests}"
-            )
-        if not self.burst_factor >= 1.0:
-            raise ValueError(f"burst_factor must be >= 1.0, got {self.burst_factor}")
-        if not 0.0 <= self.burst_start <= 1.0:
-            raise ValueError(f"burst_start must be in [0, 1], got {self.burst_start}")
-        if not 0.0 < self.burst_duration <= 1.0:
-            raise ValueError(
-                f"burst_duration must be in (0, 1], got {self.burst_duration}"
-            )
-        if self.burst_count < 1:
-            raise ValueError(f"burst_count must be >= 1, got {self.burst_count}")
-        if not 0.0 < self.trough_factor <= 1.0:
-            raise ValueError(
-                f"trough_factor must be in (0, 1], got {self.trough_factor}"
-            )
-        if not 0.0 <= self.peak_hour < 24.0:
-            raise ValueError(f"peak_hour must be in [0, 24), got {self.peak_hour}")
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -125,24 +106,22 @@ class DeviceMixSpec:
     names must exist in :data:`repro.mobile.device.DEVICE_PROFILES`.
     """
 
-    weights: Mapping[str, float] = field(
-        default_factory=lambda: {name: 1.0 for name in DEVICE_PROFILES}
+    weights: Mapping[str, float] = real(
+        ge=0.0, each=True, default_factory=lambda: {name: 1.0 for name in DEVICE_PROFILES}
     )
 
     def __post_init__(self) -> None:
-        weights = dict(self.weights)
-        if not weights:
+        object.__setattr__(self, "weights", dict(self.weights))
+        check(self)
+        if not self.weights:
             raise ValueError("device mix needs at least one profile")
-        for name, weight in weights.items():
+        for name in self.weights:
             if name not in DEVICE_PROFILES:
                 raise ValueError(
                     f"unknown device profile {name!r}; known: {sorted(DEVICE_PROFILES)}"
                 )
-            if not weight >= 0:
-                raise ValueError(f"weight for {name!r} must be >= 0, got {weight}")
-        if not sum(weights.values()) > 0:
+        if not sum(self.weights.values()) > 0:
             raise ValueError("device mix weights must sum to a positive value")
-        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -165,14 +144,17 @@ class CloudSpec:
     group_types: Mapping[int, str] = field(
         default_factory=lambda: dict(DEFAULT_GROUP_TYPES)
     )
-    instance_cap: int = 20
-    initial_instances_per_group: int = 1
-    response_threshold_ms: float = 5000.0
-    price_multipliers: Mapping[str, float] = field(default_factory=dict)
-    boot_delay_ms: float = 0.0
+    instance_cap: int = integer(20, ge=1)
+    initial_instances_per_group: int = integer(1, ge=1)
+    response_threshold_ms: float = real(5000.0, gt=0.0)
+    price_multipliers: Mapping[str, float] = real(gt=0.0, each=True, default_factory=dict)
+    boot_delay_ms: float = real(0.0, ge=0.0)
 
     def __post_init__(self) -> None:
         group_types = {int(group): name for group, name in dict(self.group_types).items()}
+        object.__setattr__(self, "group_types", group_types)
+        object.__setattr__(self, "price_multipliers", dict(self.price_multipliers))
+        check(self)
         if not group_types:
             raise ValueError("cloud spec needs at least one acceleration group")
         for group, type_name in group_types.items():
@@ -191,34 +173,11 @@ class CloudSpec:
             raise ValueError(
                 f"each acceleration group needs a distinct instance type, got {group_types}"
             )
-        if self.instance_cap < 1:
-            raise ValueError(f"instance_cap must be >= 1, got {self.instance_cap}")
-        if self.initial_instances_per_group < 1:
-            raise ValueError(
-                "initial_instances_per_group must be >= 1, got "
-                f"{self.initial_instances_per_group}"
-            )
-        if not 0 < self.response_threshold_ms < math.inf:
-            raise ValueError(
-                "response_threshold_ms must be positive and finite, got "
-                f"{self.response_threshold_ms}"
-            )
-        if not self.boot_delay_ms >= 0:
-            raise ValueError(
-                f"boot_delay_ms must be >= 0, got {self.boot_delay_ms}"
-            )
-        multipliers = dict(self.price_multipliers)
-        for type_name, multiplier in multipliers.items():
+        for type_name in self.price_multipliers:
             if type_name not in DEFAULT_CATALOG:
                 raise ValueError(
                     f"price multiplier for unknown instance type {type_name!r}"
                 )
-            if not multiplier > 0:
-                raise ValueError(
-                    f"price multiplier for {type_name!r} must be positive, got {multiplier}"
-                )
-        object.__setattr__(self, "group_types", group_types)
-        object.__setattr__(self, "price_multipliers", multipliers)
 
 
 @dataclass(frozen=True)
@@ -230,58 +189,27 @@ class NetworkSpec:
     or rural cell.  ``constant`` is a deterministic RTT for debugging.
     """
 
-    profile: str = "lte"
-    constant_rtt_ms: float = 50.0
-    degradation: float = 2.5
+    profile: str = choice("lte", NETWORK_PROFILES)
+    constant_rtt_ms: float = real(50.0, ge=0.0)
+    degradation: float = real(2.5, ge=1.0)
 
     def __post_init__(self) -> None:
-        if self.profile not in NETWORK_PROFILES:
-            raise ValueError(
-                f"profile must be one of {NETWORK_PROFILES}, got {self.profile!r}"
-            )
-        if not self.constant_rtt_ms >= 0:
-            raise ValueError(
-                f"constant_rtt_ms must be >= 0, got {self.constant_rtt_ms}"
-            )
-        if not self.degradation >= 1.0:
-            raise ValueError(f"degradation must be >= 1.0, got {self.degradation}")
+        check(self)
 
 
 @dataclass(frozen=True)
 class PolicySpec:
     """The adaptive-model knobs: prediction, promotion and routing."""
 
-    predictor_strategy: str = "nearest"
-    min_history: int = 2
-    promotion: str = "static"
-    promotion_probability: float = 1.0 / 50.0
-    promotion_threshold_ms: float = 2000.0
-    routing: str = "acceleration-group"
+    predictor_strategy: str = choice("nearest", PREDICTOR_STRATEGIES)
+    min_history: int = integer(2, ge=2)
+    promotion: str = choice("static", PROMOTION_POLICIES)
+    promotion_probability: float = real(1.0 / 50.0, ge=0.0, le=1.0)
+    promotion_threshold_ms: float = real(2000.0, gt=0.0)
+    routing: str = choice("acceleration-group", ROUTING_POLICIES)
 
     def __post_init__(self) -> None:
-        if self.predictor_strategy not in PREDICTOR_STRATEGIES:
-            raise ValueError(
-                f"predictor_strategy must be one of {PREDICTOR_STRATEGIES}, "
-                f"got {self.predictor_strategy!r}"
-            )
-        if self.min_history < 2:
-            raise ValueError(f"min_history must be >= 2, got {self.min_history}")
-        if self.promotion not in PROMOTION_POLICIES:
-            raise ValueError(
-                f"promotion must be one of {PROMOTION_POLICIES}, got {self.promotion!r}"
-            )
-        if not 0.0 <= self.promotion_probability <= 1.0:
-            raise ValueError(
-                f"promotion_probability must be in [0, 1], got {self.promotion_probability}"
-            )
-        if not self.promotion_threshold_ms > 0:
-            raise ValueError(
-                f"promotion_threshold_ms must be positive, got {self.promotion_threshold_ms}"
-            )
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"routing must be one of {ROUTING_POLICIES}, got {self.routing!r}"
-            )
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -297,12 +225,12 @@ class ScenarioSpec:
 
     name: str
     description: str = ""
-    users: int = 60
-    duration_hours: float = 2.0
-    slot_minutes: float = 30.0
-    seed: Optional[int] = None
+    users: int = integer(60, ge=1)
+    duration_hours: float = real(2.0, gt=0.0)
+    slot_minutes: float = real(30.0, gt=0.0)
+    seed: Optional[int] = integer(None, ge=0)
     task_name: str = "minimax"
-    execution: str = "event"
+    execution: str = choice("event", EXECUTION_MODES)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     devices: DeviceMixSpec = field(default_factory=DeviceMixSpec)
     cloud: CloudSpec = field(default_factory=CloudSpec)
@@ -323,57 +251,32 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario name must be non-empty")
-        if self.users < 1:
-            raise ValueError(f"users must be >= 1, got {self.users}")
-        if not 0 < self.duration_hours < math.inf:
-            raise ValueError(
-                f"duration_hours must be positive and finite, got {self.duration_hours}"
-            )
-        if not 0 < self.slot_minutes < math.inf:
-            raise ValueError(
-                f"slot_minutes must be positive and finite, got {self.slot_minutes}"
-            )
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check(self)
         if self.task_name not in DEFAULT_TASK_POOL.names:
             raise ValueError(
                 f"unknown task {self.task_name!r}; known: {sorted(DEFAULT_TASK_POOL.names)}"
             )
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution must be one of {EXECUTION_MODES}, got {self.execution!r}"
-            )
+        from repro.faults.spec import FaultSpec  # deferred: cycle guard
+        from repro.multisite.spec import MultiSiteSpec
+
+        for name, spec_cls in (
+            ("workload", WorkloadSpec),
+            ("devices", DeviceMixSpec),
+            ("cloud", CloudSpec),
+            ("network", NetworkSpec),
+            ("policy", PolicySpec),
+            ("sites", MultiSiteSpec),
+            ("faults", FaultSpec),
+        ):
+            coerce(self, name, spec_cls)
         if self.workload.target_requests < self.users:
             raise ValueError(
                 f"target_requests ({self.workload.target_requests}) must be at "
                 f"least the number of users ({self.users})"
             )
-        if self.sites is not None:
-            from repro.multisite.spec import MultiSiteSpec  # deferred: cycle guard
-
-            sites = self.sites
-            if isinstance(sites, Mapping):
-                sites = MultiSiteSpec.from_dict(sites)
-            if not isinstance(sites, MultiSiteSpec):
-                raise ValueError(
-                    f"sites must be a MultiSiteSpec (or its dict form), got {type(sites)!r}"
-                )
-            object.__setattr__(self, "sites", sites)
-        if self.faults is not None:
-            from repro.faults.spec import FaultSpec  # deferred: cycle guard
-
-            faults = self.faults
-            if isinstance(faults, Mapping):
-                faults = FaultSpec.from_dict(faults)
-            if not isinstance(faults, FaultSpec):
-                raise ValueError(
-                    f"faults must be a FaultSpec (or its dict form), got {type(faults)!r}"
-                )
-            site_names = (
-                [site.name for site in self.sites.sites]
-                if self.sites is not None
-                else []
-            )
+        faults = self.faults
+        if faults is not None:
+            site_names = list(self.sites.site_names) if self.sites is not None else []
             for window in faults.preemptions:
                 if window.site is None:
                     continue
@@ -402,7 +305,6 @@ class ScenarioSpec:
                     f"snapshots; scenario {self.name!r} does not use the "
                     "dynamic-load policy"
                 )
-            object.__setattr__(self, "faults", faults)
 
     @property
     def is_multisite(self) -> bool:
@@ -483,16 +385,4 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output."""
-        data = dict(payload)
-        nested = {
-            "workload": WorkloadSpec,
-            "devices": DeviceMixSpec,
-            "cloud": CloudSpec,
-            "network": NetworkSpec,
-            "policy": PolicySpec,
-        }
-        for key, spec_cls in nested.items():
-            if key in data and isinstance(data[key], Mapping):
-                data[key] = spec_cls(**data[key])
-        # sites / faults dict forms are coerced by __post_init__.
-        return cls(**data)
+        return cls(**dict(payload))

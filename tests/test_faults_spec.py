@@ -54,7 +54,13 @@ class TestRetryPolicyValidation:
 
     @pytest.mark.parametrize(
         "field",
-        ["attempt_timeout_ms", "backoff_base_ms", "backoff_multiplier", "backoff_jitter"],
+        [
+            "attempt_timeout_ms",
+            "backoff_base_ms",
+            "backoff_multiplier",
+            "backoff_jitter",
+            "max_attempts",
+        ],
     )
     def test_rejects_nan(self, field):
         with pytest.raises(ValueError, match=field):

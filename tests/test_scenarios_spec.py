@@ -1,7 +1,16 @@
 """Spec validation and round-trip tests for the scenario engine."""
 
+import collections.abc
+import dataclasses
+import typing
+
 import pytest
 
+import repro.faults.spec
+import repro.multisite.spec
+import repro.scenarios.spec
+from repro.faults.spec import ControlPlaneFaults, RetryPolicy
+from repro.multisite.spec import SiteSpec
 from repro.scenarios import (
     ARRIVAL_PATTERNS,
     CloudSpec,
@@ -11,6 +20,7 @@ from repro.scenarios import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.scenarios.rules import RULE
 
 
 class TestWorkloadSpec:
@@ -163,7 +173,7 @@ class TestScenarioSpec:
             spec.users = 5
 
 
-#: (builder, field named in the error) for every validated float field.
+#: (builder, field named in the error) for every validated numeric field.
 _NAN_CASES = [
     (lambda v: WorkloadSpec(burst_factor=v), "burst_factor"),
     (lambda v: DeviceMixSpec(weights={"tablet": v}), "weight"),
@@ -175,15 +185,52 @@ _NAN_CASES = [
     (lambda v: PolicySpec(promotion_threshold_ms=v), "promotion_threshold_ms"),
     (lambda v: ScenarioSpec(name="x", duration_hours=v), "duration_hours"),
     (lambda v: ScenarioSpec(name="x", slot_minutes=v), "slot_minutes"),
+    # Integer fields: ``nan < 1`` is false, so NaN needs the integral rule.
+    (lambda v: dataclasses.replace(ScenarioSpec(name="x"), users=v), "users"),
+    (lambda v: WorkloadSpec(target_requests=v), "target_requests"),
+    (lambda v: WorkloadSpec(burst_count=v), "burst_count"),
+    (lambda v: CloudSpec(instance_cap=v), "instance_cap"),
+    (
+        lambda v: ScenarioSpec.from_dict(
+            {"name": "x", "cloud": {"initial_instances_per_group": v}}
+        ),
+        "initial_instances_per_group",
+    ),
+    (lambda v: PolicySpec(min_history=v), "min_history"),
+    (lambda v: ScenarioSpec(name="x", seed=v), "seed"),
+    (lambda v: ControlPlaneFaults(snapshot_delay_slots=v), "snapshot_delay_slots"),
 ]
 
-#: The fields a run cannot use at infinity (the slot count and the
-#: allocator's capacities overflow).
+#: Every unbounded field at infinity: the slot count and the allocator's
+#: capacities overflow, and an infinite RTT, weight or backoff turns into NaN
+#: arithmetic or requests lost past the horizon.
 _INF_CASES = [
     case
     for case in _NAN_CASES
-    if case[1] in ("response_threshold_ms", "duration_hours", "slot_minutes")
+    if case[1] in (
+        "response_threshold_ms",
+        "duration_hours",
+        "slot_minutes",
+        "constant_rtt_ms",
+        "degradation",
+    )
+] + [
+    (lambda v: DeviceMixSpec({"tablet": v, "wearable": 1.0}), "weight for 'tablet'"),
+    (lambda v: RetryPolicy(backoff_base_ms=v), "backoff_base_ms"),
+    (lambda v: SiteSpec(name="x", wan_rtt_ms=v), "wan_rtt_ms"),
 ]
+
+_SPEC_MODULES = (repro.scenarios.spec, repro.multisite.spec, repro.faults.spec)
+
+
+def _is_numeric(hint) -> bool:
+    """Whether an annotation is a number, an optional number or a mapping to numbers."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_is_numeric(arg) for arg in args)
+    if origin is collections.abc.Mapping:
+        return _is_numeric(args[1])
+    return hint in (int, float)
 
 
 class TestNonFiniteValues:
@@ -200,12 +247,41 @@ class TestNonFiniteValues:
         "build, field", _INF_CASES, ids=[field for _, field in _INF_CASES]
     )
     def test_inf_rejected_where_a_run_needs_a_finite_value(self, build, field):
-        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite, got inf"):
             build(float("inf"))
 
     def test_nan_override_rejected(self):
         with pytest.raises(ValueError, match="duration_hours"):
             ScenarioSpec(name="x").with_overrides(duration_hours=float("nan"))
+
+    def test_every_numeric_field_declares_a_rule(self):
+        namespace = {
+            name: obj for module in _SPEC_MODULES for name, obj in vars(module).items()
+        }
+        specs = [
+            obj
+            for obj in namespace.values()
+            if isinstance(obj, type)
+            and dataclasses.is_dataclass(obj)
+            and obj.__module__ in {module.__name__ for module in _SPEC_MODULES}
+        ]
+        numeric, unchecked = set(), []
+        for cls in specs:
+            hints = typing.get_type_hints(cls, localns=namespace)
+            for spec_field in dataclasses.fields(cls):
+                if _is_numeric(hints[spec_field.name]):
+                    numeric.add(f"{cls.__name__}.{spec_field.name}")
+                    if RULE not in spec_field.metadata:
+                        unchecked.append(f"{cls.__name__}.{spec_field.name}")
+        assert not unchecked
+        # The walk sees plain, optional, mapping-valued and inherited fields.
+        assert {
+            "ScenarioSpec.users",
+            "ScenarioSpec.seed",
+            "DeviceMixSpec.weights",
+            "SiteSpec.weight",
+            "OutageWindow.start",
+        } <= numeric
 
 
 class TestBootDelay:
