@@ -9,9 +9,12 @@ Scenarios are independent simulations, so the runner fans them out over a
 each scenario's seed is derived from the campaign root seed and the scenario
 *name* (not submission order or worker id), every random draw inside a run
 comes from that scenario's own named streams, and results are returned in
-submission order.  One raising scenario does not cost the others: every job
-runs to completion, and the failures are then raised together in a
-:class:`CampaignError` that carries the successful results.
+submission order.  The pool is handed the jobs largest-first (by planned
+request count) so no worker idles behind the longest scenario; the outcomes
+are put back in submission order before anything reads them.  One raising
+scenario does not cost the others: every job runs to completion, and the
+failures are then raised together in a :class:`CampaignError` that carries
+the successful results.
 """
 
 from __future__ import annotations
@@ -202,9 +205,22 @@ class CampaignRunner:
         if workers <= 1 or len(jobs) == 1:
             outcomes = [_run_job_guarded(job) for job in jobs]
         else:
+            # Longest-processing-time-first list scheduling: a worker that
+            # frees up takes the largest job left, so the critical scenario
+            # starts at once instead of behind the small ones.  Host time
+            # ranks with planned requests; a misjudged job costs balance,
+            # never results.  The sort is stable: ties keep submission order.
+            order = sorted(
+                range(len(jobs)), key=lambda index: -specs[index].workload.target_requests
+            )
             context = execution_context()
             with context.Pool(processes=min(workers, len(jobs))) as pool:
-                outcomes = pool.map(_run_job_guarded, jobs, chunksize=1)
+                dispatched = pool.map(
+                    _run_job_guarded, [jobs[i] for i in order], chunksize=1
+                )
+            outcomes = [None] * len(jobs)
+            for index, outcome in zip(order, dispatched):
+                outcomes[index] = outcome
         done = [outcome for outcome, _ in outcomes if outcome is not None]
         results = tuple(result for result, _ in done)
         # Keep index-wise alignment with ``results``: scenarios without

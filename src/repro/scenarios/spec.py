@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 from repro.cloud.catalog import DEFAULT_CATALOG
 from repro.mobile.device import DEVICE_PROFILES
 from repro.mobile.tasks import DEFAULT_TASK_POOL
-from repro.scenarios.rules import check, choice, coerce, integer, real
+from repro.scenarios.rules import Rule, check, choice, coerce, integer, real
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (multisite uses our specs)
     from repro.faults.spec import FaultSpec
@@ -124,6 +124,23 @@ class DeviceMixSpec:
             raise ValueError("device mix weights must sum to a positive value")
 
 
+#: An acceleration-group key: the paper's levels count from 1.
+_GROUP_KEY = Rule(integer=True, lo=1)
+
+
+def _group_key(key: Any) -> int:
+    """``key`` as an acceleration group; a decimal string (a JSON key) is parsed."""
+    value = key
+    if isinstance(key, str):
+        try:
+            value = int(key)
+        except ValueError:
+            pass
+    if not _GROUP_KEY.accepts(value):
+        raise ValueError(f"acceleration group must be {_GROUP_KEY}, got {key!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CloudSpec:
     """The serving side: acceleration groups, capacity limits and pricing.
@@ -151,15 +168,16 @@ class CloudSpec:
     boot_delay_ms: float = real(0.0, ge=0.0)
 
     def __post_init__(self) -> None:
-        group_types = {int(group): name for group, name in dict(self.group_types).items()}
+        given = dict(self.group_types)
+        group_types = {_group_key(group): name for group, name in given.items()}
+        if len(group_types) != len(given):
+            raise ValueError(f"acceleration groups must be distinct, got {given!r}")
         object.__setattr__(self, "group_types", group_types)
         object.__setattr__(self, "price_multipliers", dict(self.price_multipliers))
         check(self)
         if not group_types:
             raise ValueError("cloud spec needs at least one acceleration group")
-        for group, type_name in group_types.items():
-            if group < 0:
-                raise ValueError(f"acceleration group must be >= 0, got {group}")
+        for type_name in group_types.values():
             if type_name not in DEFAULT_CATALOG:
                 raise ValueError(
                     f"unknown instance type {type_name!r}; "

@@ -13,6 +13,7 @@ from repro.scenarios import (
     WorkloadSpec,
     derive_scenario_seed,
 )
+from repro.scenarios import campaign as campaign_module
 from repro.scenarios.pool import execution_context
 
 
@@ -28,9 +29,9 @@ def tiny_spec(name: str, **kwargs) -> ScenarioSpec:
     return ScenarioSpec(**defaults)
 
 
-def broken_spec(name: str) -> ScenarioSpec:
+def broken_spec(name: str, **kwargs) -> ScenarioSpec:
     """A spec that validates but raises once run: its task is unknown."""
-    spec = tiny_spec(name)
+    spec = tiny_spec(name, **kwargs)
     object.__setattr__(spec, "task_name", "no-such-task")
     return spec
 
@@ -237,6 +238,97 @@ class TestCampaignFailures:
         assert "scenario broken failed:" in captured.err
         assert "no-such-task" in captured.err
         assert "1 of 3 scenarios failed: broken" in captured.err
+
+
+def sized(name: str, requests: int, **kwargs) -> ScenarioSpec:
+    """A tiny spec whose planned request count is ``requests``."""
+    workload = WorkloadSpec(pattern="uniform", target_requests=requests)
+    return tiny_spec(name, workload=workload, **kwargs)
+
+
+class FakePool:
+    """An in-process pool that records the order its jobs reach ``map``."""
+
+    def __init__(self, dispatched):
+        self.dispatched = dispatched
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, func, jobs, chunksize=1):
+        self.dispatched.extend(spec.name for spec, _, _ in jobs)
+        return [func(job) for job in jobs]
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Route the campaign's pool through :class:`FakePool`; returns its record."""
+    order = []
+
+    class FakeContext:
+        def Pool(self, processes):
+            return FakePool(order)
+
+    monkeypatch.setattr(campaign_module, "execution_context", FakeContext)
+    return order
+
+
+class TestDispatchOrder:
+    """The pool gets jobs largest-first; every output keeps submission order."""
+
+    def test_pool_gets_largest_first_with_ties_in_submission_order(self, dispatched):
+        specs = [
+            sized("a-60", 60),
+            sized("b-200", 200),
+            sized("c-120", 120),
+            sized("d-200", 200),
+            sized("e-60", 60),
+        ]
+        campaign = CampaignRunner(workers=2, seed=0).run(specs)
+        assert dispatched == ["b-200", "d-200", "c-120", "a-60", "e-60"]
+        assert [r.name for r in campaign.results] == [s.name for s in specs]
+        serial = CampaignRunner(workers=1, seed=0).run(specs)
+        assert campaign.rows() == serial.rows()
+
+    def test_outputs_keep_submission_order_when_a_small_first_job_fails(self):
+        specs = [
+            broken_spec("small-broken", workload=WorkloadSpec(target_requests=60)),
+            sized("mid-ok", 120),
+            broken_spec("big-broken", workload=WorkloadSpec(target_requests=300)),
+            sized("large-ok", 600),
+        ]
+        errors = {}
+        for workers in (1, 2):
+            with pytest.raises(CampaignError) as caught:
+                CampaignRunner(workers=workers, seed=0, telemetry=True).run(specs)
+            errors[workers] = caught.value
+        pooled = errors[2]
+        assert [r.name for r in pooled.partial.results] == ["mid-ok", "large-ok"]
+        assert [r.scenario for r in pooled.partial.records] == ["mid-ok", "large-ok"]
+        assert [name for name, _ in pooled.failures] == ["small-broken", "big-broken"]
+        assert pooled.partial.rows() == errors[1].partial.rows()
+        assert str(pooled) == str(errors[1])
+
+    def test_serial_campaign_never_reorders(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("a one-worker campaign must not build a pool")
+
+        ran = []
+        guarded = campaign_module._run_job_guarded
+
+        def recording(job):
+            ran.append(job[0].name)
+            return guarded(job)
+
+        monkeypatch.setattr(campaign_module, "execution_context", no_pool)
+        monkeypatch.setattr(campaign_module, "_run_job_guarded", recording)
+        specs = [sized("small", 60), sized("large", 200), sized("mid", 120)]
+        campaign = CampaignRunner(workers=1, seed=0).run(specs)
+        assert ran == ["small", "large", "mid"]
+        assert [r.name for r in campaign.results] == ran
 
 
 class TestSpawnPickleContract:

@@ -2,8 +2,10 @@
 
 import collections.abc
 import dataclasses
+import json
 import typing
 
+import numpy as np
 import pytest
 
 import repro.faults.spec
@@ -21,6 +23,7 @@ from repro.scenarios import (
     WorkloadSpec,
 )
 from repro.scenarios.rules import RULE
+from repro.telemetry.record import spec_hash
 
 
 class TestWorkloadSpec:
@@ -90,6 +93,32 @@ class TestCloudSpec:
     def test_rejects_same_type_in_two_groups(self):
         with pytest.raises(ValueError, match="distinct instance type"):
             CloudSpec(group_types={1: "t2.nano", 2: "t2.nano"})
+
+    @pytest.mark.parametrize(
+        "key", [1.7, 2.0, True, False, 0, -1, "1.5", "x", None, float("nan")]
+    )
+    def test_rejects_bad_group_key(self, key):
+        message = f"acceleration group must be >= 1 and integral, got {key!r}"
+        with pytest.raises(ValueError) as caught:
+            CloudSpec(group_types={key: "t2.nano"})
+        assert str(caught.value) == message
+
+    def test_rejects_keys_naming_one_group_twice(self):
+        with pytest.raises(ValueError, match="groups must be distinct"):
+            CloudSpec(group_types={"2": "t2.nano", 2: "t2.large"})
+
+    def test_accepts_integral_and_json_string_keys(self):
+        cloud = CloudSpec(group_types={"2": "t2.nano", np.int64(3): "t2.large"})
+        assert cloud.group_types == {2: "t2.nano", 3: "t2.large"}
+        assert all(type(group) is int for group in cloud.group_types)
+
+    def test_json_round_trip_keeps_spec_hash(self):
+        spec = ScenarioSpec(
+            name="json-groups", cloud=CloudSpec(group_types={1: "t2.nano", 2: "t2.large"})
+        )
+        clone = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert clone == spec
+        assert spec_hash(clone) == spec_hash(spec)
 
 
 class TestNetworkSpec:
