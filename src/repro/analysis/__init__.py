@@ -7,7 +7,7 @@
 * :mod:`repro.analysis.crossval` — k-fold cross-validation of the workload
   predictor and the accuracy-vs-history-size curve of Fig. 10a.
 * :mod:`repro.analysis.metrics` — summary metrics shared by the experiments
-  (response-time summaries, success rates, speed-up ratios).
+  (speed-up ratios, federation and per-group roll-ups, routing shares).
 """
 
 from repro.analysis.characterization import (
@@ -21,11 +21,7 @@ from repro.analysis.crossval import (
     accuracy_vs_history_size,
     cross_validate_predictor,
 )
-from repro.analysis.metrics import (
-    acceleration_ratio,
-    response_time_summary,
-    success_failure_split,
-)
+from repro.analysis.metrics import acceleration_ratio
 from repro.analysis.reporting import format_table, read_csv, summarize_comparison, write_csv
 
 __all__ = [
@@ -39,8 +35,6 @@ __all__ = [
     "format_table",
     "measured_capacities",
     "read_csv",
-    "response_time_summary",
-    "success_failure_split",
     "summarize_comparison",
     "write_csv",
 ]

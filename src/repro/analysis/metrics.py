@@ -2,30 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
-
-from repro.simulation.stats import percentile_summary
-
-
-def response_time_summary(response_times_ms: Sequence[float]) -> Dict[str, float]:
-    """Mean/std/percentile summary of a set of response times."""
-    return percentile_summary(response_times_ms)
-
-
-def success_failure_split(successes: int, failures: int) -> Dict[str, float]:
-    """Success and failure percentages (the Fig. 8c bars)."""
-    if successes < 0 or failures < 0:
-        raise ValueError("counts must be non-negative")
-    total = successes + failures
-    if total == 0:
-        raise ValueError("no requests to split")
-    return {
-        "success_pct": 100.0 * successes / total,
-        "fail_pct": 100.0 * failures / total,
-        "total": float(total),
-    }
 
 
 def acceleration_ratio(
@@ -43,24 +22,6 @@ def acceleration_ratio(
     if slower <= 0 or faster <= 0:
         raise ValueError("response times must be positive")
     return slower / faster
-
-
-def mean_by_key(values_by_key: Mapping[int, Sequence[float]]) -> Dict[int, float]:
-    """Mean of each entry of a key -> samples mapping (empty entries skipped)."""
-    return {
-        key: float(np.mean(values))
-        for key, values in values_by_key.items()
-        if len(values) > 0
-    }
-
-
-def std_by_key(values_by_key: Mapping[int, Sequence[float]]) -> Dict[int, float]:
-    """Standard deviation of each entry of a key -> samples mapping."""
-    return {
-        key: float(np.std(values))
-        for key, values in values_by_key.items()
-        if len(values) > 0
-    }
 
 
 def federation_rollup(sites: Sequence[object]) -> Dict[str, float]:

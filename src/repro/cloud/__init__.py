@@ -25,12 +25,6 @@ from repro.cloud.catalog import (
     InstanceType,
     get_instance_type,
 )
-from repro.cloud.parallelization import (
-    ParallelizableTask,
-    optimal_worker_count,
-    parallel_execution_time_ms,
-    speedup_curve,
-)
 from repro.cloud.performance import PerformanceProfile
 from repro.cloud.provisioner import BillingRecord, Provisioner, ProvisioningError
 from repro.cloud.server import CloudInstance, OffloadOutcome
@@ -43,12 +37,8 @@ __all__ = [
     "InstanceCatalog",
     "InstanceType",
     "OffloadOutcome",
-    "ParallelizableTask",
     "PerformanceProfile",
     "Provisioner",
     "ProvisioningError",
     "get_instance_type",
-    "optimal_worker_count",
-    "parallel_execution_time_ms",
-    "speedup_curve",
 ]

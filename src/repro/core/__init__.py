@@ -44,18 +44,14 @@ from repro.core.prediction import (
     assignment_accuracy,
     prediction_accuracy,
 )
-from repro.core.pricing import AccelerationPlan, CaaSPricingModel, CaaSReport
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
 
 __all__ = [
     "AccelerationGroup",
     "AccelerationLevelCharacterization",
-    "AccelerationPlan",
     "AdaptiveModel",
     "AllocationPlan",
     "AllocationProblem",
-    "CaaSPricingModel",
-    "CaaSReport",
     "GreedyAllocator",
     "IlpAllocator",
     "InstanceOption",

@@ -181,12 +181,3 @@ class SlotDistanceIndex:
             overlaps = np.zeros(count, dtype=np.int64)
         sizes = self._sizes[:count]
         return sizes + np.int64(query.size) - 2 * overlaps
-
-
-def batch_slot_distances(current: TimeSlot, slots: Sequence[TimeSlot]) -> np.ndarray:
-    """Vectorised ``[Δ(current, slot) for slot in slots]``.
-
-    One-shot convenience wrapper over :class:`SlotDistanceIndex`; callers that
-    query a growing history repeatedly should keep an index instead.
-    """
-    return SlotDistanceIndex(slots).distances_from(current)

@@ -21,7 +21,6 @@ Models the client side of the offloading architecture:
 
 from repro.mobile.battery import BatteryModel
 from repro.mobile.device import DeviceProfile, MobileDevice, DEVICE_PROFILES
-from repro.mobile.energy import EnergyModel, lte_energy_model, three_g_energy_model
 from repro.mobile.moderator import (
     BatteryAwarePolicy,
     Moderator,
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_TASK_POOL",
     "DEVICE_PROFILES",
     "DeviceProfile",
-    "EnergyModel",
     "MobileDevice",
     "Moderator",
     "OffloadableTask",
@@ -53,6 +51,4 @@ __all__ = [
     "StaticProbabilityPolicy",
     "TaskPool",
     "build_default_task_pool",
-    "lte_energy_model",
-    "three_g_energy_model",
 ]

@@ -8,8 +8,7 @@ acceleration-level measurements (Fig. 5) and the model evaluation (Fig. 9/10).
 Each :class:`OffloadableTask` here has two faces:
 
 * a *real implementation* (:meth:`OffloadableTask.execute`) — a pure-Python
-  algorithm run by the examples and tests, which is what a homogeneous-model
-  surrogate would actually execute; and
+  algorithm that the ``offload_decision`` example and the tests really run; and
 * a *cost model* — the number of **work units** the task costs on a level-1
   cloud core (1 work unit = 1 ms of level-1 single-core execution), used by
   the discrete-event simulation so that experiments with tens of thousands of
@@ -234,7 +233,7 @@ def edit_distance(first: str, second: str) -> int:
 
 @dataclass(frozen=True)
 class OffloadableTask:
-    """One offloadable method in the homogeneous offloading model.
+    """One offloadable method: a simulated work cost plus a real implementation.
 
     Attributes
     ----------
@@ -246,20 +245,14 @@ class OffloadableTask:
     work_variability:
         Coefficient of variation of the per-request work (random inputs make
         the processing requirement of each request random, Section VI-A1).
-    payload_bytes:
-        Approximate size of the serialized application state transferred,
-        recorded in traces (the paper assumes transfer size does not dominate
-        under LTE).
     runner / input_builder:
         The real implementation and a deterministic small-input builder for
-        it, so the task can genuinely be executed locally or "in the cloud"
-        by the examples.
+        it, so the task can genuinely be executed.
     """
 
     name: str
     work_units: float
     work_variability: float = 0.25
-    payload_bytes: int = 2048
     runner: Optional[Callable[..., Any]] = None
     input_builder: Optional[Callable[[np.random.Generator], tuple]] = None
 
@@ -270,8 +263,6 @@ class OffloadableTask:
             raise ValueError(f"work_units must be positive, got {self.work_units}")
         if self.work_variability < 0:
             raise ValueError(f"work_variability must be >= 0, got {self.work_variability}")
-        if self.payload_bytes < 0:
-            raise ValueError(f"payload_bytes must be >= 0, got {self.payload_bytes}")
 
     def sample_work_units(self, rng: np.random.Generator) -> float:
         """Draw the work requirement of one request of this task."""
@@ -357,7 +348,6 @@ def build_default_task_pool() -> TaskPool:
             name="minimax",
             work_units=2000.0,
             work_variability=0.05,
-            payload_bytes=256,
             runner=minimax_best_move,
             input_builder=lambda rng: ([0] * 9, 1),
         ),
@@ -365,7 +355,6 @@ def build_default_task_pool() -> TaskPool:
             name="nqueens",
             work_units=900.0,
             work_variability=0.15,
-            payload_bytes=64,
             runner=nqueens_count,
             input_builder=lambda rng: (8,),
         ),
@@ -373,7 +362,6 @@ def build_default_task_pool() -> TaskPool:
             name="quicksort",
             work_units=120.0,
             work_variability=0.30,
-            payload_bytes=8192,
             runner=quicksort,
             input_builder=lambda rng: (rng.standard_normal(512).tolist(),),
         ),
@@ -381,7 +369,6 @@ def build_default_task_pool() -> TaskPool:
             name="bubblesort",
             work_units=350.0,
             work_variability=0.30,
-            payload_bytes=8192,
             runner=bubblesort,
             input_builder=lambda rng: (rng.standard_normal(256).tolist(),),
         ),
@@ -389,7 +376,6 @@ def build_default_task_pool() -> TaskPool:
             name="mergesort",
             work_units=100.0,
             work_variability=0.30,
-            payload_bytes=8192,
             runner=mergesort,
             input_builder=lambda rng: (rng.standard_normal(512).tolist(),),
         ),
@@ -397,7 +383,6 @@ def build_default_task_pool() -> TaskPool:
             name="fibonacci",
             work_units=40.0,
             work_variability=0.20,
-            payload_bytes=32,
             runner=fibonacci,
             input_builder=lambda rng: (int(rng.integers(100, 400)),),
         ),
@@ -405,7 +390,6 @@ def build_default_task_pool() -> TaskPool:
             name="matrix-multiply",
             work_units=500.0,
             work_variability=0.20,
-            payload_bytes=16384,
             runner=matrix_multiply,
             input_builder=lambda rng: (48, int(rng.integers(0, 1000))),
         ),
@@ -413,7 +397,6 @@ def build_default_task_pool() -> TaskPool:
             name="prime-sieve",
             work_units=200.0,
             work_variability=0.15,
-            payload_bytes=32,
             runner=prime_sieve,
             input_builder=lambda rng: (int(rng.integers(10_000, 50_000)),),
         ),
@@ -421,7 +404,6 @@ def build_default_task_pool() -> TaskPool:
             name="knapsack",
             work_units=300.0,
             work_variability=0.25,
-            payload_bytes=1024,
             runner=knapsack,
             input_builder=lambda rng: (
                 rng.integers(1, 20, size=24).tolist(),
@@ -433,7 +415,6 @@ def build_default_task_pool() -> TaskPool:
             name="edit-distance",
             work_units=150.0,
             work_variability=0.25,
-            payload_bytes=4096,
             runner=edit_distance,
             input_builder=lambda rng: (
                 "".join(rng.choice(list("abcdefgh"), size=64)),

@@ -68,18 +68,3 @@ class SimulationClock:
 def hours_to_ms(hours: float) -> float:
     """Convert hours to simulated milliseconds."""
     return hours * MILLISECONDS_PER_HOUR
-
-
-def minutes_to_ms(minutes: float) -> float:
-    """Convert minutes to simulated milliseconds."""
-    return minutes * MILLISECONDS_PER_MINUTE
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to simulated milliseconds."""
-    return seconds * MILLISECONDS_PER_SECOND
-
-
-def ms_to_hours(ms: float) -> float:
-    """Convert simulated milliseconds to hours."""
-    return ms / MILLISECONDS_PER_HOUR

@@ -2,44 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import (
-    acceleration_ratio,
-    mean_by_key,
-    response_time_summary,
-    std_by_key,
-    success_failure_split,
-)
-
-
-class TestResponseTimeSummary:
-    def test_contains_percentiles(self):
-        summary = response_time_summary([100.0, 200.0, 300.0, 400.0])
-        assert summary["mean"] == 250.0
-        assert summary["p50"] == 250.0
-        assert summary["count"] == 4
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            response_time_summary([])
-
-
-class TestSuccessFailureSplit:
-    def test_percentages_sum_to_hundred(self):
-        split = success_failure_split(successes=75, failures=25)
-        assert split["success_pct"] == 75.0
-        assert split["fail_pct"] == 25.0
-        assert split["total"] == 100.0
-
-    def test_all_success(self):
-        assert success_failure_split(10, 0)["fail_pct"] == 0.0
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            success_failure_split(-1, 5)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            success_failure_split(0, 0)
+from repro.analysis.metrics import acceleration_ratio
 
 
 class TestAccelerationRatio:
@@ -52,18 +15,6 @@ class TestAccelerationRatio:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             acceleration_ratio(0.0, 100.0)
-
-
-class TestKeyedReductions:
-    def test_mean_by_key(self):
-        assert mean_by_key({1: [1.0, 3.0], 2: [10.0]}) == {1: 2.0, 2: 10.0}
-
-    def test_std_by_key(self):
-        result = std_by_key({1: [1.0, 3.0]})
-        assert result[1] == pytest.approx(1.0)
-
-    def test_empty_entries_skipped(self):
-        assert mean_by_key({1: [], 2: [5.0]}) == {2: 5.0}
 
 
 class TestGroupRollupRows:

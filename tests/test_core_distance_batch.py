@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.distance import (
-    SlotDistanceIndex,
-    batch_slot_distances,
-    slot_edit_distance,
-)
+from repro.core.distance import SlotDistanceIndex, slot_edit_distance
 from repro.core.prediction import WorkloadPredictor
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
 
@@ -26,38 +22,38 @@ class TestBatchSlotDistances:
         rng = np.random.default_rng(7)
         slots = [random_slot(rng, i) for i in range(40)]
         query = random_slot(rng, 40)
-        batch = batch_slot_distances(query, slots)
+        batch = SlotDistanceIndex(slots).distances_from(query)
         expected = [slot_edit_distance(query, slot) for slot in slots]
         assert batch.tolist() == expected
 
     def test_empty_history(self):
         query = TimeSlot.from_counts(0, {1: 3})
-        assert batch_slot_distances(query, []).size == 0
+        assert SlotDistanceIndex([]).distances_from(query).size == 0
 
     def test_empty_query_slot(self):
         slots = [TimeSlot.from_counts(0, {1: 4}), TimeSlot.from_counts(1, {2: 2})]
         query = TimeSlot(index=2, groups={})
-        batch = batch_slot_distances(query, slots)
+        batch = SlotDistanceIndex(slots).distances_from(query)
         assert batch.tolist() == [4, 2]
 
     def test_identical_slots_have_zero_distance(self):
         slot = TimeSlot.from_user_sets(0, {1: {10, 11}, 2: {20}})
         twin = TimeSlot.from_user_sets(1, {1: {10, 11}, 2: {20}})
-        assert batch_slot_distances(slot, [twin]).tolist() == [0]
+        assert SlotDistanceIndex([twin]).distances_from(slot).tolist() == [0]
 
     def test_disjoint_groups_count_full_sets(self):
         # A group populated in one slot and absent in the other contributes
         # the full size of its user set.
         slot_a = TimeSlot.from_user_sets(0, {1: {1, 2, 3}})
         slot_b = TimeSlot.from_user_sets(1, {2: {7, 8}})
-        assert batch_slot_distances(slot_a, [slot_b]).tolist() == [5]
+        assert SlotDistanceIndex([slot_b]).distances_from(slot_a).tolist() == [5]
 
     def test_same_user_in_different_groups_is_distinct(self):
         # (group, user) pairs are the unit of comparison: user 5 in group 1
         # and user 5 in group 2 are different assignments.
         slot_a = TimeSlot.from_user_sets(0, {1: {5}})
         slot_b = TimeSlot.from_user_sets(1, {2: {5}})
-        assert batch_slot_distances(slot_a, [slot_b]).tolist() == [2]
+        assert SlotDistanceIndex([slot_b]).distances_from(slot_a).tolist() == [2]
 
 
 class TestSlotDistanceIndex:

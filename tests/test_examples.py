@@ -19,8 +19,6 @@ EXPECTED_OUTPUT = {
     "dynamic_acceleration.py": "Mean perceived response time per acceleration group",
     "offload_decision.py": "Offloading decision per device class",
     "workload_forecasting.py": "Mean workload-prediction accuracy",
-    "homogeneous_offloading.py": "Offloadable methods registered on both sides",
-    "caas_pricing.py": "CaaS monthly economics",
 }
 
 

@@ -8,9 +8,6 @@ from repro.simulation.clock import (
     MILLISECONDS_PER_SECOND,
     SimulationClock,
     hours_to_ms,
-    minutes_to_ms,
-    ms_to_hours,
-    seconds_to_ms,
 )
 
 
@@ -54,15 +51,6 @@ class TestSimulationClock:
 class TestUnitConversions:
     def test_hours_to_ms(self):
         assert hours_to_ms(2.0) == 2 * MILLISECONDS_PER_HOUR
-
-    def test_minutes_to_ms(self):
-        assert minutes_to_ms(3.0) == 3 * MILLISECONDS_PER_MINUTE
-
-    def test_seconds_to_ms(self):
-        assert seconds_to_ms(1.5) == 1.5 * MILLISECONDS_PER_SECOND
-
-    def test_ms_to_hours_roundtrip(self):
-        assert ms_to_hours(hours_to_ms(7.25)) == pytest.approx(7.25)
 
     def test_constants_are_consistent(self):
         assert MILLISECONDS_PER_MINUTE == 60 * MILLISECONDS_PER_SECOND
