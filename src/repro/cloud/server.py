@@ -14,15 +14,13 @@ beyond the limit are *dropped* (the "fail" series of Fig. 8c).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from repro.cloud.catalog import InstanceType
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.queues import ProcessorSharingServer
-from repro.simulation.stats import OnlineStatistics
 
 
 def jittered_work_units(work_units, jitter_z, jitter_fraction):
@@ -45,9 +43,11 @@ def jittered_work_units(work_units, jitter_z, jitter_fraction):
     return work_units * np.clip(factor, 0.05, 3.0)
 
 
-@dataclass(frozen=True)
-class OffloadOutcome:
-    """The result of one offloaded request handled by an instance."""
+class OffloadOutcome(NamedTuple):
+    """The result of one offloaded request handled by an instance.
+
+    Immutable; a named tuple because one is built per offloaded request.
+    """
 
     request_id: int
     instance_id: str
@@ -101,7 +101,6 @@ class CloudInstance:
         self.accepted_requests = 0
         self.dropped_requests = 0
         self.completed_requests = 0
-        self.execution_stats = OnlineStatistics()
         self._request_ids = itertools.count()
 
     @property
@@ -169,30 +168,23 @@ class CloudInstance:
         request_id = next(self._request_ids)
         if self._server.in_service >= self.admission_limit:
             self.dropped_requests += 1
-            outcome = OffloadOutcome(
-                request_id=request_id,
-                instance_id=self.instance_id,
-                accepted=False,
-                execution_time_ms=0.0,
-                completed_at_ms=self.engine.now_ms,
+            return OffloadOutcome(
+                request_id, self.instance_id, False, 0.0, self.engine.now_ms
             )
-            return outcome
         self.accepted_requests += 1
         # Per-request jitter models variation in code paths and VM scheduling.
         effective_work = self.effective_work_units(work_units, jitter_z)
         overhead = self.instance_type.profile.base_overhead_ms
 
         def _finished(sojourn_ms: float, request_id: int = request_id) -> None:
-            execution_time = sojourn_ms + overhead
             self.completed_requests += 1
-            self.execution_stats.add(execution_time)
             on_complete(
                 OffloadOutcome(
-                    request_id=request_id,
-                    instance_id=self.instance_id,
-                    accepted=True,
-                    execution_time_ms=execution_time,
-                    completed_at_ms=self.engine.now_ms,
+                    request_id,
+                    self.instance_id,
+                    True,
+                    sojourn_ms + overhead,
+                    self.engine.now_ms,
                 )
             )
 

@@ -24,19 +24,27 @@ This module implements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 import numpy as np
 
 from repro.mobile.device import MobileDevice
 
 
-@dataclass(frozen=True)
-class PromotionDecision:
-    """The outcome of one promotion check."""
+class PromotionDecision(NamedTuple):
+    """The outcome of one promotion check.
+
+    Immutable; a named tuple because one is returned per completed request.
+    """
 
     promote: bool
     reason: str = ""
+
+
+#: The shared "no promotion" outcomes, so a request that keeps its group
+#: builds no new decision.
+_KEEP = PromotionDecision(False)
+_AT_HIGHEST = PromotionDecision(False, "already at the highest group")
 
 
 class PromotionPolicy(Protocol):
@@ -70,7 +78,7 @@ class StaticProbabilityPolicy:
     ) -> PromotionDecision:
         if rng.random() < self.probability:
             return PromotionDecision(True, f"static probability {self.probability:.4f}")
-        return PromotionDecision(False)
+        return _KEEP
 
     def decide_many(
         self,
@@ -115,7 +123,7 @@ class ResponseTimeThresholdPolicy:
             return PromotionDecision(
                 True, f"mean of last {self.window} responses {recent:.0f} ms > {self.threshold_ms:.0f} ms"
             )
-        return PromotionDecision(False)
+        return _KEEP
 
     def decide_many(
         self,
@@ -179,10 +187,10 @@ class BatteryAwarePolicy:
                 return PromotionDecision(
                     True, f"battery at {device.battery.level:.0%} <= {self.battery_threshold:.0%}"
                 )
-            return PromotionDecision(False)
+            return _KEEP
         if rng.random() < self.base_probability:
             return PromotionDecision(True, "base static probability")
-        return PromotionDecision(False)
+        return _KEEP
 
     def decide_many(
         self,
@@ -233,7 +241,7 @@ class Moderator:
         """
         device.record_response(response_time_ms)
         if device.acceleration_group >= self.max_group:
-            return PromotionDecision(False, "already at the highest group")
+            return _AT_HIGHEST
         decision = self.policy.decide(device, response_time_ms, self._rng)
         if decision.promote:
             device.promote(device.acceleration_group + 1, now_ms)

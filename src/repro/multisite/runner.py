@@ -97,6 +97,7 @@ from repro.sdn.accelerator import DeliveryBuffer, RequestRecord
 from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
+from repro.simulation.stats import linear_percentiles
 from repro.telemetry import NULL_TELEMETRY, resolve_telemetry
 from repro.telemetry.publish import (
     publish_broker,
@@ -375,29 +376,33 @@ def execute_event_multisite(
     ``time_ms > until_ms`` stop condition is exact), so the telemetry-on and
     telemetry-off paths share one code path and one result.
     """
-    completion_callbacks: Dict[int, Callable[[RequestRecord], None]] = {}
     per_site: List[SiteExecutionStats] = [SiteExecutionStats() for _ in federation]
     unrouted = 0
     fault_outcome = None if fault_plane is None else fault_plane.overlay.outcome
+    # Each site's successful response times in delivery order, which is the
+    # order of its accelerator's records.
+    site_successes: List[List[float]] = [[] for _ in federation]
 
-    def _completion_for(user_id: int):
-        callback = completion_callbacks.get(user_id)
-        if callback is None:
+    def _completion_for(successes: List[float]) -> Callable[[RequestRecord], None]:
+        append = successes.append
 
-            def _on_complete(record: RequestRecord) -> None:
-                device = devices[user_id]
-                if record.success:
-                    # The record's completion stamp is the delivery instant —
-                    # with buffered delivery the engine clock may already be
-                    # past it when the buffer drains.
-                    moderators[user_id].observe(
-                        device, record.response_time_ms, record.completed_ms
-                    )
-                else:
-                    device.record_failure()
+        def _on_complete(record: RequestRecord) -> None:
+            user_id = record.user_id
+            if record.success:
+                response_ms = record.response_time_ms
+                append(response_ms)
+                # The record's completion stamp is the delivery instant —
+                # with buffered delivery the engine clock may already be
+                # past it when the buffer drains.
+                moderators[user_id].observe(
+                    devices[user_id], response_ms, record.completed_ms
+                )
+            else:
+                devices[user_id].record_failure()
 
-            callback = completion_callbacks[user_id] = _on_complete
-        return callback
+        return _on_complete
+
+    completions = [_completion_for(successes) for successes in site_successes]
 
     task_name = task.name
     count = len(plan)
@@ -415,77 +420,6 @@ def execute_event_multisite(
     for site in federation:
         site.accelerator.delivery_buffer = buffer
     drain = buffer.drain_until
-
-    # --- slot-boundary brokering + per-site provisioning control loops ------
-    # Boundary events are front-scheduled before the first arrival, so at
-    # equal timestamps they run ahead of every arrival (the pump's later
-    # front events) and of every run-time event.  Interleaving broker(k) /
-    # scale(k) per period yields exactly the batched executor's boundary
-    # ordering: scale(k) → broker(k+1) → arrivals of slot k+1.  The implicit
-    # site has nothing to broker and schedules no broker event (the engine's
-    # event count is part of the canonical record).
-    for period in range(1, spec.periods + 1):
-        period_start = (period - 1) * slot_ms
-        period_end = min(period * slot_ms, duration_ms)
-
-        if not federation.implicit:
-
-            def _broker(
-                start: float = period_start,
-                end: float = period_end,
-                slot_index: int = period - 1,
-            ) -> None:
-                drain(engine.now_ms)
-                _, window_end = run_slot_brokering(
-                    slot_broker,
-                    plan=plan,
-                    federation=federation,
-                    start_ms=start,
-                    end_ms=end,
-                    # The live promotion-level view at this boundary:
-                    # promotions from requests delivered before it have
-                    # already been applied (the drain above delivers them).
-                    group_of_user=np.asarray(
-                        [
-                            devices[user].acceleration_group
-                            for user in range(spec.users)
-                        ],
-                        dtype=np.int64,
-                    ),
-                    telemetry=telemetry,
-                    slot_index=slot_index,
-                    fault_plane=fault_plane,
-                )
-                pump.invalidate(window_end)
-
-            engine.schedule_at(
-                period_start, _broker, label=f"multisite:broker-{period}", front=True
-            )
-        for site in federation:
-
-            def _scale(
-                site: SiteRuntime = site,
-                start: float = period_start,
-                end: float = period_end,
-                slot_index: int = period - 1,
-            ) -> None:
-                drain(engine.now_ms)
-                with telemetry.span("slot.control", slot=slot_index):
-                    site.autoscaler.run_period_end(
-                        site.accelerator.trace_log, start, end
-                    )
-                    # Post-scaling fleet state at the boundary, per site —
-                    # sampled at the same instant in the batched executor.
-                    telemetry.recorder.sample_fleet(
-                        slot_index, site.provisioner, prefix=site.metric_prefix
-                    )
-
-            engine.schedule_at(
-                period_end,
-                _scale,
-                label=f"multisite:scale-{site.name}-{period}",
-                front=True,
-            )
 
     # Arrival pump: each submission schedules the next one instead of all of
     # them being pre-scheduled, keeping the event heap at O(in-flight) rather
@@ -536,17 +470,8 @@ def execute_event_multisite(
             jitter_z=jitter[offset],
             task_name=task_name,
             battery_level=device.battery.level,
-            on_complete=_completion_for(user_id),
+            on_complete=completions[site_index],
         )
-
-    with telemetry.span("scenario.schedule"):
-        if count:
-            engine.schedule_at(
-                float(plan.arrival_ms[0]),
-                functools.partial(_submit, 0),
-                label="scenario:request",
-                front=True,
-            )
 
     # --- utilization sampling (federation-wide and per site) ----------------
     utilization_samples: List[float] = []
@@ -571,7 +496,92 @@ def execute_event_multisite(
                 sample_interval_ms, _sample_utilization, label="multisite:utilization"
             )
 
-    engine.schedule_at(0.0, _sample_utilization, label="multisite:utilization")
+    # Everything that schedules the run's opening events sits in one span, so
+    # its wall time is attributed.  The schedule order is part of the result:
+    # boundaries, then the first arrival, then the first utilization sample.
+    with telemetry.span("scenario.schedule"):
+        # --- slot-boundary brokering + per-site provisioning control loops --
+        # Boundary events are front-scheduled before the first arrival, so at
+        # equal timestamps they run ahead of every arrival (the pump's later
+        # front events) and of every run-time event.  Interleaving broker(k) /
+        # scale(k) per period yields exactly the batched executor's boundary
+        # ordering: scale(k) → broker(k+1) → arrivals of slot k+1.  The implicit
+        # site has nothing to broker and schedules no broker event (the engine's
+        # event count is part of the canonical record).
+        for period in range(1, spec.periods + 1):
+            period_start = (period - 1) * slot_ms
+            period_end = min(period * slot_ms, duration_ms)
+
+            if not federation.implicit:
+
+                def _broker(
+                    start: float = period_start,
+                    end: float = period_end,
+                    slot_index: int = period - 1,
+                ) -> None:
+                    drain(engine.now_ms)
+                    _, window_end = run_slot_brokering(
+                        slot_broker,
+                        plan=plan,
+                        federation=federation,
+                        start_ms=start,
+                        end_ms=end,
+                        # The live promotion-level view at this boundary:
+                        # promotions from requests delivered before it have
+                        # already been applied (the drain above delivers them).
+                        group_of_user=np.asarray(
+                            [
+                                devices[user].acceleration_group
+                                for user in range(spec.users)
+                            ],
+                            dtype=np.int64,
+                        ),
+                        telemetry=telemetry,
+                        slot_index=slot_index,
+                        fault_plane=fault_plane,
+                    )
+                    pump.invalidate(window_end)
+
+                engine.schedule_at(
+                    period_start,
+                    _broker,
+                    label=f"multisite:broker-{period}",
+                    front=True,
+                )
+            for site in federation:
+
+                def _scale(
+                    site: SiteRuntime = site,
+                    start: float = period_start,
+                    end: float = period_end,
+                    slot_index: int = period - 1,
+                ) -> None:
+                    drain(engine.now_ms)
+                    with telemetry.span("slot.control", slot=slot_index):
+                        site.autoscaler.run_period_end(
+                            site.accelerator.trace_log, start, end
+                        )
+                        # Post-scaling fleet state at the boundary, per site —
+                        # sampled at the same instant in the batched executor.
+                        telemetry.recorder.sample_fleet(
+                            slot_index, site.provisioner, prefix=site.metric_prefix
+                        )
+
+                engine.schedule_at(
+                    period_end,
+                    _scale,
+                    label=f"multisite:scale-{site.name}-{period}",
+                    front=True,
+                )
+
+        if count:
+            engine.schedule_at(
+                float(plan.arrival_ms[0]),
+                functools.partial(_submit, 0),
+                label="scenario:request",
+                front=True,
+            )
+        engine.schedule_at(0.0, _sample_utilization, label="multisite:utilization")
 
     # Run to the end plus a drain margin for in-flight requests, one chunk
     # per provisioning period so wall time lands in per-slot serve spans.
@@ -583,33 +593,32 @@ def execute_event_multisite(
         engine.run(until_ms=duration_ms + DRAIN_MARGIN_MS)
         buffer.flush(duration_ms + DRAIN_MARGIN_MS)
 
-    for site in federation:
-        records = site.accelerator.records
-        stats = per_site[site.index]
-        stats.requests_total = len(records)
-        failed = np.asarray([not record.success for record in records], dtype=bool)
-        stats.requests_dropped = int(np.count_nonzero(failed))
-        stats.success_chunks.append(
-            np.asarray(
-                [r.response_time_ms for r in records if r.success], dtype=float
+    with telemetry.span("stats.fold"):
+        for site in federation:
+            records = site.accelerator.records
+            stats = per_site[site.index]
+            stats.requests_total = len(records)
+            failed = np.asarray(
+                [not record.success for record in records], dtype=bool
             )
+            stats.requests_dropped = int(np.count_nonzero(failed))
+            stats.success_chunks.append(
+                np.asarray(site_successes[site.index], dtype=float)
+            )
+            groups = np.asarray(requested_groups[site.index], dtype=np.int64)[
+                np.asarray([record.request_id for record in records], dtype=np.int64)
+            ]
+            # Groups are small non-negative ints: count each one with
+            # bincount and tally them in ascending order.
+            totals = np.bincount(groups)
+            drops = np.bincount(groups[failed], minlength=totals.size)
+            for group in np.flatnonzero(totals):
+                stats.tally_group(int(group), int(totals[group]), int(drops[group]))
+        successes = (
+            np.concatenate([stats.success_response_ms for stats in per_site])
+            if per_site
+            else np.empty(0, dtype=float)
         )
-        groups = np.asarray(requested_groups[site.index], dtype=np.int64)[
-            np.asarray([record.request_id for record in records], dtype=np.int64)
-        ]
-        for group in np.unique(groups):
-            picks = groups == group
-            stats.tally_group(
-                int(group),
-                int(np.count_nonzero(picks)),
-                int(np.count_nonzero(picks & failed)),
-            )
-
-    successes = (
-        np.concatenate([stats.success_response_ms for stats in per_site])
-        if per_site
-        else np.empty(0, dtype=float)
-    )
     return FederationMetrics(
         requests_total=sum(stats.requests_total for stats in per_site) + unrouted,
         requests_dropped=sum(stats.requests_dropped for stats in per_site) + unrouted,
@@ -1187,9 +1196,7 @@ def _fold_multisite_result(
             )
     if successes.size:
         mean_ms = float(successes.mean())
-        p50, p95, p99 = (
-            float(np.percentile(successes, p)) for p in (50.0, 95.0, 99.0)
-        )
+        p50, p95, p99 = linear_percentiles(successes, (50.0, 95.0, 99.0))
     else:
         mean_ms = p50 = p95 = p99 = float("nan")
 
@@ -1344,7 +1351,7 @@ def _site_results(
                     float(site_successes.mean()) if site_successes.size else float("nan")
                 ),
                 p95_response_ms=(
-                    float(np.percentile(site_successes, 95.0))
+                    linear_percentiles(site_successes, (95.0,))[0]
                     if site_successes.size
                     else float("nan")
                 ),

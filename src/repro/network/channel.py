@@ -17,17 +17,18 @@ routing overhead (≈150 ms, Fig. 8a) is drawn separately by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.network.latency import LatencyModel, LogNormalLatencyModel, lte_latency_model
 
 
-@dataclass(frozen=True)
-class ResponseTimeBreakdown:
-    """The additive components of one request's response time (milliseconds)."""
+class ResponseTimeBreakdown(NamedTuple):
+    """The additive components of one request's response time (milliseconds).
+
+    Immutable; a named tuple because one is built per completed request.
+    """
 
     t1_ms: float
     t2_ms: float

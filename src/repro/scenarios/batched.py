@@ -326,10 +326,6 @@ def serve_slot_requests(
             instance.accepted_requests += admitted_count
             instance.completed_requests += admitted_count
             instance.dropped_requests += int(drops.sum())
-            if admitted_count:
-                instance.execution_stats.extend_array(
-                    sojourn + profile.base_overhead_ms
-                )
 
 
 def execute_batched(

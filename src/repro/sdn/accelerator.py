@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, List, NamedTuple, Optional, Protocol
 
 import numpy as np
 
@@ -41,9 +40,11 @@ def draw_routing_overhead_ms(rng: np.random.Generator, count: int) -> np.ndarray
     return np.maximum(rng.normal(150.0, 25.0, size=count), 1.0)
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """Full accounting of one request processed by the front-end."""
+class RequestRecord(NamedTuple):
+    """Full accounting of one request processed by the front-end.
+
+    Immutable; a named tuple because one is built per request.
+    """
 
     request_id: int
     user_id: int
@@ -57,9 +58,10 @@ class RequestRecord:
     @property
     def response_time_ms(self) -> float:
         """Total response time perceived by the device (0 for dropped requests)."""
-        if self.breakdown is None:
+        breakdown = self.breakdown
+        if breakdown is None:
             return 0.0
-        return self.breakdown.total_ms
+        return breakdown.total_ms
 
 
 class RoutingPolicy(Protocol):
@@ -146,11 +148,11 @@ class DeliveryBuffer:
         _, _, accelerator, record, battery_level, on_complete = entry
         accelerator.records.append(record)
         accelerator.trace_log.log(
-            timestamp_ms=record.arrival_ms,
-            user_id=record.user_id,
-            acceleration_group=record.acceleration_group,
-            battery_level=battery_level,
-            round_trip_time_ms=record.response_time_ms,
+            record.arrival_ms,
+            record.user_id,
+            record.acceleration_group,
+            battery_level,
+            record.response_time_ms,
         )
         if on_complete is not None:
             on_complete(record)
@@ -239,34 +241,30 @@ class SDNAccelerator:
                 # Dropped at admission: the failure is reported back to the
                 # device over the downlink immediately.
                 self._finish(
-                    request_id=request_id,
-                    user_id=user_id,
-                    group=routed_group,
-                    task_name=task_name,
-                    arrival_ms=arrival_ms,
-                    battery_level=battery_level,
-                    breakdown=None,
-                    downlink_ms=downlink_ms,
-                    on_complete=on_complete,
+                    request_id,
+                    user_id,
+                    routed_group,
+                    task_name,
+                    arrival_ms,
+                    battery_level,
+                    None,
+                    0.0,
+                    on_complete,
                 )
 
         def _on_cloud_complete(outcome: OffloadOutcome) -> None:
-            breakdown = ResponseTimeBreakdown(
-                t1_ms=t1_ms,
-                t2_ms=t2_ms,
-                routing_ms=routing_ms,
-                cloud_ms=outcome.execution_time_ms,
-            )
             self._finish(
-                request_id=request_id,
-                user_id=user_id,
-                group=routed_group,
-                task_name=task_name,
-                arrival_ms=arrival_ms,
-                battery_level=battery_level,
-                breakdown=breakdown,
-                downlink_ms=downlink_ms,
-                on_complete=on_complete,
+                request_id,
+                user_id,
+                routed_group,
+                task_name,
+                arrival_ms,
+                battery_level,
+                ResponseTimeBreakdown(
+                    t1_ms, t2_ms, routing_ms, outcome.execution_time_ms
+                ),
+                downlink_ms,
+                on_complete,
             )
 
         self.engine.schedule_after(uplink_ms, _dispatch, label="sdn:dispatch")
@@ -274,7 +272,6 @@ class SDNAccelerator:
 
     def _finish(
         self,
-        *,
         request_id: int,
         user_id: int,
         group: int,
@@ -285,19 +282,22 @@ class SDNAccelerator:
         downlink_ms: float,
         on_complete: Optional[Callable[[RequestRecord], None]],
     ) -> None:
-        """Buffer the result (or the failure) for delivery to the mobile device."""
-        # The downlink legs (back-end -> front-end -> mobile) complete after
-        # the remaining half of the communication delays.
-        remaining = downlink_ms if breakdown is not None else 0.0
-        delivered_ms = self.engine.now_ms + remaining
+        """Buffer the result (or the failure) for delivery to the mobile device.
+
+        ``breakdown`` is ``None`` for a request dropped at admission.
+        ``downlink_ms`` is the remaining half of the communication delays
+        (back-end -> front-end -> mobile); callers pass 0 for a drop, whose
+        failure is reported back at once.
+        """
+        delivered_ms = self.engine.now_ms + downlink_ms
         record = RequestRecord(
-            request_id=request_id,
-            user_id=user_id,
-            acceleration_group=group,
-            task_name=task_name,
-            arrival_ms=arrival_ms,
-            completed_ms=delivered_ms,
-            success=breakdown is not None,
-            breakdown=breakdown,
+            request_id,
+            user_id,
+            group,
+            task_name,
+            arrival_ms,
+            delivered_ms,
+            breakdown is not None,
+            breakdown,
         )
         self.delivery_buffer.push(delivered_ms, self, record, battery_level, on_complete)

@@ -2,8 +2,8 @@
 
 This package provides the deterministic discrete-event simulation kernel on
 which the rest of the reproduction is built: a simulation clock, an event
-queue, process scheduling helpers, seeded random-stream management and online
-statistics collectors.
+queue, process scheduling helpers, seeded random-stream management and summary
+statistics.
 
 The substrate replaces the paper's physical Amazon EC2 testbed.  Everything in
 the higher layers (cloud instances, network channels, the SDN-accelerator,
@@ -25,11 +25,10 @@ from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import Event, SimulationEngine
 from repro.simulation.queues import ProcessorSharingServer
 from repro.simulation.randomness import RandomStreams
-from repro.simulation.stats import OnlineStatistics, TimeSeries, percentile_summary
+from repro.simulation.stats import TimeSeries, percentile_summary
 
 __all__ = [
     "Event",
-    "OnlineStatistics",
     "ProcessorSharingServer",
     "RandomStreams",
     "SimulationClock",

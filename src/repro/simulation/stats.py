@@ -1,8 +1,7 @@
-"""Online statistics and time-series collection helpers.
+"""Time-series collection and percentile summaries.
 
 Evaluation figures in the paper report means, standard deviations, medians and
-interpercentile ranges of response times.  These helpers collect such summary
-statistics from simulated observations without storing more than necessary.
+interpercentile ranges of response times; these helpers summarise them.
 """
 
 from __future__ import annotations
@@ -10,131 +9,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
-
-
-class OnlineStatistics:
-    """Welford-style online mean/variance with min/max tracking."""
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._minimum = math.inf
-        self._maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        """Incorporate a single observation."""
-        value = float(value)
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-        self._minimum = min(self._minimum, value)
-        self._maximum = max(self._maximum, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Incorporate many observations."""
-        for value in values:
-            self.add(value)
-
-    def extend_array(self, values: "np.ndarray | Sequence[float]") -> None:
-        """Incorporate a whole batch of observations in one vectorised step.
-
-        The batch's count/mean/M2 are computed with numpy and folded into the
-        accumulator with the same parallel combination rule as :meth:`merge`
-        (Chan et al.), so the result is numerically equivalent to calling
-        :meth:`add` per value — up to floating-point rounding — at a fraction
-        of the cost.  This is the fold used by the batched scenario fast path.
-        """
-        array = np.asarray(values, dtype=float).ravel()
-        if array.size == 0:
-            return
-        count = int(array.size)
-        mean = float(array.mean())
-        m2 = float(np.sum((array - mean) ** 2))
-        if self._count == 0:
-            self._count = count
-            self._mean = mean
-            self._m2 = m2
-        else:
-            total = self._count + count
-            delta = mean - self._mean
-            self._mean += delta * count / total
-            self._m2 += m2 + delta * delta * self._count * count / total
-            self._count = total
-        self._minimum = min(self._minimum, float(array.min()))
-        self._maximum = max(self._maximum, float(array.max()))
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        if self._count == 0:
-            raise ValueError("no observations recorded")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations."""
-        if self._count == 0:
-            raise ValueError("no observations recorded")
-        return self._m2 / self._count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation of the observations."""
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        if self._count == 0:
-            raise ValueError("no observations recorded")
-        return self._minimum
-
-    @property
-    def maximum(self) -> float:
-        if self._count == 0:
-            raise ValueError("no observations recorded")
-        return self._maximum
-
-    def merge(self, other: "OnlineStatistics") -> "OnlineStatistics":
-        """Return a new accumulator combining both sets of observations."""
-        merged = OnlineStatistics()
-        if self._count == 0:
-            merged._count = other._count
-            merged._mean = other._mean
-            merged._m2 = other._m2
-            merged._minimum = other._minimum
-            merged._maximum = other._maximum
-            return merged
-        if other._count == 0:
-            merged._count = self._count
-            merged._mean = self._mean
-            merged._m2 = self._m2
-            merged._minimum = self._minimum
-            merged._maximum = self._maximum
-            return merged
-        count = self._count + other._count
-        delta = other._mean - self._mean
-        merged._count = count
-        merged._mean = self._mean + delta * other._count / count
-        merged._m2 = self._m2 + other._m2 + delta * delta * self._count * other._count / count
-        merged._minimum = min(self._minimum, other._minimum)
-        merged._maximum = max(self._maximum, other._maximum)
-        return merged
-
-    def __repr__(self) -> str:
-        if self._count == 0:
-            return "OnlineStatistics(empty)"
-        return (
-            f"OnlineStatistics(count={self._count}, mean={self._mean:.3f}, "
-            f"std={self.std:.3f}, min={self._minimum:.3f}, max={self._maximum:.3f})"
-        )
 
 
 @dataclass
@@ -209,3 +86,37 @@ def percentile_summary(
     for percentile in percentiles:
         summary[f"p{percentile:g}"] = float(np.percentile(array, percentile))
     return summary
+
+
+def linear_percentiles(values: np.ndarray, percents: Sequence[float]) -> List[float]:
+    """``np.percentile(values, p)`` for each ``p`` in [0, 100], bit for bit.
+
+    This is numpy's default ``"linear"`` method (Hyndman & Fan's definition
+    7) with numpy's own interpolation formula, on one partition of the
+    values around the order statistics it needs.  ``np.percentile`` itself
+    passes those indices through ``np.unique``, whose first call in a
+    process imports ``numpy.ma`` (about 15 ms), which a run's result fold
+    would otherwise pay.  ``values`` must be non-empty and free of NaN.
+    """
+    values = np.asarray(values, dtype=float)
+    last = values.size - 1
+    virtuals = [last * (percent / 100.0) for percent in percents]
+    needed = {
+        min(math.floor(virtual) + step, last) for virtual in virtuals for step in (0, 1)
+    }
+    ordered = np.partition(values, sorted(needed))
+    results = []
+    for virtual in virtuals:
+        if virtual >= last:
+            results.append(float(ordered[last]))
+            continue
+        below = math.floor(virtual)
+        low = float(ordered[below])
+        high = float(ordered[below + 1])
+        gamma = virtual - below
+        # Interpolate from the nearer neighbour, as numpy does.
+        if gamma >= 0.5:
+            results.append(high - (high - low) * (1.0 - gamma))
+        else:
+            results.append(low + (high - low) * gamma)
+    return results

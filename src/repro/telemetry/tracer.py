@@ -19,10 +19,17 @@ durations.  Exports:
   viewable in ``chrome://tracing`` / Perfetto;
 * :meth:`SpanTracer.coverage` — the fraction of the root span's wall time
   attributed to child phases (the acceptance gate asks for >= 90%).
+
+While a root span is open the tracer also hooks ``gc.callbacks``: each
+cyclic-GC pause becomes a ``gc`` span under whatever span is open, so a
+collection that lands between phases is attributed rather than lost.  Only a
+live tracer registers the hook; the disabled telemetry path never touches
+the garbage collector.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -74,24 +81,31 @@ class SpanTracer:
         self._epoch = time.perf_counter()
         self.spans: List[SpanRecord] = []
         self._stack: List[int] = []
+        self._gc_start_s: Optional[float] = None
 
     def span(self, name: str, *, slot: Optional[int] = None) -> _OpenSpan:
         """Open a span; close it by exiting the returned context manager."""
         if not name:
             raise ValueError("span name must be non-empty")
-        parent = self._stack[-1] if self._stack else -1
+        stack = self._stack
+        if not stack:
+            gc.callbacks.append(self._on_gc)
+        # Allocate first: a collection triggered by these allocations then
+        # ends before the span starts, so it is credited to the parent only.
+        opened = _OpenSpan(self, -1)
         record = SpanRecord(
             name=name,
-            start_s=time.perf_counter() - self._epoch,
+            start_s=0.0,
             duration_s=0.0,
-            depth=len(self._stack),
-            parent=parent,
+            depth=len(stack),
+            parent=stack[-1] if stack else -1,
             slot=slot,
         )
-        index = len(self.spans)
+        index = opened._index = len(self.spans)
         self.spans.append(record)
-        self._stack.append(index)
-        return _OpenSpan(self, index)
+        stack.append(index)
+        record.start_s = time.perf_counter() - self._epoch
+        return opened
 
     def _close(self, index: int) -> None:
         if not self._stack or self._stack[-1] != index:
@@ -105,6 +119,37 @@ class SpanTracer:
         )
         if record.parent >= 0:
             self.spans[record.parent].children_s += record.duration_s
+        if not self._stack:
+            gc.callbacks.remove(self._on_gc)
+
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        """``gc.callbacks`` hook: record a collection as a ``gc`` span.
+
+        Only collections of the older generations are recorded: they take
+        milliseconds, while a generation-0 pass takes microseconds and runs
+        often enough to flood the span list.
+        """
+        if not info["generation"]:
+            return
+        now_s = time.perf_counter() - self._epoch
+        if phase == "start":
+            self._gc_start_s = now_s
+            return
+        start_s, self._gc_start_s = self._gc_start_s, None
+        if start_s is None or not self._stack:
+            return
+        parent = self._stack[-1]
+        duration_s = now_s - start_s
+        self.spans.append(
+            SpanRecord(
+                name="gc",
+                start_s=start_s,
+                duration_s=duration_s,
+                depth=len(self._stack),
+                parent=parent,
+            )
+        )
+        self.spans[parent].children_s += duration_s
 
     # -- aggregation ---------------------------------------------------------
 

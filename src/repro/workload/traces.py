@@ -17,38 +17,60 @@ CSV round-tripping for persistence.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set
 
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One logged request."""
-
+class _TraceFields(NamedTuple):
     timestamp_ms: float
     user_id: int
     acceleration_group: int
     battery_level: float
     round_trip_time_ms: float
 
-    def __post_init__(self) -> None:
-        if self.timestamp_ms < 0:
-            raise ValueError(f"timestamp_ms must be >= 0, got {self.timestamp_ms}")
-        if self.user_id < 0:
-            raise ValueError(f"user_id must be >= 0, got {self.user_id}")
-        if self.acceleration_group < 0:
+
+class TraceRecord(_TraceFields):
+    """One logged request.
+
+    Immutable; a named tuple because one is logged per delivered request.
+    Every construction validates the fields, ``_make`` and ``_replace``
+    included.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        timestamp_ms: float,
+        user_id: int,
+        acceleration_group: int,
+        battery_level: float,
+        round_trip_time_ms: float,
+    ) -> "TraceRecord":
+        if timestamp_ms < 0:
+            raise ValueError(f"timestamp_ms must be >= 0, got {timestamp_ms}")
+        if user_id < 0:
+            raise ValueError(f"user_id must be >= 0, got {user_id}")
+        if acceleration_group < 0:
             raise ValueError(
-                f"acceleration_group must be >= 0, got {self.acceleration_group}"
+                f"acceleration_group must be >= 0, got {acceleration_group}"
             )
-        if not 0.0 <= self.battery_level <= 1.0:
-            raise ValueError(f"battery_level must be in [0, 1], got {self.battery_level}")
-        if self.round_trip_time_ms < 0:
+        if not 0.0 <= battery_level <= 1.0:
+            raise ValueError(f"battery_level must be in [0, 1], got {battery_level}")
+        if round_trip_time_ms < 0:
             raise ValueError(
-                f"round_trip_time_ms must be >= 0, got {self.round_trip_time_ms}"
+                f"round_trip_time_ms must be >= 0, got {round_trip_time_ms}"
             )
+        return tuple.__new__(
+            cls,
+            (timestamp_ms, user_id, acceleration_group, battery_level, round_trip_time_ms),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "TraceRecord":
+        return cls(*iterable)
 
 
 class TraceLog:
@@ -85,13 +107,9 @@ class TraceLog:
     ) -> TraceRecord:
         """Create, append and return one record."""
         record = TraceRecord(
-            timestamp_ms=timestamp_ms,
-            user_id=user_id,
-            acceleration_group=acceleration_group,
-            battery_level=battery_level,
-            round_trip_time_ms=round_trip_time_ms,
+            timestamp_ms, user_id, acceleration_group, battery_level, round_trip_time_ms
         )
-        self.append(record)
+        self._records.append(record)
         return record
 
     @property
@@ -201,15 +219,7 @@ class TraceLog:
             writer = csv.DictWriter(handle, fieldnames=self._FIELDNAMES)
             writer.writeheader()
             for record in self._records:
-                writer.writerow(
-                    {
-                        "timestamp_ms": record.timestamp_ms,
-                        "user_id": record.user_id,
-                        "acceleration_group": record.acceleration_group,
-                        "battery_level": record.battery_level,
-                        "round_trip_time_ms": record.round_trip_time_ms,
-                    }
-                )
+                writer.writerow(record._asdict())
         return path
 
     @classmethod

@@ -13,7 +13,7 @@ from repro.core.distance import group_edit_distance, normalized_slot_distance, s
 from repro.core.prediction import WorkloadPredictor, prediction_accuracy
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
 from repro.cloud.performance import PerformanceProfile
-from repro.simulation.stats import OnlineStatistics
+from repro.simulation.stats import linear_percentiles
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.queues import ProcessorSharingServer
 
@@ -211,28 +211,22 @@ class TestPerformanceProfileProperties:
 # --- statistics and queueing properties ----------------------------------------
 
 
-class TestStatisticsProperties:
-    @given(values=st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
-    def test_online_statistics_match_numpy(self, values):
-        stats = OnlineStatistics()
-        stats.extend(values)
-        assert stats.mean == pytest.approx(float(np.mean(values)), rel=1e-6, abs=1e-6)
-        assert stats.std == pytest.approx(float(np.std(values)), rel=1e-6, abs=1e-5)
-        assert stats.minimum == min(values)
-        assert stats.maximum == max(values)
-
+class TestPercentileProperties:
     @given(
-        first=st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=50),
-        second=st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=50),
+        values=st.lists(
+            st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+            min_size=1,
+            max_size=200,
+        ),
+        percents=st.lists(
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            min_size=1,
+            max_size=5,
+        ),
     )
-    def test_merge_is_equivalent_to_concatenation(self, first, second):
-        a, b = OnlineStatistics(), OnlineStatistics()
-        a.extend(first)
-        b.extend(second)
-        merged = a.merge(b)
-        combined = first + second
-        assert merged.count == len(combined)
-        assert merged.mean == pytest.approx(float(np.mean(combined)), rel=1e-6, abs=1e-6)
+    def test_linear_percentiles_match_numpy_bit_for_bit(self, values, percents):
+        expected = [float(np.percentile(values, p)) for p in percents]
+        assert linear_percentiles(np.asarray(values), percents) == expected
 
 
 class TestProcessorSharingProperties:

@@ -1,61 +1,9 @@
-"""Tests for online statistics, time series and percentile summaries."""
+"""Tests for time series and percentile summaries."""
 
 import numpy as np
 import pytest
 
-from repro.simulation.stats import OnlineStatistics, TimeSeries, percentile_summary
-
-
-class TestOnlineStatistics:
-    def test_mean_and_std_match_numpy(self, rng):
-        values = rng.normal(10.0, 3.0, size=500)
-        stats = OnlineStatistics()
-        stats.extend(values)
-        assert stats.count == 500
-        assert stats.mean == pytest.approx(np.mean(values))
-        assert stats.std == pytest.approx(np.std(values))
-        assert stats.minimum == pytest.approx(values.min())
-        assert stats.maximum == pytest.approx(values.max())
-
-    def test_empty_statistics_raise(self):
-        stats = OnlineStatistics()
-        with pytest.raises(ValueError):
-            _ = stats.mean
-        with pytest.raises(ValueError):
-            _ = stats.std
-        with pytest.raises(ValueError):
-            _ = stats.minimum
-
-    def test_single_observation(self):
-        stats = OnlineStatistics()
-        stats.add(42.0)
-        assert stats.mean == 42.0
-        assert stats.std == 0.0
-
-    def test_merge_equals_combined_stream(self, rng):
-        first = rng.normal(size=100)
-        second = rng.normal(loc=5.0, size=200)
-        a, b = OnlineStatistics(), OnlineStatistics()
-        a.extend(first)
-        b.extend(second)
-        merged = a.merge(b)
-        combined = np.concatenate([first, second])
-        assert merged.count == 300
-        assert merged.mean == pytest.approx(np.mean(combined))
-        assert merged.std == pytest.approx(np.std(combined))
-
-    def test_merge_with_empty(self):
-        a = OnlineStatistics()
-        b = OnlineStatistics()
-        b.add(3.0)
-        assert a.merge(b).mean == 3.0
-        assert b.merge(a).mean == 3.0
-
-    def test_repr_for_empty_and_filled(self):
-        stats = OnlineStatistics()
-        assert "empty" in repr(stats)
-        stats.add(1.0)
-        assert "count=1" in repr(stats)
+from repro.simulation.stats import TimeSeries, percentile_summary
 
 
 class TestTimeSeries:

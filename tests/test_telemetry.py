@@ -1,5 +1,6 @@
 """Unit tests for the telemetry layer: registry, tracer and facade."""
 
+import gc
 import json
 
 import numpy as np
@@ -225,6 +226,25 @@ class TestSpanTracer:
         child = next(e for e in events if e["name"] == "child")
         assert child["args"] == {"slot": 1}
 
+    def test_gc_collection_becomes_a_gc_span_under_the_open_span(self):
+        tracer = SpanTracer()
+        hooks = len(gc.callbacks)
+        with tracer.span("root"):
+            with tracer.span("child"):
+                gc.collect()
+            assert len(gc.callbacks) == hooks + 1
+        assert len(gc.callbacks) == hooks
+        pauses = [span for span in tracer.spans if span.name == "gc"]
+        assert pauses
+        assert all((span.depth, span.parent) == (2, 1) for span in pauses)
+        child = tracer.spans[1]
+        assert child.children_s == pytest.approx(
+            sum(span.duration_s for span in pauses)
+        )
+        # Outside any open span a collection is not recorded.
+        gc.collect()
+        assert [span.name for span in tracer.spans].count("gc") == len(pauses)
+
     def test_as_dict_is_json_serializable(self):
         tracer = SpanTracer()
         with tracer.span("root"):
@@ -244,6 +264,12 @@ class TestFacade:
             null.histogram("h").observe(2.0)
             null.histogram("h").observe_many([1.0, 2.0])
         assert null.as_dict() == {"enabled": False}
+
+    def test_null_telemetry_leaves_the_garbage_collector_alone(self):
+        hooks = list(gc.callbacks)
+        with NULL_TELEMETRY.span("scenario.run"):
+            assert gc.callbacks == hooks
+        assert gc.callbacks == hooks
 
     def test_null_instruments_are_shared_singletons(self):
         null = NullTelemetry()

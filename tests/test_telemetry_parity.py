@@ -105,6 +105,19 @@ class TestTimelineAcceptance:
         assert all(name for name, _ in top)
         assert len(telemetry.summary_lines()) == 2
 
+    @pytest.mark.parametrize("name,execution", CASES)
+    def test_coverage_holds_on_every_repeated_run(self, name, execution):
+        # A cyclic-GC pause or a one-time lazy import that lands between
+        # spans takes the whole run below the bar, so one lucky run proves
+        # little: every one of 20 in-process runs must reach it.
+        spec = small(name, execution=execution)
+        coverages = []
+        for _ in range(20):
+            telemetry = Telemetry()
+            run_scenario(spec, seed=0, telemetry=telemetry)
+            coverages.append(telemetry.tracer.coverage())
+        assert min(coverages) >= 0.90, coverages
+
 
 class TestTelemetryCli:
     def test_run_with_telemetry_prints_phase_and_metric_tables(self, capsys):
@@ -129,11 +142,9 @@ class TestTelemetryCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["telemetry"]["enabled"] is True
         assert payload["telemetry"]["metrics"]["counters"]
-        # The >= 0.90 acceptance bar is pinned by TestAcceptance directly on
-        # run_scenario; through the CLI the untraced parse/serialise overhead
-        # of a tiny run sits right on that edge and flakes, so here we only
-        # check the coverage value is embedded and sane.
-        assert 0.0 < payload["telemetry"]["trace"]["coverage"] <= 1.0
+        # The root span is ``scenario.run``: argument parsing and JSON
+        # serialisation happen outside it and never count against coverage.
+        assert 0.90 <= payload["telemetry"]["trace"]["coverage"] <= 1.0
 
     def test_json_without_flag_has_no_telemetry_key(self, capsys):
         code = main([

@@ -1,8 +1,7 @@
 """Regression tests for the vectorised primitives behind the batched path.
 
-Covers the satellite changes of the perf PR: live pending-event accounting,
-``OnlineStatistics.extend_array``, bisect-based ``TimeSeries.window``, the
-incremental ``SlotDistanceIndex`` buffer, bulk arrival generation, bulk
+Covers live pending-event accounting, bisect-based ``TimeSeries.window``,
+the incremental ``SlotDistanceIndex`` buffer, bulk arrival generation, bulk
 latency sampling, and the bulk moderator/device observation paths.
 """
 
@@ -20,7 +19,7 @@ from repro.mobile.moderator import (
 )
 from repro.network.latency import ConstantLatencyModel, lte_latency_model
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.stats import OnlineStatistics, TimeSeries
+from repro.simulation.stats import TimeSeries
 from repro.workload.arrival import (
     FixedRateArrivalProcess,
     ModulatedPoissonProcess,
@@ -68,35 +67,6 @@ class TestLivePendingEvents:
         event = engine.schedule_at(1.0, lambda: None)
         with pytest.raises(AttributeError):
             event.arbitrary_attribute = 1
-
-
-class TestExtendArray:
-    def test_matches_scalar_adds(self):
-        rng = np.random.default_rng(0)
-        values = rng.exponential(250.0, size=1000)
-        scalar = OnlineStatistics()
-        for value in values:
-            scalar.add(float(value))
-        batched = OnlineStatistics()
-        batched.extend_array(values[:400])
-        batched.extend_array(values[400:])
-        assert batched.count == scalar.count
-        assert batched.mean == pytest.approx(scalar.mean, rel=1e-12)
-        assert batched.std == pytest.approx(scalar.std, rel=1e-9)
-        assert batched.minimum == scalar.minimum
-        assert batched.maximum == scalar.maximum
-
-    def test_empty_batch_is_a_noop(self):
-        stats = OnlineStatistics()
-        stats.extend_array(np.empty(0))
-        assert stats.count == 0
-
-    def test_merges_with_existing_observations(self):
-        stats = OnlineStatistics()
-        stats.add(1.0)
-        stats.extend_array([2.0, 3.0])
-        assert stats.count == 3
-        assert stats.mean == pytest.approx(2.0)
 
 
 class TestTimeSeriesWindow:
