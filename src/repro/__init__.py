@@ -58,7 +58,7 @@ Quick start
 True
 """
 
-from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog, InstanceType, get_instance_type
+from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog, InstanceType
 from repro.core.acceleration import AccelerationGroup, characterize_instances
 from repro.core.allocation import (
     AllocationPlan,
@@ -109,7 +109,6 @@ __all__ = [
     "WorkloadPredictor",
     "build_options_from_catalog",
     "characterize_instances",
-    "get_instance_type",
     "get_scenario",
     "prediction_accuracy",
     "run_scenario",

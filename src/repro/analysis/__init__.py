@@ -22,7 +22,7 @@ from repro.analysis.crossval import (
     cross_validate_predictor,
 )
 from repro.analysis.metrics import acceleration_ratio
-from repro.analysis.reporting import format_table, read_csv, summarize_comparison, write_csv
+from repro.analysis.reporting import format_table, summarize_comparison, write_csv
 
 __all__ = [
     "BenchmarkResult",
@@ -34,7 +34,6 @@ __all__ = [
     "cross_validate_predictor",
     "format_table",
     "measured_capacities",
-    "read_csv",
     "summarize_comparison",
     "write_csv",
 ]

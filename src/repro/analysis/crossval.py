@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.prediction import WorkloadPredictor, prediction_accuracy
-from repro.core.timeslots import TimeSlot, TimeSlotHistory
+from repro.core.timeslots import TimeSlotHistory
 
 
 @dataclass
@@ -35,12 +35,6 @@ class CrossValidationResult:
         if not self.fold_accuracies:
             raise ValueError("no folds evaluated")
         return float(np.mean(self.fold_accuracies))
-
-    @property
-    def std_accuracy(self) -> float:
-        if not self.fold_accuracies:
-            raise ValueError("no folds evaluated")
-        return float(np.std(self.fold_accuracies))
 
     @property
     def mean_accuracy_pct(self) -> float:

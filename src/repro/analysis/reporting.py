@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 
 def _collect_columns(rows: Sequence[Mapping[str, object]]) -> List[str]:
@@ -86,13 +86,6 @@ def write_csv(rows: Sequence[Mapping[str, object]], path: "str | Path") -> Path:
         for row in rows:
             writer.writerow({key: row.get(key, "") for key in columns})
     return path
-
-
-def read_csv(path: "str | Path") -> List[Dict[str, str]]:
-    """Read back a CSV written by :func:`write_csv` (all values as strings)."""
-    path = Path(path)
-    with path.open("r", newline="") as handle:
-        return [dict(row) for row in csv.DictReader(handle)]
 
 
 def summarize_comparison(

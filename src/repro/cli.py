@@ -26,9 +26,10 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from repro import __version__
 from repro.analysis.metrics import group_rollup_rows, routing_share_rows
@@ -533,9 +534,14 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sub = add(name, handler, help_text)
         if name in ("fig4", "fig5", "fig6", "export", "summary"):
-            sub.add_argument("--samples", type=int, default=200, help="samples per concurrency level")
+            sub.add_argument(
+                "--samples", type=_positive_int, default=200, help="samples per concurrency level"
+            )
         if name == "fig8":
-            sub.add_argument("--step-seconds", type=float, default=10.0, help="seconds per arrival rate step")
+            sub.add_argument(
+                "--step-seconds", type=_positive_float, default=10.0,
+                help="seconds per arrival rate step",
+            )
         if name == "dynamic":
             sub.add_argument("--users", type=int, default=100, help="number of mobile users")
             sub.add_argument("--hours", type=float, default=2.0, help="experiment duration in hours")
@@ -691,6 +697,22 @@ def build_parser() -> argparse.ArgumentParser:
     diff.set_defaults(handler=_cmd_diff)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """``argparse`` type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """``argparse`` type: a finite number above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -19,12 +19,7 @@ provides:
 """
 
 from repro.cloud.backend import BackendPool
-from repro.cloud.catalog import (
-    DEFAULT_CATALOG,
-    InstanceCatalog,
-    InstanceType,
-    get_instance_type,
-)
+from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog, InstanceType
 from repro.cloud.performance import PerformanceProfile
 from repro.cloud.provisioner import BillingRecord, Provisioner, ProvisioningError
 from repro.cloud.server import CloudInstance, OffloadOutcome
@@ -40,5 +35,4 @@ __all__ = [
     "PerformanceProfile",
     "Provisioner",
     "ProvisioningError",
-    "get_instance_type",
 ]

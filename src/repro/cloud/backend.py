@@ -10,7 +10,6 @@ vendor's front-end, e.g. Amazon Autoscale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.cloud.server import CloudInstance, OffloadOutcome
@@ -69,20 +68,6 @@ class BackendPool:
         """Total number of running instances across all groups."""
         return sum(len(self.instances_for_level(level)) for level in self._groups)
 
-    def highest_level(self) -> int:
-        """The highest acceleration level currently served."""
-        levels = self.levels
-        if not levels:
-            raise ValueError("back-end pool is empty")
-        return levels[-1]
-
-    def lowest_level(self) -> int:
-        """The lowest acceleration level currently served."""
-        levels = self.levels
-        if not levels:
-            raise ValueError("back-end pool is empty")
-        return levels[0]
-
     def clamp_level(self, level: int) -> int:
         """Clamp a requested level to the nearest level that has capacity.
 
@@ -135,17 +120,3 @@ class BackendPool:
         """
         instance = self.select_instance(self.clamp_level(level))
         return instance.submit(work_units, on_complete, jitter_z=jitter_z)
-
-    def group_load(self) -> Dict[int, int]:
-        """Requests currently in service per acceleration level."""
-        return {
-            level: sum(instance.in_service for instance in self.instances_for_level(level))
-            for level in self.levels
-        }
-
-    def drop_counts(self) -> Dict[int, int]:
-        """Dropped-request counts per acceleration level."""
-        return {
-            level: sum(instance.dropped_requests for instance in self.instances_for_level(level))
-            for level in self.levels
-        }

@@ -26,8 +26,8 @@ paper's time frame (2016–2017), in USD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List
 
 from repro.cloud.performance import PerformanceProfile
 
@@ -58,24 +58,6 @@ class InstanceType:
             raise ValueError(
                 f"acceleration_level must be >= 0, got {self.acceleration_level}"
             )
-
-    def capacity_requests_per_minute(
-        self, work_units: float, response_threshold_ms: float
-    ) -> float:
-        """Sustainable requests per minute while meeting a response threshold.
-
-        This is ``Ks`` in the paper's allocation model: the capacity of an
-        instance of type ``s`` in requests per minute, found via benchmarking.
-        We compute it from the instance's saturation throughput capped by the
-        concurrency the instance can hold under the response-time threshold.
-        """
-        concurrent_capacity = self.profile.capacity_under_threshold(
-            work_units, response_threshold_ms
-        )
-        if concurrent_capacity == 0:
-            return 0.0
-        per_second = self.profile.max_throughput_per_second(work_units)
-        return 60.0 * min(per_second, concurrent_capacity / (response_threshold_ms / 1000.0))
 
 
 class InstanceCatalog:
@@ -124,13 +106,6 @@ class InstanceCatalog:
     def levels(self) -> List[int]:
         """Sorted list of distinct acceleration levels present in the catalog."""
         return sorted({t.acceleration_level for t in self._types.values()})
-
-    def cheapest_for_level(self, acceleration_level: int) -> InstanceType:
-        """Cheapest type providing a given acceleration level."""
-        candidates = self.by_level(acceleration_level)
-        if not candidates:
-            raise KeyError(f"no instance type provides acceleration level {acceleration_level}")
-        return min(candidates, key=lambda t: t.price_per_hour)
 
     def subset(self, names: Iterable[str]) -> "InstanceCatalog":
         """A new catalog restricted to the given type names."""
@@ -219,8 +194,3 @@ def _build_default_catalog() -> InstanceCatalog:
 
 #: The calibrated default catalog used throughout the reproduction.
 DEFAULT_CATALOG: InstanceCatalog = _build_default_catalog()
-
-
-def get_instance_type(name: str) -> InstanceType:
-    """Convenience lookup into :data:`DEFAULT_CATALOG`."""
-    return DEFAULT_CATALOG.get(name)

@@ -50,11 +50,6 @@ class PerformanceProfile:
             raise ValueError(f"jitter_fraction must be in [0, 1), got {self.jitter_fraction}")
 
     @property
-    def work_rate_per_ms(self) -> float:
-        """Work units processed per millisecond by one job running alone."""
-        return self.speed_factor
-
-    @property
     def fluid_cores(self) -> float:
         """The exact (possibly fractional) parallelism, for fluid models.
 
@@ -91,16 +86,6 @@ class PerformanceProfile:
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
         slowdown = max(1.0, concurrency / self.effective_cores)
-        return self.base_overhead_ms + work_units * slowdown / self.speed_factor
-
-    def expected_response_curve(
-        self, work_units: float, concurrencies: "np.ndarray | list[int]"
-    ) -> np.ndarray:
-        """Vectorised :meth:`service_time_ms` over a sweep of concurrencies."""
-        concurrencies = np.asarray(concurrencies, dtype=float)
-        if np.any(concurrencies < 1):
-            raise ValueError("all concurrencies must be >= 1")
-        slowdown = np.maximum(1.0, concurrencies / self.effective_cores)
         return self.base_overhead_ms + work_units * slowdown / self.speed_factor
 
     def max_throughput_per_second(self, work_units: float) -> float:

@@ -12,12 +12,12 @@ allocation policy alongside its performance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
-from repro.cloud.catalog import InstanceCatalog, InstanceType
+from repro.cloud.catalog import InstanceCatalog
 from repro.cloud.server import CloudInstance
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
 from repro.simulation.engine import SimulationEngine
@@ -87,11 +87,6 @@ class Provisioner:
         """
         return len(self._running)
 
-    @property
-    def billing_records(self) -> List[BillingRecord]:
-        """Billing records of already-terminated instances."""
-        return list(self._billing)
-
     def launch(self, type_name: str) -> CloudInstance:
         """Launch one instance of ``type_name``.
 
@@ -112,22 +107,6 @@ class Provisioner:
         )
         self._running[instance.instance_id] = instance
         return instance
-
-    def launch_many(self, type_counts: Dict[str, int]) -> List[CloudInstance]:
-        """Launch several instances atomically (all or nothing)."""
-        total = sum(type_counts.values())
-        if any(count < 0 for count in type_counts.values()):
-            raise ValueError(f"negative launch count in {type_counts}")
-        if len(self._running) + total > self.instance_cap:
-            raise ProvisioningError(
-                f"launching {total} instances would exceed the cap of "
-                f"{self.instance_cap} (currently running {len(self._running)})"
-            )
-        launched: List[CloudInstance] = []
-        for type_name, count in type_counts.items():
-            for _ in range(count):
-                launched.append(self.launch(type_name))
-        return launched
 
     def terminate(self, instance: CloudInstance) -> BillingRecord:
         """Terminate ``instance`` and record its bill.
@@ -151,10 +130,6 @@ class Provisioner:
         )
         self._billing.append(record)
         return record
-
-    def terminate_all(self) -> List[BillingRecord]:
-        """Terminate every running instance."""
-        return [self.terminate(instance) for instance in list(self._running.values())]
 
     def total_cost(self, include_running: bool = True) -> float:
         """Total provisioning cost in USD.

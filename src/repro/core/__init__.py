@@ -32,16 +32,11 @@ from repro.core.allocation import (
     IlpAllocator,
     InstanceOption,
 )
-from repro.core.distance import (
-    group_edit_distance,
-    normalized_slot_distance,
-    slot_edit_distance,
-)
+from repro.core.distance import group_edit_distance, slot_edit_distance
 from repro.core.model import AdaptiveModel, ModelDecision
 from repro.core.prediction import (
     PredictionOutcome,
     WorkloadPredictor,
-    assignment_accuracy,
     prediction_accuracy,
 )
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
@@ -60,10 +55,8 @@ __all__ = [
     "TimeSlot",
     "TimeSlotHistory",
     "WorkloadPredictor",
-    "assignment_accuracy",
     "characterize_instances",
     "group_edit_distance",
-    "normalized_slot_distance",
     "prediction_accuracy",
     "slot_edit_distance",
 ]

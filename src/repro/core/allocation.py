@@ -129,9 +129,6 @@ class AllocationPlan:
     def total_instances(self) -> int:
         return sum(self.counts.values())
 
-    def count_for(self, type_name: str) -> int:
-        return self.counts.get(type_name, 0)
-
     def non_zero_counts(self) -> Dict[str, int]:
         """Only the types with at least one allocated instance."""
         return {name: count for name, count in self.counts.items() if count > 0}

@@ -14,10 +14,6 @@ minimal number of single-user insertions/deletions that transforms one group
 into the other is the size of the symmetric difference of the two sets; that
 is the ``D`` used here.  When user identities are synthetic (slots built from
 counts only) this degenerates gracefully to ``|count_x - count_z|``.
-
-A normalised variant (following the normalised edit distance of Marzal &
-Vidal, the paper's reference [33]) divides by the total number of distinct
-users involved, giving a value in ``[0, 1]`` used for the accuracy metric.
 """
 
 from __future__ import annotations
@@ -60,30 +56,6 @@ def slot_edit_distance(
         group_edit_distance(slot_x.users_in_group(group), slot_z.users_in_group(group))
         for group in group_ids
     )
-
-
-def normalized_slot_distance(
-    slot_x: TimeSlot,
-    slot_z: TimeSlot,
-    groups: Optional[Sequence[int]] = None,
-) -> float:
-    """Normalised Δ in ``[0, 1]``: 0 for identical slots, 1 for disjoint ones.
-
-    The normaliser is the total number of (group, user) assignments across
-    both slots, which upper-bounds the raw edit distance.
-    """
-    if groups is None:
-        group_ids = sorted(set(slot_x.group_ids) | set(slot_z.group_ids))
-    else:
-        group_ids = list(groups)
-    distance = slot_edit_distance(slot_x, slot_z, group_ids)
-    normaliser = sum(
-        len(slot_x.users_in_group(group)) + len(slot_z.users_in_group(group))
-        for group in group_ids
-    )
-    if normaliser == 0:
-        return 0.0
-    return min(distance / normaliser, 1.0)
 
 
 # ---------------------------------------------------------------------------

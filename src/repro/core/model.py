@@ -17,8 +17,8 @@ as well as against the simulated testbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.allocation import (
     AllocationError,
@@ -28,7 +28,7 @@ from repro.core.allocation import (
     InstanceOption,
     best_effort_plan,
 )
-from repro.core.prediction import PredictionOutcome, WorkloadPredictor, prediction_accuracy
+from repro.core.prediction import PredictionOutcome, WorkloadPredictor
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
 from repro.workload.traces import TraceLog
@@ -46,10 +46,6 @@ class ModelDecision:
     @property
     def predicted_workloads(self) -> Dict[int, int]:
         return self.prediction.predicted_slot.workload_vector()
-
-    @property
-    def predicted_total(self) -> int:
-        return self.prediction.predicted_slot.total_workload()
 
 
 class AdaptiveModel:
@@ -151,29 +147,3 @@ class AdaptiveModel:
         )
         self.decisions.append(decision)
         return decision
-
-    def evaluate_decision(self, decision: ModelDecision, realised_slot: TimeSlot) -> float:
-        """Accuracy of a past decision once the period's real workload is known."""
-        return prediction_accuracy(decision.prediction.predicted_slot, realised_slot)
-
-    def run_over_history(
-        self, history: TimeSlotHistory, *, warmup: Optional[int] = None
-    ) -> List[ModelDecision]:
-        """Replay a full slot history, deciding after every slot.
-
-        ``warmup`` slots (default: the predictor's required history) are only
-        observed, not predicted from.  Returns the decisions made.
-        """
-        if warmup is None:
-            warmup = self.predictor.required_history(current_in_history=True)
-        if warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {warmup}")
-        decisions: List[ModelDecision] = []
-        for index, slot in enumerate(history):
-            self.observe_slot(slot)
-            if index + 1 < warmup:
-                continue
-            if not self.can_predict():
-                continue
-            decisions.append(self.decide(slot))
-        return decisions

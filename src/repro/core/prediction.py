@@ -25,11 +25,11 @@ averaged over the evaluation set; see :func:`prediction_accuracy`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.distance import SlotDistanceIndex, normalized_slot_distance
+from repro.core.distance import SlotDistanceIndex
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
 
 
@@ -45,10 +45,6 @@ class PredictionOutcome:
     def predicted_workloads(self, groups: Optional[Sequence[int]] = None) -> Dict[int, int]:
         """Per-group predicted workloads ``W_{a_n}``."""
         return self.predicted_slot.workload_vector(groups)
-
-    def predicted_total(self) -> int:
-        """Predicted total workload ``W``."""
-        return self.predicted_slot.total_workload()
 
 
 class WorkloadPredictor:
@@ -176,12 +172,6 @@ class WorkloadPredictor:
             distances=distances,
         )
 
-    def predict_next_workloads(
-        self, current: TimeSlot, groups: Optional[Sequence[int]] = None
-    ) -> Dict[int, int]:
-        """Convenience wrapper returning only the per-group workload vector."""
-        return self.predict(current).predicted_workloads(groups)
-
 
 def prediction_accuracy(predicted: TimeSlot, actual: TimeSlot) -> float:
     """Accuracy of one prediction of the per-group *number of users*.
@@ -193,8 +183,7 @@ def prediction_accuracy(predicted: TimeSlot, actual: TimeSlot) -> float:
         accuracy = 1 - Σ_n |W̃_{a_n} - W_{a_n}| / Σ_n max(W̃_{a_n}, W_{a_n})
 
     which is 1.0 when every group's user count is predicted exactly and 0.0
-    when the prediction shares no volume with the realised workload.  Use
-    :func:`assignment_accuracy` for the stricter user-identity-based score.
+    when the prediction shares no volume with the realised workload.
     """
     groups = sorted(set(predicted.group_ids) | set(actual.group_ids))
     absolute_error = 0.0
@@ -207,16 +196,6 @@ def prediction_accuracy(predicted: TimeSlot, actual: TimeSlot) -> float:
     if normaliser == 0:
         return 1.0
     return max(0.0, 1.0 - absolute_error / normaliser)
-
-
-def assignment_accuracy(predicted: TimeSlot, actual: TimeSlot) -> float:
-    """User-identity accuracy: ``1 - normalised edit distance`` in [0, 1].
-
-    This is the stricter score that also penalises predicting the right
-    *count* with the wrong *users*; it is the same normalised edit distance
-    the predictor minimises when matching slots.
-    """
-    return 1.0 - normalized_slot_distance(predicted, actual)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ workload of group ``a_n`` in a slot, ``W_{a_n}``, is the number of such users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
-from repro.workload.traces import TraceLog
 
 
 @dataclass(frozen=True)
@@ -77,21 +76,6 @@ class TimeSlot:
         group_ids = list(groups) if groups is not None else self.group_ids
         return {group: self.workload(group) for group in group_ids}
 
-    def total_workload(self) -> int:
-        """``W = Σ W_{a_i}``: total number of users in the slot."""
-        return sum(len(users) for users in self.groups.values())
-
-    def all_users(self) -> Set[int]:
-        """Union of users across all groups."""
-        users: Set[int] = set()
-        for group_users in self.groups.values():
-            users.update(group_users)
-        return users
-
-    def is_empty(self) -> bool:
-        """Whether no user offloaded during the slot."""
-        return self.total_workload() == 0
-
 
 class TimeSlotHistory:
     """The ordered history ``T`` of time slots available to the model."""
@@ -142,29 +126,3 @@ class TimeSlotHistory:
         for slot in self._slots:
             groups.update(slot.group_ids)
         return sorted(groups)
-
-    def truncate(self, keep_last: int) -> "TimeSlotHistory":
-        """A new history containing only the ``keep_last`` most recent slots."""
-        if keep_last < 0:
-            raise ValueError(f"keep_last must be >= 0, got {keep_last}")
-        return TimeSlotHistory(self._slots[-keep_last:] if keep_last else [],
-                               slot_length_ms=self.slot_length_ms)
-
-    @classmethod
-    def from_trace_log(
-        cls,
-        log: TraceLog,
-        *,
-        slot_length_ms: float = MILLISECONDS_PER_HOUR,
-        groups: Optional[Sequence[int]] = None,
-        start_ms: Optional[float] = None,
-        end_ms: Optional[float] = None,
-    ) -> "TimeSlotHistory":
-        """Build the history from a request trace log (the system's MySQL logs)."""
-        raw_slots = log.slot_workloads(
-            slot_length_ms, groups=groups, start_ms=start_ms, end_ms=end_ms
-        )
-        history = cls(slot_length_ms=slot_length_ms)
-        for raw in raw_slots:
-            history.append_user_sets(raw)
-        return history

@@ -100,21 +100,6 @@ class DynamicAccelerationResult:
 
     # -- population views (Fig. 10b / Fig. 10c) --------------------------------
 
-    def population_series(self) -> List[Dict[str, float]]:
-        """All successful requests ordered by completion: the Fig. 10b heat data."""
-        series = []
-        ordered = sorted((r for r in self.records if r.success), key=lambda r: r.completed_ms)
-        for index, record in enumerate(ordered):
-            series.append(
-                {
-                    "request_index": index,
-                    "user_id": record.user_id,
-                    "acceleration_group": record.acceleration_group,
-                    "response_time_ms": record.response_time_ms,
-                }
-            )
-        return series
-
     def promotion_summary(self) -> Dict[int, Dict[str, float]]:
         """Per-user final group, promotion count and mean response (Fig. 10c)."""
         summary: Dict[int, Dict[str, float]] = {}

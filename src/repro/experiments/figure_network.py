@@ -28,10 +28,6 @@ class NetworkLatencyResult:
     summary: Dict[str, Dict[str, float]]
     paper_reference: Dict[str, Dict[str, float]]
 
-    def hourly_series(self, operator: str, technology: str) -> Dict[int, float]:
-        """Mean RTT per hour of day for one operator/technology pair."""
-        return self.dataset.hourly_means(operator, technology)
-
     def rows(self) -> List[Dict[str, object]]:
         """Printable rows comparing measured and paper-reported statistics."""
         rows: List[Dict[str, object]] = []

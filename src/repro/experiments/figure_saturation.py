@@ -19,6 +19,7 @@ that the simulated t2.large saturates at ≈32 Hz, matching the paper's knee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -101,8 +102,8 @@ def run_fig8_saturation(
         Safety cap on the number of arrivals generated for a single rate step
         (beyond saturation extra arrivals only add identical drops).
     """
-    if step_duration_s <= 0:
-        raise ValueError(f"step_duration_s must be positive, got {step_duration_s}")
+    if not (math.isfinite(step_duration_s) and step_duration_s > 0):
+        raise ValueError(f"step_duration_s must be positive and finite, got {step_duration_s}")
     catalog = catalog if catalog is not None else DEFAULT_CATALOG
     instance_type = catalog.get(instance_type_name)
     if work_units is None:

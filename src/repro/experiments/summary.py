@@ -87,15 +87,3 @@ def build_reproduction_summary(*, seed: int = 0, samples_per_level: int = 150) -
     for row in rows:
         row["measured"] = round(float(row["measured"]), 2)
     return rows
-
-
-def max_absolute_deviation_pct(rows: List[Dict[str, object]]) -> float:
-    """Largest |deviation| across the summary rows (ignoring n/a entries)."""
-    deviations = [
-        abs(float(row["deviation_pct"]))
-        for row in rows
-        if row["deviation_pct"] != "n/a"
-    ]
-    if not deviations:
-        raise ValueError("no comparable rows in the summary")
-    return max(deviations)

@@ -33,7 +33,7 @@ fault plane outside the queueing approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -278,11 +278,7 @@ def build_fault_overlay(
         )
         extra[failed] += waste[failed]
         if round_index < retry.max_attempts - 1:
-            backoff = (
-                retry.backoff_base_ms
-                * retry.backoff_multiplier**round_index
-                * (1.0 + retry.backoff_jitter * (2.0 * v_jitter - 1.0))
-            )
+            backoff = retry.backoff_ms(round_index + 1, v_jitter)
             delay = waste + backoff
             extra[failed] += backoff[failed]
             t_attempt[failed] += delay[failed]

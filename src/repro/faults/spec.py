@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.scenarios.rules import FractionWindow, check, coerce, integer, real
 
@@ -108,8 +108,9 @@ class RetryPolicy:
     def backoff_ms(self, attempt: int, jitter_unit: float) -> float:
         """Backoff after failed attempt ``attempt`` (1-based).
 
-        ``jitter_unit`` is a uniform draw in ``[0, 1)``; the backoff is the
-        exponential base scaled by ``1 ± backoff_jitter``.
+        ``jitter_unit`` is a uniform draw in ``[0, 1)`` (or an array of
+        them); the backoff is the exponential base scaled by
+        ``1 ± backoff_jitter``.
         """
         scale = 1.0 + self.backoff_jitter * (2.0 * jitter_unit - 1.0)
         return (
@@ -186,7 +187,3 @@ class FaultSpec:
         if self.control_plane is None:
             payload.pop("control_plane")
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultSpec":
-        return cls(**dict(payload))

@@ -50,13 +50,6 @@ class BatteryModel:
                 f"offload_cost_per_second must be >= 0, got {self.offload_cost_per_second}"
             )
 
-    def drain_idle(self, hours: float) -> float:
-        """Drain the battery for ``hours`` of idle time; return the new level."""
-        if hours < 0:
-            raise ValueError(f"hours must be >= 0, got {hours}")
-        self.level = max(0.0, self.level - hours * self.idle_drain_per_hour)
-        return self.level
-
     def drain_offload(self, connection_open_ms: float) -> float:
         """Drain the battery for one offloaded request; return the new level.
 
@@ -69,8 +62,3 @@ class BatteryModel:
         drained = (connection_open_ms / 1000.0) * self.offload_cost_per_second
         self.level = max(0.0, self.level - drained)
         return self.level
-
-    @property
-    def is_depleted(self) -> bool:
-        """Whether the battery has fully drained."""
-        return self.level <= 0.0

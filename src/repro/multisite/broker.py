@@ -340,13 +340,6 @@ class StaticSlotBroker:
         self.slot_spilled.append(0)
         return int(i0), int(i1)
 
-    def as_brokered_plan(self) -> BrokeredPlan:
-        return BrokeredPlan(
-            site_ids=self.site_ids,
-            extra_rtt_ms=self.extra_rtt_ms,
-            home_site_of_user=self.home_site_of_user,
-        )
-
 
 def clamp_column_table(
     sites: Sequence[SiteSpec], group_axis: Sequence[int]
@@ -829,11 +822,3 @@ class DynamicBroker:
         self.slot_spilled.append(spilled_this_slot)
         self.requests_spilled += spilled_this_slot
         return i0, i1
-
-    def as_brokered_plan(self) -> BrokeredPlan:
-        """The realised assignment in plan-time form (for rollups and tests)."""
-        return BrokeredPlan(
-            site_ids=self.site_ids,
-            extra_rtt_ms=self.extra_rtt_ms,
-            home_site_of_user=self.home_site_of_user,
-        )

@@ -11,8 +11,8 @@ Like the scenario specs these are frozen dataclasses of plain values: each
 numeric or choice field declares its rule next to it and construction checks
 them through :func:`repro.scenarios.rules.check` (finite numbers, one
 ``"<field> must be <rule>, got <value>"`` message form).  Nested sections may
-be given in their dict form, so the specs round-trip through
-``to_dict``/``from_dict`` and pickle cleanly across campaign worker processes.
+be given in their dict form, so ``MultiSiteSpec(**spec.to_dict())`` rebuilds a
+spec, and specs pickle cleanly across campaign worker processes.
 
 Latency model
 -------------
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.scenarios.rules import FractionWindow, check, choice, coerce, real
 from repro.scenarios.spec import CloudSpec, NetworkSpec
@@ -212,10 +212,5 @@ class MultiSiteSpec:
         raise KeyError(f"unknown site {name!r}; known: {list(self.site_names)}")
 
     def to_dict(self) -> Dict[str, Any]:
-        """A plain-dict view (JSON/YAML friendly) that round-trips via from_dict."""
+        """A plain-dict view (JSON/YAML friendly); ``MultiSiteSpec(**view)`` rebuilds it."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MultiSiteSpec":
-        """Rebuild a federation spec from :meth:`to_dict` output."""
-        return cls(**dict(payload))

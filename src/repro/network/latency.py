@@ -92,15 +92,6 @@ class LogNormalLatencyModel:
         base = rng.lognormal(mean=self.mu, sigma=self.sigma)
         return max(base * self.diurnal_factor(hour_of_day), self.floor_ms)
 
-    def sample_many(
-        self, rng: np.random.Generator, count: int, hour_of_day: float = 12.0
-    ) -> np.ndarray:
-        """Draw ``count`` RTT samples for a fixed hour of day."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        base = rng.lognormal(mean=self.mu, sigma=self.sigma, size=count)
-        return np.maximum(base * self.diurnal_factor(hour_of_day), self.floor_ms)
-
     def diurnal_factors(self, hours_of_day: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`diurnal_factor` over an array of hours."""
         hours = np.asarray(hours_of_day, dtype=float) % 24.0
@@ -123,10 +114,6 @@ class LogNormalLatencyModel:
     def mean_rtt_ms(self) -> float:
         """Long-run mean RTT (averaged over the diurnal cycle)."""
         return self.mean_ms
-
-    def median_rtt_ms(self) -> float:
-        """Median RTT of the fitted log-normal body."""
-        return self.median_ms
 
 
 def lte_latency_model(
@@ -155,14 +142,6 @@ class ConstantLatencyModel:
 
     def sample_rtt_ms(self, rng: Optional[np.random.Generator] = None, hour_of_day: float = 12.0) -> float:
         return self.rtt_ms
-
-    def sample_many(
-        self, rng: Optional[np.random.Generator] = None, count: int = 0, hour_of_day: float = 12.0
-    ) -> np.ndarray:
-        """``count`` constant samples (no RNG consumed, like the scalar path)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        return np.full(count, self.rtt_ms)
 
     def sample_many_at(
         self, rng: Optional[np.random.Generator], hours_of_day: "np.ndarray"

@@ -22,7 +22,7 @@ Fig. 11 reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -80,11 +80,6 @@ class NetRadarDataset:
         mask = (self.operator_labels == operator) & (self.technology_labels == technology)
         return self.rtts_ms[mask]
 
-    def select_hours(self, operator: str, technology: str) -> np.ndarray:
-        """Hour-of-day of the samples for one (operator, technology) pair."""
-        mask = (self.operator_labels == operator) & (self.technology_labels == technology)
-        return self.hours[mask]
-
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per (operator, technology) mean/std/median of the synthetic samples."""
         result: Dict[str, Dict[str, float]] = {}
@@ -100,17 +95,6 @@ class NetRadarDataset:
                     "count": float(samples.size),
                 }
         return result
-
-    def hourly_means(self, operator: str, technology: str) -> Dict[int, float]:
-        """Mean RTT per hour of day — the series plotted in Fig. 11."""
-        samples = self.select(operator, technology)
-        hours = self.select_hours(operator, technology)
-        means: Dict[int, float] = {}
-        for hour in range(24):
-            mask = np.floor(hours).astype(int) == hour
-            if np.any(mask):
-                means[hour] = float(np.mean(samples[mask]))
-        return means
 
 
 def generate_netradar_dataset(

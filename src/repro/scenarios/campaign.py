@@ -103,16 +103,6 @@ class CampaignResult:
             f"no result for scenario {name!r}; have {[r.name for r in self.results]}"
         )
 
-    def get_record(self, name: str) -> RunRecord:
-        """The run record of one scenario by name (telemetry campaigns only)."""
-        for record in self.records:
-            if record is not None and record.scenario == name:
-                return record
-        raise KeyError(
-            f"no run record for scenario {name!r}; have "
-            f"{[r.scenario for r in self.records if r is not None]}"
-        )
-
     def rows(self) -> List[Dict[str, object]]:
         """Cross-scenario comparison rows, in submission order."""
         return [result.as_row() for result in self.results]

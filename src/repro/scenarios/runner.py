@@ -130,13 +130,6 @@ class SiteResult:
             f"have {[entry.group for entry in self.groups]}"
         )
 
-    def drop_rate_for_group(self, group_id: int) -> float:
-        """Drop rate among one group's requests (0.0 if the group never hit)."""
-        for entry in self.groups:
-            if entry.group == group_id:
-                return entry.drop_rate
-        return 0.0
-
     def as_row(self) -> Dict[str, object]:
         """One per-site comparison row (the multisite CLI/CSV schema)."""
 

@@ -13,9 +13,8 @@ All spec classes are frozen dataclasses of plain values.  Each numeric or
 choice field declares its rule next to it (:mod:`repro.scenarios.rules`), and
 construction checks them all: a bad value raises ``ValueError("<field> must
 be <rule>, got <value>")`` and numbers must be finite.  Nested sections may be
-given in their dict form, so specs round-trip through
-:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`, and they
-pickle cleanly across the campaign runner's worker processes.
+given in their dict form, so ``ScenarioSpec(**spec.to_dict())`` rebuilds a
+spec, and specs pickle cleanly across the campaign runner's worker processes.
 """
 
 from __future__ import annotations
@@ -397,10 +396,5 @@ class ScenarioSpec:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """A plain-dict view (JSON/YAML friendly) that round-trips via from_dict."""
+        """A plain-dict view (JSON/YAML friendly); ``ScenarioSpec(**view)`` rebuilds it."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**dict(payload))

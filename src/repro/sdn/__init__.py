@@ -15,11 +15,10 @@ request.
 """
 
 from repro.sdn.accelerator import RequestRecord, RoutingPolicy, SDNAccelerator
-from repro.sdn.autoscaler import Autoscaler, ReactiveAutoscaler, ScalingAction
+from repro.sdn.autoscaler import Autoscaler, ScalingAction
 
 __all__ = [
     "Autoscaler",
-    "ReactiveAutoscaler",
     "RequestRecord",
     "RoutingPolicy",
     "SDNAccelerator",

@@ -6,18 +6,13 @@ time slot, the adaptive model predicts the workload of the next period, the
 ILP picks the cheapest instance mix, and the provisioner adjusts the running
 back-end to the plan.
 
-Two controllers are provided:
-
-* :class:`Autoscaler` — the paper's predictive controller driven by the
-  :class:`~repro.core.model.AdaptiveModel`.
-* :class:`ReactiveAutoscaler` — a prediction-free baseline that provisions for
-  the workload just observed (pure reaction), used by the ablation benches to
-  quantify the value of prediction.
+:class:`Autoscaler` is the paper's predictive controller driven by the
+:class:`~repro.core.model.AdaptiveModel`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from repro.cloud.backend import BackendPool
@@ -173,30 +168,3 @@ class Autoscaler:
         """Run the control loop for the period ``[period_start_ms, period_end_ms)``."""
         slot = self.model.observe_trace_window(log, period_start_ms, period_end_ms)
         return self.scale_for_slot(slot, period_end_ms)
-
-
-class ReactiveAutoscaler(Autoscaler):
-    """Baseline: provision for the workload just observed (no prediction)."""
-
-    def scale_for_slot(self, slot: TimeSlot, at_ms: float) -> ScalingAction:
-        problem = AllocationProblem(
-            options=self.model.options,
-            group_workloads=slot.workload_vector(self.model.groups()),
-            instance_cap=self.model.instance_cap,
-        )
-        try:
-            plan = IlpAllocator().allocate(problem)
-        except AllocationError:
-            plan = best_effort_plan(problem)
-        target = self._target_counts(plan)
-        launched, terminated = self._apply_counts(target)
-        action = ScalingAction(
-            period_index=len(self.actions),
-            at_ms=at_ms,
-            launched=launched,
-            terminated=terminated,
-            plan=plan,
-            decision=None,
-        )
-        self.actions.append(action)
-        return action

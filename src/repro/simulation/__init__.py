@@ -25,7 +25,7 @@ from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import Event, SimulationEngine
 from repro.simulation.queues import ProcessorSharingServer
 from repro.simulation.randomness import RandomStreams
-from repro.simulation.stats import TimeSeries, percentile_summary
+from repro.simulation.stats import percentile_summary
 
 __all__ = [
     "Event",
@@ -33,6 +33,5 @@ __all__ = [
     "RandomStreams",
     "SimulationClock",
     "SimulationEngine",
-    "TimeSeries",
     "percentile_summary",
 ]

@@ -30,21 +30,6 @@ class SimulationClock:
         """Current simulation time in milliseconds."""
         return self._now_ms
 
-    @property
-    def now_seconds(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now_ms / MILLISECONDS_PER_SECOND
-
-    @property
-    def now_minutes(self) -> float:
-        """Current simulation time in minutes."""
-        return self._now_ms / MILLISECONDS_PER_MINUTE
-
-    @property
-    def now_hours(self) -> float:
-        """Current simulation time in hours."""
-        return self._now_ms / MILLISECONDS_PER_HOUR
-
     def advance_to(self, time_ms: float) -> None:
         """Advance the clock to ``time_ms``.
 
@@ -63,8 +48,3 @@ class SimulationClock:
 
     def __repr__(self) -> str:
         return f"SimulationClock(now_ms={self._now_ms:.3f})"
-
-
-def hours_to_ms(hours: float) -> float:
-    """Convert hours to simulated milliseconds."""
-    return hours * MILLISECONDS_PER_HOUR

@@ -1,4 +1,4 @@
-"""Time-series collection and percentile summaries.
+"""Percentile summaries.
 
 Evaluation figures in the paper report means, standard deviations, medians and
 interpercentile ranges of response times; these helpers summarise them.
@@ -7,61 +7,9 @@ interpercentile ranges of response times; these helpers summarise them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
-
-
-@dataclass
-class TimeSeries:
-    """A simple (time, value) series with convenience reductions."""
-
-    name: str = ""
-    times: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
-
-    def add(self, time: float, value: float) -> None:
-        """Append an observation; times must be non-decreasing."""
-        if self.times and time < self.times[-1]:
-            raise ValueError(
-                f"time series {self.name!r} requires non-decreasing times: "
-                f"{time} after {self.times[-1]}"
-            )
-        self.times.append(float(time))
-        self.values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """Return the sub-series with ``start <= time < end``.
-
-        Times are non-decreasing by construction (:meth:`add` enforces it),
-        so the window is located with two binary searches and sliced — O(log n)
-        instead of a full scan per call.
-        """
-        low = bisect_left(self.times, start)
-        high = bisect_left(self.times, end, lo=low)
-        selected = TimeSeries(name=self.name)
-        selected.times = self.times[low:high]
-        selected.values = self.values[low:high]
-        return selected
-
-    def mean(self) -> float:
-        if not self.values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return float(np.mean(self.values))
-
-    def std(self) -> float:
-        if not self.values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return float(np.std(self.values))
-
-    def as_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Return ``(times, values)`` as numpy arrays."""
-        return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
 
 
 def percentile_summary(

@@ -3,7 +3,7 @@
 * :mod:`repro.workload.traces` — the request trace log.  The paper stores one
   record per processed request in MySQL with the schema
   ``<timestamp, user-id, acceleration-group, battery-level, round-trip-time>``;
-  here the log is an in-memory store with CSV import/export.
+  here the log is an in-memory store.
 * :mod:`repro.workload.arrival` — arrival processes (fixed-rate, Poisson,
   uniform and non-homogeneous modulated Poisson inter-arrival times).
 """

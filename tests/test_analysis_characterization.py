@@ -10,14 +10,14 @@ from repro.analysis.characterization import (
     measured_capacities,
     measured_speed_factors,
 )
-from repro.cloud.catalog import DEFAULT_CATALOG, get_instance_type
+from repro.cloud.catalog import DEFAULT_CATALOG
 
 
 @pytest.fixture(scope="module")
 def nano_benchmark():
     rng = np.random.default_rng(0)
     return benchmark_instance_type(
-        get_instance_type("t2.nano"), rng=rng, samples_per_level=100
+        DEFAULT_CATALOG.get("t2.nano"), rng=rng, samples_per_level=100
     )
 
 
@@ -37,7 +37,7 @@ class TestBenchmarkInstanceType:
 
     def test_fixed_task_mode_uses_that_task_only(self, rng):
         result = benchmark_instance_type(
-            get_instance_type("t2.nano"), rng=rng, fixed_task="minimax",
+            DEFAULT_CATALOG.get("t2.nano"), rng=rng, fixed_task="minimax",
             concurrencies=(1,), samples_per_level=50,
         )
         # The static minimax task costs ~2000 work units at level 1.
@@ -45,7 +45,7 @@ class TestBenchmarkInstanceType:
 
     def test_keep_samples_option(self, rng):
         result = benchmark_instance_type(
-            get_instance_type("t2.nano"), rng=rng, concurrencies=(1, 10),
+            DEFAULT_CATALOG.get("t2.nano"), rng=rng, concurrencies=(1, 10),
             samples_per_level=20, keep_samples=True,
         )
         assert set(result.samples) == {1, 10}
@@ -53,13 +53,13 @@ class TestBenchmarkInstanceType:
 
     def test_invalid_parameters(self, rng):
         with pytest.raises(ValueError):
-            benchmark_instance_type(get_instance_type("t2.nano"), rng=rng, samples_per_level=0)
+            benchmark_instance_type(DEFAULT_CATALOG.get("t2.nano"), rng=rng, samples_per_level=0)
         with pytest.raises(ValueError):
-            benchmark_instance_type(get_instance_type("t2.nano"), rng=rng, concurrencies=(0, 1))
+            benchmark_instance_type(DEFAULT_CATALOG.get("t2.nano"), rng=rng, concurrencies=(0, 1))
 
     def test_degradation_slope_positive_and_smaller_for_bigger_instances(self, rng):
-        nano = benchmark_instance_type(get_instance_type("t2.nano"), rng=rng, samples_per_level=80)
-        big = benchmark_instance_type(get_instance_type("m4.10xlarge"), rng=rng, samples_per_level=80)
+        nano = benchmark_instance_type(DEFAULT_CATALOG.get("t2.nano"), rng=rng, samples_per_level=80)
+        big = benchmark_instance_type(DEFAULT_CATALOG.get("m4.10xlarge"), rng=rng, samples_per_level=80)
         assert nano.degradation_slope() > big.degradation_slope() > 0
 
 

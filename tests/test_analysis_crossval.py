@@ -24,7 +24,6 @@ class TestCrossValidation:
     def test_perfectly_periodic_history_scores_high(self, rng):
         result = cross_validate_predictor(periodic_history(), folds=5, strategy="successor", rng=rng, min_index=7)
         assert result.mean_accuracy > 0.95
-        assert 0.0 <= result.std_accuracy <= 1.0
 
     def test_fold_count_respected(self, rng):
         result = cross_validate_predictor(periodic_history(), folds=5, rng=rng)

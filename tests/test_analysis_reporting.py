@@ -1,8 +1,10 @@
 """Tests for the text/CSV reporting helpers."""
 
+import csv
+
 import pytest
 
-from repro.analysis.reporting import format_table, read_csv, summarize_comparison, write_csv
+from repro.analysis.reporting import format_table, summarize_comparison, write_csv
 
 ROWS = [
     {"instance_type": "t2.nano", "level": 1, "mean_ms": 2005.1},
@@ -33,7 +35,8 @@ class TestCsvRoundTrip:
     def test_write_and_read(self, tmp_path):
         path = write_csv(ROWS, tmp_path / "out" / "fig.csv")
         assert path.exists()
-        loaded = read_csv(path)
+        with path.open(newline="") as handle:
+            loaded = list(csv.DictReader(handle))
         assert len(loaded) == 3
         assert loaded[0]["instance_type"] == "t2.nano"
         assert loaded[2]["headline"] == "87.5% accuracy"

@@ -79,6 +79,28 @@ class TestExecution:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4", "--samples", "0"],
+            ["fig5", "--samples", "0"],
+            ["fig6", "--samples", "-1"],
+            ["summary", "--samples", "0"],
+            ["export", "--samples", "-5"],
+            ["fig8", "--step-seconds", "0"],
+            ["fig8", "--step-seconds", "-1"],
+            ["fig8", "--step-seconds", "nan"],
+            ["fig8", "--step-seconds", "inf"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_bad_sample_count_or_step_exits_2_at_parse_time(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {argv[1]}: must be a positive" in err
+        assert "Traceback" not in err
+
     def test_export_writes_csv_files(self, tmp_path, capsys):
         assert main(["export", "--output-dir", str(tmp_path), "--samples", "40"]) == 0
         written = sorted(path.name for path in tmp_path.glob("*.csv"))

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.cloud.backend import BackendPool
-from repro.cloud.catalog import get_instance_type
+from repro.cloud.catalog import DEFAULT_CATALOG
 from repro.cloud.server import CloudInstance
 
 
 def make_instance(engine, type_name="t2.nano", **kwargs):
-    return CloudInstance(engine, get_instance_type(type_name), **kwargs)
+    return CloudInstance(engine, DEFAULT_CATALOG.get(type_name), **kwargs)
 
 
 @pytest.fixture
@@ -54,12 +54,13 @@ class TestMembership:
         assert pool.total_instances() == 3
 
     def test_highest_and_lowest_level(self, pool):
-        assert pool.highest_level() == 3
-        assert pool.lowest_level() == 1
+        assert pool.levels[-1] == 3
+        assert pool.levels[0] == 1
 
     def test_empty_pool_levels_raise(self):
-        with pytest.raises(ValueError):
-            BackendPool().highest_level()
+        assert BackendPool().levels == []
+        with pytest.raises(ValueError, match="empty"):
+            BackendPool().clamp_level(1)
 
 
 class TestRoutingHelpers:
@@ -108,11 +109,12 @@ class TestRoutingHelpers:
 
     def test_group_load_and_drop_counts(self, engine):
         pool = BackendPool()
-        pool.add_instance(make_instance(engine, "t2.nano", admission_limit=1), 1)
+        instance = make_instance(engine, "t2.nano", admission_limit=1)
+        pool.add_instance(instance, 1)
         pool.dispatch(1, 100.0, lambda o: None, jitter_z=0.0)
         pool.dispatch(1, 100.0, lambda o: None, jitter_z=0.0)
-        assert pool.group_load() == {1: 1}
-        assert pool.drop_counts() == {1: 1}
+        assert instance.in_service == 1
+        assert instance.dropped_requests == 1
 
     def test_terminated_instances_are_not_selected(self, engine):
         pool = BackendPool()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog, InstanceType, get_instance_type
+from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog, InstanceType
 from repro.cloud.performance import PerformanceProfile
 
 
@@ -19,12 +19,12 @@ class TestInstanceType:
             InstanceType(name="x", vcpus=1, memory_gb=1, price_per_hour=-0.1, acceleration_level=0, profile=profile)
 
     def test_capacity_requests_per_minute_positive_for_feasible_threshold(self):
-        nano = get_instance_type("t2.nano")
-        assert nano.capacity_requests_per_minute(300.0, 1000.0) > 0
+        nano = DEFAULT_CATALOG.get("t2.nano")
+        assert nano.profile.capacity_under_threshold(300.0, 1000.0) > 0
 
     def test_capacity_zero_when_threshold_unreachable(self):
-        nano = get_instance_type("t2.nano")
-        assert nano.capacity_requests_per_minute(2000.0, 100.0) == 0.0
+        nano = DEFAULT_CATALOG.get("t2.nano")
+        assert nano.profile.capacity_under_threshold(2000.0, 100.0) == 0
 
 
 class TestDefaultCatalogCalibration:
@@ -45,17 +45,17 @@ class TestDefaultCatalogCalibration:
 
     def test_fig5_speed_ratios(self):
         """Level speed factors encode the paper's ~1.25x / ~1.73x / ~1.36x ratios."""
-        nano = get_instance_type("t2.nano").profile.speed_factor
-        large = get_instance_type("t2.large").profile.speed_factor
-        m4 = get_instance_type("m4.10xlarge").profile.speed_factor
+        nano = DEFAULT_CATALOG.get("t2.nano").profile.speed_factor
+        large = DEFAULT_CATALOG.get("t2.large").profile.speed_factor
+        m4 = DEFAULT_CATALOG.get("m4.10xlarge").profile.speed_factor
         assert large / nano == pytest.approx(1.25, rel=0.02)
         assert m4 / nano == pytest.approx(1.73, rel=0.02)
         assert m4 / large == pytest.approx(1.384, rel=0.02)
 
     def test_fig6_nano_micro_anomaly(self):
         """t2.nano outperforms the nominally larger free-tier t2.micro."""
-        nano = get_instance_type("t2.nano")
-        micro = get_instance_type("t2.micro")
+        nano = DEFAULT_CATALOG.get("t2.nano")
+        micro = DEFAULT_CATALOG.get("t2.micro")
         assert micro.free_tier and not nano.free_tier
         assert nano.profile.speed_factor > micro.profile.speed_factor
         work, threshold = 300.0, 500.0
@@ -64,11 +64,11 @@ class TestDefaultCatalogCalibration:
 
     def test_prices_increase_with_capability_within_families(self):
         order = ["t2.nano", "t2.small", "t2.medium", "t2.large"]
-        prices = [get_instance_type(name).price_per_hour for name in order]
+        prices = [DEFAULT_CATALOG.get(name).price_per_hour for name in order]
         assert prices == sorted(prices)
 
     def test_micro_priced_above_nano(self):
-        assert get_instance_type("t2.micro").price_per_hour > get_instance_type("t2.nano").price_per_hour
+        assert DEFAULT_CATALOG.get("t2.micro").price_per_hour > DEFAULT_CATALOG.get("t2.nano").price_per_hour
 
 
 class TestInstanceCatalog:
@@ -79,14 +79,6 @@ class TestInstanceCatalog:
     def test_by_level_and_levels(self):
         assert {t.name for t in DEFAULT_CATALOG.by_level(1)} == {"t2.nano", "t2.small"}
         assert DEFAULT_CATALOG.levels() == [0, 1, 2, 3, 4]
-
-    def test_cheapest_for_level(self):
-        assert DEFAULT_CATALOG.cheapest_for_level(1).name == "t2.nano"
-        assert DEFAULT_CATALOG.cheapest_for_level(3).name == "m4.4xlarge"
-
-    def test_cheapest_for_missing_level_raises(self):
-        with pytest.raises(KeyError):
-            DEFAULT_CATALOG.cheapest_for_level(9)
 
     def test_subset(self):
         subset = DEFAULT_CATALOG.subset(["t2.nano", "t2.large"])
@@ -99,7 +91,7 @@ class TestInstanceCatalog:
         assert len(list(DEFAULT_CATALOG)) == len(DEFAULT_CATALOG)
 
     def test_duplicate_types_rejected(self):
-        nano = get_instance_type("t2.nano")
+        nano = DEFAULT_CATALOG.get("t2.nano")
         with pytest.raises(ValueError):
             InstanceCatalog([nano, nano])
 

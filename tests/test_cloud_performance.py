@@ -53,15 +53,6 @@ class TestServiceTime:
         with pytest.raises(ValueError):
             profile.service_time_ms(10.0, 0)
 
-    def test_curve_matches_pointwise_calls(self, profile):
-        concurrencies = [1, 5, 10, 20]
-        curve = profile.expected_response_curve(150.0, concurrencies)
-        expected = [profile.service_time_ms(150.0, c) for c in concurrencies]
-        assert np.allclose(curve, expected)
-
-    def test_curve_rejects_zero_concurrency(self, profile):
-        with pytest.raises(ValueError):
-            profile.expected_response_curve(100.0, [0, 1])
 
 
 class TestThroughputAndCapacity:

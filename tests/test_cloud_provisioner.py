@@ -27,17 +27,6 @@ class TestLaunchTerminate:
         with pytest.raises(ProvisioningError):
             provisioner.launch("t2.nano")
 
-    def test_launch_many_all_or_nothing(self, provisioner):
-        with pytest.raises(ProvisioningError):
-            provisioner.launch_many({"t2.nano": 4, "t2.large": 2})
-        assert provisioner.running_count == 0
-        launched = provisioner.launch_many({"t2.nano": 2, "t2.large": 1})
-        assert len(launched) == 3
-
-    def test_launch_many_rejects_negative(self, provisioner):
-        with pytest.raises(ValueError):
-            provisioner.launch_many({"t2.nano": -1})
-
     def test_terminate_removes_and_bills(self, provisioner, engine):
         instance = provisioner.launch("t2.large")
         engine.clock.advance_to(30 * 60 * 1000.0)  # 30 minutes
@@ -52,8 +41,8 @@ class TestLaunchTerminate:
             provisioner.terminate(other)
 
     def test_terminate_all(self, provisioner):
-        provisioner.launch_many({"t2.nano": 3})
-        records = provisioner.terminate_all()
+        instances = [provisioner.launch("t2.nano") for _ in range(3)]
+        records = [provisioner.terminate(instance) for instance in instances]
         assert len(records) == 3
         assert provisioner.running_count == 0
 
@@ -85,7 +74,8 @@ class TestBilling:
         assert provisioner.total_cost() == pytest.approx(expected)
 
     def test_running_by_type(self, provisioner):
-        provisioner.launch_many({"t2.nano": 2, "t2.large": 1})
+        for type_name in ("t2.nano", "t2.nano", "t2.large"):
+            provisioner.launch(type_name)
         assert provisioner.running_by_type() == {"t2.nano": 2, "t2.large": 1}
 
     def test_invalid_cap_rejected(self, engine, catalog):

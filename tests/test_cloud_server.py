@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.cloud.catalog import get_instance_type
+from repro.cloud.catalog import DEFAULT_CATALOG
 from repro.cloud.server import CloudInstance
 
 
 def make_instance(engine, type_name="t2.nano", **kwargs):
-    return CloudInstance(engine, get_instance_type(type_name), **kwargs)
+    return CloudInstance(engine, DEFAULT_CATALOG.get(type_name), **kwargs)
 
 
 class TestSubmission:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.distance import group_edit_distance, normalized_slot_distance, slot_edit_distance
+from repro.core.distance import group_edit_distance, slot_edit_distance
 from repro.core.timeslots import TimeSlot
 
 
@@ -61,32 +61,3 @@ class TestSlotEditDistance:
         b = self.slot(1, {1: [2, 3]})
         c = self.slot(2, {1: [3, 4]})
         assert slot_edit_distance(a, c) <= slot_edit_distance(a, b) + slot_edit_distance(b, c)
-
-
-class TestNormalizedDistance:
-    def slot(self, index, groups):
-        return TimeSlot.from_user_sets(index, groups)
-
-    def test_identical_is_zero(self):
-        a = self.slot(0, {1: [1, 2]})
-        assert normalized_slot_distance(a, a) == 0.0
-
-    def test_disjoint_is_one(self):
-        a = self.slot(0, {1: [1, 2]})
-        b = self.slot(1, {1: [3, 4]})
-        assert normalized_slot_distance(a, b) == 1.0
-
-    def test_both_empty_is_zero(self):
-        a = self.slot(0, {1: []})
-        b = self.slot(1, {1: []})
-        assert normalized_slot_distance(a, b) == 0.0
-
-    def test_partial_overlap_strictly_between(self):
-        a = self.slot(0, {1: [1, 2, 3]})
-        b = self.slot(1, {1: [2, 3, 4]})
-        assert 0.0 < normalized_slot_distance(a, b) < 1.0
-
-    def test_bounded_in_unit_interval(self):
-        a = self.slot(0, {1: [1, 2, 3], 2: []})
-        b = self.slot(1, {1: [], 2: [9, 10]})
-        assert 0.0 <= normalized_slot_distance(a, b) <= 1.0

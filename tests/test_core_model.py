@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.allocation import InstanceOption
 from repro.core.model import AdaptiveModel
-from repro.core.timeslots import TimeSlot, TimeSlotHistory
+from repro.core.prediction import prediction_accuracy
+from repro.core.timeslots import TimeSlot
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
 from repro.workload.traces import TraceLog
 
@@ -78,7 +79,8 @@ class TestObserveAndDecide:
         model.observe_slot(slot(0, {1: 10}))
         model.observe_slot(slot(1, {1: 10}))
         decision = model.decide()
-        perfect = model.evaluate_decision(decision, slot(2, {1: decision.predicted_workloads[1]}))
+        realised = slot(2, {1: decision.predicted_workloads[1]})
+        perfect = prediction_accuracy(decision.prediction.predicted_slot, realised)
         assert perfect == 1.0
 
 
@@ -100,28 +102,17 @@ class TestTraceWindowObservation:
         log = TraceLog()
         log.log(10.0, 1, 1, 1.0, 100.0)
         observed = model.observe_trace_window(log, MILLISECONDS_PER_HOUR, 2 * MILLISECONDS_PER_HOUR)
-        assert observed.is_empty()
+        assert sum(observed.workload_vector().values()) == 0
 
 
 class TestRunOverHistory:
     def test_one_decision_per_slot_after_warmup(self):
         model = AdaptiveModel(OPTIONS)
-        history = TimeSlotHistory()
+        decisions = []
         for index in range(6):
-            history.append(slot(index, {1: 5 + index, 2: index}))
-        decisions = model.run_over_history(history)
+            current = slot(index, {1: 5 + index, 2: index})
+            model.observe_slot(current)
+            if model.can_predict():
+                decisions.append(model.decide(current))
         assert len(decisions) == 5  # warmup of min_history=2 skips the first slot
         assert len(model.history) == 6
-
-    def test_custom_warmup(self):
-        model = AdaptiveModel(OPTIONS)
-        history = TimeSlotHistory()
-        for index in range(6):
-            history.append(slot(index, {1: 5}))
-        decisions = model.run_over_history(history, warmup=4)
-        assert len(decisions) == 3
-
-    def test_invalid_warmup(self):
-        model = AdaptiveModel(OPTIONS)
-        with pytest.raises(ValueError):
-            model.run_over_history(TimeSlotHistory(), warmup=0)

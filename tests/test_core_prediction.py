@@ -6,7 +6,6 @@ from repro.core.prediction import (
     LastValuePredictor,
     MeanWorkloadPredictor,
     WorkloadPredictor,
-    assignment_accuracy,
     prediction_accuracy,
 )
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
@@ -88,13 +87,14 @@ class TestWorkloadPredictor:
         predictor = WorkloadPredictor(history, strategy="nearest")
         huge = slot(3, {1: list(range(100)), 2: list(range(100, 150))})
         outcome = predictor.predict(huge)
-        assert outcome.predicted_slot.total_workload() <= max(
-            s.total_workload() for s in history
-        )
+        def total(s):
+            return sum(s.workload_vector().values())
+
+        assert total(outcome.predicted_slot) <= max(total(s) for s in history)
 
     def test_predict_next_workloads_returns_vector(self, history):
         predictor = WorkloadPredictor(history)
-        workloads = predictor.predict_next_workloads(slot(3, {1: [1, 2, 3], 2: []}), groups=[1, 2])
+        workloads = predictor.predict(slot(3, {1: [1, 2, 3], 2: []})).predicted_workloads([1, 2])
         assert workloads == {1: 3, 2: 0}
 
     def test_observe_appends_to_history(self):
@@ -109,7 +109,6 @@ class TestAccuracyMetrics:
         actual = slot(1, {1: [1, 2], 2: [3]})
         # Same counts per group, different user identities.
         assert prediction_accuracy(predicted, actual) == 1.0
-        assert assignment_accuracy(predicted, actual) == 0.0
 
     def test_completely_wrong_counts_score_zero(self):
         predicted = slot(0, {1: [1, 2, 3]})
@@ -128,12 +127,6 @@ class TestAccuracyMetrics:
         predicted = slot(0, {1: list(range(50))})
         actual = slot(1, {1: [1]})
         assert 0.0 <= prediction_accuracy(predicted, actual) <= 1.0
-
-    def test_assignment_accuracy_rewards_identity_overlap(self):
-        actual = slot(1, {1: [1, 2, 3, 4]})
-        good = slot(0, {1: [1, 2, 3, 5]})
-        bad = slot(0, {1: [10, 11, 12, 13]})
-        assert assignment_accuracy(good, actual) > assignment_accuracy(bad, actual)
 
 
 class TestBaselinePredictors:

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
-from repro.simulation.clock import MILLISECONDS_PER_HOUR
-from repro.workload.traces import TraceLog
 
 
 class TestTimeSlot:
@@ -13,7 +11,7 @@ class TestTimeSlot:
         assert slot.workload(1) == 3
         assert slot.workload(2) == 1
         assert slot.workload(3) == 0
-        assert slot.total_workload() == 4
+        assert sum(slot.workload_vector().values()) == 4
 
     def test_from_counts_generates_synthetic_users(self):
         slot = TimeSlot.from_counts(0, {1: 5, 2: 0})
@@ -36,12 +34,6 @@ class TestTimeSlot:
     def test_workload_vector_with_explicit_groups(self):
         slot = TimeSlot.from_user_sets(0, {1: [1]})
         assert slot.workload_vector([1, 2, 3]) == {1: 1, 2: 0, 3: 0}
-
-    def test_all_users_and_is_empty(self):
-        slot = TimeSlot.from_user_sets(0, {1: [1, 2], 2: [2, 3]})
-        assert slot.all_users() == {1, 2, 3}
-        assert not slot.is_empty()
-        assert TimeSlot.from_user_sets(0, {1: []}).is_empty()
 
     def test_group_ids_sorted(self):
         slot = TimeSlot.from_user_sets(0, {3: [], 1: [], 2: []})
@@ -68,35 +60,6 @@ class TestTimeSlotHistory:
         history.append_user_sets({2: [2]})
         assert history.group_ids() == [1, 2]
 
-    def test_truncate_keeps_most_recent(self):
-        history = TimeSlotHistory()
-        for i in range(5):
-            history.append_user_sets({1: list(range(i))})
-        truncated = history.truncate(2)
-        assert len(truncated) == 2
-        assert truncated[0].workload(1) == 3
-
-    def test_truncate_zero(self):
-        history = TimeSlotHistory()
-        history.append_user_sets({1: [1]})
-        assert len(history.truncate(0)) == 0
-
     def test_invalid_slot_length(self):
         with pytest.raises(ValueError):
             TimeSlotHistory(slot_length_ms=0.0)
-
-    def test_from_trace_log_builds_hourly_slots(self):
-        log = TraceLog()
-        log.log(10.0, 1, 1, 1.0, 100.0)
-        log.log(20.0, 2, 1, 1.0, 100.0)
-        log.log(MILLISECONDS_PER_HOUR + 5.0, 2, 2, 1.0, 100.0)
-        history = TimeSlotHistory.from_trace_log(log)
-        assert len(history) == 2
-        assert history[0].workload(1) == 2
-        assert history[1].workload(2) == 1
-
-    def test_from_trace_log_with_explicit_groups(self):
-        log = TraceLog()
-        log.log(10.0, 1, 1, 1.0, 100.0)
-        history = TimeSlotHistory.from_trace_log(log, groups=[1, 2, 3])
-        assert history[0].workload_vector([1, 2, 3]) == {1: 1, 2: 0, 3: 0}

@@ -86,11 +86,6 @@ class TestUserPerception:
 
 
 class TestPopulationSeries:
-    def test_population_series_is_ordered_by_completion(self, result):
-        series = result.population_series()
-        indices = [point["request_index"] for point in series]
-        assert indices == list(range(len(series)))
-
     def test_mean_response_by_window_produces_trend(self, result):
         windows = result.mean_response_by_window(8)
         assert len(windows) == 8

@@ -108,6 +108,11 @@ class TestFig8Saturation:
         with pytest.raises(ValueError):
             run_fig8_saturation(step_duration_s=0.0)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_non_finite_step_duration_rejected(self, step):
+        with pytest.raises(ValueError, match="step_duration_s must be positive and finite"):
+            run_fig8_saturation(step_duration_s=step)
+
 
 class TestFig11Network:
     @pytest.fixture(scope="class")
@@ -129,8 +134,11 @@ class TestFig11Network:
             assert network.summary[f"{operator}/LTE"]["mean"] < network.summary[f"{operator}/3G"]["mean"]
 
     def test_hourly_series_has_diurnal_variation(self, network):
-        series = network.hourly_series("alpha", "3G")
-        values = list(series.values())
+        data = network.dataset
+        mask = (data.operator_labels == "alpha") & (data.technology_labels == "3G")
+        hours = np.floor(data.hours[mask]).astype(int)
+        rtts = data.rtts_ms[mask]
+        values = [rtts[hours == hour].mean() for hour in range(24) if np.any(hours == hour)]
         assert max(values) > min(values)
 
     def test_rows_compare_measured_and_paper(self, network):

@@ -22,7 +22,7 @@ class TestSyntheticHistory:
 
     def test_workload_repeats_across_cycles(self, rng):
         history = synthesize_slot_history(rng, hours=36, population=80, period_slots=12, noise=0.03)
-        totals = [slot.total_workload() for slot in history]
+        totals = [sum(slot.workload_vector().values()) for slot in history]
         # The same phase one cycle apart is much more similar than adjacent phases.
         same_phase_diff = np.mean([abs(totals[i] - totals[i + 12]) for i in range(12)])
         adjacent_diff = np.mean([abs(totals[i] - totals[i + 1]) for i in range(23)])
@@ -31,8 +31,8 @@ class TestSyntheticHistory:
     def test_later_phases_have_more_promoted_users(self, rng):
         history = synthesize_slot_history(rng, hours=12, population=100, period_slots=12)
         early, late = history[1], history[10]
-        early_high_share = early.workload(3) / max(early.total_workload(), 1)
-        late_high_share = late.workload(3) / max(late.total_workload(), 1)
+        early_high_share = early.workload(3) / max(sum(early.workload_vector().values()), 1)
+        late_high_share = late.workload(3) / max(sum(late.workload_vector().values()), 1)
         assert late_high_share > early_high_share
 
     def test_invalid_parameters(self, rng):

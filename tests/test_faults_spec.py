@@ -127,13 +127,13 @@ class TestFaultSpec:
 
     def test_dict_round_trip(self):
         spec = self.full_spec()
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
+        assert FaultSpec(**spec.to_dict()) == spec
 
     def test_dict_round_trip_without_control_plane(self):
         spec = FaultSpec(offload_failure_probability=0.1)
         payload = spec.to_dict()
         assert "control_plane" not in payload
-        assert FaultSpec.from_dict(payload) == spec
+        assert FaultSpec(**payload) == spec
 
     def test_mapping_coercion(self):
         spec = FaultSpec(

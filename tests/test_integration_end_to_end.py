@@ -19,7 +19,6 @@ from repro.cloud.server import CloudInstance
 from repro.core.acceleration import characterize_instances
 from repro.core.allocation import AllocationProblem, IlpAllocator, build_options_from_catalog
 from repro.core.model import AdaptiveModel
-from repro.core.timeslots import TimeSlotHistory
 from repro.mobile.tasks import DEFAULT_TASK_POOL
 from repro.network.channel import CommunicationChannel
 from repro.sdn.accelerator import SDNAccelerator, draw_routing_overhead_ms
@@ -146,8 +145,8 @@ class TestFullSystemSmallRun:
                 by_group[record.acceleration_group].append(record.response_time_ms)
         assert np.mean(by_group[2]) < np.mean(by_group[1])
 
-    def test_trace_log_round_trips_into_model_history(self, tmp_path):
-        """Traces written by the front-end can be reloaded and re-slotted."""
+    def test_trace_log_round_trips_into_model_history(self):
+        """Traces written by the front-end slot into the model's history."""
         engine = SimulationEngine()
         backend = BackendPool()
         backend.add_instance(CloudInstance(engine, DEFAULT_CATALOG.get("t2.nano")), 1)
@@ -168,8 +167,11 @@ class TestFullSystemSmallRun:
             )
         engine.run()
         accelerator.delivery_buffer.flush(math.inf)
-        path = trace_log.to_csv(tmp_path / "log.csv")
-        reloaded = TraceLog.from_csv(path)
-        history = TimeSlotHistory.from_trace_log(reloaded, groups=[1])
-        assert len(history) >= 1
-        assert history[0].workload(1) == 7
+        model = AdaptiveModel(
+            build_options_from_catalog(
+                DEFAULT_CATALOG.subset(["t2.nano"]), work_units=200.0, response_threshold_ms=5000.0
+            )
+        )
+        slot = model.observe_trace_window(trace_log, 0.0, MILLISECONDS_PER_HOUR)
+        assert len(model.history) == 1
+        assert slot.workload(1) == 7

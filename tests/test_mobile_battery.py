@@ -24,15 +24,6 @@ class TestValidation:
 
 
 class TestDrain:
-    def test_idle_drain_is_linear(self):
-        battery = BatteryModel(level=1.0, idle_drain_per_hour=0.1)
-        battery.drain_idle(2.0)
-        assert battery.level == pytest.approx(0.8)
-
-    def test_idle_drain_rejects_negative_hours(self):
-        with pytest.raises(ValueError):
-            BatteryModel().drain_idle(-1.0)
-
     def test_offload_drain_scales_with_connection_time(self):
         battery = BatteryModel(level=1.0, offload_cost_per_second=0.001)
         battery.drain_offload(5000.0)  # 5 seconds of open connection
@@ -43,10 +34,9 @@ class TestDrain:
             BatteryModel().drain_offload(-1.0)
 
     def test_level_never_goes_below_zero(self):
-        battery = BatteryModel(level=0.01, idle_drain_per_hour=1.0)
-        battery.drain_idle(10.0)
+        battery = BatteryModel(level=0.01, offload_cost_per_second=1.0)
+        battery.drain_offload(10_000.0)
         assert battery.level == 0.0
-        assert battery.is_depleted
 
     def test_longer_responses_drain_more(self):
         """The premise of the battery-aware promotion policy (Section VII-3)."""

@@ -1,4 +1,4 @@
-"""Every module under ``src/repro`` that holds code is reachable from what users run.
+"""Every module and public symbol under ``src/repro`` is reachable from what users run.
 
 The walk follows ``import`` statements with :mod:`ast`, starting from
 :mod:`repro.cli` and every ``examples/*.py`` script.  A package ``__init__`` is
@@ -8,11 +8,18 @@ module nothing reaches is dead code; delete it or wire it to a command or an
 example.  A package ``__init__`` that only re-exports is a namespace and is not
 checked; one that defines a function or class is checked like a module, and is
 reached only when something imports from the package itself.
+
+The symbol gate goes one level down: every public function, class and method
+must be named somewhere under ``src/``, ``examples/``, ``benchmarks/`` or
+``perfbench/`` outside its own body.  A symbol only tests call is dead code;
+delete it, or add it to the short commented allow-list with its reason.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -119,3 +126,139 @@ def test_every_module_is_reached_from_the_cli_or_an_example():
         walker.follow(ast.parse(script.read_text(), filename=str(script)))
     unreached = sorted(_checked_modules() - walker.reached)
     assert unreached == [], f"modules no command or example imports: {unreached}"
+
+
+# --- public symbols ----------------------------------------------------------
+
+#: Trees whose code counts as a use: what users run plus the benches.  Tests
+#: do not count, so a symbol only tests call is dead.
+SCANNED_ROOTS = ("src", "examples", "benchmarks", "perfbench")
+
+#: Public symbols kept although only tests call them, each with its reason.
+ALLOWED_UNUSED = {
+    # The dynamic-broker parity oracle: per-slot shares that must match across modes.
+    "repro.scenarios.runner.ScenarioResult.slot_routing_shares",
+    # Whether a fault spec can fire at all: the spec's own summary predicate.
+    "repro.faults.spec.FaultSpec.has_faults",
+    # The bytes that define "same results": the registry record pins compare them.
+    "repro.telemetry.record.RunRecord.canonical_bytes",
+    # The paper's scalar Δ (Section IV-B1): the reference SlotDistanceIndex is tested against.
+    "repro.core.distance.slot_edit_distance",
+}
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _docstrings(tree: ast.AST) -> Set[int]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                found.add(id(first.value))
+    return found
+
+
+def _reexports(tree: ast.Module) -> Set[int]:
+    """A package ``__init__``'s imports and ``__all__``: exporting is not using."""
+    skipped = set()
+    for node in tree.body:
+        is_all = isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        )
+        if is_all or isinstance(node, ast.ImportFrom):
+            skipped.update(id(child) for child in ast.walk(node))
+    return skipped
+
+
+def _mentions(node: ast.AST, skip: Set[int]) -> Counter:
+    """How often ``node`` names each identifier: names, attributes, imports and
+    the words of string literals (perfbench wraps entry points by name)."""
+    counts: Counter = Counter()
+    for child in ast.walk(node):
+        if id(child) in skip:
+            continue
+        if isinstance(child, ast.Name):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            counts[child.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            counts.update(_WORD.findall(child.value))
+    return counts
+
+
+def _definitions(scope: ast.AST, prefix: str = ""):
+    """``(qualified name, node)`` of each public function, class and method."""
+    for node in scope.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node, f"{prefix}{node.name}.")
+
+
+def unused_symbols(root: Path, package: str = PACKAGE) -> List[str]:
+    """Public symbols of ``root/src/<package>`` that nothing under
+    :data:`SCANNED_ROOTS` names outside the symbol's own body.
+
+    The scan goes by name, so a dead method that shares its name with a live
+    one is not reported: the gate errs toward keeping code.
+    """
+    trees = {}
+    for top in SCANNED_ROOTS:
+        if (root / top).is_dir():
+            for path in sorted((root / top).rglob("*.py")):
+                trees[path] = ast.parse(path.read_text(), filename=str(path))
+    total: Counter = Counter()
+    docstrings = {path: _docstrings(tree) for path, tree in trees.items()}
+    for path, tree in trees.items():
+        skip = docstrings[path]
+        if path.name == "__init__.py" and root / "src" in path.parents:
+            skip = skip | _reexports(tree)
+        total.update(_mentions(tree, skip))
+    unused = []
+    for path, tree in trees.items():
+        if root / "src" / package not in path.parents:
+            continue
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        for qualname, node in _definitions(tree):
+            if total[node.name] == _mentions(node, docstrings[path])[node.name]:
+                unused.append(f"{module}.{qualname}")
+    return sorted(unused)
+
+
+def test_every_public_symbol_is_used_outside_tests():
+    unused = set(unused_symbols(ROOT))
+    dead = sorted(unused - ALLOWED_UNUSED)
+    assert dead == [], f"public symbols only tests (or nothing) use: {dead}"
+    stale = sorted(ALLOWED_UNUSED - unused)
+    assert stale == [], f"allow-listed symbols that are used or gone: {stale}"
+
+
+def test_symbol_scan_flags_test_only_code_and_counts_string_and_bench_uses(tmp_path):
+    files = {
+        "src/demo/__init__.py": 'from demo.mod import Thing, helper\n__all__ = ["Thing", "helper"]\n',
+        "src/demo/mod.py": (
+            "class Thing:\n"
+            "    def used(self):\n"
+            "        pass\n"
+            "    def unused(self):\n"
+            '        """Calls only itself."""\n'
+            "        return self.unused()\n"
+            "    def by_name(self):\n"
+            "        pass\n"
+            "    def by_bench(self):\n"
+            "        pass\n"
+            "def helper():\n"
+            "    pass\n"
+        ),
+        "src/demo/cli.py": 'from demo.mod import Thing\nThing().used()\nHOOK = "Thing.by_name"\n',
+        "perfbench/run.py": "from demo.mod import Thing\nThing().by_bench()\n",
+        "tests/test_mod.py": "from demo.mod import Thing, helper\nhelper()\nThing().unused()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert unused_symbols(tmp_path, "demo") == ["demo.mod.Thing.unused", "demo.mod.helper"]

@@ -311,13 +311,6 @@ class TestDynamicBroker:
         assert np.all(broker.site_ids[late] == 1)
         assert np.any(broker.site_ids[~late] == 0)
 
-    def test_as_brokered_plan_round_trips(self):
-        plan, broker = self.make_broker()
-        self.slot(broker, 0.0, 100_000.0, (2.0, 2.0))
-        view = broker.as_brokered_plan()
-        assert view.indices_for_site(0).size + view.indices_for_site(1).size \
-            + view.unrouted.size == len(plan)
-
 
 class TestGroupAwareBroker:
     """The acceleration-group-resolved live-state protocol (and its

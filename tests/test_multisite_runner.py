@@ -541,8 +541,8 @@ class TestGroupAwareCapacityAccounting:
             fleet = run_scenario(
                 dataclasses.replace(fleet_spec, execution=execution), seed=0
             )
-            drop_fleet = fleet.site("lean").drop_rate_for_group(1)
-            drop_grouped = grouped.site("lean").drop_rate_for_group(1)
+            drop_fleet = fleet.site("lean").group(1).drop_rate
+            drop_grouped = grouped.site("lean").group(1).drop_rate
             assert drop_fleet > 0.05, "the starved site must actually saturate"
             assert drop_grouped <= 0.5 * drop_fleet, (
                 f"{execution}: per-group {drop_grouped:.3f} "

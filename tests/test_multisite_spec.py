@@ -109,7 +109,7 @@ class TestMultiSiteSpec:
 
     def test_round_trips_through_dict(self):
         spec = two_sites(policy="failover")
-        rebuilt = MultiSiteSpec.from_dict(spec.to_dict())
+        rebuilt = MultiSiteSpec(**spec.to_dict())
         assert rebuilt == spec
         assert rebuilt.site("edge").outages == spec.site("edge").outages
 
@@ -137,7 +137,7 @@ class TestScenarioSpecIntegration:
 
     def test_scenario_round_trips_with_sites(self):
         spec = self.scenario()
-        rebuilt = ScenarioSpec.from_dict(spec.to_dict())
+        rebuilt = ScenarioSpec(**spec.to_dict())
         assert rebuilt == spec
         assert rebuilt.sites is not None
         assert rebuilt.sites.site_names == ("edge", "core")
@@ -191,7 +191,7 @@ class TestSpilloverSpec:
 
     def test_round_trips_and_pickles(self):
         spec = self.dynamic(SpilloverSpec(queue_limit_fraction=0.4))
-        rebuilt = MultiSiteSpec.from_dict(spec.to_dict())
+        rebuilt = MultiSiteSpec(**spec.to_dict())
         assert rebuilt == spec
         assert rebuilt.spillover.queue_limit_fraction == 0.4
         assert pickle.loads(pickle.dumps(spec)) == spec
@@ -256,7 +256,7 @@ class TestCapacitySignal:
 
     def test_round_trips_through_dict(self):
         spec = self.make_sites(capacity_signal="fleet")
-        clone = MultiSiteSpec.from_dict(spec.to_dict())
+        clone = MultiSiteSpec(**spec.to_dict())
         assert clone == spec
         assert clone.capacity_signal == "fleet"
 

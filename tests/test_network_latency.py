@@ -26,13 +26,13 @@ class TestLogNormalLatencyModel:
 
     def test_fitted_parameters_reproduce_median_and_mean(self, rng):
         model = LogNormalLatencyModel(median_ms=50.0, mean_ms=130.0, diurnal_amplitude=0.0, floor_ms=0.1)
-        samples = model.sample_many(rng, 200_000)
+        samples = model.sample_many_at(rng, np.full(200_000, 12.0))
         assert np.median(samples) == pytest.approx(50.0, rel=0.05)
         assert np.mean(samples) == pytest.approx(130.0, rel=0.05)
 
     def test_samples_respect_floor(self, rng):
         model = LogNormalLatencyModel(median_ms=10.0, mean_ms=12.0, floor_ms=8.0)
-        samples = model.sample_many(rng, 1000)
+        samples = model.sample_many_at(rng, np.full(1000, 12.0))
         assert samples.min() >= 8.0
 
     def test_diurnal_factor_peaks_at_peak_hour(self):
@@ -42,15 +42,10 @@ class TestLogNormalLatencyModel:
         # Wraps around midnight.
         assert model.diurnal_factor(44.0) == model.diurnal_factor(20.0)
 
-    def test_sample_many_rejects_negative_count(self, rng):
-        model = lte_latency_model()
-        with pytest.raises(ValueError):
-            model.sample_many(rng, -1)
-
     def test_mean_and_median_accessors(self):
         model = LogNormalLatencyModel(median_ms=25.0, mean_ms=36.0)
         assert model.mean_rtt_ms() == 36.0
-        assert model.median_rtt_ms() == 25.0
+        assert model.median_ms == 25.0
 
 
 class TestFactories:
@@ -58,8 +53,8 @@ class TestFactories:
         lte = lte_latency_model()
         umts = three_g_latency_model()
         assert lte.mean_rtt_ms() < umts.mean_rtt_ms()
-        lte_samples = lte.sample_many(rng, 5000)
-        umts_samples = umts.sample_many(rng, 5000)
+        lte_samples = lte.sample_many_at(rng, np.full(5000, 12.0))
+        umts_samples = umts.sample_many_at(rng, np.full(5000, 12.0))
         assert np.mean(lte_samples) < np.mean(umts_samples)
 
     def test_lte_mean_in_paper_range(self):

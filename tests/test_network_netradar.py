@@ -34,7 +34,7 @@ class TestOperatorProfiles:
         profile = NETRADAR_OPERATORS[0]
         model = profile.to_model()
         assert model.mean_rtt_ms() == profile.mean_ms
-        assert model.median_rtt_ms() == profile.median_ms
+        assert model.median_ms == profile.median_ms
 
 
 class TestGeneratedDataset:
@@ -59,9 +59,9 @@ class TestGeneratedDataset:
 
     def test_hourly_means_cover_day(self, rng):
         dataset = generate_netradar_dataset(rng, samples_per_profile=4000)
-        hourly = dataset.hourly_means("beta", "LTE")
-        assert set(hourly) == set(range(24))
-        assert all(value > 0 for value in hourly.values())
+        mask = (dataset.operator_labels == "beta") & (dataset.technology_labels == "LTE")
+        assert set(np.floor(dataset.hours[mask]).astype(int).tolist()) == set(range(24))
+        assert np.all(dataset.select("beta", "LTE") > 0)
 
     def test_invalid_sample_count(self, rng):
         with pytest.raises(ValueError):

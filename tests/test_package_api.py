@@ -1,7 +1,9 @@
 """Tests for the public package surface: exports, docstring example, lazy imports."""
 
 import doctest
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -35,21 +37,9 @@ class TestTopLevelExports:
 class TestSubpackageExports:
     @pytest.mark.parametrize(
         "module_name",
-        [
-            "repro.core",
-            "repro.cloud",
-            "repro.mobile",
-            "repro.network",
-            "repro.workload",
-            "repro.sdn",
-            "repro.analysis",
-            "repro.simulation",
-            "repro.experiments",
-        ],
+        sorted(f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg),
     )
     def test_all_names_resolve(self, module_name):
-        import importlib
-
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name}"

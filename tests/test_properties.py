@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from milp_reference import assert_matches_reference
 
 from repro.core.allocation import AllocationError, AllocationProblem, IlpAllocator, InstanceOption
-from repro.core.distance import group_edit_distance, normalized_slot_distance, slot_edit_distance
+from repro.core.distance import group_edit_distance, slot_edit_distance
 from repro.core.prediction import WorkloadPredictor, prediction_accuracy
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
 from repro.cloud.performance import PerformanceProfile
@@ -54,11 +54,6 @@ class TestEditDistanceProperties:
     def test_slot_distance_triangle_inequality(self, a, b, c):
         x, y, z = make_slot(0, a), make_slot(1, b), make_slot(2, c)
         assert slot_edit_distance(x, z) <= slot_edit_distance(x, y) + slot_edit_distance(y, z)
-
-    @given(a=slot_groups, b=slot_groups)
-    def test_normalized_distance_in_unit_interval(self, a, b):
-        x, y = make_slot(0, a), make_slot(1, b)
-        assert 0.0 <= normalized_slot_distance(x, y) <= 1.0
 
     @given(a=slot_groups, b=slot_groups)
     def test_prediction_accuracy_in_unit_interval(self, a, b):

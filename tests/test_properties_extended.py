@@ -1,5 +1,6 @@
 """Property-based tests for the trace store's time-slot bucketing."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,24 +28,17 @@ class TestTraceLogSlottingProperties:
         for timestamp, user, group in entries:
             log.log(timestamp, user, group, 1.0, 100.0)
         slot_length_ms = slot_hours * 3_600_000.0
-        slots = log.slot_workloads(slot_length_ms)
+        last = max(timestamp for timestamp, _, _ in entries)
+        slots = [
+            log.window(start, start + slot_length_ms)
+            for start in np.arange(0.0, last + slot_length_ms, slot_length_ms)
+        ]
         # Every (group, user) pair observed in the log appears in exactly the
-        # union of the slots, and no slot invents users.
+        # union of the slot windows, and no window invents users.
         slotted_pairs = {
-            (group, user)
-            for slot in slots
-            for group, users in slot.items()
-            for user in users
+            (record.acceleration_group, record.user_id)
+            for window in slots
+            for record in window
         }
         logged_pairs = {(record.acceleration_group, record.user_id) for record in log}
         assert slotted_pairs == logged_pairs
-
-    @given(entries=trace_entries)
-    @settings(max_examples=40, deadline=None)
-    def test_slot_count_covers_time_span(self, entries):
-        log = TraceLog()
-        for timestamp, user, group in entries:
-            log.log(timestamp, user, group, 1.0, 100.0)
-        slots = log.hourly_slot_workloads()
-        assert len(slots) >= 1
-        assert (len(slots) - 1) * 3_600_000.0 <= log.time_span_ms() + 3_600_000.0

@@ -252,4 +252,4 @@ class TestExecutionKnob:
 
     def test_round_trips_through_dict(self):
         spec = deterministic_spec(execution="batched")
-        assert ScenarioSpec.from_dict(spec.to_dict()).execution == "batched"
+        assert ScenarioSpec(**spec.to_dict()).execution == "batched"

@@ -116,7 +116,7 @@ class TestCloudSpec:
         spec = ScenarioSpec(
             name="json-groups", cloud=CloudSpec(group_types={1: "t2.nano", 2: "t2.large"})
         )
-        clone = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        clone = ScenarioSpec(**json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
         assert spec_hash(clone) == spec_hash(spec)
 
@@ -185,7 +185,7 @@ class TestScenarioSpec:
             network=NetworkSpec(profile="3g"),
             policy=PolicySpec(promotion="threshold"),
         )
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        assert ScenarioSpec(**spec.to_dict()) == spec
 
     def test_with_overrides_replaces_only_given_fields(self):
         spec = ScenarioSpec(name="x", users=60)
@@ -220,9 +220,7 @@ _NAN_CASES = [
     (lambda v: WorkloadSpec(burst_count=v), "burst_count"),
     (lambda v: CloudSpec(instance_cap=v), "instance_cap"),
     (
-        lambda v: ScenarioSpec.from_dict(
-            {"name": "x", "cloud": {"initial_instances_per_group": v}}
-        ),
+        lambda v: ScenarioSpec(name="x", cloud={"initial_instances_per_group": v}),
         "initial_instances_per_group",
     ),
     (lambda v: PolicySpec(min_history=v), "min_history"),
@@ -327,6 +325,6 @@ class TestBootDelay:
             cloud=CloudSpec(boot_delay_ms=90_000.0),
             workload=WorkloadSpec(target_requests=200),
         )
-        clone = ScenarioSpec.from_dict(spec.to_dict())
+        clone = ScenarioSpec(**spec.to_dict())
         assert clone.cloud.boot_delay_ms == 90_000.0
         assert clone == spec

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.backend import BackendPool
-from repro.cloud.catalog import get_instance_type
+from repro.cloud.catalog import DEFAULT_CATALOG
 from repro.cloud.server import CloudInstance
 from repro.mobile.tasks import DEFAULT_TASK_POOL
 from repro.scenarios.plan import build_request_plan
@@ -25,7 +25,7 @@ from repro.workload.traces import TraceLog
 def make_backend(engine, types_by_level):
     backend = BackendPool()
     for level, type_name in types_by_level.items():
-        backend.add_instance(CloudInstance(engine, get_instance_type(type_name)), level)
+        backend.add_instance(CloudInstance(engine, DEFAULT_CATALOG.get(type_name)), level)
     return backend
 
 
@@ -91,7 +91,7 @@ class TestRequestFlow:
     def test_dropped_request_recorded_as_failure(self, engine):
         backend = BackendPool()
         backend.add_instance(
-            CloudInstance(engine, get_instance_type("t2.nano"), admission_limit=1), 1
+            CloudInstance(engine, DEFAULT_CATALOG.get("t2.nano"), admission_limit=1), 1
         )
         accelerator = SDNAccelerator(engine, backend)
         results = []

@@ -6,7 +6,7 @@ from repro.cloud.backend import BackendPool
 from repro.cloud.provisioner import Provisioner
 from repro.core.allocation import InstanceOption
 from repro.core.model import AdaptiveModel
-from repro.sdn.autoscaler import Autoscaler, ReactiveAutoscaler
+from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
 from repro.workload.traces import TraceLog
 
@@ -17,11 +17,11 @@ OPTIONS = [
 LEVEL_FOR_TYPE = {"t2.nano": 1, "t2.large": 2}
 
 
-def make_autoscaler(engine, catalog, cls=Autoscaler, minimum_per_group=0, instance_cap=20):
+def make_autoscaler(engine, catalog, minimum_per_group=0, instance_cap=20):
     model = AdaptiveModel(OPTIONS, instance_cap=instance_cap)
     provisioner = Provisioner(engine, catalog, instance_cap=instance_cap)
     backend = BackendPool()
-    scaler = cls(model, provisioner, backend, level_for_type=LEVEL_FOR_TYPE,
+    scaler = Autoscaler(model, provisioner, backend, level_for_type=LEVEL_FOR_TYPE,
                  minimum_per_group=minimum_per_group)
     return scaler, model, provisioner, backend
 
@@ -97,21 +97,3 @@ class TestAutoscaler:
     def test_invalid_minimum_per_group(self, engine, catalog):
         with pytest.raises(ValueError):
             make_autoscaler(engine, catalog, minimum_per_group=-1)
-
-
-class TestReactiveAutoscaler:
-    def test_reactive_never_produces_model_decision(self, engine, catalog):
-        scaler, model, provisioner, backend = make_autoscaler(engine, catalog, cls=ReactiveAutoscaler)
-        log = TraceLog()
-        log_hour(log, 0, {1: range(15)})
-        log_hour(log, 1, {1: range(25)})
-        first = scaler.run_period_end(log, 0.0, MILLISECONDS_PER_HOUR)
-        second = scaler.run_period_end(log, MILLISECONDS_PER_HOUR, 2 * MILLISECONDS_PER_HOUR)
-        assert first.decision is None and second.decision is None
-
-    def test_reactive_tracks_observed_workload(self, engine, catalog):
-        scaler, model, provisioner, backend = make_autoscaler(engine, catalog, cls=ReactiveAutoscaler)
-        log = TraceLog()
-        log_hour(log, 0, {1: range(15)})
-        scaler.run_period_end(log, 0.0, MILLISECONDS_PER_HOUR)
-        assert provisioner.running_by_type().get("t2.nano", 0) == 2

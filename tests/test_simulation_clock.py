@@ -7,7 +7,6 @@ from repro.simulation.clock import (
     MILLISECONDS_PER_MINUTE,
     MILLISECONDS_PER_SECOND,
     SimulationClock,
-    hours_to_ms,
 )
 
 
@@ -37,21 +36,11 @@ class TestSimulationClock:
         with pytest.raises(ValueError):
             clock.advance_to(99.0)
 
-    def test_unit_views_are_consistent(self):
-        clock = SimulationClock()
-        clock.advance_to(MILLISECONDS_PER_HOUR)
-        assert clock.now_hours == pytest.approx(1.0)
-        assert clock.now_minutes == pytest.approx(60.0)
-        assert clock.now_seconds == pytest.approx(3600.0)
-
     def test_repr_contains_time(self):
         assert "123" in repr(SimulationClock(123.0))
 
 
 class TestUnitConversions:
-    def test_hours_to_ms(self):
-        assert hours_to_ms(2.0) == 2 * MILLISECONDS_PER_HOUR
-
     def test_constants_are_consistent(self):
         assert MILLISECONDS_PER_MINUTE == 60 * MILLISECONDS_PER_SECOND
         assert MILLISECONDS_PER_HOUR == 60 * MILLISECONDS_PER_MINUTE

@@ -1,8 +1,8 @@
 """Regression tests for the vectorised primitives behind the batched path.
 
-Covers live pending-event accounting, bisect-based ``TimeSeries.window``,
-the incremental ``SlotDistanceIndex`` buffer, bulk arrival generation, bulk
-latency sampling, and the bulk moderator/device observation paths.
+Covers live pending-event accounting, the incremental ``SlotDistanceIndex``
+buffer, bulk arrival generation, bulk latency sampling, and the bulk
+moderator/device observation paths.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.mobile.moderator import (
 )
 from repro.network.latency import ConstantLatencyModel, lte_latency_model
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.stats import TimeSeries
 from repro.workload.arrival import (
     FixedRateArrivalProcess,
     ModulatedPoissonProcess,
@@ -67,24 +66,6 @@ class TestLivePendingEvents:
         event = engine.schedule_at(1.0, lambda: None)
         with pytest.raises(AttributeError):
             event.arbitrary_attribute = 1
-
-
-class TestTimeSeriesWindow:
-    def test_bisect_window_matches_filter(self):
-        series = TimeSeries(name="probe")
-        times = [0.0, 1.0, 2.0, 2.0, 3.5, 7.0, 9.0]
-        for index, time in enumerate(times):
-            series.add(time, float(index))
-        window = series.window(2.0, 7.0)
-        assert window.times == [2.0, 2.0, 3.5]
-        assert window.values == [2.0, 3.0, 4.0]
-        assert window.name == "probe"
-
-    def test_empty_and_inverted_windows(self):
-        series = TimeSeries()
-        series.add(1.0, 1.0)
-        assert len(series.window(5.0, 9.0)) == 0
-        assert len(series.window(9.0, 5.0)) == 0
 
 
 def random_slot(rng: np.random.Generator, index: int) -> TimeSlot:

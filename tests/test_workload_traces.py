@@ -41,16 +41,6 @@ class TestTraceLog:
         assert log.users() == {1, 2, 3}
         assert log.groups() == {1, 2}
 
-    def test_sorted_records(self):
-        log = TraceLog()
-        log.log(50.0, 1, 1, 1.0, 1.0)
-        log.log(10.0, 2, 1, 1.0, 1.0)
-        assert [r.timestamp_ms for r in log.sorted_records()] == [10.0, 50.0]
-
-    def test_time_span(self):
-        assert self.make_log().time_span_ms() == pytest.approx(MILLISECONDS_PER_HOUR + 10.0)
-        assert TraceLog().time_span_ms() == 0.0
-
     def test_window_is_half_open(self):
         log = self.make_log()
         window = log.window(0.0, MILLISECONDS_PER_HOUR)
@@ -62,34 +52,11 @@ class TestTraceLog:
         assert self.make_log().users_per_group() == {1: {1, 2, 3}, 2: {2}}
 
     def test_hourly_slot_workloads(self):
-        slots = self.make_log().hourly_slot_workloads()
-        assert len(slots) == 2
-        assert slots[0][1] == {1, 2}
-        assert slots[0][2] == set()
-        assert slots[1][1] == {3}
-        assert slots[1][2] == {2}
-
-    def test_slot_workloads_with_explicit_groups(self):
-        slots = self.make_log().slot_workloads(MILLISECONDS_PER_HOUR, groups=[1, 2, 3])
-        assert set(slots[0].keys()) == {1, 2, 3}
-        assert slots[0][3] == set()
-
-    def test_slot_workloads_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            self.make_log().slot_workloads(0.0)
+        log = self.make_log()
+        first = log.window(0.0, MILLISECONDS_PER_HOUR).users_per_group()
+        second = log.window(MILLISECONDS_PER_HOUR, 2 * MILLISECONDS_PER_HOUR).users_per_group()
+        assert first == {1: {1, 2}}
+        assert second == {1: {3}, 2: {2}}
 
     def test_slot_workloads_empty_log(self):
-        assert TraceLog().slot_workloads(1000.0) == []
-
-    def test_csv_roundtrip(self, tmp_path):
-        log = self.make_log()
-        path = log.to_csv(tmp_path / "traces.csv")
-        loaded = TraceLog.from_csv(path)
-        assert len(loaded) == len(log)
-        assert loaded.records[0] == log.records[0]
-
-    def test_csv_missing_columns_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("timestamp_ms,user_id\n1,2\n")
-        with pytest.raises(ValueError):
-            TraceLog.from_csv(path)
+        assert len(TraceLog().window(0.0, 1000.0)) == 0
