@@ -64,10 +64,6 @@ class BackendPool:
         """All running instances serving acceleration level ``level``."""
         return [i for i in self._groups.get(level, []) if i.is_running]
 
-    def total_instances(self) -> int:
-        """Total number of running instances across all groups."""
-        return sum(len(self.instances_for_level(level)) for level in self._groups)
-
     def clamp_level(self, level: int) -> int:
         """Clamp a requested level to the nearest level that has capacity.
 

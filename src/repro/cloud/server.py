@@ -131,10 +131,6 @@ class CloudInstance:
     def acceleration_level(self) -> int:
         return self.instance_type.acceleration_level
 
-    def utilization(self) -> float:
-        """Fraction of admission capacity currently in use."""
-        return self.in_service / self.admission_limit
-
     def effective_work_units(self, work_units: float, jitter_z: float) -> float:
         """Apply a pre-drawn standard-normal jitter draw to ``work_units``.
 

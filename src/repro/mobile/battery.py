@@ -22,29 +22,19 @@ class BatteryModel:
 
     Parameters
     ----------
-    capacity_mah:
-        Nominal battery capacity.
     level:
         Current state of charge in ``[0, 1]``.
-    idle_drain_per_hour:
-        Fraction of capacity drained per hour while idle (screen-on baseline).
     offload_cost_per_second:
         Fraction of capacity drained per second of open connection while an
         offloaded request is in flight (radio + screen).
     """
 
-    capacity_mah: float = 3000.0
     level: float = 1.0
-    idle_drain_per_hour: float = 0.05
     offload_cost_per_second: float = 0.00002
 
     def __post_init__(self) -> None:
-        if self.capacity_mah <= 0:
-            raise ValueError(f"capacity_mah must be positive, got {self.capacity_mah}")
         if not 0.0 <= self.level <= 1.0:
             raise ValueError(f"level must be in [0, 1], got {self.level}")
-        if self.idle_drain_per_hour < 0:
-            raise ValueError(f"idle_drain_per_hour must be >= 0, got {self.idle_drain_per_hour}")
         if self.offload_cost_per_second < 0:
             raise ValueError(
                 f"offload_cost_per_second must be >= 0, got {self.offload_cost_per_second}"

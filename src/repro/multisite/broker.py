@@ -609,39 +609,35 @@ class DynamicBroker:
         queue_limit: np.ndarray,
         drain_rate: np.ndarray,
     ) -> None:
-        """Step 3 over one segment, updating the proposals and counts in place."""
+        """Step 3 over one segment, updating the proposals and counts in place.
+
+        Requests go through in chunks.  A chunk is admitted in one vectorised
+        step up to its first request that does not fit where proposed; the
+        rest of the chunk is settled request by request, in order, on
+        plain-Python copies of the small per-call tables and of the flat
+        ``used`` counts, which are written back before the next chunk.  Under
+        overload nearly every chunk holds a misfit, so nearly every request
+        takes that scalar path; each check is the same float arithmetic on
+        either path.
+        """
         work = self.plan.work_units[lo:lo + proposals.size]
         homes = self.home_site_of_user[self.plan.user_ids[lo:lo + proposals.size]]
+        columns = self._columns
+        clamp = self._clamp_col.tolist()
+        spill_rank = self._spill_rank.tolist()
+        is_available = available.tolist()
+        backlog_of, drain_of, limit_of = (
+            m.reshape(-1).tolist()
+            for m in (self.backlog_requests, drain_rate, queue_limit)
+        )
 
-        def fits(site: int, group: int, t_rel: float) -> bool:
-            col = self._clamp_col[site, group]
-            queued = max(
-                0.0,
-                self.backlog_requests[site, col]
-                + used_requests[site, col]
-                - drain_rate[site, col] * t_rel,
-            )
-            return queued + 1.0 <= queue_limit[site, col]
-
-        def settle(k: int) -> None:
-            site, group = int(proposals[k]), int(request_keys[k])
-            t_rel = float(elapsed_in_slot[k])
-            if not fits(site, group, t_rel):
-                for candidate in self._spill_rank[int(homes[k])]:
-                    candidate = int(candidate)
-                    if candidate != site and available[candidate] and fits(
-                        candidate, group, t_rel
-                    ):
-                        site = proposals[k] = candidate
-                        self.spilled[lo + k] = True
-                        break
-                # Otherwise a federation-wide overload: nowhere to spill to.
-            col = self._clamp_col[site, group]
-            used_requests[site, col] += 1.0
-            used_work[site, col] += float(work[k])
+        def fits(cell: int, t_rel: float) -> bool:
+            # ``n_of`` is the scalar path's copy of ``used_n`` (bound below).
+            queued = max(0.0, backlog_of[cell] + n_of[cell] - drain_of[cell] * t_rel)
+            return queued + 1.0 <= limit_of[cell]
 
         routed = np.flatnonzero(proposals != UNROUTED)
-        cells = proposals[routed] * self._columns + self._clamp_col[
+        cells = proposals[routed] * columns + self._clamp_col[
             proposals[routed], request_keys[routed]
         ]
         # Flat views: the two ``used`` matrices are written through them.
@@ -664,8 +660,34 @@ class DynamicBroker:
             clean = ks.size if passing.all() else int(np.argmin(passing))
             np.add.at(used_n, cs[:clean], 1.0)
             np.add.at(used_w, cs[:clean], work[ks[:clean]])
-            for k in ks[clean:]:
-                settle(int(k))
+            if clean < ks.size:
+                tail = ks[clean:]
+                n_of, w_of = used_n.tolist(), used_w.tolist()
+                for k, cell, site, group, t_rel, units, home in zip(
+                    tail.tolist(),
+                    cs[clean:].tolist(),
+                    proposals[tail].tolist(),
+                    request_keys[tail].tolist(),
+                    elapsed_in_slot[tail].tolist(),
+                    work[tail].tolist(),
+                    homes[tail].tolist(),
+                ):
+                    if not fits(cell, t_rel):
+                        for candidate in spill_rank[home]:
+                            if candidate == site or not is_available[candidate]:
+                                continue
+                            spill_cell = candidate * columns + clamp[candidate][group]
+                            if fits(spill_cell, t_rel):
+                                cell = spill_cell
+                                proposals[k] = candidate
+                                self.spilled[lo + k] = True
+                                break
+                        # Otherwise a federation-wide overload: nowhere to
+                        # spill to, so it stays where it was proposed.
+                    n_of[cell] += 1.0
+                    w_of[cell] += units
+                used_n[:] = n_of
+                used_w[:] = w_of
             start += ks.size
             chunk = 2 * chunk if clean == ks.size else _SPILL_CHUNK
 
@@ -772,8 +794,9 @@ class DynamicBroker:
             # One weighted round-robin stream per requesting user group, so
             # shares stay proportional to each group's *eligible* capacity;
             # counters live per group but reset per slot, as before.
-            for group in np.unique(request_keys):
-                group = int(group)
+            # The groups present, ascending (``np.unique`` would import
+            # ``numpy.ma`` on its first call in a process).
+            for group in np.flatnonzero(np.bincount(request_keys)).tolist():
                 weights = self._slot_weights(available, slot_capacity_work, group)
                 routable = available & (weights > 0)
                 if not routable.any():

@@ -12,6 +12,17 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional
 
+import numpy as np
+
+#: A submit that takes the population past this many jobs moves the remaining
+#: work into an ndarray; a removal that takes it below ``_LIST_BELOW`` moves it
+#: back to a list.  A list comprehension beats a numpy call below about 30
+#: jobs; the ndarray is 2x faster at 64 and about 10x at 240 (the admission
+#: limit of the registry's overload scenarios).  The gap between the two keeps
+#: a population hovering near one threshold from converting back and forth.
+_VECTOR_ABOVE = 48
+_LIST_BELOW = 24
+
 
 class ProcessorSharingServer:
     """An egalitarian processor-sharing server driven by a simulation engine.
@@ -23,28 +34,42 @@ class ProcessorSharingServer:
     Admission control is the caller's business
     (:attr:`repro.cloud.server.CloudInstance.admission_limit`).
 
-    **Representation.**  The jobs in service live in three parallel lists in
-    submission order: remaining work, submit time and completion callback.
-    Every population change (a submission or a completion) first applies the
-    progress made since the previous one: ``step = rate * elapsed`` once, then
-    ``w - step`` for every job.  The next completion is the job holding
-    ``min(remaining)``; where a specific job is needed it is the *first* one
-    in submission order holding that minimum.  That minimum is tracked
-    rather than rescanned: a submission can only lower it, a progress update
-    lowers it by ``step`` (rounding is monotone, so the smallest job stays
-    smallest and ``min - step`` is exactly its new value), and only a
-    removal needs a ``min`` scan.  Finished jobs (remaining work ``<= 1e-9``)
-    are looked for only when the minimum says one exists, and they leave one
-    at a time in submission order, each removed just before its callback
-    runs.  Each scan is a builtin ``min`` or one list comprehension over
-    plain floats, not a loop over job objects.
+    **Representation.**  The jobs in service are kept in submission order in
+    three parallel sequences: remaining work, submit time and completion
+    callback.  Every population change (a submission or a completion) first
+    applies the progress made since the previous one: ``step = rate *
+    elapsed`` once, then ``w - step`` for every job.  The next completion is
+    the job holding ``min(remaining)``; where a specific job is needed it is
+    the *first* one in submission order holding that minimum.  That minimum
+    is tracked rather than rescanned: a submission can only lower it, a
+    progress update lowers it by ``step`` (rounding is monotone, so the
+    smallest job stays smallest and ``min - step`` is exactly its new value),
+    and only a removal needs a scan.  Finished jobs (remaining work ``<=
+    1e-9``) are looked for only when the minimum says one exists, and they
+    leave one at a time in submission order, each removed just before its
+    callback runs.
+
+    The remaining work has two storages, chosen by the population.  Up to
+    48 jobs it is a plain list, and each pass over it is one list
+    comprehension or builtin ``min``: a numpy call costs 0.7-3.5 us, more
+    than a comprehension over a few floats, and most servers hold a few jobs.
+    A submit that takes the population past 48 moves it into a float64
+    ndarray buffer, where the progress update is one in-place ``-=`` on the
+    live prefix and the finished scan, the minimum and a removal are one C
+    call each; a crowded server (up to its admission limit of a few hundred
+    jobs) then no longer pays a Python pass per job.  A removal that takes
+    the population below 24 moves it back to a list.
 
     **Bit-identity.**  The progress update is the same IEEE subtraction per
     job, in the same order, as a per-job ``remaining -= rate * elapsed``
-    loop, and the tie-break equals ``min`` over an insertion-ordered mapping
-    keyed by remaining work.  So every completion time, sojourn and engine
-    event matches the per-job-object formulation bit for bit (pinned by an
-    oracle property test).
+    loop: a float64 ndarray subtraction is the same correctly rounded
+    operation as Python's, and the per-job rate is evaluated as ``(rate *
+    cores) / population`` on either storage.  The tie-break (a list's
+    ``index``, an ndarray's ``argmin`` and ascending ``nonzero``) equals
+    ``min`` over an insertion-ordered mapping keyed by remaining work.  So
+    every completion time, sojourn and engine event matches the
+    per-job-object formulation bit for bit on both storages and across the
+    switch (pinned by an oracle property test).
 
     **Lazy rescheduling.**  Completion times are recomputed whenever the job
     population changes, but the pending next-completion event is only
@@ -73,14 +98,21 @@ class ProcessorSharingServer:
         if cores < 1:
             raise ValueError(f"cores must be >= 1, got {cores}")
         self._engine = engine
+        self._clock = engine.clock
         self._rate_per_core = float(service_rate_per_core)
         self._cores = int(cores)
+        # The total rate shared beyond ``cores`` jobs: ``rate * cores / n``
+        # evaluates this product first, so it is the same float.
+        self._total_rate = self._rate_per_core * self._cores
         self.name = name
         self._label = f"{name}:complete"
-        self._remaining: List[float] = []
+        # Remaining work: the list, or None while it lives in ``_buffer``,
+        # whose first ``in_service`` entries are the jobs (see above).
+        self._remaining: Optional[List[float]] = []
+        self._buffer: Optional[np.ndarray] = None
         self._submitted_ms: List[float] = []
         self._callbacks: List[Callable[[float], None]] = []
-        # Always equal to min(self._remaining), inf when idle (see above).
+        # Always equal to the minimum remaining work, inf when idle.
         self._smallest = math.inf
         self._last_update_ms = engine.now_ms
         self._completion_event = None
@@ -89,18 +121,14 @@ class ProcessorSharingServer:
     @property
     def in_service(self) -> int:
         """Number of jobs currently being served."""
-        return len(self._remaining)
+        return len(self._callbacks)
 
-    @property
-    def cores(self) -> int:
-        return self._cores
-
-    def per_job_rate(self, population: Optional[int] = None) -> float:
-        """Service rate each job receives for a given population size."""
-        population = len(self._remaining) if population is None else population
+    def per_job_rate(self) -> float:
+        """Service rate each job in service receives now."""
+        population = len(self._callbacks)
         if population <= self._cores:
             return self._rate_per_core
-        return self._rate_per_core * self._cores / population
+        return self._total_rate / population
 
     def submit(self, work_units: float, on_complete: Callable[[float], None]) -> None:
         """Submit a job of ``work_units`` of work.
@@ -114,33 +142,78 @@ class ProcessorSharingServer:
         work_units = float(work_units)
         if work_units < self._smallest:
             self._smallest = work_units
-        self._remaining.append(work_units)
+        remaining = self._remaining
+        if remaining is not None:
+            remaining.append(work_units)
+            if len(remaining) > _VECTOR_ABOVE:
+                self._to_buffer()
+        else:
+            self._push_buffer(work_units)
         self._submitted_ms.append(now)
         self._callbacks.append(on_complete)
         self._reschedule_completion(now)
+
+    def _to_buffer(self) -> None:
+        remaining = self._remaining
+        self._buffer = buffer = np.empty(2 * len(remaining))
+        buffer[: len(remaining)] = remaining
+        self._remaining = None
+
+    def _push_buffer(self, work_units: float) -> None:
+        position = len(self._callbacks)
+        if position == self._buffer.size:
+            self._buffer = np.concatenate((self._buffer, np.empty(position)))
+        self._buffer[position] = work_units
+
+    def _pop_buffer(self, position: int) -> None:
+        """Drop the work at ``position``; its callback and submit time are popped."""
+        population = len(self._callbacks)
+        buffer = self._buffer
+        buffer[position:population] = buffer[position + 1 : population + 1]
+        if population < _LIST_BELOW:
+            self._remaining = buffer[:population].tolist()
+            self._buffer = None
+            self._smallest = min(self._remaining, default=math.inf)
+        else:
+            # ``argmin`` is one C call; ``ndarray.min`` adds a Python wrapper.
+            self._smallest = float(buffer[buffer[:population].argmin()])
 
     def _drain_progress(self) -> float:
         """Apply service progress accumulated since the last population change.
 
         Returns the current simulated time.
         """
-        now = self._engine.now_ms
+        now = self._clock._now_ms
         elapsed = now - self._last_update_ms
-        self._last_update_ms = now
-        if elapsed > 0 and self._remaining:
-            step = self.per_job_rate() * elapsed
-            self._remaining = [work - step for work in self._remaining]
-            self._smallest -= step
+        if elapsed > 0:
+            self._last_update_ms = now
+            population = len(self._callbacks)
+            if population:
+                # ``per_job_rate()`` inlined: this runs at every population change.
+                if population <= self._cores:
+                    step = self._rate_per_core * elapsed
+                else:
+                    step = self._total_rate / population * elapsed
+                remaining = self._remaining
+                if remaining is not None:
+                    self._remaining = [work - step for work in remaining]
+                else:
+                    self._buffer[:population] -= step
+                self._smallest -= step
         return now
 
     def _reschedule_completion(self, now: float) -> None:
-        remaining = self._remaining
-        if not remaining:
+        population = len(self._callbacks)
+        if not population:
             if self._completion_event is not None:
                 self._completion_event.cancel()
                 self._completion_event = None
             return
-        target_ms = now + max(self._smallest / self.per_job_rate(), 0.0)
+        if population <= self._cores:
+            rate = self._rate_per_core
+        else:
+            rate = self._total_rate / population
+        target_ms = now + max(self._smallest / rate, 0.0)
         event = self._completion_event
         if event is not None and not event.cancelled:
             # Lazy cancellation: an event that fires *no later* than the new
@@ -156,13 +229,17 @@ class ProcessorSharingServer:
     def _complete_next(self) -> None:
         self._completion_event = None
         now = self._drain_progress()
-        remaining = self._remaining
-        if not remaining:
+        population = len(self._callbacks)
+        if not population:
             self._reschedule_completion(now)
             return
+        remaining = self._remaining
         smallest = self._smallest
         if smallest <= 1e-9:
-            finished = [i for i, work in enumerate(remaining) if work <= 1e-9]
+            if remaining is not None:
+                finished = [i for i, work in enumerate(remaining) if work <= 1e-9]
+            else:
+                finished = (self._buffer[:population] <= 1e-9).nonzero()[0].tolist()
         else:
             delay = smallest / self.per_job_rate()
             if delay > 1e-6:
@@ -174,15 +251,23 @@ class ProcessorSharingServer:
                 return
             # Numerical drift can leave the smallest job epsilon short; force
             # completion of the minimum-work job to preserve progress.
-            finished = [remaining.index(smallest)]
+            if remaining is not None:
+                finished = [remaining.index(smallest)]
+            else:
+                finished = [int(self._buffer[:population].argmin())]
         # Each removal shifts the later finished positions down by one.  A
-        # callback may submit to this server, which only appends.
+        # callback may submit to this server, which only appends, and may
+        # switch the storage, so each removal looks it up afresh.
         for shift, position in enumerate(finished):
             position -= shift
-            del self._remaining[position]
-            self._smallest = min(self._remaining, default=math.inf)
             submitted_ms = self._submitted_ms.pop(position)
             on_complete = self._callbacks.pop(position)
+            remaining = self._remaining
+            if remaining is not None:
+                del remaining[position]
+                self._smallest = min(remaining, default=math.inf)
+            else:
+                self._pop_buffer(position)
             self.completed_jobs += 1
             on_complete(now - submitted_ms)
         self._reschedule_completion(now)

@@ -44,14 +44,14 @@ class TestMembership:
         instance = make_instance(engine)
         pool.add_instance(instance, 1)
         pool.remove_instance(instance)
-        assert pool.total_instances() == 0
+        assert pool.instances_for_level(1) == []
 
     def test_remove_missing_instance_raises(self, engine, pool):
         with pytest.raises(KeyError):
             pool.remove_instance(make_instance(engine))
 
     def test_total_instances(self, pool):
-        assert pool.total_instances() == 3
+        assert [len(pool.instances_for_level(level)) for level in (1, 2, 3)] == [1, 1, 1]
 
     def test_highest_and_lowest_level(self, pool):
         assert pool.levels[-1] == 3
@@ -124,4 +124,4 @@ class TestRoutingHelpers:
         pool.add_instance(alive, 1)
         dead.terminate()
         assert pool.select_instance(1) is alive
-        assert pool.total_instances() == 1
+        assert pool.instances_for_level(1) == [alive]

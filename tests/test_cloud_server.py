@@ -92,9 +92,9 @@ class TestAccounting:
         instance = make_instance(engine, admission_limit=10)
         for _ in range(5):
             instance.submit(1000.0, lambda o: None, 0.0)
-        assert instance.utilization() == pytest.approx(0.5)
+        assert instance.in_service / instance.admission_limit == pytest.approx(0.5)
         engine.run()
-        assert instance.utilization() == 0.0
+        assert instance.in_service == 0
 
     def test_faster_type_executes_faster(self, engine):
         nano_times, big_times = [], []

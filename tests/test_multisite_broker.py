@@ -560,6 +560,8 @@ def scalar_spill_walk(
                 broker.spilled[lo + k] = True
                 break
         else:
+            # Nowhere has room: the request stays where it was proposed.
+            broker.stayed_put += 1
             used_requests[site, col] += 1.0
             used_work[site, col] += float(work[k])
 
@@ -568,6 +570,7 @@ class ScalarSpillBroker(DynamicBroker):
     """The dynamic broker with the reference walk in place of the chunked one."""
 
     _spill_walk = scalar_spill_walk
+    stayed_put = 0
 
 
 #: Instance types per acceleration group, distinct across groups.
@@ -675,6 +678,19 @@ def assert_bitwise_equal(left, right):
     assert left.dtype == right.dtype and left.shape == right.shape
 
 
+def assert_same_walk(chunked, scalar):
+    for name in (
+        "site_ids", "spilled", "extra_rtt_ms", "backlog_work", "backlog_requests",
+    ):
+        assert_bitwise_equal(getattr(chunked, name), getattr(scalar, name))
+    assert len(chunked.slot_site_requests) == len(scalar.slot_site_requests)
+    for left, right in zip(chunked.slot_site_requests, scalar.slot_site_requests):
+        assert_bitwise_equal(left, right)
+    assert chunked.slot_spilled == scalar.slot_spilled
+    assert chunked.requests_spilled == scalar.requests_spilled
+    assert repr(chunked.load_history) == repr(scalar.load_history)
+
+
 class TestChunkedSpillWalkMatchesScalar:
     """The chunked spill walk decides exactly as the request-by-request one."""
 
@@ -688,16 +704,7 @@ class TestChunkedSpillWalkMatchesScalar:
     def test_matches_scalar_reference(self, federation, seed, count, promoted):
         chunked = run_differential(DynamicBroker, federation, seed, count, promoted)
         scalar = run_differential(ScalarSpillBroker, federation, seed, count, promoted)
-        for name in (
-            "site_ids", "spilled", "extra_rtt_ms", "backlog_work", "backlog_requests",
-        ):
-            assert_bitwise_equal(getattr(chunked, name), getattr(scalar, name))
-        assert len(chunked.slot_site_requests) == len(scalar.slot_site_requests)
-        for left, right in zip(chunked.slot_site_requests, scalar.slot_site_requests):
-            assert_bitwise_equal(left, right)
-        assert chunked.slot_spilled == scalar.slot_spilled
-        assert chunked.requests_spilled == scalar.requests_spilled
-        assert repr(chunked.load_history) == repr(scalar.load_history)
+        assert_same_walk(chunked, scalar)
 
     def test_dense_spills_are_exercised(self):
         # Guard against a generator that never spills: one hand-picked
@@ -716,3 +723,22 @@ class TestChunkedSpillWalkMatchesScalar:
         assert chunked.requests_spilled > 200
         assert_bitwise_equal(chunked.site_ids, scalar.site_ids)
         assert chunked.slot_spilled == scalar.slot_spilled
+
+    def test_federation_wide_overload_stays_put(self):
+        # Every site's queues fill up: nearly every request finds no room
+        # anywhere, so the chunked walk settles it on its scalar path and it
+        # stays where it was proposed; a few spill as the queues drain.
+        federation = MultiSiteSpec(
+            sites=tuple(
+                SiteSpec(name=name, cloud=CloudSpec(group_types={1: "t2.nano"}),
+                         wan_rtt_ms=rtt)
+                for name, rtt in (("a", 0.0), ("b", 20.0), ("c", 45.0))
+            ),
+            policy="dynamic-load",
+            spillover=SpilloverSpec(queue_limit_fraction=0.5),
+        )
+        chunked = run_differential(DynamicBroker, federation, 5, 12000, False)
+        scalar = run_differential(ScalarSpillBroker, federation, 5, 12000, False)
+        assert scalar.stayed_put > 0.95 * 12000
+        assert chunked.requests_spilled > 0
+        assert_same_walk(chunked, scalar)

@@ -96,9 +96,10 @@ class TestProcessorSharingServer:
 
     def test_per_job_rate_degrades_beyond_cores(self, engine):
         server = self._server(engine, rate=2.0, cores=4)
-        assert server.per_job_rate(2) == pytest.approx(2.0)
-        assert server.per_job_rate(4) == pytest.approx(2.0)
-        assert server.per_job_rate(8) == pytest.approx(1.0)
+        for population, rate in ((2, 2.0), (4, 2.0), (8, 1.0)):
+            while server.in_service < population:
+                server.submit(100.0, lambda s: None)
+            assert server.per_job_rate() == pytest.approx(rate)
 
     def test_work_conservation_under_many_jobs(self, engine):
         # Total completion time of n equal jobs on one core equals n * work / rate
@@ -372,6 +373,34 @@ _jobs = st.lists(
 )
 
 
+
+
+@st.composite
+def _crowds(draw):
+    """One or two bursts of up to 250 near-simultaneous jobs.
+
+    Each burst cycles through at most four work sizes (so the minimum is
+    often tied) and gives some of its jobs a follow-up, and a few jobs land
+    at free instants in between.  A burst past 48 jobs moves the server's
+    remaining work onto its ndarray storage, and draining it takes the
+    population back below 24, onto the list.
+    """
+    jobs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        start = draw(_instants)
+        size = draw(st.integers(min_value=1, max_value=250))
+        spacing = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.4]))
+        works = draw(st.lists(_works, min_size=1, max_size=4))
+        follow_every = draw(st.sampled_from([0, 2, 5, 11]))
+        for i in range(size):
+            follow_up = None
+            if follow_every and i % follow_every == 0:
+                follow_up = works[(i + 1) % len(works)]
+            jobs.append((start + i * spacing, works[i % len(works)], follow_up))
+    jobs.extend(draw(st.lists(st.tuples(_instants, _works, st.none()), max_size=10)))
+    return jobs
+
+
 def _drive(server_class, jobs, cores, rate, base_ms=0.0):
     """Run ``jobs`` through one server on a fresh engine; return what it saw.
 
@@ -428,6 +457,50 @@ class TestBitIdenticalToDictServer:
         assert _drive(ProcessorSharingServer, jobs, cores, rate, base_ms) == _drive(
             DictProcessorSharingServer, jobs, cores, rate, base_ms
         )
+
+    @given(
+        jobs=_crowds(),
+        cores=st.sampled_from([1, 2, 4]),
+        rate=st.sampled_from([0.7, 1.0, 3.3]),
+        base_ms=st.sampled_from([0.0, 8.64e8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_results_across_the_storage_switch(self, jobs, cores, rate, base_ms):
+        assert _drive(ProcessorSharingServer, jobs, cores, rate, base_ms) == _drive(
+            DictProcessorSharingServer, jobs, cores, rate, base_ms
+        )
+
+    def test_crowd_crosses_both_storage_thresholds(self):
+        # 120 tied jobs in one burst, a third with a follow-up, then a late
+        # trickle: the population passes 48 upward onto the ndarray and
+        # falls below 24 back onto the list, and the results still match.
+        storages = []
+
+        class _Probe(ProcessorSharingServer):
+            def submit(self, work_units, on_complete):
+                super().submit(work_units, on_complete)
+                storages.append((self.in_service, self._remaining is None))
+
+            def _complete_next(self):
+                super()._complete_next()
+                storages.append((self.in_service, self._remaining is None))
+
+        jobs = [(i * 0.01, (5.0, 20.0, 20.0)[i % 3], 5.0 if i % 3 == 0 else None)
+                for i in range(120)]
+        jobs += [(900.0 + i, 20.0, None) for i in range(5)]
+        for base_ms in (0.0, 8.64e8):
+            storages.clear()
+            assert _drive(_Probe, jobs, 2, 1.0, base_ms) == _drive(
+                DictProcessorSharingServer, jobs, 2, 1.0, base_ms
+            )
+            switches = [
+                (before[1], after[0])
+                for before, after in zip(storages, storages[1:])
+                if before[1] != after[1]
+            ]
+            assert (False, 49) in switches  # onto the ndarray past 48 jobs
+            assert (True, 23) in switches  # back onto the list below 24
+            assert storages[-1] == (0, False)
 
     def test_simultaneous_equal_jobs_complete_in_submission_order(self):
         # Four equal jobs sharing two cores finish at one instant.
