@@ -90,9 +90,10 @@ class BackendPool:
         best: Optional[CloudInstance] = None
         best_load = 0
         for instance in self._groups.get(level, ()):
-            if not instance.is_running:
+            # ``is_running`` and ``in_service`` without their property hops.
+            if instance.terminated_at_ms is not None:
                 continue
-            load = instance.in_service
+            load = len(instance._jobs)
             if best is None or load < best_load:
                 best = instance
                 best_load = load

@@ -56,6 +56,11 @@ class OffloadOutcome(NamedTuple):
     completed_at_ms: float
 
 
+#: What a named tuple's generated ``__new__`` returns, without entering it:
+#: the per-request completion builds its outcome with this.
+_new_tuple = tuple.__new__
+
+
 class CloudInstance:
     """One running instance of a given :class:`~repro.cloud.catalog.InstanceType`."""
 
@@ -84,6 +89,12 @@ class CloudInstance:
             cores=profile.service_lanes,
             name=self.instance_id,
         )
+        # The per-request path reads these once per submit: the server's job
+        # list (its length is the population; the server only mutates it in
+        # place) and the profile's jitter and fixed overhead.
+        self._jobs = self._server._callbacks
+        self._jitter_fraction = profile.jitter_fraction
+        self._base_overhead_ms = profile.base_overhead_ms
         self.admission_limit = admission_limit
         self.launched_at_ms = engine.now_ms
         # Boot delay: the window where the instance is billed and counted
@@ -131,20 +142,6 @@ class CloudInstance:
     def acceleration_level(self) -> int:
         return self.instance_type.acceleration_level
 
-    def effective_work_units(self, work_units: float, jitter_z: float) -> float:
-        """Apply a pre-drawn standard-normal jitter draw to ``work_units``.
-
-        The factor ``1 + z·jitter_fraction`` is a ``normal(1,
-        jitter_fraction)`` draw; taking ``z`` as a parameter lets callers
-        pre-draw all jitter in one vectorised call and keeps the event and
-        batched execution paths on exactly the same random values.
-        """
-        return float(
-            jittered_work_units(
-                work_units, float(jitter_z), self.instance_type.profile.jitter_fraction
-            )
-        )
-
     def submit(
         self,
         work_units: float,
@@ -156,35 +153,34 @@ class CloudInstance:
         Returns ``None`` when the request is admitted (the outcome is
         delivered later through ``on_complete``), or an immediate rejected
         :class:`OffloadOutcome` when the request is dropped.  ``jitter_z`` is
-        the request's pre-drawn standard-normal service-time jitter (see
-        :meth:`effective_work_units`); ``0.0`` runs the work unjittered.
+        the request's pre-drawn standard-normal service-time jitter draw: the
+        factor ``1 + z·jitter_fraction`` is a ``normal(1, jitter_fraction)``
+        draw (see :func:`jittered_work_units`); ``0.0`` runs the work
+        unjittered.
         """
-        if not self.is_running:
+        if self.terminated_at_ms is not None:
             raise RuntimeError(f"instance {self.instance_id} has been terminated")
         request_id = next(self._request_ids)
-        if self._server.in_service >= self.admission_limit:
+        clock = self.engine.clock
+        if len(self._jobs) >= self.admission_limit:
             self.dropped_requests += 1
-            return OffloadOutcome(
-                request_id, self.instance_id, False, 0.0, self.engine.now_ms
-            )
+            return OffloadOutcome(request_id, self.instance_id, False, 0.0, clock._now_ms)
         self.accepted_requests += 1
-        # Per-request jitter models variation in code paths and VM scheduling.
-        effective_work = self.effective_work_units(work_units, jitter_z)
-        overhead = self.instance_type.profile.base_overhead_ms
+        overhead = self._base_overhead_ms
 
-        def _finished(sojourn_ms: float, request_id: int = request_id) -> None:
+        def _finished(sojourn_ms: float) -> None:
             self.completed_requests += 1
             on_complete(
-                OffloadOutcome(
-                    request_id,
-                    self.instance_id,
-                    True,
-                    sojourn_ms + overhead,
-                    self.engine.now_ms,
+                _new_tuple(
+                    OffloadOutcome,
+                    (request_id, self.instance_id, True, sojourn_ms + overhead, clock._now_ms),
                 )
             )
 
-        self._server.submit(effective_work, _finished)
+        # Per-request jitter models variation in code paths and VM scheduling.
+        self._server.submit(
+            jittered_work_units(work_units, jitter_z, self._jitter_fraction), _finished
+        )
         return None
 
     def terminate(self) -> None:

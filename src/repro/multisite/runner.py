@@ -45,7 +45,6 @@ drop totals).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
@@ -389,7 +388,10 @@ def execute_event_multisite(
         def _on_complete(record: RequestRecord) -> None:
             user_id = record.user_id
             if record.success:
-                response_ms = record.response_time_ms
+                # ``RequestRecord.response_time_ms`` without its two
+                # property hops: the same sum, in the same order.
+                t1_ms, t2_ms, routing_ms, cloud_ms = record.breakdown
+                response_ms = t1_ms + t2_ms + routing_ms + cloud_ms
                 append(response_ms)
                 # The record's completion stamp is the delivery instant —
                 # with buffered delivery the engine clock may already be
@@ -420,25 +422,27 @@ def execute_event_multisite(
     for site in federation:
         site.accelerator.delivery_buffer = buffer
     drain = buffer.drain_until
+    clock = engine.clock
 
     # Arrival pump: each submission schedules the next one instead of all of
     # them being pre-scheduled, keeping the event heap at O(in-flight) rather
     # than O(requests).  ``front=True`` keeps arrivals ahead of every
-    # run-time event at the same instant, as pre-scheduling did.
-    def _submit(index: int) -> None:
-        nonlocal unrouted
-        drain(engine.now_ms)
+    # run-time event at the same instant, as pre-scheduling did.  At most one
+    # arrival is pending, so one callback reading a cursor serves them all.
+    cursor = 0
+
+    def _submit() -> None:
+        nonlocal unrouted, cursor
+        index = cursor
+        cursor = index + 1
+        drain(clock._now_ms)
         if index >= pump.end:
             pump.load(index)
         offset = index - pump.start
         arrival, user, site, verdict, work, t1, t2, routing, jitter = pump.columns
-        next_index = index + 1
-        if next_index < count:
+        if cursor < count:
             engine.schedule_at(
-                arrival[offset + 1],
-                functools.partial(_submit, next_index),
-                label="scenario:request",
-                front=True,
+                arrival[offset + 1], _submit, label="scenario:request", front=True
             )
         user_id = user[offset]
         device = devices[user_id]
@@ -576,10 +580,7 @@ def execute_event_multisite(
 
         if count:
             engine.schedule_at(
-                float(plan.arrival_ms[0]),
-                functools.partial(_submit, 0),
-                label="scenario:request",
-                front=True,
+                float(plan.arrival_ms[0]), _submit, label="scenario:request", front=True
             )
         engine.schedule_at(0.0, _sample_utilization, label="multisite:utilization")
 

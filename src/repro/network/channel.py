@@ -40,16 +40,6 @@ class ResponseTimeBreakdown(NamedTuple):
         """Total response time perceived by the mobile device."""
         return self.t1_ms + self.t2_ms + self.routing_ms + self.cloud_ms
 
-    def as_dict(self) -> dict:
-        """Plain-dict view used by the figure builders."""
-        return {
-            "T1": self.t1_ms,
-            "T2": self.t2_ms,
-            "routing": self.routing_ms,
-            "Tcloud": self.cloud_ms,
-            "Tresponse": self.total_ms,
-        }
-
 
 #: Default intra-cloud latency between the front-end and back-end instances.
 #: The paper notes T2 "is less likely to change drastically as the latency

@@ -15,7 +15,7 @@ draws forward into a handful of vectorised numpy calls:
   serving site (:meth:`RequestPlan.with_network`),
 * work units come from :meth:`OffloadableTask.sample_work_units_many`, and
 * service jitter is pre-drawn as standard-normal values that
-  :meth:`CloudInstance.effective_work_units` scales by the landing
+  :func:`~repro.cloud.server.jittered_work_units` scales by the landing
   instance's jitter fraction.
 
 Both execution modes consume the *same* plan, which is what makes the

@@ -32,6 +32,11 @@ from repro.simulation.engine import SimulationEngine
 from repro.workload.traces import TraceLog
 
 
+#: What a named tuple's generated ``__new__`` returns, without entering it:
+#: each completed request builds its breakdown and record with this.
+_new_tuple = tuple.__new__
+
+
 def draw_routing_overhead_ms(rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` front-end routing overheads (Fig. 8a).
 
@@ -101,17 +106,18 @@ class RoundRobinRouting:
 class DeliveryBuffer:
     """Time-ordered buffer of finished requests awaiting delivery to the device.
 
-    :meth:`SDNAccelerator._finish` computes each request's delivery instant
-    and pushes the finished :class:`RequestRecord` here; nothing is delivered
-    until the owner drains the buffer.  :meth:`drain_until` delivers every
-    entry strictly before the given instant, so an entry due at exactly that
-    instant waits until after whatever the caller does at it (a submission
-    or a slot-boundary read).  :meth:`flush` also delivers entries at the
-    horizon.  Entries are delivered in ``(delivered_ms, push order)`` order:
-    ties go in the order they were pushed.  One buffer can be shared by
-    several accelerators: each entry carries its owning accelerator, so each
-    record lands in that accelerator's ``records`` and ``trace_log`` while
-    the delivery order stays global.
+    :meth:`SDNAccelerator.submit_planned`'s completion and admission-drop
+    callbacks compute each request's delivery instant and push the finished
+    :class:`RequestRecord` here; nothing is delivered until the owner drains
+    the buffer.  :meth:`drain_until` delivers every entry strictly before the
+    given instant, so an entry due at exactly that instant waits until after
+    whatever the caller does at it (a submission or a slot-boundary read).
+    :meth:`flush` also delivers entries at the horizon.  Entries are
+    delivered in ``(delivered_ms, push order)`` order: ties go in the order
+    they were pushed.  One buffer can be shared by several accelerators: each
+    entry carries its owning accelerator, so each record lands in that
+    accelerator's ``records`` and ``trace_log`` while the delivery order stays
+    global.
     """
 
     __slots__ = ("_heap", "_sequence")
@@ -147,12 +153,20 @@ class DeliveryBuffer:
     def _deliver(entry) -> None:
         _, _, accelerator, record, battery_level, on_complete = entry
         accelerator.records.append(record)
+        breakdown = record.breakdown
+        if breakdown is None:
+            response_ms = 0.0
+        else:
+            # ``RequestRecord.response_time_ms`` without its two property
+            # hops: the same sum, in the same order.
+            t1_ms, t2_ms, routing_ms, cloud_ms = breakdown
+            response_ms = t1_ms + t2_ms + routing_ms + cloud_ms
         accelerator.trace_log.log(
             record.arrival_ms,
             record.user_id,
             record.acceleration_group,
             battery_level,
-            record.response_time_ms,
+            response_ms,
         )
         if on_complete is not None:
             on_complete(record)
@@ -186,6 +200,7 @@ class SDNAccelerator:
         delivery_buffer: Optional[DeliveryBuffer] = None,
     ) -> None:
         self.engine = engine
+        self._clock = engine.clock
         self.backend = backend
         self.trace_log = trace_log if trace_log is not None else TraceLog()
         self.routing_policy = routing_policy if routing_policy is not None else AccelerationGroupRouting()
@@ -225,79 +240,39 @@ class SDNAccelerator:
         if not work_units > 0:
             raise ValueError(f"work_units must be positive, got {work_units}")
         request_id = next(self._request_ids)
-        arrival_ms = self.engine.now_ms
+        clock = self._clock
+        arrival_ms = clock._now_ms
         routed_group = self.routing_policy.route(acceleration_group, self.backend)
 
         # The uplink half of both hops plus the routing step happen before the
         # code starts executing; the downlink half delivers the result.
-        uplink_ms = (t1_ms + t2_ms) / 2.0 + routing_ms
         downlink_ms = (t1_ms + t2_ms) / 2.0
 
         def _dispatch() -> None:
-            outcome = self.backend.dispatch(
+            rejected = self.backend.dispatch(
                 routed_group, work_units, _on_cloud_complete, jitter_z=jitter_z
             )
-            if outcome is not None:
+            if rejected is not None:
                 # Dropped at admission: the failure is reported back to the
-                # device over the downlink immediately.
-                self._finish(
-                    request_id,
-                    user_id,
-                    routed_group,
-                    task_name,
-                    arrival_ms,
-                    battery_level,
-                    None,
-                    0.0,
-                    on_complete,
+                # device at once.
+                now_ms = clock._now_ms
+                record = RequestRecord(
+                    request_id, user_id, routed_group, task_name, arrival_ms, now_ms, False, None
                 )
+                self.delivery_buffer.push(now_ms, self, record, battery_level, on_complete)
 
         def _on_cloud_complete(outcome: OffloadOutcome) -> None:
-            self._finish(
-                request_id,
-                user_id,
-                routed_group,
-                task_name,
-                arrival_ms,
-                battery_level,
-                ResponseTimeBreakdown(
-                    t1_ms, t2_ms, routing_ms, outcome.execution_time_ms
-                ),
-                downlink_ms,
-                on_complete,
+            # The result crosses the back-end -> front-end -> mobile hops.
+            delivered_ms = clock._now_ms + downlink_ms
+            breakdown = _new_tuple(
+                ResponseTimeBreakdown, (t1_ms, t2_ms, routing_ms, outcome.execution_time_ms)
             )
+            record = _new_tuple(
+                RequestRecord,
+                (request_id, user_id, routed_group, task_name, arrival_ms,
+                 delivered_ms, True, breakdown),
+            )
+            self.delivery_buffer.push(delivered_ms, self, record, battery_level, on_complete)
 
-        self.engine.schedule_after(uplink_ms, _dispatch, label="sdn:dispatch")
+        self.engine.schedule_after(downlink_ms + routing_ms, _dispatch, label="sdn:dispatch")
         return request_id
-
-    def _finish(
-        self,
-        request_id: int,
-        user_id: int,
-        group: int,
-        task_name: str,
-        arrival_ms: float,
-        battery_level: float,
-        breakdown: Optional[ResponseTimeBreakdown],
-        downlink_ms: float,
-        on_complete: Optional[Callable[[RequestRecord], None]],
-    ) -> None:
-        """Buffer the result (or the failure) for delivery to the mobile device.
-
-        ``breakdown`` is ``None`` for a request dropped at admission.
-        ``downlink_ms`` is the remaining half of the communication delays
-        (back-end -> front-end -> mobile); callers pass 0 for a drop, whose
-        failure is reported back at once.
-        """
-        delivered_ms = self.engine.now_ms + downlink_ms
-        record = RequestRecord(
-            request_id,
-            user_id,
-            group,
-            task_name,
-            arrival_ms,
-            delivered_ms,
-            breakdown is not None,
-            breakdown,
-        )
-        self.delivery_buffer.push(delivered_ms, self, record, battery_level, on_complete)

@@ -25,11 +25,6 @@ class SimulationClock:
             raise ValueError(f"clock cannot start at negative time: {start_ms}")
         self._now_ms = float(start_ms)
 
-    @property
-    def now_ms(self) -> float:
-        """Current simulation time in milliseconds."""
-        return self._now_ms
-
     def advance_to(self, time_ms: float) -> None:
         """Advance the clock to ``time_ms``.
 

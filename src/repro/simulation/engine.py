@@ -49,6 +49,9 @@ class Event:
             self._owner._note_cancelled()
 
 
+_new_event = object.__new__
+
+
 class SimulationEngine:
     """A deterministic discrete-event loop with a millisecond clock."""
 
@@ -120,7 +123,15 @@ class SimulationEngine:
             )
         time_ms = float(time_ms)
         sequence = next(self._front_sequence) if front else next(self._sequence)
-        event = Event(time_ms, sequence, callback, label, False, self)
+        # The fields set directly: a class call would enter the generated
+        # ``__init__`` through the type's slot, once per scheduled event.
+        event = _new_event(Event)
+        event.time_ms = time_ms
+        event.sequence = sequence
+        event.callback = callback
+        event.label = label
+        event.cancelled = False
+        event._owner = self
         heapq.heappush(self._queue, (time_ms, sequence, event))
         return event
 
@@ -177,6 +188,6 @@ class SimulationEngine:
 
     def __repr__(self) -> str:
         return (
-            f"SimulationEngine(now_ms={self.clock.now_ms:.1f}, "
+            f"SimulationEngine(now_ms={self.clock._now_ms:.1f}, "
             f"pending={self.pending_events}, processed={self._processed_events})"
         )

@@ -15,7 +15,7 @@ The paper stores traces in MySQL; this reproduction keeps them in memory.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 
 class _TraceFields(NamedTuple):
@@ -80,10 +80,6 @@ class TraceLog:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
-    def append(self, record: TraceRecord) -> None:
-        """Append one record."""
-        self._records.append(record)
-
     def log(
         self,
         timestamp_ms: float,
@@ -99,19 +95,6 @@ class TraceLog:
         self._records.append(record)
         return record
 
-    @property
-    def records(self) -> List[TraceRecord]:
-        """All records in insertion order."""
-        return list(self._records)
-
-    def users(self) -> Set[int]:
-        """Distinct user ids seen in the log."""
-        return {record.user_id for record in self._records}
-
-    def groups(self) -> Set[int]:
-        """Distinct acceleration groups seen in the log."""
-        return {record.acceleration_group for record in self._records}
-
     def window(self, start_ms: float, end_ms: float) -> "TraceLog":
         """Records with ``start_ms <= timestamp < end_ms``."""
         if end_ms < start_ms:
@@ -121,10 +104,3 @@ class TraceLog:
             for record in self._records
             if start_ms <= record.timestamp_ms < end_ms
         )
-
-    def users_per_group(self) -> Dict[int, Set[int]]:
-        """Distinct users observed per acceleration group over the whole log."""
-        result: Dict[int, Set[int]] = {}
-        for record in self._records:
-            result.setdefault(record.acceleration_group, set()).add(record.user_id)
-        return result

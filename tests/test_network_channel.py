@@ -12,14 +12,6 @@ class TestResponseTimeBreakdown:
         breakdown = ResponseTimeBreakdown(t1_ms=40.0, t2_ms=10.0, routing_ms=150.0, cloud_ms=2000.0)
         assert breakdown.total_ms == pytest.approx(2200.0)
 
-    def test_as_dict_matches_fig7_labels(self):
-        breakdown = ResponseTimeBreakdown(t1_ms=1.0, t2_ms=2.0, routing_ms=3.0, cloud_ms=4.0)
-        as_dict = breakdown.as_dict()
-        assert as_dict["T1"] == 1.0
-        assert as_dict["T2"] == 2.0
-        assert as_dict["Tcloud"] == 4.0
-        assert as_dict["Tresponse"] == 10.0
-
 
 class TestCommunicationChannel:
     def test_t1_is_full_round_trip_of_access_model(self, rng):

@@ -82,7 +82,7 @@ class TestRequestFlow:
         submit(accelerator, user_id=3, work_units=100.0, battery_level=0.5)
         run_to_completion(engine, accelerator)
         assert len(trace_log) == 1
-        record = trace_log.records[0]
+        record = list(trace_log)[0]
         assert record.user_id == 3
         assert record.acceleration_group == 1
         assert record.battery_level == 0.5
@@ -284,9 +284,9 @@ class TestDeliveryBuffer:
         assert [record.user_id for record in delivered] == [10, 20, 11]
         assert [record.user_id for record in first.records] == [10, 11]
         assert [record.user_id for record in second.records] == [20]
-        assert [entry.user_id for entry in first.trace_log.records] == [10, 11]
-        assert [entry.battery_level for entry in first.trace_log.records] == [0.25, 0.75]
-        assert [entry.user_id for entry in second.trace_log.records] == [20]
+        assert [entry.user_id for entry in first.trace_log] == [10, 11]
+        assert [entry.battery_level for entry in first.trace_log] == [0.25, 0.75]
+        assert [entry.user_id for entry in second.trace_log] == [20]
 
     def test_results_wait_in_the_buffer_until_drained(self, engine):
         backend = make_backend(engine, {1: "t2.nano"})
@@ -298,3 +298,81 @@ class TestDeliveryBuffer:
         assert len(accelerator.delivery_buffer) == 1
         accelerator.delivery_buffer.drain_until(math.inf)
         assert len(completed) == 1 and accelerator.records == completed
+
+
+class TestFloatExpressions:
+    """The exact float expressions of the event path, pinned bit for bit.
+
+    The values are chosen so that re-associating either sum gives other
+    bits; a flattening that regroups one of them fails here instead of
+    moving a record pin.
+    """
+
+    ARRIVAL_MS, T1_MS, T2_MS, ROUTING_MS, WORK = 4834.638, 82.766, 8.8, 146.041, 516.1
+
+    class RecordingPool(BackendPool):
+        """Notes the instant of each dispatch and each back-end outcome."""
+
+        def __init__(self, engine):
+            super().__init__()
+            self.engine = engine
+            self.dispatched_ms = []
+            self.outcomes = []
+
+        def dispatch(self, level, work_units, on_complete, jitter_z):
+            self.dispatched_ms.append(self.engine.now_ms)
+
+            def _noted(outcome):
+                self.outcomes.append(outcome)
+                on_complete(outcome)
+
+            return super().dispatch(level, work_units, _noted, jitter_z)
+
+    def run_one(self, engine):
+        pool = self.RecordingPool(engine)
+        instance_type = DEFAULT_CATALOG.get("t2.nano")
+        pool.add_instance(CloudInstance(engine, instance_type), 1)
+        accelerator = SDNAccelerator(engine, pool)
+        completed = []
+        engine.schedule_at(
+            self.ARRIVAL_MS,
+            lambda: accelerator.submit_planned(
+                user_id=0,
+                acceleration_group=1,
+                work_units=self.WORK,
+                t1_ms=self.T1_MS,
+                t2_ms=self.T2_MS,
+                routing_ms=self.ROUTING_MS,
+                jitter_z=0.0,
+                on_complete=completed.append,
+            ),
+        )
+        run_to_completion(engine, accelerator)
+        return pool, instance_type, accelerator, completed
+
+    def test_dispatch_and_delivery_instants(self, engine):
+        pool, instance_type, _, completed = self.run_one(engine)
+        arrival, routing = self.ARRIVAL_MS, self.ROUTING_MS
+        half = (self.T1_MS + self.T2_MS) / 2.0
+        assert arrival + (half + routing) != (arrival + half) + routing
+        (dispatched_ms,) = pool.dispatched_ms
+        assert dispatched_ms.hex() == (arrival + (half + routing)).hex()
+        (outcome,) = pool.outcomes
+        # Cloud time is the server's sojourn plus the fixed overhead.
+        sojourn_ms = outcome.completed_at_ms - dispatched_ms
+        expected_cloud = sojourn_ms + instance_type.profile.base_overhead_ms
+        assert outcome.execution_time_ms.hex() == expected_cloud.hex()
+        (record,) = completed
+        assert record.completed_ms.hex() == (outcome.completed_at_ms + half).hex()
+        assert record.breakdown.cloud_ms.hex() == outcome.execution_time_ms.hex()
+
+    def test_response_time_sums_left_to_right(self, engine):
+        _, _, accelerator, completed = self.run_one(engine)
+        (record,) = completed
+        t1, t2, routing = self.T1_MS, self.T2_MS, self.ROUTING_MS
+        cloud = record.breakdown.cloud_ms
+        assert t1 + t2 + routing + cloud != t1 + (t2 + (routing + cloud))
+        expected = (t1 + t2 + routing + cloud).hex()
+        assert record.response_time_ms.hex() == expected
+        (logged,) = list(accelerator.trace_log)
+        assert logged.round_trip_time_ms.hex() == expected

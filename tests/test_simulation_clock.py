@@ -12,10 +12,10 @@ from repro.simulation.clock import (
 
 class TestSimulationClock:
     def test_starts_at_zero_by_default(self):
-        assert SimulationClock().now_ms == 0.0
+        assert SimulationClock()._now_ms == 0.0
 
     def test_starts_at_given_time(self):
-        assert SimulationClock(500.0).now_ms == 500.0
+        assert SimulationClock(500.0)._now_ms == 500.0
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
@@ -24,12 +24,12 @@ class TestSimulationClock:
     def test_advance_moves_forward(self):
         clock = SimulationClock()
         clock.advance_to(250.0)
-        assert clock.now_ms == 250.0
+        assert clock._now_ms == 250.0
 
     def test_advance_to_same_time_is_allowed(self):
         clock = SimulationClock(100.0)
         clock.advance_to(100.0)
-        assert clock.now_ms == 100.0
+        assert clock._now_ms == 100.0
 
     def test_advance_backwards_raises(self):
         clock = SimulationClock(100.0)

@@ -36,11 +36,6 @@ class TestTraceLog:
         assert len(log) == 4
         assert len(list(log)) == 4
 
-    def test_users_and_groups(self):
-        log = self.make_log()
-        assert log.users() == {1, 2, 3}
-        assert log.groups() == {1, 2}
-
     def test_window_is_half_open(self):
         log = self.make_log()
         window = log.window(0.0, MILLISECONDS_PER_HOUR)
@@ -48,15 +43,16 @@ class TestTraceLog:
         with pytest.raises(ValueError):
             log.window(10.0, 0.0)
 
-    def test_users_per_group(self):
-        assert self.make_log().users_per_group() == {1: {1, 2, 3}, 2: {2}}
-
     def test_hourly_slot_workloads(self):
         log = self.make_log()
-        first = log.window(0.0, MILLISECONDS_PER_HOUR).users_per_group()
-        second = log.window(MILLISECONDS_PER_HOUR, 2 * MILLISECONDS_PER_HOUR).users_per_group()
-        assert first == {1: {1, 2}}
-        assert second == {1: {3}, 2: {2}}
+
+        def group_users(window):
+            return {(record.acceleration_group, record.user_id) for record in window}
+
+        first = log.window(0.0, MILLISECONDS_PER_HOUR)
+        second = log.window(MILLISECONDS_PER_HOUR, 2 * MILLISECONDS_PER_HOUR)
+        assert group_users(first) == {(1, 1), (1, 2)}
+        assert group_users(second) == {(1, 3), (2, 2)}
 
     def test_slot_workloads_empty_log(self):
         assert len(TraceLog().window(0.0, 1000.0)) == 0
