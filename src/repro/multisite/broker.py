@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.multisite.federation import build_site_catalog
 from repro.multisite.spec import MultiSiteSpec, SiteSpec, SpilloverSpec
+from repro.scenarios.batched import groups_present
 from repro.scenarios.plan import RequestPlan
 
 #: Site id of a request no site could accept.
@@ -794,9 +795,7 @@ class DynamicBroker:
             # One weighted round-robin stream per requesting user group, so
             # shares stay proportional to each group's *eligible* capacity;
             # counters live per group but reset per slot, as before.
-            # The groups present, ascending (``np.unique`` would import
-            # ``numpy.ma`` on its first call in a process).
-            for group in np.flatnonzero(np.bincount(request_keys)).tolist():
+            for group in groups_present(request_keys):
                 weights = self._slot_weights(available, slot_capacity_work, group)
                 routable = available & (weights > 0)
                 if not routable.any():

@@ -82,7 +82,9 @@ from repro.scenarios.batched import (
     InstanceState,
     clamp_table,
     execute_batched,
+    fold_slot_devices,
     serve_slot_requests,
+    slot_users_per_group,
 )
 from repro.scenarios.plan import RequestPlan, build_request_plan
 from repro.scenarios.runner import (
@@ -123,11 +125,15 @@ class SiteExecutionStats:
     group_requests: Dict[int, int] = field(default_factory=dict)
     group_dropped: Dict[int, int] = field(default_factory=dict)
 
-    def tally_group(self, group: int, total: int, dropped: int) -> None:
-        if total:
-            self.group_requests[group] = self.group_requests.get(group, 0) + total
-        if dropped:
-            self.group_dropped[group] = self.group_dropped.get(group, 0) + dropped
+    def tally_groups(self, groups: np.ndarray, failed: np.ndarray) -> None:
+        """Add requests and drops per group, ascending (groups are small ints)."""
+        totals = np.bincount(groups)
+        drops = np.bincount(groups[failed], minlength=totals.size)
+        requests, dropped = self.group_requests, self.group_dropped
+        for group in np.flatnonzero(totals).tolist():
+            requests[group] = requests.get(group, 0) + int(totals[group])
+            if drops[group]:
+                dropped[group] = dropped.get(group, 0) + int(drops[group])
 
     @property
     def success_response_ms(self) -> np.ndarray:
@@ -609,12 +615,7 @@ def execute_event_multisite(
             groups = np.asarray(requested_groups[site.index], dtype=np.int64)[
                 np.asarray([record.request_id for record in records], dtype=np.int64)
             ]
-            # Groups are small non-negative ints: count each one with
-            # bincount and tally them in ascending order.
-            totals = np.bincount(groups)
-            drops = np.bincount(groups[failed], minlength=totals.size)
-            for group in np.flatnonzero(totals):
-                stats.tally_group(int(group), int(totals[group]), int(drops[group]))
+            stats.tally_groups(groups, failed)
         successes = (
             np.concatenate([stats.success_response_ms for stats in per_site])
             if per_site
@@ -650,10 +651,9 @@ def execute_batched_multisite(
     fault_plane: "MultisiteFaultPlane | None" = None,
 ) -> FederationMetrics:
     """Run the federation's data plane slot by slot, one Lindley pass per site."""
-    users = spec.users
     horizon = duration_ms + DRAIN_MARGIN_MS
     group_of_user = np.asarray(
-        [devices[user].acceleration_group for user in range(users)], dtype=np.int64
+        [devices[user].acceleration_group for user in range(spec.users)], dtype=np.int64
     )
     highest_group = max(int(group_of_user.max(initial=0)), federation.highest_group())
     round_robin = spec.policy.routing == "round-robin"
@@ -798,19 +798,10 @@ def execute_batched_multisite(
                 )
             response = t1 + t2 + routing + cloud
 
-            if count:
-                sent = np.bincount(uids, minlength=users)
-                for user in np.flatnonzero(sent):
-                    devices[int(user)].requests_sent += int(sent[user])
-
             recorded = delivered <= horizon
             requests_total += int(np.count_nonzero(recorded))
             failed = recorded & ~ok
             dropped_total += int(np.count_nonzero(failed))
-            if np.any(failed):
-                failures = np.bincount(uids[failed], minlength=users)
-                for user in np.flatnonzero(failures):
-                    devices[int(user)].record_failures(int(failures[user]))
             succeeded = recorded & ok
             success_chunks.append(response[succeeded])
 
@@ -820,14 +811,7 @@ def execute_batched_multisite(
                 stats.requests_total += int(np.count_nonzero(mask))
                 stats.requests_dropped += int(np.count_nonzero(mask & ~ok))
                 stats.success_chunks.append(response[mask & succeeded])
-                if np.any(mask):
-                    for group in np.unique(window_user_groups[mask]):
-                        picks = mask & (window_user_groups == group)
-                        stats.tally_group(
-                            int(group),
-                            int(np.count_nonzero(picks)),
-                            int(np.count_nonzero(picks & ~ok)),
-                        )
+                stats.tally_groups(window_user_groups[mask], ~ok[mask])
 
             while (
                 sample_cursor < len(sample_times)
@@ -836,22 +820,10 @@ def execute_batched_multisite(
                 append_utilization(sample_times[sample_cursor])
                 sample_cursor += 1
 
-            if np.any(succeeded):
-                by_user = np.argsort(uids[succeeded], kind="stable")
-                user_sorted = uids[succeeded][by_user]
-                response_sorted = response[succeeded][by_user]
-                delivered_sorted = delivered[succeeded][by_user]
-                uniques, first = np.unique(user_sorted, return_index=True)
-                bounds = np.append(first, user_sorted.size)
-                for user, lo, hi in zip(uniques, bounds[:-1], bounds[1:]):
-                    device = devices[int(user)]
-                    by_completion = np.argsort(delivered_sorted[lo:hi], kind="stable")
-                    moderators[int(user)].observe_many(
-                        device,
-                        response_sorted[lo:hi][by_completion],
-                        delivered_sorted[lo:hi][by_completion],
-                    )
-                    group_of_user[int(user)] = device.acceleration_group
+            fold_slot_devices(
+                devices, moderators, group_of_user, uids, response, delivered,
+                failed, succeeded,
+            )
 
         # --- per-site control planes at the slot boundary -------------------
         with telemetry.span("slot.control", slot=period - 1):
@@ -859,18 +831,10 @@ def execute_batched_multisite(
             observed = recorded & (delivered < end)
             for site in federation:
                 site_mask = observed & (window_sites == site.index)
-                users_per_group: Dict[int, set] = {
-                    group: set() for group in site.model.groups()
-                }
-                if np.any(site_mask):
-                    for group in np.unique(routed_groups[site_mask]):
-                        picks = site_mask & (routed_groups == group)
-                        users_per_group.setdefault(int(group), set()).update(
-                            int(user) for user in np.unique(uids[picks])
-                        )
-                slot = TimeSlot.from_user_sets(
-                    len(site.model.history), users_per_group
+                users_per_group = slot_users_per_group(
+                    site.model.groups(), routed_groups, uids, site_mask
                 )
+                slot = TimeSlot.from_user_sets(len(site.model.history), users_per_group)
                 site.model.observe_slot(slot)
                 site.autoscaler.scale_for_slot(slot, end)
                 # Same boundary instant the event executor samples this site.

@@ -105,10 +105,13 @@ class LogNormalLatencyModel:
 
         This is the per-request sampling path of the batched scenario runner:
         each request keeps its own hour-of-day diurnal modulation, but all
-        log-normal draws happen in a single vectorised RNG call.
+        log-normal draws happen in a single vectorised RNG call.  At zero
+        amplitude the factor, exactly 1.0 at every finite hour, is skipped.
         """
         hours = np.asarray(hours_of_day, dtype=float)
         base = rng.lognormal(mean=self.mu, sigma=self.sigma, size=hours.shape)
+        if self.diurnal_amplitude == 0.0:
+            return np.maximum(base, self.floor_ms)
         return np.maximum(base * self.diurnal_factors(hours), self.floor_ms)
 
     def mean_rtt_ms(self) -> float:

@@ -273,9 +273,9 @@ def serve_slot_requests(
     come from the per-core Lindley recursion, falling back to the exact
     sequential admission pass when the drop-free estimate hits the limit.
     """
-    for group in np.unique(routed):
+    for group in groups_present(routed):
         group_picks = select[np.flatnonzero(routed == group)]
-        instances = backend.instances_for_level(int(group))
+        instances = backend.instances_for_level(group)
         fleet = len(instances)
         for position, instance in enumerate(instances):
             sub = group_picks[position::fleet]
@@ -328,6 +328,62 @@ def serve_slot_requests(
             instance.dropped_requests += int(drops.sum())
 
 
+def groups_present(groups: np.ndarray) -> List[int]:
+    """The distinct values of a non-negative int array, ascending, as ints.
+
+    ``np.unique`` would import ``numpy.ma`` on its first call in a process.
+    """
+    return np.flatnonzero(np.bincount(groups)).tolist()
+
+
+def fold_slot_devices(
+    devices, moderators, group_of_user, uids, response, delivered, failed, succeeded
+) -> None:
+    """Fold a slot window's outcomes into its users' devices.
+
+    Each device counts its sent requests and its recorded failures.  Then
+    each user's moderator sees the user's successful responses in delivery
+    order (ties keep window order: ``lexsort`` is stable), one
+    ``observe_many`` call per user in ascending user order, and
+    ``group_of_user`` takes each observed device's group, promotions included.
+    """
+    sent = np.bincount(uids)
+    for user in np.flatnonzero(sent).tolist():
+        devices[user].requests_sent += int(sent[user])
+    failures = np.bincount(uids[failed])
+    for user in np.flatnonzero(failures).tolist():
+        devices[user].record_failures(int(failures[user]))
+    if not np.any(succeeded):
+        return
+    users, delivered = uids[succeeded], delivered[succeeded]
+    order = np.lexsort((delivered, users))
+    users, delivered = users[order], delivered[order]
+    response = response[succeeded][order]
+    bounds = (np.flatnonzero(users[1:] != users[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + bounds, bounds + [users.size]):
+        user = int(users[lo])
+        device = devices[user]
+        moderators[user].observe_many(device, response[lo:hi], delivered[lo:hi])
+        group_of_user[user] = device.acceleration_group
+
+
+def slot_users_per_group(
+    groups, routed: np.ndarray, uids: np.ndarray, observed: np.ndarray
+) -> Dict[int, set]:
+    """The users each acceleration group served among the ``observed`` positions.
+
+    Every group of ``groups`` (the model's) gets a set, empty when it served
+    nobody; a routed group outside ``groups`` is added after them, ascending.
+    """
+    users_per_group: Dict[int, set] = {group: set() for group in groups}
+    seen = np.zeros((routed.max(initial=0) + 1, uids.max(initial=0) + 1), dtype=bool)
+    seen[routed[observed], uids[observed]] = True
+    for group in np.flatnonzero(seen.any(axis=1)).tolist():
+        users = np.flatnonzero(seen[group]).tolist()
+        users_per_group.setdefault(group, set()).update(users)
+    return users_per_group
+
+
 def execute_batched(
     *,
     spec: ScenarioSpec,
@@ -352,10 +408,9 @@ def execute_batched(
     counter increments before the fault check) but never dispatch, never
     occupy a core, and are tallied at fold time from the overlay.
     """
-    users = spec.users
     horizon = duration_ms + DRAIN_MARGIN_MS
     group_of_user = np.asarray(
-        [devices[user].acceleration_group for user in range(users)], dtype=np.int64
+        [devices[user].acceleration_group for user in range(spec.users)], dtype=np.int64
     )
     highest_group = max(
         int(group_of_user.max(initial=0)),
@@ -462,19 +517,10 @@ def execute_batched(
             )
             response = t1 + t2 + routing + cloud
 
-            if count:
-                sent = np.bincount(uids, minlength=users)
-                for user in np.flatnonzero(sent):
-                    devices[int(user)].requests_sent += int(sent[user])
-
             recorded = delivered <= horizon
             requests_total += int(np.count_nonzero(recorded))
             failed = recorded & ~ok
             dropped_total += int(np.count_nonzero(failed))
-            if np.any(failed):
-                failures = np.bincount(uids[failed], minlength=users)
-                for user in np.flatnonzero(failures):
-                    devices[int(user)].record_failures(int(failures[user]))
             succeeded = recorded & ok
             success_chunks.append(response[succeeded])
 
@@ -485,22 +531,10 @@ def execute_batched(
                 append_utilization(sample_times[sample_cursor])
                 sample_cursor += 1
 
-            if np.any(succeeded):
-                by_user = np.argsort(uids[succeeded], kind="stable")
-                user_sorted = uids[succeeded][by_user]
-                response_sorted = response[succeeded][by_user]
-                delivered_sorted = delivered[succeeded][by_user]
-                uniques, first = np.unique(user_sorted, return_index=True)
-                bounds = np.append(first, user_sorted.size)
-                for user, lo, hi in zip(uniques, bounds[:-1], bounds[1:]):
-                    device = devices[int(user)]
-                    by_completion = np.argsort(delivered_sorted[lo:hi], kind="stable")
-                    moderators[int(user)].observe_many(
-                        device,
-                        response_sorted[lo:hi][by_completion],
-                        delivered_sorted[lo:hi][by_completion],
-                    )
-                    group_of_user[int(user)] = device.acceleration_group
+            fold_slot_devices(
+                devices, moderators, group_of_user, uids, response, delivered,
+                failed, succeeded,
+            )
 
         # --- control plane at the slot boundary (same slot the event path
         # --- observes: requests that arrived in the window AND completed
@@ -510,14 +544,10 @@ def execute_batched(
         with telemetry.span("slot.control", slot=period - 1):
             engine.clock.advance_to(end)
             observed = recorded & (delivered < end)
-            users_per_group: Dict[int, set] = {g: set() for g in model.groups()}
-            if np.any(observed):
-                for group in np.unique(routed[observed]):
-                    picks = observed & (routed == group)
-                    users_per_group.setdefault(int(group), set()).update(
-                        int(user) for user in np.unique(uids[picks])
-                    )
-            slot = TimeSlot.from_user_sets(len(model.history), users_per_group)
+            slot = TimeSlot.from_user_sets(
+                len(model.history),
+                slot_users_per_group(model.groups(), routed, uids, observed),
+            )
             model.observe_slot(slot)
             autoscaler.scale_for_slot(slot, end)
             # Post-scaling fleet state with the clock on the boundary — the

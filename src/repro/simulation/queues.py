@@ -231,7 +231,6 @@ class ProcessorSharingServer:
         now = self._drain_progress()
         population = len(self._callbacks)
         if not population:
-            self._reschedule_completion(now)
             return
         remaining = self._remaining
         smallest = self._smallest
@@ -270,7 +269,9 @@ class ProcessorSharingServer:
                 self._pop_buffer(position)
             self.completed_jobs += 1
             on_complete(now - submitted_ms)
-        self._reschedule_completion(now)
+        # Emptied: no completion is pending (a submitting callback leaves jobs).
+        if self._callbacks:
+            self._reschedule_completion(now)
 
     def __repr__(self) -> str:
         return (

@@ -35,6 +35,21 @@ class TestLogNormalLatencyModel:
         samples = model.sample_many_at(rng, np.full(1000, 12.0))
         assert samples.min() >= 8.0
 
+    @pytest.mark.parametrize("floor_ms", [1.0, 7.0])
+    def test_zero_amplitude_gives_the_factor_path_bits_and_stream(self, floor_ms):
+        # Without modulation the factor is exactly 1.0 and is skipped: the
+        # samples and the generator's next draw stay those of the full path.
+        model = LogNormalLatencyModel(
+            median_ms=8.0, mean_ms=10.0, floor_ms=floor_ms, diurnal_amplitude=0.0
+        )
+        hours = np.linspace(0.0, 47.9, 5000)
+        fast, reference = np.random.default_rng(3), np.random.default_rng(3)
+        samples = model.sample_many_at(fast, hours)
+        base = reference.lognormal(mean=model.mu, sigma=model.sigma, size=hours.shape)
+        expected = np.maximum(base * model.diurnal_factors(hours), model.floor_ms)
+        assert samples.tobytes() == expected.tobytes()
+        assert fast.random() == reference.random()
+
     def test_diurnal_factor_peaks_at_peak_hour(self):
         model = LogNormalLatencyModel(median_ms=30.0, mean_ms=40.0, diurnal_amplitude=0.2, peak_hour=20.0)
         assert model.diurnal_factor(20.0) == pytest.approx(1.2)

@@ -14,8 +14,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios import run_scenario
+from repro.scenarios.batched import (
+    fold_slot_devices,
+    groups_present,
+    slot_users_per_group,
+)
 from repro.scenarios.spec import (
     CloudSpec,
     NetworkSpec,
@@ -253,3 +260,221 @@ class TestExecutionKnob:
     def test_round_trips_through_dict(self):
         spec = deterministic_spec(execution="batched")
         assert ScenarioSpec(**spec.to_dict()).execution == "batched"
+
+
+# --- oracle: the slot fold as both batched executors wrote it before ----------
+#
+# Per-user sent and failure counts; a stable argsort by user, ``np.unique`` for
+# the user boundaries and one stable argsort by delivery time per user;
+# ``np.unique`` per routed group for the users each group served.  The
+# helpers must reproduce every count, call and set.
+
+
+def _reference_fold(devices, moderators, group_of_user, uids, response, delivered,
+                    failed, succeeded):
+    users = len(devices)
+    if uids.size:
+        sent = np.bincount(uids, minlength=users)
+        for user in np.flatnonzero(sent):
+            devices[int(user)].requests_sent += int(sent[user])
+    if np.any(failed):
+        failures = np.bincount(uids[failed], minlength=users)
+        for user in np.flatnonzero(failures):
+            devices[int(user)].record_failures(int(failures[user]))
+    if np.any(succeeded):
+        by_user = np.argsort(uids[succeeded], kind="stable")
+        user_sorted = uids[succeeded][by_user]
+        response_sorted = response[succeeded][by_user]
+        delivered_sorted = delivered[succeeded][by_user]
+        uniques, first = np.unique(user_sorted, return_index=True)
+        bounds = np.append(first, user_sorted.size)
+        for user, lo, hi in zip(uniques, bounds[:-1], bounds[1:]):
+            device = devices[int(user)]
+            by_completion = np.argsort(delivered_sorted[lo:hi], kind="stable")
+            moderators[int(user)].observe_many(
+                device,
+                response_sorted[lo:hi][by_completion],
+                delivered_sorted[lo:hi][by_completion],
+            )
+            group_of_user[int(user)] = device.acceleration_group
+
+
+def _reference_users_per_group(groups, routed, uids, observed):
+    users_per_group = {group: set() for group in groups}
+    if np.any(observed):
+        for group in np.unique(routed[observed]):
+            picks = observed & (routed == group)
+            users_per_group.setdefault(int(group), set()).update(
+                int(user) for user in np.unique(uids[picks])
+            )
+    return users_per_group
+
+
+class _Device:
+    def __init__(self, group):
+        self.acceleration_group = group
+        self.requests_sent = 0
+        self.requests_failed = 0
+
+    def record_failures(self, count):
+        self.requests_failed += count
+
+
+class _RecordingModerator:
+    """Logs every call's user and array bytes; promotes on an even batch."""
+
+    def __init__(self, user, calls):
+        self.user = user
+        self.calls = calls
+
+    def observe_many(self, device, responses, delivered):
+        self.calls.append(
+            (self.user, responses.dtype.str, responses.tobytes(),
+             delivered.dtype.str, delivered.tobytes())
+        )
+        if responses.size % 2 == 0:
+            device.acceleration_group += 1
+
+
+def _observe_with(fold, window):
+    users = window["users"]
+    devices = {user: _Device(user % 3) for user in range(users)}
+    calls = []
+    moderators = {user: _RecordingModerator(user, calls) for user in range(users)}
+    group_of_user = np.array([user % 3 for user in range(users)], dtype=np.int64)
+    fold(devices, moderators, group_of_user, window["uids"], window["response"],
+         window["delivered"], window["failed"], window["succeeded"])
+    counts = [(device.requests_sent, device.requests_failed) for device in devices.values()]
+    return calls, group_of_user.tolist(), counts
+
+
+def _assert_fold_matches(window):
+    assert _observe_with(fold_slot_devices, window) == _observe_with(
+        _reference_fold, window
+    )
+    args = (window["groups"], window["routed"], window["uids"], window["observed"])
+    got = slot_users_per_group(*args)
+    expected = _reference_users_per_group(*args)
+    assert got == expected
+    assert list(got) == list(expected)  # same group order, model groups first
+
+
+def _window(uids, delivered, *, ok=None, select=None, routed=None, groups=(0, 1, 2),
+            end=5.0, horizon=8.0, users=None):
+    """One slot window laid out like the executors' arrays.
+
+    Positions outside ``select`` (fault-masked) never dispatch: their
+    delivery stays ``inf`` and their routed group 0, as in the executors.
+    """
+    uids = np.asarray(uids, dtype=np.int64)
+    count = uids.size
+    delivered = np.asarray(delivered, dtype=float).copy()
+    ok = np.ones(count, dtype=bool) if ok is None else np.asarray(ok, dtype=bool)
+    routed = (
+        np.zeros(count, dtype=np.int64) if routed is None
+        else np.asarray(routed, dtype=np.int64).copy()
+    )
+    if select is not None:
+        masked = ~np.asarray(select, dtype=bool)
+        delivered[masked] = np.inf
+        routed[masked] = 0
+    recorded = delivered <= horizon
+    return {
+        "users": int(uids.max(initial=0)) + 1 if users is None else users,
+        "uids": uids,
+        "response": np.arange(count, dtype=float) * 0.1 + 3.0 * (count % 7),
+        "delivered": delivered,
+        "failed": recorded & ~ok,
+        "succeeded": recorded & ok,
+        "observed": recorded & (delivered < end),
+        "routed": routed,
+        "groups": list(groups),
+    }
+
+
+@st.composite
+def _windows(draw):
+    users = draw(st.integers(min_value=1, max_value=9))
+    count = draw(st.integers(min_value=0, max_value=60))
+    users_at = st.integers(min_value=0, max_value=users - 1)
+    # Few distinct instants, so one user's deliveries often tie.
+    instants = st.sampled_from([0.5, 1.0, 1.0, 2.25, 4.0, 5.0, 6.5, 9.0])
+    group_pool = draw(st.sets(st.integers(min_value=0, max_value=5), min_size=1))
+    return _window(
+        draw(st.lists(users_at, min_size=count, max_size=count)),
+        draw(st.lists(instants, min_size=count, max_size=count)),
+        ok=draw(st.lists(st.booleans(), min_size=count, max_size=count)),
+        select=draw(st.lists(st.booleans(), min_size=count, max_size=count)),
+        routed=draw(
+            st.lists(st.sampled_from(sorted(group_pool)), min_size=count, max_size=count)
+        ),
+        groups=draw(st.lists(st.integers(min_value=0, max_value=5), unique=True)),
+        users=users,
+    )
+
+
+class TestSlotFoldOracle:
+    @given(window=_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_same_calls_and_sets_as_the_sort_and_unique_fold(self, window):
+        _assert_fold_matches(window)
+
+    def test_tied_deliveries_within_one_user_keep_window_order(self):
+        window = _window([1, 1, 1, 1], [2.0, 1.0, 2.0, 1.0])
+        _assert_fold_matches(window)
+        calls = _observe_with(fold_slot_devices, window)[0]
+        assert len(calls) == 1
+        # Ties keep window order: positions 1, 3, 0, 2.
+        assert np.frombuffer(calls[0][2]).tolist() == window["response"][[1, 3, 0, 2]].tolist()
+
+    def test_interleaved_users_in_ascending_order(self):
+        window = _window([2, 0, 1, 0, 2, 1], [3.0, 1.0, 2.0, 0.5, 0.25, 2.0])
+        _assert_fold_matches(window)
+        calls = _observe_with(fold_slot_devices, window)[0]
+        assert [call[0] for call in calls] == [0, 1, 2]
+
+    def test_single_user(self):
+        _assert_fold_matches(_window([0, 0, 0], [1.0, 3.0, 2.0], routed=[1, 1, 1]))
+
+    def test_no_successes(self):
+        window = _window([0, 1, 2], [1.0, 2.0, 3.0], ok=[False, False, False])
+        _assert_fold_matches(window)
+        calls, _, counts = _observe_with(fold_slot_devices, window)
+        assert calls == []
+        assert counts == [(1, 1), (1, 1), (1, 1)]
+        # Failed requests still count as served by their group.
+        assert slot_users_per_group([0, 1, 2], window["routed"], window["uids"],
+                                    window["observed"]) == {0: {0, 1, 2}, 1: set(), 2: set()}
+
+    def test_empty_window(self):
+        _assert_fold_matches(_window([], []))
+
+    def test_non_contiguous_groups(self):
+        window = _window([0, 1, 2, 3], [1.0, 1.0, 2.0, 2.0], routed=[2, 0, 2, 0], groups=(0, 2))
+        _assert_fold_matches(window)
+        assert slot_users_per_group((0, 2), window["routed"], window["uids"],
+                                    window["observed"]) == {0: {1, 3}, 2: {0, 2}}
+
+    def test_groups_missing_from_the_model(self):
+        window = _window([0, 1, 2], [1.0, 1.0, 2.0], routed=[3, 1, 4], groups=(1,))
+        _assert_fold_matches(window)
+        got = slot_users_per_group((1,), window["routed"], window["uids"], window["observed"])
+        assert list(got.items()) == [(1, {1}), (3, {0}), (4, {2})]
+
+    def test_fault_masked_select(self):
+        window = _window(
+            [0, 1, 0, 1, 2], [1.0, 2.0, 3.0, 4.0, 4.5],
+            select=[True, False, True, False, False], routed=[1, 2, 1, 2, 2],
+        )
+        _assert_fold_matches(window)
+        calls = _observe_with(fold_slot_devices, window)[0]
+        assert [call[0] for call in calls] == [0]
+        assert slot_users_per_group((0, 1, 2), window["routed"], window["uids"],
+                                    window["observed"]) == {0: set(), 1: {0}, 2: set()}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_groups_present_is_the_ascending_distinct_list(values):
+    groups = np.asarray(values, dtype=np.int64)
+    assert groups_present(groups) == np.unique(groups).tolist()

@@ -80,6 +80,23 @@ class TestProcessorSharingServer:
         assert server.in_service == 0
         assert engine.pending_events == 0
 
+    def test_emptied_server_holds_no_completion_event(self, engine):
+        # The last completion leaves nothing to re-arm; a callback that
+        # submits keeps the server busy, and its job completes on time.
+        server = self._server(engine)
+        seen = []
+
+        def chain(sojourn):
+            if not seen:
+                server.submit(5.0, chain)
+            seen.append((engine.now_ms, server.in_service))
+
+        server.submit(10.0, chain)
+        engine.run()
+        assert seen == [(10.0, 1), (15.0, 0)]
+        assert server._completion_event is None
+        assert engine.pending_events == 0
+
     def test_invalid_construction_parameters(self, engine):
         with pytest.raises(ValueError):
             ProcessorSharingServer(engine, service_rate_per_core=0.0, cores=1)
