@@ -28,10 +28,10 @@ Package layout
     profiles, battery model and the client-side moderator with its promotion
     policies.
 ``repro.workload``
-    Request trace log and arrival processes.
+    Arrival processes.
 ``repro.sdn``
-    The SDN-accelerator front-end (request handling, routing, logging) and the
-    predictive autoscaling control loop.
+    The SDN-accelerator front-end (request handling, routing, request
+    records) and the predictive autoscaling control loop.
 ``repro.analysis``
     Instance benchmarking, predictor cross-validation and shared metrics.
 ``repro.experiments``
@@ -80,7 +80,6 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.sdn.accelerator import SDNAccelerator
-from repro.workload.traces import TraceLog, TraceRecord
 
 __version__ = "1.0.0"
 
@@ -104,8 +103,6 @@ __all__ = [
     "TaskPool",
     "TimeSlot",
     "TimeSlotHistory",
-    "TraceLog",
-    "TraceRecord",
     "WorkloadPredictor",
     "build_options_from_catalog",
     "characterize_instances",

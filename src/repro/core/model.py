@@ -3,15 +3,24 @@
 :class:`AdaptiveModel` is the component the SDN-accelerator invokes at the end
 of each provisioning period: it
 
-1. slices the request trace log into time slots
+1. records the finished period as a time slot
    (:class:`~repro.core.timeslots.TimeSlotHistory`),
 2. predicts the workload of the next period with the edit-distance predictor
    (:class:`~repro.core.prediction.WorkloadPredictor`), and
 3. computes the cost-minimal instance allocation for the predicted workload
    with the ILP allocator (:class:`~repro.core.allocation.IlpAllocator`).
 
-The model is substrate-independent: it consumes only plain trace records and
-an instance-option table, so it can be run against real production logs just
+The paper logs every request as
+``<timestamp, user-id, acceleration-group, battery-level, round-trip-time>``
+(Section IV-A) and slices the log into equal-length slots.  Of those fields
+the model consumes only the (acceleration group, user) pairs of each slot:
+a slot is the set of users each group served.  The timestamp places a request
+in its slot; the battery level and round-trip time are not read.  The slot
+itself is built by :meth:`repro.sdn.autoscaler.Autoscaler.run_slot`, the one
+slot step every executor calls.
+
+The model is substrate-independent: it consumes only time slots and an
+instance-option table, so it can be run against real production logs just
 as well as against the simulated testbed.
 """
 
@@ -31,7 +40,6 @@ from repro.core.allocation import (
 from repro.core.prediction import PredictionOutcome, WorkloadPredictor
 from repro.core.timeslots import TimeSlot, TimeSlotHistory
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
-from repro.workload.traces import TraceLog
 
 
 @dataclass(frozen=True)
@@ -97,18 +105,6 @@ class AdaptiveModel:
     def observe_slot(self, slot: TimeSlot) -> None:
         """Record one completed time slot in the knowledge base."""
         self.predictor.observe(slot)
-
-    def observe_trace_window(
-        self, log: TraceLog, start_ms: float, end_ms: float
-    ) -> TimeSlot:
-        """Slot the log records of ``[start_ms, end_ms)`` and record the slot."""
-        window = log.window(start_ms, end_ms)
-        users_per_group = {group: set() for group in self.groups()}
-        for record in window:
-            users_per_group.setdefault(record.acceleration_group, set()).add(record.user_id)
-        slot = TimeSlot.from_user_sets(len(self.history), users_per_group)
-        self.observe_slot(slot)
-        return slot
 
     def can_predict(self) -> bool:
         """Whether enough history has accumulated for a prediction."""

@@ -136,7 +136,6 @@ def run_bursts(
                 t2_ms=float(t2_ms[index]),
                 routing_ms=float(routing_ms[index]),
                 jitter_z=float(jitter_z[index]),
-                task_name=task.name,
             )
 
     for burst in range(len(burst_sizes)):

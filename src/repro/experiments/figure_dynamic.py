@@ -42,7 +42,6 @@ from repro.multisite.runner import execute_multisite
 from repro.scenarios.spec import PolicySpec, ScenarioSpec, WorkloadSpec
 from repro.sdn.accelerator import RequestRecord
 from repro.telemetry import NULL_TELEMETRY
-from repro.workload.traces import TraceLog
 
 
 @dataclass
@@ -52,7 +51,6 @@ class DynamicAccelerationResult:
     records: List[RequestRecord]
     devices: Dict[int, MobileDevice]
     scaling_actions: List
-    trace_log: TraceLog
     group_types: Dict[int, str]
     duration_hours: float
     total_cost: float
@@ -214,7 +212,6 @@ def run_dynamic_acceleration(
         records=list(site.accelerator.records),
         devices=run.devices,
         scaling_actions=list(site.autoscaler.actions),
-        trace_log=site.accelerator.trace_log,
         group_types=dict(spec.cloud.group_types),
         duration_hours=duration_hours,
         total_cost=site.total_cost(),

@@ -16,7 +16,7 @@ Models the client side of the offloading architecture:
   battery-aware policy are provided as the future-work extensions discussed in
   Section VII).
 * :mod:`repro.mobile.battery` — a simple battery drain model used by the
-  battery-aware promotion policy and recorded in the request traces.
+  battery-aware promotion policy.
 """
 
 from repro.mobile.battery import BatteryModel

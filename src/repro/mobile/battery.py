@@ -7,8 +7,8 @@ as the battery drains, the device promotes itself to a higher acceleration
 level so that the network connection stays open for a shorter time.
 
 This module provides a deliberately simple linear-drain battery model with a
-per-request communication cost, sufficient to drive that policy and to
-populate the trace field.
+per-request communication cost, sufficient to drive that policy.  The
+adaptive model never reads the battery field, so no request record keeps it.
 """
 
 from __future__ import annotations

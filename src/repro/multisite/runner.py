@@ -52,7 +52,6 @@ import numpy as np
 
 from repro.core.model import AdaptiveModel
 from repro.core.prediction import prediction_accuracy
-from repro.core.timeslots import TimeSlot
 from repro.faults.overlay import (
     FAULT_CONTROL_STREAM,
     FAULT_STREAM,
@@ -84,7 +83,6 @@ from repro.scenarios.batched import (
     execute_batched,
     fold_slot_devices,
     serve_slot_requests,
-    slot_users_per_group,
 )
 from repro.scenarios.plan import RequestPlan, build_request_plan
 from repro.scenarios.runner import (
@@ -94,7 +92,7 @@ from repro.scenarios.runner import (
     build_arrival_process,
 )
 from repro.scenarios.spec import ScenarioSpec
-from repro.sdn.accelerator import DeliveryBuffer, RequestRecord
+from repro.sdn.accelerator import DeliveryBuffer, RequestRecord, served_columns
 from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
@@ -358,7 +356,6 @@ def execute_event_multisite(
     federation: Federation,
     devices: Dict[int, MobileDevice],
     moderators: Dict[int, Moderator],
-    task,
     duration_ms: float,
     slot_ms: float,
     telemetry=NULL_TELEMETRY,
@@ -412,7 +409,6 @@ def execute_event_multisite(
 
     completions = [_completion_for(successes) for successes in site_successes]
 
-    task_name = task.name
     count = len(plan)
     pump = _PumpColumns(plan, slot_broker.site_ids, fault_outcome)
     accelerators = [site.accelerator for site in federation]
@@ -478,8 +474,6 @@ def execute_event_multisite(
             t2_ms=t2[offset],
             routing_ms=routing[offset],
             jitter_z=jitter[offset],
-            task_name=task_name,
-            battery_level=device.battery.level,
             on_complete=completions[site_index],
         )
 
@@ -505,6 +499,10 @@ def execute_event_multisite(
             engine.schedule_after(
                 sample_interval_ms, _sample_utilization, label="multisite:utilization"
             )
+
+    # Per site, how many of its accelerator's records the previous
+    # slot-boundary control step has already seen.
+    delivered_upto = [0] * len(federation)
 
     # Everything that schedules the run's opening events sits in one span, so
     # its wall time is attributed.  The schedule order is part of the result:
@@ -568,9 +566,15 @@ def execute_event_multisite(
                 ) -> None:
                     drain(engine.now_ms)
                     with telemetry.span("slot.control", slot=slot_index):
-                        site.autoscaler.run_period_end(
-                            site.accelerator.trace_log, start, end
-                        )
+                        # The records delivered since the previous boundary,
+                        # in delivery order.  The slot counts the ones that
+                        # arrived in it: a request delivered at or after its
+                        # slot's boundary lands in a later scan and counts in
+                        # no slot.
+                        records = site.accelerator.records
+                        fresh = records[delivered_upto[site.index]:]
+                        delivered_upto[site.index] = len(records)
+                        site.autoscaler.run_slot(*served_columns(fresh, start), end)
                         # Post-scaling fleet state at the boundary, per site —
                         # sampled at the same instant in the batched executor.
                         telemetry.recorder.sample_fleet(
@@ -830,13 +834,9 @@ def execute_batched_multisite(
             engine.clock.advance_to(end)
             observed = recorded & (delivered < end)
             for site in federation:
-                site_mask = observed & (window_sites == site.index)
-                users_per_group = slot_users_per_group(
-                    site.model.groups(), routed_groups, uids, site_mask
+                site.autoscaler.run_slot(
+                    routed_groups, uids, observed & (window_sites == site.index), end
                 )
-                slot = TimeSlot.from_user_sets(len(site.model.history), users_per_group)
-                site.model.observe_slot(slot)
-                site.autoscaler.scale_for_slot(slot, end)
                 # Same boundary instant the event executor samples this site.
                 telemetry.recorder.sample_fleet(
                     period - 1, site.provisioner, prefix=site.metric_prefix
@@ -1065,7 +1065,6 @@ def execute_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> Mult
             moderators=moderators,
             backend=site.backend,
             autoscaler=site.autoscaler,
-            model=site.model,
             round_robin_routing=spec.policy.routing == "round-robin",
             duration_ms=duration_ms,
             slot_ms=slot_ms,
@@ -1104,7 +1103,6 @@ def execute_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> Mult
             federation=federation,
             devices=devices,
             moderators=moderators,
-            task=task,
             duration_ms=duration_ms,
             slot_ms=slot_ms,
             telemetry=telemetry,

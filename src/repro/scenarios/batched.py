@@ -50,9 +50,7 @@ import numpy as np
 
 from repro.cloud.backend import BackendPool
 from repro.cloud.server import CloudInstance, jittered_work_units
-from repro.core.model import AdaptiveModel
 from repro.faults.overlay import OUTCOME_OK
-from repro.core.timeslots import TimeSlot
 from repro.mobile.device import MobileDevice
 from repro.mobile.moderator import Moderator
 from repro.scenarios.plan import RequestPlan
@@ -367,23 +365,6 @@ def fold_slot_devices(
         group_of_user[user] = device.acceleration_group
 
 
-def slot_users_per_group(
-    groups, routed: np.ndarray, uids: np.ndarray, observed: np.ndarray
-) -> Dict[int, set]:
-    """The users each acceleration group served among the ``observed`` positions.
-
-    Every group of ``groups`` (the model's) gets a set, empty when it served
-    nobody; a routed group outside ``groups`` is added after them, ascending.
-    """
-    users_per_group: Dict[int, set] = {group: set() for group in groups}
-    seen = np.zeros((routed.max(initial=0) + 1, uids.max(initial=0) + 1), dtype=bool)
-    seen[routed[observed], uids[observed]] = True
-    for group in np.flatnonzero(seen.any(axis=1)).tolist():
-        users = np.flatnonzero(seen[group]).tolist()
-        users_per_group.setdefault(group, set()).update(users)
-    return users_per_group
-
-
 def execute_batched(
     *,
     spec: ScenarioSpec,
@@ -393,7 +374,6 @@ def execute_batched(
     moderators: Dict[int, Moderator],
     backend: BackendPool,
     autoscaler: Autoscaler,
-    model: AdaptiveModel,
     round_robin_routing: bool,
     duration_ms: float,
     slot_ms: float,
@@ -538,18 +518,12 @@ def execute_batched(
 
         # --- control plane at the slot boundary (same slot the event path
         # --- observes: requests that arrived in the window AND completed
-        # --- strictly before the boundary are in the trace when the scaler
+        # --- strictly before the boundary are delivered when the scaler
         # --- runs; at an exact tie the scale event wins the FIFO tie-break
         # --- because it was scheduled at setup time).
         with telemetry.span("slot.control", slot=period - 1):
             engine.clock.advance_to(end)
-            observed = recorded & (delivered < end)
-            slot = TimeSlot.from_user_sets(
-                len(model.history),
-                slot_users_per_group(model.groups(), routed, uids, observed),
-            )
-            model.observe_slot(slot)
-            autoscaler.scale_for_slot(slot, end)
+            autoscaler.run_slot(routed, uids, recorded & (delivered < end), end)
             # Post-scaling fleet state with the clock on the boundary — the
             # same instant the event executor samples, so the series align.
             telemetry.recorder.sample_fleet(period - 1, autoscaler.provisioner)

@@ -6,7 +6,17 @@ The front-end contains two of the components of Fig. 3:
   request from a mobile device (``SDNAccelerator.submit_planned``), and
 * the **Code Offloader (CO)** — the routing step that determines the level of
   acceleration required and forwards the request to the corresponding group
-  of back-end instances, logging each processed request into the trace store.
+  of back-end instances, recording each processed request.
+
+Each delivered request lands in :attr:`SDNAccelerator.records`, in delivery
+order.  The paper's trace schema (Section IV-A) is
+``<timestamp, user-id, acceleration-group, battery-level, round-trip-time>``;
+the adaptive model consumes only the (acceleration group, user) pairs of each
+time slot, which a :class:`RequestRecord` carries with its arrival time
+(the timestamp), so no separate trace row is kept.  At every slot boundary
+the event executor turns the records delivered since the previous boundary
+into columns (:func:`served_columns`) for
+:meth:`repro.sdn.autoscaler.Autoscaler.run_slot`.
 
 The paper measures the overhead the front-end adds to a request at ≈150 ms
 (Fig. 8a), roughly constant across acceleration groups;
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, NamedTuple, Optional, Protocol
+from typing import Callable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +39,6 @@ from repro.cloud.backend import BackendPool
 from repro.cloud.server import OffloadOutcome
 from repro.network.channel import ResponseTimeBreakdown
 from repro.simulation.engine import SimulationEngine
-from repro.workload.traces import TraceLog
 
 
 #: What a named tuple's generated ``__new__`` returns, without entering it:
@@ -54,7 +63,6 @@ class RequestRecord(NamedTuple):
     request_id: int
     user_id: int
     acceleration_group: int
-    task_name: str
     arrival_ms: float
     completed_ms: float
     success: bool
@@ -67,6 +75,24 @@ class RequestRecord(NamedTuple):
         if breakdown is None:
             return 0.0
         return breakdown.total_ms
+
+
+def served_columns(
+    records: Sequence[RequestRecord], start_ms: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (serving group, user, observed) columns of delivered records.
+
+    ``observed`` marks the records that arrived at or after ``start_ms``.
+    Handed the records delivered since the previous slot boundary, these are
+    the requests of the slot that starts at ``start_ms``: a record arrives
+    before it is delivered, so none from a later slot is among them.
+    """
+    count = len(records)
+    return (
+        np.fromiter((record.acceleration_group for record in records), np.int64, count),
+        np.fromiter((record.user_id for record in records), np.int64, count),
+        np.fromiter((record.arrival_ms >= start_ms for record in records), bool, count),
+    )
 
 
 class RoutingPolicy(Protocol):
@@ -116,8 +142,7 @@ class DeliveryBuffer:
     delivered in ``(delivered_ms, push order)`` order: ties go in the order
     they were pushed.  One buffer can be shared by several accelerators: each
     entry carries its owning accelerator, so each record lands in that
-    accelerator's ``records`` and ``trace_log`` while the delivery order stays
-    global.
+    accelerator's ``records`` while the delivery order stays global.
     """
 
     __slots__ = ("_heap", "_sequence")
@@ -134,40 +159,17 @@ class DeliveryBuffer:
         delivered_ms: float,
         accelerator: "SDNAccelerator",
         record: RequestRecord,
-        battery_level: float,
         on_complete: Optional[Callable[[RequestRecord], None]],
     ) -> None:
         heapq.heappush(
             self._heap,
-            (
-                delivered_ms,
-                next(self._sequence),
-                accelerator,
-                record,
-                battery_level,
-                on_complete,
-            ),
+            (delivered_ms, next(self._sequence), accelerator, record, on_complete),
         )
 
     @staticmethod
     def _deliver(entry) -> None:
-        _, _, accelerator, record, battery_level, on_complete = entry
+        _, _, accelerator, record, on_complete = entry
         accelerator.records.append(record)
-        breakdown = record.breakdown
-        if breakdown is None:
-            response_ms = 0.0
-        else:
-            # ``RequestRecord.response_time_ms`` without its two property
-            # hops: the same sum, in the same order.
-            t1_ms, t2_ms, routing_ms, cloud_ms = breakdown
-            response_ms = t1_ms + t2_ms + routing_ms + cloud_ms
-        accelerator.trace_log.log(
-            record.arrival_ms,
-            record.user_id,
-            record.acceleration_group,
-            battery_level,
-            response_ms,
-        )
         if on_complete is not None:
             on_complete(record)
 
@@ -195,14 +197,12 @@ class SDNAccelerator:
         engine: SimulationEngine,
         backend: BackendPool,
         *,
-        trace_log: Optional[TraceLog] = None,
         routing_policy: Optional[RoutingPolicy] = None,
         delivery_buffer: Optional[DeliveryBuffer] = None,
     ) -> None:
         self.engine = engine
         self._clock = engine.clock
         self.backend = backend
-        self.trace_log = trace_log if trace_log is not None else TraceLog()
         self.routing_policy = routing_policy if routing_policy is not None else AccelerationGroupRouting()
         self.records: List[RequestRecord] = []
         self._request_ids = itertools.count()
@@ -222,8 +222,6 @@ class SDNAccelerator:
         t2_ms: float,
         routing_ms: float,
         jitter_z: float,
-        task_name: str = "",
-        battery_level: float = 1.0,
         on_complete: Optional[Callable[[RequestRecord], None]] = None,
     ) -> int:
         """Request Handler entry point: accept and route one offloading request.
@@ -257,9 +255,9 @@ class SDNAccelerator:
                 # device at once.
                 now_ms = clock._now_ms
                 record = RequestRecord(
-                    request_id, user_id, routed_group, task_name, arrival_ms, now_ms, False, None
+                    request_id, user_id, routed_group, arrival_ms, now_ms, False, None
                 )
-                self.delivery_buffer.push(now_ms, self, record, battery_level, on_complete)
+                self.delivery_buffer.push(now_ms, self, record, on_complete)
 
         def _on_cloud_complete(outcome: OffloadOutcome) -> None:
             # The result crosses the back-end -> front-end -> mobile hops.
@@ -269,10 +267,9 @@ class SDNAccelerator:
             )
             record = _new_tuple(
                 RequestRecord,
-                (request_id, user_id, routed_group, task_name, arrival_ms,
-                 delivered_ms, True, breakdown),
+                (request_id, user_id, routed_group, arrival_ms, delivered_ms, True, breakdown),
             )
-            self.delivery_buffer.push(delivered_ms, self, record, battery_level, on_complete)
+            self.delivery_buffer.push(delivered_ms, self, record, on_complete)
 
         self.engine.schedule_after(downlink_ms + routing_ms, _dispatch, label="sdn:dispatch")
         return request_id

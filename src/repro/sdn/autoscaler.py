@@ -1,19 +1,23 @@
 """Autoscaling control loop.
 
 At the end of every provisioning period the Workload Predictor and Resource
-Allocator of Fig. 3 run: the trace log of the finished period is turned into a
-time slot, the adaptive model predicts the workload of the next period, the
-ILP picks the cheapest instance mix, and the provisioner adjusts the running
-back-end to the plan.
+Allocator of Fig. 3 run: the requests served in the finished period are turned
+into a time slot, the adaptive model predicts the workload of the next period,
+the ILP picks the cheapest instance mix, and the provisioner adjusts the
+running back-end to the plan.
 
 :class:`Autoscaler` is the paper's predictive controller driven by the
-:class:`~repro.core.model.AdaptiveModel`.
+:class:`~repro.core.model.AdaptiveModel`.  :meth:`Autoscaler.run_slot` is the
+one control-plane slot step of every executor: each hands it the slot
+window's (serving group, user, observed) arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
+
+import numpy as np
 
 from repro.cloud.backend import BackendPool
 from repro.cloud.provisioner import Provisioner, ProvisioningError
@@ -26,7 +30,23 @@ from repro.core.allocation import (
 )
 from repro.core.model import AdaptiveModel, ModelDecision
 from repro.core.timeslots import TimeSlot
-from repro.workload.traces import TraceLog
+
+
+def slot_users_per_group(
+    groups, routed: np.ndarray, uids: np.ndarray, observed: np.ndarray
+) -> Dict[int, set]:
+    """The users each acceleration group served among the ``observed`` positions.
+
+    Every group of ``groups`` (the model's) gets a set, empty when it served
+    nobody; a routed group outside ``groups`` is added after them, ascending.
+    """
+    users_per_group: Dict[int, set] = {group: set() for group in groups}
+    seen = np.zeros((routed.max(initial=0) + 1, uids.max(initial=0) + 1), dtype=bool)
+    seen[routed[observed], uids[observed]] = True
+    for group in np.flatnonzero(seen.any(axis=1)).tolist():
+        users = np.flatnonzero(seen[group]).tolist()
+        users_per_group.setdefault(group, set()).update(users)
+    return users_per_group
 
 
 @dataclass(frozen=True)
@@ -131,9 +151,7 @@ class Autoscaler:
         """Predict, plan and re-shape the fleet for an already-observed slot.
 
         The slot must already be recorded in the model's history (via
-        ``observe_trace_window`` or ``observe_slot``); the batched scenario
-        executor builds its slots directly from arrays and calls this method,
-        bypassing the per-record trace log entirely.
+        ``observe_slot``); :meth:`run_slot` does both.
         """
         if self.model.can_predict():
             decision = self.model.decide(slot)
@@ -164,7 +182,20 @@ class Autoscaler:
         self.actions.append(action)
         return action
 
-    def run_period_end(self, log: TraceLog, period_start_ms: float, period_end_ms: float) -> ScalingAction:
-        """Run the control loop for the period ``[period_start_ms, period_end_ms)``."""
-        slot = self.model.observe_trace_window(log, period_start_ms, period_end_ms)
-        return self.scale_for_slot(slot, period_end_ms)
+    def run_slot(
+        self, routed: np.ndarray, uids: np.ndarray, observed: np.ndarray, at_ms: float
+    ) -> ScalingAction:
+        """Observe one slot window's served requests, then scale for it.
+
+        ``routed`` and ``uids`` are each request's serving group and user;
+        ``observed`` marks the requests the slot counts (the paper's slot:
+        arrived in the window and delivered before the boundary ``at_ms``).
+        The slot holds, per acceleration group, the set of users it served.
+        """
+        model = self.model
+        slot = TimeSlot.from_user_sets(
+            len(model.history),
+            slot_users_per_group(model.groups(), routed, uids, observed),
+        )
+        model.observe_slot(slot)
+        return self.scale_for_slot(slot, at_ms)

@@ -25,6 +25,15 @@ cyclic-GC pause becomes a ``gc`` span under whatever span is open, so a
 collection that lands between phases is attributed rather than lost.  Only a
 live tracer registers the hook; the disabled telemetry path never touches
 the garbage collector.
+
+Time the process spends off the CPU (descheduled on a busy host, or blocked
+on I/O) between two children of a span is attributed the same way: each
+span open and close also reads the thread's CPU clock
+(``time.thread_time``), and when the wall time of a gap between a parent's
+children (or between the parent's own open or close and its first or last
+child) exceeds its CPU time by at least :data:`OFFCPU_MIN_S`, the difference
+becomes an ``offcpu`` child span of the parent.  Coverage then measures the
+code, not the host's load.
 """
 
 from __future__ import annotations
@@ -33,6 +42,10 @@ import gc
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+#: The smallest off-CPU stretch of a gap recorded as an ``offcpu`` span: far
+#: above the clocks' read-to-read noise, far below a scheduler quantum.
+OFFCPU_MIN_S = 1e-4
 
 
 @dataclass
@@ -81,6 +94,9 @@ class SpanTracer:
         self._epoch = time.perf_counter()
         self.spans: List[SpanRecord] = []
         self._stack: List[int] = []
+        # Per open span: [wall, CPU] at its open or its last child's close,
+        # and whether it has had a child.
+        self._marks: List[list] = []
         self._gc_start_s: Optional[float] = None
 
     def span(self, name: str, *, slot: Optional[int] = None) -> _OpenSpan:
@@ -103,42 +119,80 @@ class SpanTracer:
         )
         index = opened._index = len(self.spans)
         self.spans.append(record)
+        mark = [0.0, 0.0, False]
+        cpu_s = time.thread_time()
+        now_s = time.perf_counter() - self._epoch
+        if stack:
+            self._close_gap(stack[-1], self._marks[-1], len(stack), now_s, cpu_s)
         stack.append(index)
-        record.start_s = time.perf_counter() - self._epoch
+        self._marks.append(mark)
+        mark[0] = record.start_s = now_s
+        mark[1] = cpu_s
         return opened
 
     def _close(self, index: int) -> None:
+        now_s = time.perf_counter() - self._epoch
+        cpu_s = time.thread_time()
         if not self._stack or self._stack[-1] != index:
             raise RuntimeError(
                 f"span {self.spans[index].name!r} closed out of order"
             )
         self._stack.pop()
+        mark = self._marks.pop()
         record = self.spans[index]
-        record.duration_s = (
-            time.perf_counter() - self._epoch - record.start_s
-        )
-        if record.parent >= 0:
+        record.duration_s = now_s - record.start_s
+        if self._stack:
+            # The parent's next gap starts where this child ends.
+            self._marks[-1][:2] = now_s, cpu_s
             self.spans[record.parent].children_s += record.duration_s
+        if mark[2]:
+            self._close_gap(index, mark, record.depth + 1, now_s, cpu_s)
         if not self._stack:
             gc.callbacks.remove(self._on_gc)
+
+    def _close_gap(
+        self, parent: int, mark: list, depth: int, now_s: float, cpu_s: float
+    ) -> None:
+        """End span ``parent``'s gap since ``mark`` (its open or last child).
+
+        The gap's off-CPU part (wall minus CPU time) becomes an ``offcpu``
+        child span when it reaches :data:`OFFCPU_MIN_S`.
+        """
+        mark[2] = True
+        offcpu_s = (now_s - mark[0]) - (cpu_s - mark[1])
+        if offcpu_s >= OFFCPU_MIN_S:
+            self.spans.append(
+                SpanRecord(
+                    name="offcpu",
+                    start_s=now_s - offcpu_s,
+                    duration_s=offcpu_s,
+                    depth=depth,
+                    parent=parent,
+                )
+            )
+            self.spans[parent].children_s += offcpu_s
 
     def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
         """``gc.callbacks`` hook: record a collection as a ``gc`` span.
 
         Only collections of the older generations are recorded: they take
         milliseconds, while a generation-0 pass takes microseconds and runs
-        often enough to flood the span list.
+        often enough to flood the span list.  A recorded collection is a
+        child like any other: it ends its parent's gap and starts the next.
         """
-        if not info["generation"]:
+        if not info["generation"] or not self._stack:
             return
         now_s = time.perf_counter() - self._epoch
+        cpu_s = time.thread_time()
+        parent = self._stack[-1]
         if phase == "start":
             self._gc_start_s = now_s
+            self._close_gap(parent, self._marks[-1], len(self._stack), now_s, cpu_s)
             return
         start_s, self._gc_start_s = self._gc_start_s, None
-        if start_s is None or not self._stack:
+        if start_s is None:
             return
-        parent = self._stack[-1]
+        self._marks[-1][:2] = now_s, cpu_s
         duration_s = now_s - start_s
         self.spans.append(
             SpanRecord(

@@ -1,13 +1,16 @@
 """Tests for the combined adaptive model."""
 
+import numpy as np
 import pytest
 
+from repro.cloud.backend import BackendPool
+from repro.cloud.provisioner import Provisioner
 from repro.core.allocation import InstanceOption
 from repro.core.model import AdaptiveModel
 from repro.core.prediction import prediction_accuracy
 from repro.core.timeslots import TimeSlot
+from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
-from repro.workload.traces import TraceLog
 
 OPTIONS = [
     InstanceOption("t2.nano", acceleration_group=1, cost_per_hour=0.0063, capacity=10.0),
@@ -85,24 +88,32 @@ class TestObserveAndDecide:
 
 
 class TestTraceWindowObservation:
-    def test_observe_trace_window_builds_slot_from_log(self):
+    """The slot step every executor calls records one slot in the model."""
+
+    @staticmethod
+    def run_slot(engine, catalog, routed, uids, observed):
         model = AdaptiveModel(OPTIONS)
-        log = TraceLog()
-        log.log(10.0, 1, 1, 1.0, 100.0)
-        log.log(20.0, 2, 1, 1.0, 100.0)
-        log.log(30.0, 3, 2, 1.0, 100.0)
-        observed = model.observe_trace_window(log, 0.0, MILLISECONDS_PER_HOUR)
+        scaler = Autoscaler(model, Provisioner(engine, catalog), BackendPool())
+        scaler.run_slot(
+            np.asarray(routed, dtype=np.int64),
+            np.asarray(uids, dtype=np.int64),
+            np.asarray(observed, dtype=bool),
+            MILLISECONDS_PER_HOUR,
+        )
+        return model
+
+    def test_run_slot_builds_slot_from_served_requests(self, engine, catalog):
+        model = self.run_slot(engine, catalog, [1, 1, 2], [1, 2, 3], [True, True, True])
+        observed = model.history.latest()
         assert observed.workload(1) == 2
         assert observed.workload(2) == 1
         assert observed.workload(3) == 0
         assert len(model.history) == 1
 
-    def test_window_outside_records_is_empty_slot(self):
-        model = AdaptiveModel(OPTIONS)
-        log = TraceLog()
-        log.log(10.0, 1, 1, 1.0, 100.0)
-        observed = model.observe_trace_window(log, MILLISECONDS_PER_HOUR, 2 * MILLISECONDS_PER_HOUR)
-        assert sum(observed.workload_vector().values()) == 0
+    def test_window_outside_records_is_empty_slot(self, engine, catalog):
+        # The one delivered request arrived before the window: not observed.
+        model = self.run_slot(engine, catalog, [1], [1], [False])
+        assert sum(model.history.latest().workload_vector().values()) == 0
 
 
 class TestRunOverHistory:

@@ -29,7 +29,13 @@ class TestExperimentMechanics:
         assert result.success_rate() > 0.95
 
     def test_every_request_is_logged(self, result):
-        assert len(result.trace_log) == len(result.records)
+        # One record per request the devices sent, each request id once.
+        assert sum(device.requests_sent for device in result.devices.values()) == len(
+            result.records
+        )
+        assert sorted(record.request_id for record in result.records) == list(
+            range(len(result.records))
+        )
 
     def test_all_users_participate(self, result):
         assert len(result.devices) == 60

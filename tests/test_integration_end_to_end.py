@@ -21,12 +21,11 @@ from repro.core.allocation import AllocationProblem, IlpAllocator, build_options
 from repro.core.model import AdaptiveModel
 from repro.mobile.tasks import DEFAULT_TASK_POOL
 from repro.network.channel import CommunicationChannel
-from repro.sdn.accelerator import SDNAccelerator, draw_routing_overhead_ms
+from repro.sdn.accelerator import SDNAccelerator, draw_routing_overhead_ms, served_columns
 from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
-from repro.workload.traces import TraceLog
 
 
 class TestBenchmarkToAllocationPipeline:
@@ -85,8 +84,7 @@ class TestFullSystemSmallRun:
             response_threshold_ms=5000.0,
         )
         model = AdaptiveModel(options, instance_cap=10)
-        trace_log = TraceLog()
-        accelerator = SDNAccelerator(engine, backend, trace_log=trace_log)
+        accelerator = SDNAccelerator(engine, backend)
         autoscaler = Autoscaler(model, provisioner, backend, minimum_per_group=1)
 
         count = 200
@@ -111,15 +109,19 @@ class TestFullSystemSmallRun:
                     t2_ms=float(t2[index]),
                     routing_ms=float(routing[index]),
                     jitter_z=float(jitter[index]),
-                    task_name=task.name,
                 )
 
             engine.schedule_at(float(arrivals[index]), _submit)
 
+        seen = []  # records already handed to a slot, as the event executor keeps
+
         def _period_end(hour):
             accelerator.delivery_buffer.drain_until(engine.now_ms)
-            autoscaler.run_period_end(
-                trace_log, (hour - 1) * MILLISECONDS_PER_HOUR, hour * MILLISECONDS_PER_HOUR
+            fresh = accelerator.records[len(seen):]
+            seen.extend(fresh)
+            autoscaler.run_slot(
+                *served_columns(fresh, (hour - 1) * MILLISECONDS_PER_HOUR),
+                hour * MILLISECONDS_PER_HOUR,
             )
 
         for hour in (1, 2):
@@ -128,15 +130,14 @@ class TestFullSystemSmallRun:
         engine.run(until_ms=horizon_ms)
         accelerator.delivery_buffer.flush(horizon_ms)
 
-        # Every submitted request was processed and logged.
+        # Every submitted request was processed and recorded.
         records = accelerator.records
         assert len(records) == 200
-        assert len(trace_log) == 200
         assert sum(record.success for record in records) / len(records) > 0.95
         # The autoscaler ran twice and the account cap was respected throughout.
         assert len(autoscaler.actions) == 2
         assert provisioner.running_count <= 10
-        # The trace log slots into exactly the history the model consumed.
+        # The records slot into exactly the history the model consumed.
         assert len(model.history) == 2
         # Requests routed to group 2 ran faster on average than group 1.
         by_group = {1: [], 2: []}
@@ -146,12 +147,11 @@ class TestFullSystemSmallRun:
         assert np.mean(by_group[2]) < np.mean(by_group[1])
 
     def test_trace_log_round_trips_into_model_history(self):
-        """Traces written by the front-end slot into the model's history."""
+        """Records delivered by the front-end slot into the model's history."""
         engine = SimulationEngine()
         backend = BackendPool()
         backend.add_instance(CloudInstance(engine, DEFAULT_CATALOG.get("t2.nano")), 1)
-        trace_log = TraceLog()
-        accelerator = SDNAccelerator(engine, backend, trace_log=trace_log)
+        accelerator = SDNAccelerator(engine, backend)
         for index in range(50):
             engine.schedule_at(
                 index * 30_000.0,
@@ -172,6 +172,7 @@ class TestFullSystemSmallRun:
                 DEFAULT_CATALOG.subset(["t2.nano"]), work_units=200.0, response_threshold_ms=5000.0
             )
         )
-        slot = model.observe_trace_window(trace_log, 0.0, MILLISECONDS_PER_HOUR)
+        autoscaler = Autoscaler(model, Provisioner(engine, DEFAULT_CATALOG), backend)
+        autoscaler.run_slot(*served_columns(accelerator.records, 0.0), MILLISECONDS_PER_HOUR)
         assert len(model.history) == 1
-        assert slot.workload(1) == 7
+        assert model.history.latest().workload(1) == 7

@@ -3,19 +3,28 @@
 Each offloaded request builds one value of each of these types.  They are
 named tuples because they are built per request; these tests pin what the
 frozen dataclasses they replaced guaranteed: attributes cannot be assigned,
-the field names and their order are unchanged, and ``TraceRecord`` still
-validates on construction.
+the field names and their order are unchanged.
+
+The paper's per-request trace row (Section IV-A) is not built: the request
+record carries the fields the adaptive model reads.  The checks the trace row
+made on its five fields are made where each value is produced;
+``TestTraceFieldGuards`` pins each of them.
 """
 
 import pickle
 
 import pytest
 
-from repro.cloud.server import OffloadOutcome
+from repro.cloud.backend import BackendPool
+from repro.cloud.catalog import DEFAULT_CATALOG
+from repro.cloud.server import CloudInstance, OffloadOutcome
+from repro.mobile.battery import BatteryModel
+from repro.mobile.device import DEVICE_PROFILES, MobileDevice
 from repro.mobile.moderator import PromotionDecision
 from repro.network.channel import ResponseTimeBreakdown
 from repro.sdn.accelerator import RequestRecord
-from repro.workload.traces import TraceRecord
+from repro.simulation.clock import SimulationClock
+from repro.simulation.engine import SimulationEngine
 
 BREAKDOWN = ResponseTimeBreakdown(40.0, 8.0, 150.0, 2000.0)
 
@@ -29,26 +38,15 @@ VALUES = {
         ("t1_ms", "t2_ms", "routing_ms", "cloud_ms"),
     ),
     "RequestRecord": (
-        RequestRecord(7, 2, 1, "fibonacci", 10.0, 2300.0, True, BREAKDOWN),
+        RequestRecord(7, 2, 1, 10.0, 2300.0, True, BREAKDOWN),
         (
             "request_id",
             "user_id",
             "acceleration_group",
-            "task_name",
             "arrival_ms",
             "completed_ms",
             "success",
             "breakdown",
-        ),
-    ),
-    "TraceRecord": (
-        TraceRecord(10.0, 2, 1, 0.5, 2198.0),
-        (
-            "timestamp_ms",
-            "user_id",
-            "acceleration_group",
-            "battery_level",
-            "round_trip_time_ms",
         ),
     ),
     "PromotionDecision": (
@@ -91,37 +89,53 @@ class TestDerivedValues:
         assert PromotionDecision(False) == (False, "")
 
 
-class TestTraceRecordValidation:
-    GOOD = dict(
-        timestamp_ms=0.0,
-        user_id=0,
-        acceleration_group=1,
-        battery_level=1.0,
-        round_trip_time_ms=1.0,
+def _device(**fields):
+    return MobileDevice(
+        **dict(dict(user_id=0, profile=DEVICE_PROFILES["wearable"], acceleration_group=1), **fields)
     )
 
-    @pytest.mark.parametrize(
-        "field,bad",
-        [
-            ("timestamp_ms", -1.0),
-            ("user_id", -1),
-            ("acceleration_group", -1),
-            ("battery_level", 1.5),
-            ("battery_level", float("nan")),
-            ("round_trip_time_ms", -1.0),
-        ],
-    )
-    def test_every_construction_path_validates(self, field, bad):
-        fields = dict(self.GOOD, **{field: bad})
-        with pytest.raises(ValueError, match=field):
-            TraceRecord(**fields)
-        with pytest.raises(ValueError, match=field):
-            TraceRecord(*fields.values())
-        with pytest.raises(ValueError, match=field):
-            TraceRecord._make(fields.values())
-        with pytest.raises(ValueError, match=field):
-            TraceRecord(**self.GOOD)._replace(**{field: bad})
 
-    def test_valid_record_keeps_its_values(self):
-        record = TraceRecord(**self.GOOD)
-        assert record._asdict() == self.GOOD
+class TestTraceFieldGuards:
+    """Each field of the paper's trace row is checked where it is produced."""
+
+    def test_timestamp_is_never_negative(self):
+        # A request's timestamp is the clock at submission: the clock cannot
+        # start below zero or move back, and no event is scheduled before it.
+        with pytest.raises(ValueError, match="negative"):
+            SimulationClock(start_ms=-1.0)
+        engine = SimulationEngine()
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="past"):
+                engine.schedule_at(bad, lambda: None)
+
+    def test_user_id_is_never_negative(self):
+        # The executors submit only for users that have a device.
+        with pytest.raises(ValueError, match="user_id"):
+            _device(user_id=-1)
+
+    def test_acceleration_group_is_never_negative(self):
+        # The record carries the serving group, a level of the back-end pool.
+        with pytest.raises(ValueError, match="acceleration level"):
+            BackendPool().add_instance(
+                CloudInstance(SimulationEngine(), DEFAULT_CATALOG.get("t2.nano")), -1
+            )
+        with pytest.raises(ValueError, match="acceleration_group"):
+            _device(acceleration_group=-1)
+
+    def test_battery_level_stays_in_unit_interval(self):
+        for bad in (-0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="level"):
+                BatteryModel(level=bad)
+        # Draining is the only other writer: it floors the level at zero.
+        battery = BatteryModel(level=0.5)
+        assert battery.drain_offload(1e15) == 0.0
+        assert battery.drain_offload(float("inf")) == 0.0
+
+    def test_round_trip_time_is_never_negative(self):
+        # Every delivered response reaches its device before any use.
+        device = _device()
+        with pytest.raises(ValueError, match="response_time_ms"):
+            device.record_response(-1.0)
+        with pytest.raises(ValueError, match="response_time_ms"):
+            device.record_responses([2.0, -1.0])
+        assert device.response_times_ms == []

@@ -18,11 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import run_scenario
-from repro.scenarios.batched import (
-    fold_slot_devices,
-    groups_present,
-    slot_users_per_group,
-)
+from repro.scenarios.batched import fold_slot_devices, groups_present
 from repro.scenarios.spec import (
     CloudSpec,
     NetworkSpec,
@@ -30,6 +26,7 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.sdn.autoscaler import slot_users_per_group
 
 EXACT_FIELDS_INT = (
     "requests_total",

@@ -17,9 +17,9 @@ from repro.sdn.accelerator import (
     RoundRobinRouting,
     SDNAccelerator,
     draw_routing_overhead_ms,
+    served_columns,
 )
 from repro.workload.arrival import FixedRateArrivalProcess
-from repro.workload.traces import TraceLog
 
 
 def make_backend(engine, types_by_level):
@@ -49,8 +49,7 @@ class TestRequestFlow:
         accelerator = SDNAccelerator(engine, backend)
         completed = []
         submit(
-            accelerator, user_id=7, work_units=300.0, task_name="quicksort",
-            on_complete=completed.append,
+            accelerator, user_id=7, work_units=300.0, on_complete=completed.append,
         )
         run_to_completion(engine, accelerator)
         assert len(completed) == 1
@@ -58,7 +57,6 @@ class TestRequestFlow:
         assert record.success
         assert record.user_id == 7
         assert record.acceleration_group == 1
-        assert record.task_name == "quicksort"
         breakdown = record.breakdown
         assert breakdown.t1_ms == pytest.approx(40.0)
         assert breakdown.t2_ms == pytest.approx(10.0)
@@ -76,17 +74,20 @@ class TestRequestFlow:
         assert record.completed_ms == pytest.approx(record.arrival_ms + record.response_time_ms, rel=0.05)
 
     def test_request_is_logged_with_trace_schema(self, engine):
-        trace_log = TraceLog()
+        # The Section IV-A fields the adaptive model reads: the timestamp
+        # (arrival), the user and the acceleration group that served it.
         backend = make_backend(engine, {1: "t2.nano"})
-        accelerator = SDNAccelerator(engine, backend, trace_log=trace_log)
-        submit(accelerator, user_id=3, work_units=100.0, battery_level=0.5)
+        accelerator = SDNAccelerator(engine, backend)
+        engine.schedule_at(
+            250.0, lambda: submit(accelerator, user_id=3, acceleration_group=2, work_units=100.0)
+        )
         run_to_completion(engine, accelerator)
-        assert len(trace_log) == 1
-        record = list(trace_log)[0]
-        assert record.user_id == 3
-        assert record.acceleration_group == 1
-        assert record.battery_level == 0.5
-        assert record.round_trip_time_ms > 0
+        (record,) = accelerator.records
+        assert (record.arrival_ms, record.user_id, record.acceleration_group) == (250.0, 3, 1)
+        assert record.response_time_ms > 0
+        routed, uids, observed = served_columns(accelerator.records, 250.0)
+        assert (routed.tolist(), uids.tolist(), observed.tolist()) == ([1], [3], [True])
+        assert served_columns(accelerator.records, 250.5)[2].tolist() == [False]
 
     def test_dropped_request_recorded_as_failure(self, engine):
         backend = BackendPool()
@@ -230,7 +231,6 @@ def make_record(request_id, user_id=0):
         request_id=request_id,
         user_id=user_id,
         acceleration_group=1,
-        task_name="",
         arrival_ms=0.0,
         completed_ms=0.0,
         success=False,
@@ -247,7 +247,7 @@ class TestDeliveryBuffer:
         accelerator = self.make(engine, buffer)
         delivered = []
         for request_id, at_ms in enumerate((5.0, 10.0, 15.0)):
-            buffer.push(at_ms, accelerator, make_record(request_id), 1.0, delivered.append)
+            buffer.push(at_ms, accelerator, make_record(request_id), delivered.append)
         buffer.drain_until(10.0)
         assert [record.request_id for record in delivered] == [0]
         assert len(buffer) == 2
@@ -258,7 +258,7 @@ class TestDeliveryBuffer:
         buffer = DeliveryBuffer()
         accelerator = self.make(engine, buffer)
         for request_id, at_ms in enumerate((10.0, 20.0, 30.0)):
-            buffer.push(at_ms, accelerator, make_record(request_id), 1.0, None)
+            buffer.push(at_ms, accelerator, make_record(request_id), None)
         buffer.flush(20.0)
         assert [record.request_id for record in accelerator.records] == [0, 1]
         assert len(buffer) == 1
@@ -268,8 +268,8 @@ class TestDeliveryBuffer:
         accelerator = self.make(engine, buffer)
         delivered = []
         for request_id in (3, 1, 2, 0):
-            buffer.push(7.0, accelerator, make_record(request_id), 1.0, delivered.append)
-        buffer.push(6.0, accelerator, make_record(9), 1.0, delivered.append)
+            buffer.push(7.0, accelerator, make_record(request_id), delivered.append)
+        buffer.push(6.0, accelerator, make_record(9), delivered.append)
         buffer.flush(7.0)
         assert [record.request_id for record in delivered] == [9, 3, 1, 2, 0]
 
@@ -277,16 +277,13 @@ class TestDeliveryBuffer:
         buffer = DeliveryBuffer()
         first, second = self.make(engine, buffer), self.make(engine, buffer)
         delivered = []
-        buffer.push(2.0, second, make_record(0, user_id=20), 0.5, delivered.append)
-        buffer.push(1.0, first, make_record(0, user_id=10), 0.25, delivered.append)
-        buffer.push(3.0, first, make_record(1, user_id=11), 0.75, delivered.append)
+        buffer.push(2.0, second, make_record(0, user_id=20), delivered.append)
+        buffer.push(1.0, first, make_record(0, user_id=10), delivered.append)
+        buffer.push(3.0, first, make_record(1, user_id=11), delivered.append)
         buffer.flush(math.inf)
         assert [record.user_id for record in delivered] == [10, 20, 11]
         assert [record.user_id for record in first.records] == [10, 11]
         assert [record.user_id for record in second.records] == [20]
-        assert [entry.user_id for entry in first.trace_log] == [10, 11]
-        assert [entry.battery_level for entry in first.trace_log] == [0.25, 0.75]
-        assert [entry.user_id for entry in second.trace_log] == [20]
 
     def test_results_wait_in_the_buffer_until_drained(self, engine):
         backend = make_backend(engine, {1: "t2.nano"})
@@ -374,5 +371,3 @@ class TestFloatExpressions:
         assert t1 + t2 + routing + cloud != t1 + (t2 + (routing + cloud))
         expected = (t1 + t2 + routing + cloud).hex()
         assert record.response_time_ms.hex() == expected
-        (logged,) = list(accelerator.trace_log)
-        assert logged.round_trip_time_ms.hex() == expected

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import time
 
 import numpy as np
 import pytest
@@ -80,6 +81,40 @@ class TestHistogram:
             Histogram("h", edges=(2.0, 1.0))
         with pytest.raises(ValueError):
             Histogram("h", edges=())
+
+    def test_sleep_between_children_is_credited_to_offcpu(self):
+        def gap_with(fill):
+            tracer = SpanTracer()
+            with tracer.span("root"):
+                with tracer.span("first"):
+                    pass
+                fill()
+                with tracer.span("second"):
+                    pass
+            return tracer
+
+        def busy():
+            deadline = time.perf_counter() + 0.05
+            while time.perf_counter() < deadline:
+                pass
+
+        slept = gap_with(lambda: time.sleep(0.05))
+        (offcpu,) = [span for span in slept.spans if span.name == "offcpu"]
+        assert (offcpu.depth, offcpu.parent) == (1, 0)
+        assert 0.045 <= offcpu.duration_s <= slept.spans[0].duration_s
+        assert slept.coverage() > 0.9
+        # A busy loop in the same gap stays the root's own time.  On a loaded
+        # host part of it may be descheduled, but never most of it.
+        spun = gap_with(busy)
+        spun_off = sum(span.duration_s for span in spun.spans if span.name == "offcpu")
+        assert spun_off < 0.025
+        assert spun.coverage() < 0.5
+
+    def test_leaf_spans_record_no_offcpu(self):
+        tracer = SpanTracer()
+        with tracer.span("leaf"):
+            time.sleep(0.01)
+        assert [span.name for span in tracer.spans] == ["leaf"]
 
     def test_as_dict_is_json_serializable(self):
         histogram = Histogram("h", edges=(1.0, 2.0))
