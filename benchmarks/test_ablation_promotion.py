@@ -26,7 +26,7 @@ def _run_policy(policy):
     result = run_dynamic_acceleration(
         seed=5, users=60, duration_hours=1.5, target_requests=2500, policy=policy
     )
-    responses = [record.response_time_ms for record in result.records if record.success]
+    responses = result.response_ms[result.success]
     return {
         "promoted_users": sum(1 for device in result.devices.values() if device.promotions),
         "mean_response_ms": float(np.mean(responses)),

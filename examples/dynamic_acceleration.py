@@ -24,7 +24,7 @@ def main() -> None:
         seed=1, users=100, duration_hours=2.0, target_requests=6000
     )
 
-    print(f"\nProcessed {len(result.records)} offloading requests "
+    print(f"\nProcessed {result.success.size} offloading requests "
           f"({100.0 * result.success_rate():.1f}% successful)")
     print(f"Provisioning cost for the run: ${result.total_cost:.2f}")
 

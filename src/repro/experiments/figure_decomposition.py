@@ -17,7 +17,9 @@ dominates and decreases monotonically from acceleration level 1 to level 4
 :func:`run_bursts` is the burst harness this experiment shares with Fig. 8a
 (:mod:`repro.experiments.figure_sdn_overhead`): it draws every per-request
 sample up front and submits the bursts through
-:meth:`SDNAccelerator.submit_planned`.
+:meth:`SDNAccelerator.submit_planned`.  T1, T2 and routing are its own
+draws; T_cloud and the total come from the front-end's
+:class:`~repro.sdn.accelerator.RequestColumns`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog, InstanceType
 from repro.cloud.server import CloudInstance
 from repro.mobile.tasks import DEFAULT_TASK_POOL, OffloadableTask
 from repro.network.channel import CommunicationChannel
-from repro.sdn.accelerator import RequestRecord, SDNAccelerator, draw_routing_overhead_ms
+from repro.sdn.accelerator import (
+    RequestColumns,
+    SDNAccelerator,
+    draw_routing_overhead_ms,
+)
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
@@ -96,28 +102,31 @@ def run_bursts(
     rng: np.random.Generator,
     burst_sizes: Sequence[int],
     burst_gap_ms: float,
-) -> Tuple[List[RequestRecord], np.ndarray]:
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """Push bursts of simultaneous offloads through one SDN front-end.
 
-    Burst ``k`` submits ``burst_sizes[k]`` requests (users ``0..size-1``) at
+    Burst ``k`` submits ``burst_sizes[k]`` requests (the next rows) at
     ``k * burst_gap_ms`` to ``instances`` instances of ``instance_type``
     serving ``level``.  Every per-request sample is drawn from ``rng`` up
     front, in this order: work units, T1 and T2 over the default LTE
     channel, service jitter and routing overhead.  Routing comes last, so
     swapping the routing model leaves every other draw unchanged.
 
-    Returns the delivered records and the routing overhead of every
-    submitted request, in submission order.
+    Returns the rows of the requests that completed, in delivery order, and
+    the component times of every submitted request by row (submission
+    order): ``T1``, ``T2``, ``routing``, ``Tcloud`` and ``Tresponse``.  A
+    dropped request's ``Tcloud`` and ``Tresponse`` are 0.
     """
     engine = SimulationEngine()
     backend = BackendPool()
     for _ in range(instances):
         backend.add_instance(CloudInstance(engine, instance_type), level)
-    accelerator = SDNAccelerator(engine, backend)
 
     bounds = np.concatenate(([0], np.cumsum(burst_sizes))).tolist()
     arrival_ms = np.repeat(np.arange(len(burst_sizes)) * burst_gap_ms, burst_sizes)
     count = arrival_ms.size
+    columns = RequestColumns(count)
+    accelerator = SDNAccelerator(engine, backend, columns)
     hours_of_day = arrival_ms / MILLISECONDS_PER_HOUR
     channel = CommunicationChannel(rng=rng)
     work_units = task.sample_work_units_many(rng, count)
@@ -129,7 +138,7 @@ def run_bursts(
     def _submit_burst(first: int, end: int) -> None:
         for index in range(first, end):
             accelerator.submit_planned(
-                user_id=index - first,
+                row=index,
                 acceleration_group=level,
                 work_units=float(work_units[index]),
                 t1_ms=float(t1_ms[index]),
@@ -146,7 +155,14 @@ def run_bursts(
         )
     engine.run()
     accelerator.delivery_buffer.flush(math.inf)
-    return accelerator.records, routing_ms
+    delivered = np.asarray(accelerator.delivered, dtype=np.int64)
+    return delivered[columns.success[delivered]], {
+        "T1": t1_ms,
+        "T2": t2_ms,
+        "routing": routing_ms,
+        "Tcloud": columns.cloud_ms,
+        "Tresponse": columns.response_ms,
+    }
 
 
 def run_fig7_decomposition(
@@ -183,7 +199,7 @@ def run_fig7_decomposition(
 
     component_means: Dict[int, Dict[str, float]] = {}
     for level, type_name in sorted(level_types.items()):
-        records, _ = run_bursts(
+        completed, components = run_bursts(
             instance_type=catalog.get(type_name),
             instances=instances_per_level.get(level, 1),
             level=level,
@@ -192,15 +208,12 @@ def run_fig7_decomposition(
             burst_sizes=[concurrent_users] * rounds,
             burst_gap_ms=round_gap_ms,
         )
-        breakdowns = [record.breakdown for record in records if record.success]
-        if not breakdowns:
+        if not completed.size:
             raise RuntimeError(f"no successful requests for level {level}")
+        # In delivery order: numpy's pairwise sums depend on it.
         component_means[level] = {
-            "T1": float(np.mean([b.t1_ms for b in breakdowns])),
-            "T2": float(np.mean([b.t2_ms for b in breakdowns])),
-            "routing": float(np.mean([b.routing_ms for b in breakdowns])),
-            "Tcloud": float(np.mean([b.cloud_ms for b in breakdowns])),
-            "Tresponse": float(np.mean([b.total_ms for b in breakdowns])),
+            name: float(np.mean(values[completed]))
+            for name, values in components.items()
         }
     return DecompositionResult(
         component_means_ms=component_means, concurrent_users=concurrent_users

@@ -21,8 +21,10 @@ The deployment is a scenario spec (:func:`dynamic_acceleration_spec`) with
 hourly slots, a uniform workload, the default cloud and the LTE network; it
 runs on the scenario runner's event executor
 (:func:`repro.multisite.runner.execute_multisite`), and the per-request
-records, devices and scaling actions are read from the state that run leaves
-behind.  Each request's uplink T1 and downlink T2 come from the spec's LTE
+columns, devices and scaling actions are read from the state that run leaves
+behind.  The front-end delivers requests in non-decreasing completion time,
+so the columns, gathered in delivery order, are already in completion
+order.  Each request's uplink T1 and downlink T2 come from the spec's LTE
 channel.
 
 Substitutions relative to the paper's testbed: the EC2 back-end is the
@@ -40,15 +42,22 @@ import numpy as np
 from repro.mobile.device import MobileDevice
 from repro.multisite.runner import execute_multisite
 from repro.scenarios.spec import PolicySpec, ScenarioSpec, WorkloadSpec
-from repro.sdn.accelerator import RequestRecord
 from repro.telemetry import NULL_TELEMETRY
 
 
 @dataclass
 class DynamicAccelerationResult:
-    """Everything the Fig. 9 / Fig. 10b / Fig. 10c panels need."""
+    """Everything the Fig. 9 / Fig. 10b / Fig. 10c panels need.
 
-    records: List[RequestRecord]
+    ``user_ids``, ``groups`` (the serving acceleration group), ``success``
+    and ``response_ms`` hold one entry per processed request, in delivery
+    order (which is completion order).  A dropped request's response is 0.
+    """
+
+    user_ids: np.ndarray
+    groups: np.ndarray
+    success: np.ndarray
+    response_ms: np.ndarray
     devices: Dict[int, MobileDevice]
     scaling_actions: List
     group_types: Dict[int, str]
@@ -59,21 +68,17 @@ class DynamicAccelerationResult:
 
     def user_series(self, user_id: int) -> List[Dict[str, float]]:
         """Per-request series for one user: request index, response, group."""
-        series = []
-        for index, record in enumerate(
-            sorted(
-                (r for r in self.records if r.user_id == user_id and r.success),
-                key=lambda r: r.completed_ms,
+        served = self.success & (self.user_ids == user_id)
+        return [
+            {
+                "request_index": index,
+                "response_time_ms": response_ms,
+                "acceleration_group": group,
+            }
+            for index, (response_ms, group) in enumerate(
+                zip(self.response_ms[served].tolist(), self.groups[served].tolist())
             )
-        ):
-            series.append(
-                {
-                    "request_index": index,
-                    "response_time_ms": record.response_time_ms,
-                    "acceleration_group": record.acceleration_group,
-                }
-            )
-        return series
+        ]
 
     def stable_user(self) -> int:
         """A user that was never promoted (Fig. 9b's user 32), with most requests."""
@@ -112,27 +117,26 @@ class DynamicAccelerationResult:
         return summary
 
     def mean_response_by_group(self) -> Dict[int, float]:
-        """Mean perceived response time per acceleration group."""
-        grouped: Dict[int, List[float]] = {}
-        for record in self.records:
-            if record.success:
-                grouped.setdefault(record.acceleration_group, []).append(
-                    record.response_time_ms
-                )
-        return {group: float(np.mean(times)) for group, times in grouped.items() if times}
+        """Mean perceived response time per acceleration group, in first-served order."""
+        groups = self.groups[self.success]
+        responses = self.response_ms[self.success]
+        return {
+            group: float(np.mean(responses[groups == group]))
+            for group in dict.fromkeys(groups.tolist())
+        }
 
     def mean_response_by_window(self, windows: int = 16) -> List[float]:
         """Mean response time per equal-size window of the request stream (Fig. 10b trend)."""
-        successes = [r.response_time_ms for r in sorted(self.records, key=lambda r: r.completed_ms) if r.success]
-        if not successes:
+        successes = self.response_ms[self.success]
+        if not successes.size:
             return []
-        chunks = np.array_split(np.asarray(successes), max(min(windows, len(successes)), 1))
+        chunks = np.array_split(successes, max(min(windows, successes.size), 1))
         return [float(chunk.mean()) for chunk in chunks if chunk.size]
 
     def success_rate(self) -> float:
-        if not self.records:
+        if not self.success.size:
             raise ValueError("no requests recorded")
-        return sum(1 for r in self.records if r.success) / len(self.records)
+        return int(np.count_nonzero(self.success)) / self.success.size
 
     def rows(self) -> List[Dict[str, object]]:
         """Headline rows for the benchmark output."""
@@ -147,7 +151,7 @@ class DynamicAccelerationResult:
         ]
         rows.append(
             {
-                "total_requests": len(self.records),
+                "total_requests": int(self.success.size),
                 "success_rate_pct": round(100.0 * self.success_rate(), 1),
                 "provisioning_cost_usd": round(self.total_cost, 3),
                 "promoted_users": sum(
@@ -208,8 +212,14 @@ def run_dynamic_acceleration(
     )
     run = execute_multisite(spec, seed, NULL_TELEMETRY)
     site = run.federation.site(0)
+    accelerator = site.accelerator
+    log = np.asarray(accelerator.delivered, dtype=np.int64)
+    columns = accelerator.columns
     return DynamicAccelerationResult(
-        records=list(site.accelerator.records),
+        user_ids=run.plan.user_ids[log],
+        groups=columns.served_group[log],
+        success=columns.success[log],
+        response_ms=columns.response_ms[log],
         devices=run.devices,
         scaling_actions=list(site.autoscaler.actions),
         group_types=dict(spec.cloud.group_types),

@@ -73,7 +73,7 @@ def run_fig8a_sdn_overhead(
     burst_sizes = [concurrent_users] * full_bursts + ([remainder] if remainder else [])
     routing_samples: Dict[int, List[float]] = {}
     for level, type_name in sorted(level_types.items()):
-        _, routing_ms = run_bursts(
+        _, components = run_bursts(
             instance_type=catalog.get(type_name),
             instances=1,
             level=level,
@@ -82,7 +82,7 @@ def run_fig8a_sdn_overhead(
             burst_sizes=burst_sizes,
             burst_gap_ms=5_000.0,
         )
-        routing_samples[level] = routing_ms.tolist()
+        routing_samples[level] = components["routing"].tolist()
     all_samples = [sample for samples in routing_samples.values() for sample in samples]
     return SdnOverheadResult(
         routing_samples_ms=routing_samples,

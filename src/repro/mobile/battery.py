@@ -47,7 +47,7 @@ class BatteryModel:
         keeping the radio connection open while waiting for the result, so
         the drain scales with the request's response time.
         """
-        if connection_open_ms < 0:
+        if not connection_open_ms >= 0:
             raise ValueError(f"connection_open_ms must be >= 0, got {connection_open_ms}")
         drained = (connection_open_ms / 1000.0) * self.offload_cost_per_second
         self.level = max(0.0, self.level - drained)

@@ -86,7 +86,7 @@ class MobileDevice:
 
     def record_response(self, response_time_ms: float) -> None:
         """Record a completed request's perceived response time."""
-        if response_time_ms < 0:
+        if not response_time_ms >= 0:
             raise ValueError(f"response_time_ms must be >= 0, got {response_time_ms}")
         self.response_times_ms.append(response_time_ms)
         self.battery.drain_offload(response_time_ms)
@@ -101,8 +101,9 @@ class MobileDevice:
         values = np.asarray(response_times_ms, dtype=float)
         if values.size == 0:
             return
-        if np.any(values < 0):
-            bad = float(values[values < 0][0])
+        invalid = ~(values >= 0)
+        if np.any(invalid):
+            bad = float(values[invalid][0])
             raise ValueError(f"response_time_ms must be >= 0, got {bad}")
         self.response_times_ms.extend(values.tolist())
         self.battery.drain_offload(float(values.sum()))

@@ -33,7 +33,7 @@ from repro.core.timeslots import TimeSlotHistory
 from repro.multisite.spec import MultiSiteSpec, SiteSpec
 from repro.network.channel import CommunicationChannel
 from repro.scenarios.spec import ScenarioSpec
-from repro.sdn.accelerator import RoundRobinRouting, SDNAccelerator
+from repro.sdn.accelerator import SDNAccelerator
 from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
@@ -77,6 +77,7 @@ class SiteRuntime:
     #: Telemetry name prefix of this site's fleet series and serving-stack
     #: metrics (``site.<name>``; empty for the implicit site).
     metric_prefix: str
+    #: The site's SDN front-end; the event executor builds it for its run.
     accelerator: Optional[SDNAccelerator] = None
     utilization_samples: List[float] = field(default_factory=list)
 
@@ -191,7 +192,6 @@ def build_site_runtime(
     engine: SimulationEngine,
     streams: RandomStreams,
     task,
-    with_accelerator: bool,
     stream_prefix: str,
     metric_prefix: str,
 ) -> SiteRuntime:
@@ -243,12 +243,6 @@ def build_site_runtime(
         minimum_per_group=1,
     )
     channel = build_channel(site.network, rng_network)
-    accelerator = None
-    if with_accelerator:
-        routing_policy = (
-            RoundRobinRouting() if scenario.policy.routing == "round-robin" else None
-        )
-        accelerator = SDNAccelerator(engine, backend, routing_policy=routing_policy)
     return SiteRuntime(
         index=index,
         spec=site,
@@ -260,7 +254,6 @@ def build_site_runtime(
         channel=channel,
         level_for_type=level_for_type,
         metric_prefix=metric_prefix,
-        accelerator=accelerator,
     )
 
 
@@ -343,7 +336,6 @@ def build_federation(
     engine: SimulationEngine,
     streams: RandomStreams,
     task,
-    with_accelerators: bool,
 ) -> Federation:
     """Build every site runtime of a scenario's federation.
 
@@ -373,7 +365,6 @@ def build_federation(
             engine=engine,
             streams=streams,
             task=task,
-            with_accelerator=with_accelerators,
             stream_prefix="scenario-" if implicit else f"site-{site.name}-",
             metric_prefix="" if implicit else f"site.{site.name}",
         )

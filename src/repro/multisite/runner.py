@@ -3,7 +3,7 @@
 This is the one runner behind :func:`repro.scenarios.runner.run_scenario`
 and behind the Section VI-C experiment
 (:mod:`repro.experiments.figure_dynamic`), which reads its per-request
-records from the state :func:`execute_multisite` returns.  It builds one
+columns from the state :func:`execute_multisite` returns.  It builds one
 serving stack per site (:mod:`repro.multisite.federation`), lets the global
 broker partition the pre-drawn request plan across sites
 (:mod:`repro.multisite.broker`), samples each request's network latency from
@@ -46,7 +46,7 @@ drop totals).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -92,7 +92,12 @@ from repro.scenarios.runner import (
     build_arrival_process,
 )
 from repro.scenarios.spec import ScenarioSpec
-from repro.sdn.accelerator import DeliveryBuffer, RequestRecord, served_columns
+from repro.sdn.accelerator import (
+    DeliveryBuffer,
+    RequestColumns,
+    RoundRobinRouting,
+    SDNAccelerator,
+)
 from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
@@ -381,48 +386,41 @@ def execute_event_multisite(
     per_site: List[SiteExecutionStats] = [SiteExecutionStats() for _ in federation]
     unrouted = 0
     fault_outcome = None if fault_plane is None else fault_plane.overlay.outcome
-    # Each site's successful response times in delivery order, which is the
-    # order of its accelerator's records.
-    site_successes: List[List[float]] = [[] for _ in federation]
-
-    def _completion_for(successes: List[float]) -> Callable[[RequestRecord], None]:
-        append = successes.append
-
-        def _on_complete(record: RequestRecord) -> None:
-            user_id = record.user_id
-            if record.success:
-                # ``RequestRecord.response_time_ms`` without its two
-                # property hops: the same sum, in the same order.
-                t1_ms, t2_ms, routing_ms, cloud_ms = record.breakdown
-                response_ms = t1_ms + t2_ms + routing_ms + cloud_ms
-                append(response_ms)
-                # The record's completion stamp is the delivery instant —
-                # with buffered delivery the engine clock may already be
-                # past it when the buffer drains.
-                moderators[user_id].observe(
-                    devices[user_id], response_ms, record.completed_ms
-                )
-            else:
-                devices[user_id].record_failure()
-
-        return _on_complete
-
-    completions = [_completion_for(successes) for successes in site_successes]
-
     count = len(plan)
     pump = _PumpColumns(plan, slot_broker.site_ids, fault_outcome)
-    accelerators = [site.accelerator for site in federation]
-    requested_groups: List[List[int]] = [[] for _ in federation]
+    user_ids = plan.user_ids
 
-    # One delivery buffer shared by every site accelerator, so deliveries keep
-    # one global (time, push-order) sequence even when per-user moderators
-    # span sites.  It is drained at each submission and slot boundary (the
-    # points where delivery effects become observable), delivering only
-    # results strictly before now: a result due at the same instant as a
-    # submission or boundary is delivered after it.
+    def _on_deliver(row: int, response_ms: "float | None", delivered_ms: float) -> None:
+        user_id = int(user_ids[row])
+        if response_ms is None:
+            devices[user_id].record_failure()
+        else:
+            # The delivery instant, not the engine clock: with buffered
+            # delivery the clock may already be past it when the buffer
+            # drains.
+            moderators[user_id].observe(devices[user_id], response_ms, delivered_ms)
+
+    # One delivery buffer and one column set shared by every site front-end
+    # (a row reaches at most one site), so deliveries keep one global (time,
+    # push-order) sequence even when per-user moderators span sites.  The
+    # buffer is drained at each submission and slot boundary (the points
+    # where delivery effects become observable), delivering only results
+    # strictly before now: a result due at the same instant as a submission
+    # or boundary is delivered after it.
+    columns = RequestColumns(count)
     buffer = DeliveryBuffer()
     for site in federation:
-        site.accelerator.delivery_buffer = buffer
+        site.accelerator = SDNAccelerator(
+            engine,
+            site.backend,
+            columns,
+            delivery_buffer=buffer,
+            on_deliver=_on_deliver,
+            routing_policy=(
+                RoundRobinRouting() if spec.policy.routing == "round-robin" else None
+            ),
+        )
+    accelerators = [site.accelerator for site in federation]
     drain = buffer.drain_until
     clock = engine.clock
 
@@ -460,21 +458,14 @@ def execute_event_multisite(
             # Degraded-local / fault-dropped: never dispatches; the verdict
             # is tallied at fold time, from the overlay.
             return
-        # Per-group site tallies key on the *requesting* group — the user's
-        # promotion level as routed, not the post-clamp serving group the
-        # record carries — so both executors report the same cohort
-        # breakdown.  Indexed by the site accelerator's request id.
-        requested_group = device.acceleration_group
-        requested_groups[site_index].append(requested_group)
         accelerators[site_index].submit_planned(
-            user_id=user_id,
-            acceleration_group=requested_group,
+            row=index,
+            acceleration_group=device.acceleration_group,
             work_units=work[offset],
             t1_ms=t1[offset],
             t2_ms=t2[offset],
             routing_ms=routing[offset],
             jitter_z=jitter[offset],
-            on_complete=completions[site_index],
         )
 
     # --- utilization sampling (federation-wide and per site) ----------------
@@ -500,7 +491,7 @@ def execute_event_multisite(
                 sample_interval_ms, _sample_utilization, label="multisite:utilization"
             )
 
-    # Per site, how many of its accelerator's records the previous
+    # Per site, how many of its accelerator's delivered rows the previous
     # slot-boundary control step has already seen.
     delivered_upto = [0] * len(federation)
 
@@ -566,15 +557,22 @@ def execute_event_multisite(
                 ) -> None:
                     drain(engine.now_ms)
                     with telemetry.span("slot.control", slot=slot_index):
-                        # The records delivered since the previous boundary,
-                        # in delivery order.  The slot counts the ones that
+                        # The rows delivered since the previous boundary, in
+                        # delivery order.  The slot counts the ones that
                         # arrived in it: a request delivered at or after its
                         # slot's boundary lands in a later scan and counts in
                         # no slot.
-                        records = site.accelerator.records
-                        fresh = records[delivered_upto[site.index]:]
-                        delivered_upto[site.index] = len(records)
-                        site.autoscaler.run_slot(*served_columns(fresh, start), end)
+                        delivered = site.accelerator.delivered
+                        rows = np.asarray(
+                            delivered[delivered_upto[site.index]:], dtype=np.int64
+                        )
+                        delivered_upto[site.index] = len(delivered)
+                        site.autoscaler.run_slot(
+                            columns.served_group[rows],
+                            user_ids[rows],
+                            plan.arrival_ms[rows] >= start,
+                            end,
+                        )
                         # Post-scaling fleet state at the boundary, per site —
                         # sampled at the same instant in the batched executor.
                         telemetry.recorder.sample_fleet(
@@ -606,20 +604,19 @@ def execute_event_multisite(
 
     with telemetry.span("stats.fold"):
         for site in federation:
-            records = site.accelerator.records
+            # In delivery order: numpy's pairwise sums over the responses
+            # depend on it.
+            log = np.asarray(site.accelerator.delivered, dtype=np.int64)
+            success = columns.success[log]
+            failed = ~success
             stats = per_site[site.index]
-            stats.requests_total = len(records)
-            failed = np.asarray(
-                [not record.success for record in records], dtype=bool
-            )
+            stats.requests_total = int(log.size)
             stats.requests_dropped = int(np.count_nonzero(failed))
-            stats.success_chunks.append(
-                np.asarray(site_successes[site.index], dtype=float)
-            )
-            groups = np.asarray(requested_groups[site.index], dtype=np.int64)[
-                np.asarray([record.request_id for record in records], dtype=np.int64)
-            ]
-            stats.tally_groups(groups, failed)
+            stats.success_chunks.append(columns.response_ms[log[success]])
+            # Per-group site tallies key on the *requesting* group — the
+            # user's promotion level as routed, not the post-clamp serving
+            # group — so both executors report the same cohort breakdown.
+            stats.tally_groups(columns.requested_group[log], failed)
         successes = (
             np.concatenate([stats.success_response_ms for stats in per_site])
             if per_site
@@ -935,7 +932,6 @@ def execute_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> Mult
             engine=engine,
             streams=streams,
             task=task,
-            with_accelerators=spec.execution == "event",
         )
         sites_spec = federation.spec
 

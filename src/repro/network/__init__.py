@@ -8,12 +8,12 @@ instances.
 * :mod:`repro.network.netradar` — a synthetic stand-in for the NetRadar 2015
   Finland dataset used in Fig. 11, reproducing the per-operator mean, standard
   deviation, median and diurnal shape the paper reports.
-* :mod:`repro.network.channel` — the response-time decomposition
-  ``T_response = T1 + T2 + T_cloud`` of Fig. 7a, where ``T1`` is the
+* :mod:`repro.network.channel` — the two network hops of the response-time
+  decomposition ``T_response = T1 + T2 + T_cloud`` of Fig. 7a: ``T1`` is the
   mobile↔front-end round trip and ``T2`` the front-end↔back-end round trip.
 """
 
-from repro.network.channel import CommunicationChannel, ResponseTimeBreakdown
+from repro.network.channel import CommunicationChannel
 from repro.network.latency import (
     LatencyModel,
     LogNormalLatencyModel,
@@ -34,7 +34,6 @@ __all__ = [
     "NETRADAR_OPERATORS",
     "NetRadarDataset",
     "OperatorLatencyProfile",
-    "ResponseTimeBreakdown",
     "generate_netradar_dataset",
     "lte_latency_model",
     "three_g_latency_model",

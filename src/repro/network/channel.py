@@ -1,4 +1,4 @@
-"""Communication channel and response-time decomposition.
+"""Communication channel: the network hops of the response-time decomposition.
 
 Fig. 7a of the paper decomposes the response time of one offloaded request as
 
@@ -12,33 +12,18 @@ because the channel stays open for the duration of the operation.
 
 :class:`CommunicationChannel` samples the two hops in bulk; the SDN front-end's
 routing overhead (≈150 ms, Fig. 8a) is drawn separately by
-:func:`~repro.sdn.accelerator.draw_routing_overhead_ms`.
+:func:`~repro.sdn.accelerator.draw_routing_overhead_ms`, and the front-end
+records each request's T_cloud and total response time in
+:class:`~repro.sdn.accelerator.RequestColumns`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.network.latency import LatencyModel, LogNormalLatencyModel, lte_latency_model
-
-
-class ResponseTimeBreakdown(NamedTuple):
-    """The additive components of one request's response time (milliseconds).
-
-    Immutable; a named tuple because one is built per completed request.
-    """
-
-    t1_ms: float
-    t2_ms: float
-    routing_ms: float
-    cloud_ms: float
-
-    @property
-    def total_ms(self) -> float:
-        """Total response time perceived by the mobile device."""
-        return self.t1_ms + self.t2_ms + self.routing_ms + self.cloud_ms
 
 
 #: Default intra-cloud latency between the front-end and back-end instances.

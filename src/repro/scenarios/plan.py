@@ -1,8 +1,8 @@
 """Bulk pre-generation of per-request randomness (the "request plan").
 
-Profiling the scenario runner shows the data plane dominated not by model
-work but by scalar RNG round trips: one ``next_gap_ms`` per arrival, two
-log-normal draws per request for the access/intra-cloud RTTs, one normal
+Profiling the scenario runner showed the data plane dominated not by model
+work but by scalar RNG round trips: one inter-arrival gap draw per arrival,
+two log-normal draws per request for the access/intra-cloud RTTs, one normal
 draw for the routing overhead, one for the task's work requirement and one
 for the instance's service jitter.  The request plan pulls all of those
 draws forward into a handful of vectorised numpy calls:

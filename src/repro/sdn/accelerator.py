@@ -8,14 +8,18 @@ The front-end contains two of the components of Fig. 3:
   acceleration required and forwards the request to the corresponding group
   of back-end instances, recording each processed request.
 
-Each delivered request lands in :attr:`SDNAccelerator.records`, in delivery
-order.  The paper's trace schema (Section IV-A) is
-``<timestamp, user-id, acceleration-group, battery-level, round-trip-time>``;
-the adaptive model consumes only the (acceleration group, user) pairs of each
-time slot, which a :class:`RequestRecord` carries with its arrival time
-(the timestamp), so no separate trace row is kept.  At every slot boundary
-the event executor turns the records delivered since the previous boundary
-into columns (:func:`served_columns`) for
+Processed requests are recorded in columns, not per-request objects.  The
+caller numbers its requests by row (a row of the scenario's request plan, or
+of a burst harness) and allocates one :class:`RequestColumns` for all of
+them; every front-end it submits to writes the row's requesting and serving
+group, success, response time and cloud time there.  Each front-end keeps
+the rows it delivered, in delivery order, in
+:attr:`SDNAccelerator.delivered`.  The paper's trace schema (Section IV-A)
+is ``<timestamp, user-id, acceleration-group, battery-level,
+round-trip-time>``; the adaptive model consumes only the (acceleration
+group, user) pairs of each time slot, so at every slot boundary the event
+executor gathers the serving-group column and the plan's user and arrival
+columns at the rows delivered since the previous boundary, for
 :meth:`repro.sdn.autoscaler.Autoscaler.run_slot`.
 
 The paper measures the overhead the front-end adds to a request at ≈150 ms
@@ -24,26 +28,22 @@ The paper measures the overhead the front-end adds to a request at ≈150 ms
 Callers draw every per-request sample (T1, T2, routing, service jitter) up
 front and pass it in, so the front-end itself consumes no randomness.
 Response-time accounting follows the Fig. 7a decomposition
-``T_response = T1 + T2 + T_cloud`` plus the routing overhead.
+``T_response = T1 + T2 + T_cloud`` plus the routing overhead: T1, T2 and
+routing are the caller's draws, and ``RequestColumns.cloud_ms`` holds
+T_cloud.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol
 
 import numpy as np
 
 from repro.cloud.backend import BackendPool
 from repro.cloud.server import OffloadOutcome
-from repro.network.channel import ResponseTimeBreakdown
 from repro.simulation.engine import SimulationEngine
-
-
-#: What a named tuple's generated ``__new__`` returns, without entering it:
-#: each completed request builds its breakdown and record with this.
-_new_tuple = tuple.__new__
 
 
 def draw_routing_overhead_ms(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -54,45 +54,32 @@ def draw_routing_overhead_ms(rng: np.random.Generator, count: int) -> np.ndarray
     return np.maximum(rng.normal(150.0, 25.0, size=count), 1.0)
 
 
-class RequestRecord(NamedTuple):
-    """Full accounting of one request processed by the front-end.
+class RequestColumns:
+    """What the front-end recorded of each request, indexed by row.
 
-    Immutable; a named tuple because one is built per request.
+    ``requested_group`` (the group the device asked for) and
+    ``served_group`` (the group the routing policy chose) are written at
+    submission.  ``success``, ``response_ms`` (T1 + T2 + routing + T_cloud)
+    and ``cloud_ms`` (T_cloud) are written when the back-end completes the
+    request; a request dropped at admission keeps ``False`` and zeros.  A
+    row reaches at most one front-end, so the front-ends of every site share
+    one set.  A row counts as processed once a front-end's
+    :attr:`~SDNAccelerator.delivered` list holds it.
     """
 
-    request_id: int
-    user_id: int
-    acceleration_group: int
-    arrival_ms: float
-    completed_ms: float
-    success: bool
-    breakdown: Optional[ResponseTimeBreakdown]
+    __slots__ = ("requested_group", "served_group", "success", "response_ms", "cloud_ms")
 
-    @property
-    def response_time_ms(self) -> float:
-        """Total response time perceived by the device (0 for dropped requests)."""
-        breakdown = self.breakdown
-        if breakdown is None:
-            return 0.0
-        return breakdown.total_ms
+    def __init__(self, rows: int) -> None:
+        self.requested_group = np.zeros(rows, dtype=np.int64)
+        self.served_group = np.zeros(rows, dtype=np.int64)
+        self.success = np.zeros(rows, dtype=bool)
+        self.response_ms = np.zeros(rows)
+        self.cloud_ms = np.zeros(rows)
 
 
-def served_columns(
-    records: Sequence[RequestRecord], start_ms: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (serving group, user, observed) columns of delivered records.
-
-    ``observed`` marks the records that arrived at or after ``start_ms``.
-    Handed the records delivered since the previous slot boundary, these are
-    the requests of the slot that starts at ``start_ms``: a record arrives
-    before it is delivered, so none from a later slot is among them.
-    """
-    count = len(records)
-    return (
-        np.fromiter((record.acceleration_group for record in records), np.int64, count),
-        np.fromiter((record.user_id for record in records), np.int64, count),
-        np.fromiter((record.arrival_ms >= start_ms for record in records), bool, count),
-    )
+#: Called once per delivered request with its row, its response time
+#: (``None`` for a request dropped at admission) and its delivery instant.
+DeliveryCallback = Callable[[int, Optional[float], float], None]
 
 
 class RoutingPolicy(Protocol):
@@ -133,16 +120,17 @@ class DeliveryBuffer:
     """Time-ordered buffer of finished requests awaiting delivery to the device.
 
     :meth:`SDNAccelerator.submit_planned`'s completion and admission-drop
-    callbacks compute each request's delivery instant and push the finished
-    :class:`RequestRecord` here; nothing is delivered until the owner drains
-    the buffer.  :meth:`drain_until` delivers every entry strictly before the
-    given instant, so an entry due at exactly that instant waits until after
+    callbacks compute each request's delivery instant and push its row
+    here; nothing is delivered until the owner drains the buffer.
+    :meth:`drain_until` delivers every entry strictly before the given
+    instant, so an entry due at exactly that instant waits until after
     whatever the caller does at it (a submission or a slot-boundary read).
     :meth:`flush` also delivers entries at the horizon.  Entries are
     delivered in ``(delivered_ms, push order)`` order: ties go in the order
-    they were pushed.  One buffer can be shared by several accelerators: each
-    entry carries its owning accelerator, so each record lands in that
-    accelerator's ``records`` while the delivery order stays global.
+    they were pushed, so delivery order never goes back in time.  One buffer
+    can be shared by several accelerators: each entry carries its owning
+    accelerator, so each row lands in that accelerator's ``delivered`` list
+    while the delivery order stays global.
     """
 
     __slots__ = ("_heap", "_sequence")
@@ -158,20 +146,21 @@ class DeliveryBuffer:
         self,
         delivered_ms: float,
         accelerator: "SDNAccelerator",
-        record: RequestRecord,
-        on_complete: Optional[Callable[[RequestRecord], None]],
+        row: int,
+        response_ms: Optional[float],
     ) -> None:
         heapq.heappush(
             self._heap,
-            (delivered_ms, next(self._sequence), accelerator, record, on_complete),
+            (delivered_ms, next(self._sequence), accelerator, row, response_ms),
         )
 
     @staticmethod
     def _deliver(entry) -> None:
-        _, _, accelerator, record, on_complete = entry
-        accelerator.records.append(record)
-        if on_complete is not None:
-            on_complete(record)
+        delivered_ms, _, accelerator, row, response_ms = entry
+        accelerator.delivered.append(row)
+        on_deliver = accelerator.on_deliver
+        if on_deliver is not None:
+            on_deliver(row, response_ms, delivered_ms)
 
     def drain_until(self, now_ms: float) -> None:
         """Deliver every buffered result strictly before ``now_ms``."""
@@ -196,51 +185,53 @@ class SDNAccelerator:
         self,
         engine: SimulationEngine,
         backend: BackendPool,
+        columns: RequestColumns,
         *,
-        routing_policy: Optional[RoutingPolicy] = None,
         delivery_buffer: Optional[DeliveryBuffer] = None,
+        on_deliver: Optional[DeliveryCallback] = None,
+        routing_policy: Optional[RoutingPolicy] = None,
     ) -> None:
         self.engine = engine
         self._clock = engine.clock
         self.backend = backend
-        self.routing_policy = routing_policy if routing_policy is not None else AccelerationGroupRouting()
-        self.records: List[RequestRecord] = []
-        self._request_ids = itertools.count()
+        self.columns = columns
         self.delivery_buffer = (
             delivery_buffer if delivery_buffer is not None else DeliveryBuffer()
         )
+        self.on_deliver = on_deliver
+        self.routing_policy = routing_policy if routing_policy is not None else AccelerationGroupRouting()
+        #: The rows this front-end delivered, in delivery order.
+        self.delivered: List[int] = []
 
     # -- public API -----------------------------------------------------------
 
     def submit_planned(
         self,
         *,
-        user_id: int,
+        row: int,
         acceleration_group: int,
         work_units: float,
         t1_ms: float,
         t2_ms: float,
         routing_ms: float,
         jitter_z: float,
-        on_complete: Optional[Callable[[RequestRecord], None]] = None,
-    ) -> int:
-        """Request Handler entry point: accept and route one offloading request.
+    ) -> None:
+        """Request Handler entry point: accept and route request ``row``.
 
         The request's T1/T2 round trips, routing overhead and standard-normal
         service-jitter draw arrive as arguments, drawn in bulk by the caller
         (:mod:`repro.scenarios.plan` for scenarios).  The request reaches the
         back-end group chosen by the routing policy after the uplink delay;
-        its finished :class:`RequestRecord` goes to :attr:`delivery_buffer`,
-        and ``on_complete`` fires when the buffer delivers it.
-
-        Returns the request id assigned by the front-end.
+        once finished, its row goes to :attr:`delivery_buffer`, and
+        :attr:`on_deliver` fires when the buffer delivers it.
         """
         if not work_units > 0:
             raise ValueError(f"work_units must be positive, got {work_units}")
-        request_id = next(self._request_ids)
         clock = self._clock
-        arrival_ms = clock._now_ms
+        columns = self.columns
         routed_group = self.routing_policy.route(acceleration_group, self.backend)
+        columns.requested_group[row] = acceleration_group
+        columns.served_group[row] = routed_group
 
         # The uplink half of both hops plus the routing step happen before the
         # code starts executing; the downlink half delivers the result.
@@ -253,23 +244,16 @@ class SDNAccelerator:
             if rejected is not None:
                 # Dropped at admission: the failure is reported back to the
                 # device at once.
-                now_ms = clock._now_ms
-                record = RequestRecord(
-                    request_id, user_id, routed_group, arrival_ms, now_ms, False, None
-                )
-                self.delivery_buffer.push(now_ms, self, record, on_complete)
+                self.delivery_buffer.push(clock._now_ms, self, row, None)
 
         def _on_cloud_complete(outcome: OffloadOutcome) -> None:
             # The result crosses the back-end -> front-end -> mobile hops.
             delivered_ms = clock._now_ms + downlink_ms
-            breakdown = _new_tuple(
-                ResponseTimeBreakdown, (t1_ms, t2_ms, routing_ms, outcome.execution_time_ms)
-            )
-            record = _new_tuple(
-                RequestRecord,
-                (request_id, user_id, routed_group, arrival_ms, delivered_ms, True, breakdown),
-            )
-            self.delivery_buffer.push(delivered_ms, self, record, on_complete)
+            cloud_ms = outcome.execution_time_ms
+            response_ms = t1_ms + t2_ms + routing_ms + cloud_ms
+            columns.success[row] = True
+            columns.response_ms[row] = response_ms
+            columns.cloud_ms[row] = cloud_ms
+            self.delivery_buffer.push(delivered_ms, self, row, response_ms)
 
         self.engine.schedule_after(downlink_ms + routing_ms, _dispatch, label="sdn:dispatch")
-        return request_id

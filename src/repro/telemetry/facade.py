@@ -1,8 +1,8 @@
 """The telemetry collaborator the simulation stack is instrumented against.
 
 Every instrumented component takes a ``telemetry`` argument defaulting to
-:data:`NULL_TELEMETRY` — a null object whose spans and instruments are
-shared, stateless no-ops.  The contract this buys:
+:data:`NULL_TELEMETRY` — a null object whose spans are shared, stateless
+no-ops.  The contract this buys:
 
 * **Zero-cost when off.**  The disabled path never allocates, never reads
   the clock, never branches beyond one attribute call per *structural phase*
@@ -14,16 +14,17 @@ shared, stateless no-ops.  The contract this buys:
   identical with telemetry on or off — pinned by the parity suite.
 
 Instrumented code never checks ``isinstance``: it calls ``telemetry.span``
-/ ``telemetry.counter`` and lets the object decide.  Code that would do
-*extra work just to publish* (building rows, concatenating arrays) guards
-with ``telemetry.enabled`` first.
+and lets the object decide.  Metrics are published once per run, at fold
+time, through ``telemetry.registry`` (:mod:`repro.telemetry.publish`); that
+code, and any code that would do *extra work just to publish* (building
+rows, concatenating arrays), guards with ``telemetry.enabled`` first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.telemetry.registry import DEFAULT_MS_EDGES, MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.timeseries import NULL_RECORDER, SlotSeriesRecorder
 from repro.telemetry.tracer import SpanTracer
 
@@ -40,26 +41,7 @@ class _NullSpan:
         return False
 
 
-class _NullInstrument:
-    """A no-op counter/gauge/histogram, shared across all names."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
-        pass
-
-
 _NULL_SPAN = _NullSpan()
-_NULL_INSTRUMENT = _NullInstrument()
 
 
 class NullTelemetry:
@@ -70,17 +52,6 @@ class NullTelemetry:
 
     def span(self, name: str, *, slot: Optional[int] = None) -> _NullSpan:
         return _NULL_SPAN
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self, name: str, edges: Sequence[float] = DEFAULT_MS_EDGES
-    ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
 
     def as_dict(self) -> Dict[str, object]:
         return {"enabled": False}
@@ -109,17 +80,6 @@ class Telemetry:
 
     def span(self, name: str, *, slot: Optional[int] = None):
         return self.tracer.span(name, slot=slot)
-
-    # -- metrics -------------------------------------------------------------
-
-    def counter(self, name: str):
-        return self.registry.counter(name)
-
-    def gauge(self, name: str):
-        return self.registry.gauge(name)
-
-    def histogram(self, name: str, edges: Sequence[float] = DEFAULT_MS_EDGES):
-        return self.registry.histogram(name, edges)
 
     # -- exports -------------------------------------------------------------
 

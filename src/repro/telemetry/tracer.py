@@ -21,10 +21,11 @@ durations.  Exports:
   attributed to child phases (the acceptance gate asks for >= 90%).
 
 While a root span is open the tracer also hooks ``gc.callbacks``: each
-cyclic-GC pause becomes a ``gc`` span under whatever span is open, so a
-collection that lands between phases is attributed rather than lost.  Only a
-live tracer registers the hook; the disabled telemetry path never touches
-the garbage collector.
+cyclic-GC pause of the older generations, and each generation-0 pause that
+lasts at least :data:`OFFCPU_MIN_S`, becomes a ``gc`` span under whatever
+span is open, so a collection that lands between phases is attributed rather
+than lost.  Only a live tracer registers the hook; the disabled telemetry
+path never touches the garbage collector.
 
 Time the process spends off the CPU (descheduled on a busy host, or blocked
 on I/O) between two children of a span is attributed the same way: each
@@ -43,8 +44,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-#: The smallest off-CPU stretch of a gap recorded as an ``offcpu`` span: far
-#: above the clocks' read-to-read noise, far below a scheduler quantum.
+#: The smallest off-CPU stretch of a gap recorded as an ``offcpu`` span, and
+#: the shortest generation-0 collection recorded as a ``gc`` span: far above
+#: the clocks' read-to-read noise, far below a scheduler quantum.
 OFFCPU_MIN_S = 1e-4
 
 
@@ -97,7 +99,8 @@ class SpanTracer:
         # Per open span: [wall, CPU] at its open or its last child's close,
         # and whether it has had a child.
         self._marks: List[list] = []
-        self._gc_start_s: Optional[float] = None
+        # Wall and CPU clocks at the start of the running collection.
+        self._gc_start: Optional["tuple[float, float]"] = None
 
     def span(self, name: str, *, slot: Optional[int] = None) -> _OpenSpan:
         """Open a span; close it by exiting the returned context manager."""
@@ -175,25 +178,32 @@ class SpanTracer:
     def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
         """``gc.callbacks`` hook: record a collection as a ``gc`` span.
 
-        Only collections of the older generations are recorded: they take
-        milliseconds, while a generation-0 pass takes microseconds and runs
-        often enough to flood the span list.  A recorded collection is a
-        child like any other: it ends its parent's gap and starts the next.
+        Collections of the older generations are always recorded: they take
+        milliseconds.  A generation-0 pass usually takes microseconds and
+        runs often enough to flood the span list, so it is recorded only when
+        it lasts at least :data:`OFFCPU_MIN_S`; in a process that holds many
+        young objects, such as a long test session, one can take half a
+        millisecond.  A recorded collection is a child like any other: it
+        ends its parent's gap and starts the next.
         """
-        if not info["generation"] or not self._stack:
+        if not self._stack:
             return
         now_s = time.perf_counter() - self._epoch
         cpu_s = time.thread_time()
-        parent = self._stack[-1]
         if phase == "start":
-            self._gc_start_s = now_s
-            self._close_gap(parent, self._marks[-1], len(self._stack), now_s, cpu_s)
+            self._gc_start = (now_s, cpu_s)
             return
-        start_s, self._gc_start_s = self._gc_start_s, None
-        if start_s is None:
+        start, self._gc_start = self._gc_start, None
+        if start is None:
             return
-        self._marks[-1][:2] = now_s, cpu_s
+        start_s, start_cpu_s = start
         duration_s = now_s - start_s
+        if not info["generation"] and duration_s < OFFCPU_MIN_S:
+            return
+        parent = self._stack[-1]
+        marks = self._marks[-1]
+        self._close_gap(parent, marks, len(self._stack), start_s, start_cpu_s)
+        marks[:2] = now_s, cpu_s
         self.spans.append(
             SpanRecord(
                 name="gc",

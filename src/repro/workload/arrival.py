@@ -10,7 +10,7 @@ non-homogeneous (modulated) Poisson process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -20,20 +20,16 @@ _INITIAL_CHUNK = 1024
 
 
 class ArrivalProcess:
-    """Base class: an iterator of inter-arrival gaps in milliseconds."""
+    """Base class: arrival times drawn from inter-arrival gaps in milliseconds."""
 
-    def next_gap_ms(self, rng: np.random.Generator) -> float:
-        """Return the next inter-arrival gap in milliseconds."""
-        raise NotImplementedError
+    def sample_gaps_ms(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` inter-arrival gaps at once.
 
-    def sample_gaps_ms(self, rng: np.random.Generator, size: int) -> Optional[np.ndarray]:
-        """Draw ``size`` inter-arrival gaps at once, or ``None`` if unsupported.
-
-        Subclasses that can vectorise their gap distribution override this;
-        :meth:`arrival_times_array` then generates arrivals in bulk chunks
-        instead of one scalar draw per request.
+        :meth:`arrival_times_array` generates arrivals from these in bulk
+        chunks.  A process without a stationary gap distribution overrides
+        :meth:`arrival_times_array` instead.
         """
-        return None
+        raise NotImplementedError
 
     def arrival_times_array(
         self,
@@ -43,23 +39,14 @@ class ArrivalProcess:
         end_ms: float,
         max_arrivals: Optional[int] = None,
     ) -> np.ndarray:
-        """Vectorised :meth:`arrival_times_ms`: absolute times as a float array.
+        """Absolute arrival times in ``[start_ms, end_ms)`` as a float array.
 
         Gaps are drawn in doubling chunks and accumulated with ``cumsum``, so
         generating a 100k-request workload costs a handful of numpy calls
-        rather than 100k scalar RNG round trips.  Falls back to the scalar
-        loop for processes without :meth:`sample_gaps_ms`.
+        rather than 100k scalar RNG round trips.
         """
         if end_ms < start_ms:
             raise ValueError(f"end_ms {end_ms} before start_ms {start_ms}")
-        probe = self.sample_gaps_ms(rng, 0)
-        if probe is None:
-            return np.asarray(
-                self._arrival_times_scalar(
-                    rng, start_ms=start_ms, end_ms=end_ms, max_arrivals=max_arrivals
-                ),
-                dtype=float,
-            )
         pieces: List[np.ndarray] = []
         generated = 0
         offset = start_ms
@@ -87,42 +74,6 @@ class ArrivalProcess:
             merged = merged[:max_arrivals]
         return merged
 
-    def _arrival_times_scalar(
-        self,
-        rng: np.random.Generator,
-        *,
-        start_ms: float,
-        end_ms: float,
-        max_arrivals: Optional[int] = None,
-    ) -> List[float]:
-        """The original one-gap-at-a-time generator (kept as a fallback)."""
-        times: List[float] = []
-        now = start_ms
-        while True:
-            gap = self.next_gap_ms(rng)
-            if gap < 0:
-                raise ValueError(f"arrival process produced a negative gap: {gap}")
-            now += gap
-            if now >= end_ms:
-                break
-            times.append(now)
-            if max_arrivals is not None and len(times) >= max_arrivals:
-                break
-        return times
-
-    def arrival_times_ms(
-        self,
-        rng: np.random.Generator,
-        *,
-        start_ms: float,
-        end_ms: float,
-        max_arrivals: Optional[int] = None,
-    ) -> List[float]:
-        """Generate absolute arrival times in ``[start_ms, end_ms)`` as a list."""
-        return self.arrival_times_array(
-            rng, start_ms=start_ms, end_ms=end_ms, max_arrivals=max_arrivals
-        ).tolist()
-
 
 @dataclass
 class FixedRateArrivalProcess(ArrivalProcess):
@@ -133,9 +84,6 @@ class FixedRateArrivalProcess(ArrivalProcess):
     def __post_init__(self) -> None:
         if self.rate_hz <= 0:
             raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-
-    def next_gap_ms(self, rng: np.random.Generator) -> float:
-        return 1000.0 / self.rate_hz
 
     def sample_gaps_ms(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, 1000.0 / self.rate_hz)
@@ -150,9 +98,6 @@ class PoissonArrivalProcess(ArrivalProcess):
     def __post_init__(self) -> None:
         if self.rate_hz <= 0:
             raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-
-    def next_gap_ms(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(1000.0 / self.rate_hz))
 
     def sample_gaps_ms(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(1000.0 / self.rate_hz, size=size)
@@ -174,9 +119,6 @@ class UniformArrivalProcess(ArrivalProcess):
             raise ValueError(f"low_ms must be >= 0, got {self.low_ms}")
         if self.high_ms < self.low_ms:
             raise ValueError(f"high_ms {self.high_ms} < low_ms {self.low_ms}")
-
-    def next_gap_ms(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low_ms, self.high_ms))
 
     def sample_gaps_ms(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.low_ms, self.high_ms, size=size)
@@ -202,12 +144,6 @@ class ModulatedPoissonProcess(ArrivalProcess):
             raise ValueError(f"peak_rate_hz must be positive, got {peak_rate_hz}")
         self.rate_fn_hz = rate_fn_hz
         self.peak_rate_hz = peak_rate_hz
-
-    def next_gap_ms(self, rng: np.random.Generator) -> float:
-        raise NotImplementedError(
-            "a non-homogeneous process has no stationary gap distribution; "
-            "use arrival_times_ms"
-        )
 
     def _rates_at(self, times_ms: np.ndarray) -> np.ndarray:
         """Evaluate ``rate_fn_hz`` over an array of times.
@@ -287,17 +223,3 @@ class ModulatedPoissonProcess(ArrivalProcess):
         if max_arrivals is not None:
             merged = merged[:max_arrivals]
         return merged
-
-    def arrival_times_ms(
-        self,
-        rng: np.random.Generator,
-        *,
-        start_ms: float,
-        end_ms: float,
-        max_arrivals: Optional[int] = None,
-    ) -> List[float]:
-        """Generate arrival times in ``[start_ms, end_ms)`` by thinning."""
-        return self.arrival_times_array(
-            rng, start_ms=start_ms, end_ms=end_ms, max_arrivals=max_arrivals
-        ).tolist()
-

@@ -1,14 +1,16 @@
 """The control-plane slot step against the per-request trace log it replaced.
 
 Every executor records a slot through ``Autoscaler.run_slot``.  The event
-executor hands it the records each site's accelerator delivered since the
-previous boundary, observed when they arrived at or after the slot start.
+executor hands it the serving group, user and arrival of the rows each site's
+accelerator delivered since the previous boundary, observed when they arrived
+at or after the slot start.
 It used to log a trace row per delivered request and rescan the whole log at
 every boundary for the rows that arrived in ``[start, end)``.  That rescan is
 kept here as the reference: both must record the same slots, in the same
 group order wherever the reference's order was ascending.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,7 @@ from repro.cloud.provisioner import Provisioner
 from repro.core.allocation import InstanceOption
 from repro.core.model import AdaptiveModel
 from repro.core.timeslots import TimeSlot
-from repro.sdn.accelerator import DeliveryBuffer, RequestRecord, SDNAccelerator, served_columns
+from repro.sdn.accelerator import DeliveryBuffer, RequestColumns, SDNAccelerator
 from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.engine import SimulationEngine
 
@@ -51,12 +53,16 @@ def _run(requests, *, sites, periods):
     """
     engine = SimulationEngine()
     buffer = DeliveryBuffer()
+    columns = RequestColumns(len(requests))
     accelerators = [
-        SDNAccelerator(engine, BackendPool(), delivery_buffer=buffer) for _ in range(sites)
+        SDNAccelerator(engine, BackendPool(), columns, delivery_buffer=buffer)
+        for _ in range(sites)
     ]
-    for request_id, (site, arrival, delivered, user, group) in enumerate(requests):
-        record = RequestRecord(request_id, user, group, arrival, delivered, True, None)
-        buffer.push(delivered, accelerators[site], record, None)
+    arrival_ms = np.asarray([request[1] for request in requests], dtype=float)
+    user_ids = np.asarray([request[3] for request in requests], dtype=np.int64)
+    for row, (site, arrival, delivered, user, group) in enumerate(requests):
+        columns.served_group[row] = group
+        buffer.push(delivered, accelerators[site], row, 0.0)
     scalers = [
         Autoscaler(
             AdaptiveModel(OPTIONS),
@@ -72,11 +78,13 @@ def _run(requests, *, sites, periods):
         start, end = period * SLOT_MS, (period + 1) * SLOT_MS
         buffer.drain_until(end)
         for site in range(sites):
-            records = accelerators[site].records
-            fresh = records[cursors[site]:]
-            cursors[site] = len(records)
-            scalers[site].run_slot(*served_columns(fresh, start), end)
-            log = [(r.arrival_ms, r.user_id, r.acceleration_group) for r in records]
+            delivered = accelerators[site].delivered
+            rows = np.asarray(delivered[cursors[site]:], dtype=np.int64)
+            cursors[site] = len(delivered)
+            scalers[site].run_slot(
+                columns.served_group[rows], user_ids[rows], arrival_ms[rows] >= start, end
+            )
+            log = [requests[row][1:2] + requests[row][3:] for row in delivered]
             model = reference_models[site]
             model.observe_slot(_reference_slot(model, log, start, end))
     return [

@@ -23,23 +23,23 @@ def result():
 
 class TestExperimentMechanics:
     def test_roughly_target_requests_processed(self, result):
-        assert len(result.records) == pytest.approx(2000, rel=0.1)
+        assert result.success.size == pytest.approx(2000, rel=0.1)
 
     def test_success_rate_is_high(self, result):
         assert result.success_rate() > 0.95
 
     def test_every_request_is_logged(self, result):
-        # One record per request the devices sent, each request id once.
-        assert sum(device.requests_sent for device in result.devices.values()) == len(
-            result.records
-        )
-        assert sorted(record.request_id for record in result.records) == list(
-            range(len(result.records))
-        )
+        # One entry per request the devices sent, in every column.
+        sent = sum(device.requests_sent for device in result.devices.values())
+        columns = (result.user_ids, result.groups, result.success, result.response_ms)
+        assert [column.size for column in columns] == [sent] * 4
+        # A dropped request reports no response time.
+        assert (result.response_ms[~result.success] == 0.0).all()
+        assert (result.response_ms[result.success] > 0.0).all()
 
     def test_all_users_participate(self, result):
         assert len(result.devices) == 60
-        assert len({record.user_id for record in result.records}) == 60
+        assert len(set(result.user_ids.tolist())) == 60
 
     def test_hourly_scaling_actions_recorded(self, result):
         assert len(result.scaling_actions) == 2
@@ -114,7 +114,7 @@ class TestConfigurations:
     def test_deterministic_for_same_seed(self):
         a = run_dynamic_acceleration(seed=11, users=20, duration_hours=0.5, target_requests=200)
         b = run_dynamic_acceleration(seed=11, users=20, duration_hours=0.5, target_requests=200)
-        assert len(a.records) == len(b.records)
+        assert a.success.size == b.success.size
         assert a.mean_response_by_group() == b.mean_response_by_group()
 
     def test_zero_promotion_probability_keeps_everyone_in_lowest_group(self):
@@ -151,9 +151,9 @@ class TestScenarioRunnerRun:
         result = run_dynamic_acceleration(
             seed=4, users=20, duration_hours=0.25, target_requests=2500
         )
-        successes = [record.response_time_ms for record in result.records if record.success]
-        dropped = sum(1 for record in result.records if not record.success)
+        successes = result.response_ms[result.success]
+        dropped = int(np.count_nonzero(~result.success))
         assert dropped > 0
-        assert len(result.records) == scenario.requests_total
+        assert result.success.size == scenario.requests_total
         assert dropped == scenario.requests_dropped
         assert np.mean(successes) == pytest.approx(scenario.mean_response_ms)

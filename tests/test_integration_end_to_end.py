@@ -21,7 +21,7 @@ from repro.core.allocation import AllocationProblem, IlpAllocator, build_options
 from repro.core.model import AdaptiveModel
 from repro.mobile.tasks import DEFAULT_TASK_POOL
 from repro.network.channel import CommunicationChannel
-from repro.sdn.accelerator import SDNAccelerator, draw_routing_overhead_ms, served_columns
+from repro.sdn.accelerator import RequestColumns, SDNAccelerator, draw_routing_overhead_ms
 from repro.sdn.autoscaler import Autoscaler
 from repro.simulation.clock import MILLISECONDS_PER_HOUR
 from repro.simulation.engine import SimulationEngine
@@ -84,10 +84,11 @@ class TestFullSystemSmallRun:
             response_threshold_ms=5000.0,
         )
         model = AdaptiveModel(options, instance_cap=10)
-        accelerator = SDNAccelerator(engine, backend)
+        count = 200
+        columns = RequestColumns(count)
+        accelerator = SDNAccelerator(engine, backend, columns)
         autoscaler = Autoscaler(model, provisioner, backend, minimum_per_group=1)
 
-        count = 200
         rng = streams.stream("workload")
         arrivals = rng.uniform(0, 2 * MILLISECONDS_PER_HOUR, size=count)
         work = task.sample_work_units_many(rng, count)
@@ -97,12 +98,13 @@ class TestFullSystemSmallRun:
         t2 = channel.sample_t2_many(hours_of_day)
         routing = draw_routing_overhead_ms(streams.stream("sdn"), count)
         jitter = streams.stream("jitter").standard_normal(count)
+        users = np.arange(count) % 40
         for index in range(count):
             group = 1 if index % 3 else 2
 
             def _submit(group=group, index=index):
                 accelerator.submit_planned(
-                    user_id=index % 40,
+                    row=index,
                     acceleration_group=group,
                     work_units=float(work[index]),
                     t1_ms=float(t1[index]),
@@ -113,14 +115,16 @@ class TestFullSystemSmallRun:
 
             engine.schedule_at(float(arrivals[index]), _submit)
 
-        seen = []  # records already handed to a slot, as the event executor keeps
+        seen = [0]  # rows already handed to a slot, as the event executor keeps
 
         def _period_end(hour):
             accelerator.delivery_buffer.drain_until(engine.now_ms)
-            fresh = accelerator.records[len(seen):]
-            seen.extend(fresh)
+            rows = np.asarray(accelerator.delivered[seen[0]:], dtype=np.int64)
+            seen[0] = len(accelerator.delivered)
             autoscaler.run_slot(
-                *served_columns(fresh, (hour - 1) * MILLISECONDS_PER_HOUR),
+                columns.served_group[rows],
+                users[rows],
+                arrivals[rows] >= (hour - 1) * MILLISECONDS_PER_HOUR,
                 hour * MILLISECONDS_PER_HOUR,
             )
 
@@ -131,32 +135,32 @@ class TestFullSystemSmallRun:
         accelerator.delivery_buffer.flush(horizon_ms)
 
         # Every submitted request was processed and recorded.
-        records = accelerator.records
-        assert len(records) == 200
-        assert sum(record.success for record in records) / len(records) > 0.95
+        rows = np.asarray(accelerator.delivered, dtype=np.int64)
+        assert sorted(rows.tolist()) == list(range(200))
+        success = columns.success[rows]
+        assert np.count_nonzero(success) / rows.size > 0.95
         # The autoscaler ran twice and the account cap was respected throughout.
         assert len(autoscaler.actions) == 2
         assert provisioner.running_count <= 10
-        # The records slot into exactly the history the model consumed.
+        # The delivered rows slot into exactly the history the model consumed.
         assert len(model.history) == 2
         # Requests routed to group 2 ran faster on average than group 1.
-        by_group = {1: [], 2: []}
-        for record in records:
-            if record.success:
-                by_group[record.acceleration_group].append(record.response_time_ms)
-        assert np.mean(by_group[2]) < np.mean(by_group[1])
+        served = columns.served_group[rows][success]
+        responses = columns.response_ms[rows][success]
+        assert responses[served == 2].mean() < responses[served == 1].mean()
 
     def test_trace_log_round_trips_into_model_history(self):
-        """Records delivered by the front-end slot into the model's history."""
+        """Requests delivered by the front-end slot into the model's history."""
         engine = SimulationEngine()
         backend = BackendPool()
         backend.add_instance(CloudInstance(engine, DEFAULT_CATALOG.get("t2.nano")), 1)
-        accelerator = SDNAccelerator(engine, backend)
+        columns = RequestColumns(50)
+        accelerator = SDNAccelerator(engine, backend, columns)
         for index in range(50):
             engine.schedule_at(
                 index * 30_000.0,
                 lambda index=index: accelerator.submit_planned(
-                    user_id=index % 7,
+                    row=index,
                     acceleration_group=1,
                     work_units=200.0,
                     t1_ms=40.0,
@@ -173,6 +177,10 @@ class TestFullSystemSmallRun:
             )
         )
         autoscaler = Autoscaler(model, Provisioner(engine, DEFAULT_CATALOG), backend)
-        autoscaler.run_slot(*served_columns(accelerator.records, 0.0), MILLISECONDS_PER_HOUR)
+        rows = np.asarray(accelerator.delivered, dtype=np.int64)
+        autoscaler.run_slot(
+            columns.served_group[rows], rows % 7, np.ones(rows.size, dtype=bool),
+            MILLISECONDS_PER_HOUR,
+        )
         assert len(model.history) == 1
         assert model.history.latest().workload(1) == 7

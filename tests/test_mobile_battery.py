@@ -27,6 +27,12 @@ class TestDrain:
         with pytest.raises(ValueError):
             BatteryModel().drain_offload(-1.0)
 
+    def test_offload_drain_rejects_nan_time(self):
+        battery = BatteryModel()
+        with pytest.raises(ValueError, match="connection_open_ms"):
+            battery.drain_offload(float("nan"))
+        assert battery.level == 1.0
+
     def test_level_never_goes_below_zero(self):
         battery = BatteryModel(level=0.01, offload_cost_per_second=1.0)
         battery.drain_offload(10_000.0)

@@ -57,6 +57,20 @@ class TestMobileDevice:
         with pytest.raises(ValueError):
             self.make_device().record_response(-1.0)
 
+    def test_record_response_rejects_nan(self):
+        device = self.make_device()
+        with pytest.raises(ValueError, match="response_time_ms"):
+            device.record_response(float("nan"))
+        assert device.response_times_ms == []
+        assert device.battery.level == 1.0
+
+    def test_record_responses_rejects_nan(self):
+        device = self.make_device()
+        with pytest.raises(ValueError, match="got nan"):
+            device.record_responses([2000.0, float("nan")])
+        assert device.response_times_ms == []
+        assert device.battery.level == 1.0
+
     def test_promote_moves_up_and_records_time(self):
         device = self.make_device(acceleration_group=1)
         device.promote(2, at_ms=1234.0)

@@ -13,9 +13,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis.metrics import federation_rollup
+from repro.multisite.runner import execute_multisite
 from repro.multisite.spec import MultiSiteSpec, OutageWindow, SiteSpec, SpilloverSpec
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.runner import SiteResult
@@ -26,6 +28,7 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.telemetry import NULL_TELEMETRY
 
 MULTISITE_BUILTINS = (
     "region-outage-failover",
@@ -626,7 +629,6 @@ class TestFractionalCoreParity:
             engine=SimulationEngine(),
             streams=RandomStreams(0),
             task=DEFAULT_TASK_POOL.get("bubblesort"),
-            with_accelerators=False,
         )
         small, large = federation.sites
         # t2.small: 3.2 effective cores at speed 1.0; t2.large: 6.5 at 1.25.
@@ -688,7 +690,6 @@ class TestBootDelayAccounting:
             engine=engine,
             streams=RandomStreams(0),
             task=DEFAULT_TASK_POOL.get("minimax"),
-            with_accelerators=False,
         )
         slow, instant = federation.sites
         # Both initial instances of `slow-boot` are still booting at t=0:
@@ -763,3 +764,18 @@ class TestGroupTallyContract:
             assert [(g.group, g.requests_total) for g in site_event.groups] == [
                 (g.group, g.requests_total) for g in site_batched.groups
             ]
+
+    def test_event_columns_keep_the_requesting_and_serving_group_per_row(self):
+        run = execute_multisite(
+            self.clamping_spec(execution="event"), 0, NULL_TELEMETRY
+        )
+        full, high_only = (site.accelerator for site in run.federation)
+        # One column set for the federation: a row reaches at most one site.
+        assert full.columns is high_only.columns
+        assert not set(full.delivered) & set(high_only.delivered)
+        columns = full.columns
+        rows = np.asarray(high_only.delivered, dtype=np.int64)
+        assert set(columns.served_group[rows].tolist()) == {2}
+        assert 1 in set(columns.requested_group[rows].tolist())
+        for stats, accelerator in zip(run.metrics.per_site, (full, high_only)):
+            assert stats.requests_total == len(accelerator.delivered)

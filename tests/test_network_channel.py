@@ -1,16 +1,9 @@
-"""Tests for the communication channel and response-time decomposition."""
+"""Tests for the communication channel."""
 
 import numpy as np
-import pytest
 
-from repro.network.channel import CommunicationChannel, ResponseTimeBreakdown
+from repro.network.channel import CommunicationChannel
 from repro.network.latency import ConstantLatencyModel
-
-
-class TestResponseTimeBreakdown:
-    def test_total_is_sum_of_components(self):
-        breakdown = ResponseTimeBreakdown(t1_ms=40.0, t2_ms=10.0, routing_ms=150.0, cloud_ms=2000.0)
-        assert breakdown.total_ms == pytest.approx(2200.0)
 
 
 class TestCommunicationChannel:

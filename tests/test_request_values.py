@@ -1,13 +1,15 @@
 """The per-request values of the event path: immutable, same fields, same checks.
 
-Each offloaded request builds one value of each of these types.  They are
-named tuples because they are built per request; these tests pin what the
-frozen dataclasses they replaced guaranteed: attributes cannot be assigned,
-the field names and their order are unchanged.
+Each offloaded request builds one back-end outcome, and each delivered one a
+promotion decision.  They are named tuples because they are built per
+request; these tests pin what the frozen dataclasses they replaced
+guaranteed: attributes cannot be assigned, the field names and their order
+are unchanged.  What the front-end records of a request goes into columns
+(:class:`~repro.sdn.accelerator.RequestColumns`), not a value.
 
-The paper's per-request trace row (Section IV-A) is not built: the request
-record carries the fields the adaptive model reads.  The checks the trace row
-made on its five fields are made where each value is produced;
+The paper's per-request trace row (Section IV-A) is not built: the columns
+and the request plan carry the fields the adaptive model reads.  The checks
+the trace row made on its five fields are made where each value is produced;
 ``TestTraceFieldGuards`` pins each of them.
 """
 
@@ -21,33 +23,14 @@ from repro.cloud.server import CloudInstance, OffloadOutcome
 from repro.mobile.battery import BatteryModel
 from repro.mobile.device import DEVICE_PROFILES, MobileDevice
 from repro.mobile.moderator import PromotionDecision
-from repro.network.channel import ResponseTimeBreakdown
-from repro.sdn.accelerator import RequestRecord
+from repro.sdn.accelerator import RequestColumns, SDNAccelerator
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import SimulationEngine
-
-BREAKDOWN = ResponseTimeBreakdown(40.0, 8.0, 150.0, 2000.0)
 
 VALUES = {
     "OffloadOutcome": (
         OffloadOutcome(3, "t2.nano-0", True, 1234.5, 99.0),
         ("request_id", "instance_id", "accepted", "execution_time_ms", "completed_at_ms"),
-    ),
-    "ResponseTimeBreakdown": (
-        BREAKDOWN,
-        ("t1_ms", "t2_ms", "routing_ms", "cloud_ms"),
-    ),
-    "RequestRecord": (
-        RequestRecord(7, 2, 1, 10.0, 2300.0, True, BREAKDOWN),
-        (
-            "request_id",
-            "user_id",
-            "acceleration_group",
-            "arrival_ms",
-            "completed_ms",
-            "success",
-            "breakdown",
-        ),
     ),
     "PromotionDecision": (
         PromotionDecision(True, "static probability 0.0200"),
@@ -79,11 +62,26 @@ class TestRequestValues:
 
 class TestDerivedValues:
     def test_response_time_sums_the_breakdown(self):
-        record, _ = VALUES["RequestRecord"]
-        assert record.response_time_ms == 40.0 + 8.0 + 150.0 + 2000.0
-        assert record.response_time_ms == BREAKDOWN.total_ms
-        dropped = record._replace(success=False, breakdown=None)
-        assert dropped.response_time_ms == 0.0
+        # Row 0 completes, row 1 is dropped at admission (limit 1).
+        engine = SimulationEngine()
+        backend = BackendPool()
+        backend.add_instance(
+            CloudInstance(engine, DEFAULT_CATALOG.get("t2.nano"), admission_limit=1), 1
+        )
+        columns = RequestColumns(2)
+        accelerator = SDNAccelerator(engine, backend, columns)
+        for row in range(2):
+            accelerator.submit_planned(
+                row=row, acceleration_group=1, work_units=500.0,
+                t1_ms=40.0, t2_ms=8.0, routing_ms=150.0, jitter_z=0.0,
+            )
+        engine.run()
+        accelerator.delivery_buffer.flush(float("inf"))
+        assert columns.success.tolist() == [True, False]
+        cloud_ms = float(columns.cloud_ms[0])
+        assert cloud_ms > 0.0
+        assert columns.response_ms[0] == 40.0 + 8.0 + 150.0 + cloud_ms
+        assert (columns.response_ms[1], columns.cloud_ms[1]) == (0.0, 0.0)
 
     def test_promotion_reason_defaults_to_empty(self):
         assert PromotionDecision(False) == (False, "")
@@ -114,7 +112,7 @@ class TestTraceFieldGuards:
             _device(user_id=-1)
 
     def test_acceleration_group_is_never_negative(self):
-        # The record carries the serving group, a level of the back-end pool.
+        # The serving-group column holds a level of the back-end pool.
         with pytest.raises(ValueError, match="acceleration level"):
             BackendPool().add_instance(
                 CloudInstance(SimulationEngine(), DEFAULT_CATALOG.get("t2.nano")), -1

@@ -46,7 +46,7 @@ class TestArrivalCalibration:
         process = build_arrival_process(workload, duration_ms)
         rng = np.random.default_rng(0)
         counts = [
-            len(process.arrival_times_ms(rng, start_ms=0.0, end_ms=duration_ms))
+            len(process.arrival_times_array(rng, start_ms=0.0, end_ms=duration_ms))
             for _ in range(5)
         ]
         assert abs(np.mean(counts) - 1000) < 150
@@ -61,10 +61,8 @@ class TestArrivalCalibration:
             burst_duration=0.1,
         )
         process = build_arrival_process(workload, duration_ms)
-        times = np.asarray(
-            process.arrival_times_ms(
-                np.random.default_rng(1), start_ms=0.0, end_ms=duration_ms
-            )
+        times = process.arrival_times_array(
+            np.random.default_rng(1), start_ms=0.0, end_ms=duration_ms
         )
         window = (times >= 0.5 * duration_ms) & (times < 0.6 * duration_ms)
         in_burst_rate = window.sum() / 0.1
@@ -77,10 +75,8 @@ class TestArrivalCalibration:
             pattern="diurnal", target_requests=5000, trough_factor=0.2, peak_hour=20.0
         )
         process = build_arrival_process(workload, duration_ms)
-        times = np.asarray(
-            process.arrival_times_ms(
-                np.random.default_rng(2), start_ms=0.0, end_ms=duration_ms
-            )
+        times = process.arrival_times_array(
+            np.random.default_rng(2), start_ms=0.0, end_ms=duration_ms
         )
         hours = (times / 3_600_000.0) % 24.0
         peak = ((hours >= 19) & (hours < 21)).sum()
@@ -104,7 +100,6 @@ class TestBuilders:
             engine=SimulationEngine(),
             streams=RandomStreams(0),
             task=DEFAULT_TASK_POOL.get(spec.task_name),
-            with_accelerators=False,
         )
         catalog = build_site_catalog(federation.site(0).spec)
         base = DEFAULT_CATALOG.get("m4.4xlarge").price_per_hour

@@ -20,6 +20,7 @@ from repro.telemetry import (
     Telemetry,
     resolve_telemetry,
 )
+from repro.telemetry.tracer import OFFCPU_MIN_S
 
 
 class TestCounter:
@@ -280,6 +281,32 @@ class TestSpanTracer:
         gc.collect()
         assert [span.name for span in tracer.spans].count("gc") == len(pauses)
 
+    def test_long_generation_0_collection_becomes_a_gc_span(self):
+        # A generation-0 pass over many young objects takes far longer than
+        # the recording threshold; automatic collection is held off while
+        # they are built, so all of them are young when it runs.
+        tracer = SpanTracer()
+        gc.disable()
+        try:
+            young = [[index] for index in range(200_000)]
+            with tracer.span("root"):
+                with tracer.span("child"):
+                    pass
+                gc.collect(0)
+        finally:
+            gc.enable()
+        del young
+        pauses = [span for span in tracer.spans if span.name == "gc"]
+        assert len(pauses) == 1
+        (pause,) = pauses
+        assert pause.duration_s >= OFFCPU_MIN_S
+        assert (pause.depth, pause.parent) == (1, 0)
+        assert pause.start_s >= tracer.spans[1].start_s + tracer.spans[1].duration_s
+        root = tracer.spans[0]
+        assert root.children_s == pytest.approx(
+            sum(span.duration_s for span in tracer.spans if span.parent == 0)
+        )
+
     def test_as_dict_is_json_serializable(self):
         tracer = SpanTracer()
         with tracer.span("root"):
@@ -294,10 +321,9 @@ class TestFacade:
         null = NULL_TELEMETRY
         assert null.enabled is False
         with null.span("anything", slot=3):
-            null.counter("c").inc(5)
-            null.gauge("g").set(1.0)
-            null.histogram("h").observe(2.0)
-            null.histogram("h").observe_many([1.0, 2.0])
+            pass
+        # Metrics are published through a live collector's registry only.
+        assert not hasattr(null, "registry")
         assert null.as_dict() == {"enabled": False}
 
     def test_null_telemetry_leaves_the_garbage_collector_alone(self):
@@ -306,15 +332,15 @@ class TestFacade:
             assert gc.callbacks == hooks
         assert gc.callbacks == hooks
 
-    def test_null_instruments_are_shared_singletons(self):
+    def test_null_spans_are_shared_singletons(self):
         null = NullTelemetry()
-        assert null.counter("a") is null.counter("b")
-        assert null.span("a") is null.span("b")
+        assert null.span("a") is null.span("b", slot=2)
+        assert null.span("a") is NULL_TELEMETRY.span("c")
 
     def test_live_telemetry_delegates_to_registry_and_tracer(self):
         telemetry = Telemetry()
         with telemetry.span("phase"):
-            telemetry.counter("c").inc()
+            telemetry.registry.counter("c").inc()
         assert telemetry.registry.counter("c").value == 1.0
         assert telemetry.tracer.spans[0].name == "phase"
         payload = telemetry.as_dict()

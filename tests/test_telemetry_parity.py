@@ -93,13 +93,48 @@ class TestRegistryDeterminism:
         assert counters["scenario.requests_total"] == result.requests_total
 
 
+def _label(span):
+    return span.name if span.slot is None else f"{span.name}[{span.slot}]"
+
+
+def root_self_time(tracer, top=3):
+    """The ``top`` largest stretches of root self time (time no child span
+    covers), each named by the root's children on either side, in ms."""
+    gaps = []
+    for index, root in enumerate(tracer.spans):
+        if root.depth != 0:
+            continue
+        children = sorted(
+            (span for span in tracer.spans if span.parent == index),
+            key=lambda span: span.start_s,
+        )
+        before, at_s = f"{root.name} open", root.start_s
+        for child in children:
+            gaps.append((child.start_s - at_s, f"{before} -> {_label(child)}"))
+            before, at_s = _label(child), child.start_s + child.duration_s
+        gaps.append((root.start_s + root.duration_s - at_s, f"{before} -> {root.name} close"))
+    return [f"{label}: {1000.0 * gap_s:.2f} ms" for gap_s, label in sorted(gaps, reverse=True)[:top]]
+
+
+def coverage_report(case, tracer):
+    """What a failed coverage assertion prints: the case, the coverage, the
+    three largest stretches of root self time and the top phases by self time."""
+    return (
+        f"{case}: coverage {tracer.coverage():.4f}; "
+        f"root self time at {root_self_time(tracer)}; "
+        f"top phases by self time {tracer.top_phases(3)}"
+    )
+
+
 class TestTimelineAcceptance:
     @pytest.mark.parametrize("name,execution", CASES)
     def test_coverage_and_top_phases(self, name, execution):
         telemetry = Telemetry()
         run_scenario(small(name, execution=execution), seed=0, telemetry=telemetry)
         # acceptance: the slot-phase timeline accounts for >= 90% of the run
-        assert telemetry.tracer.coverage() >= 0.90
+        assert telemetry.tracer.coverage() >= 0.90, coverage_report(
+            (name, execution), telemetry.tracer
+        )
         top = telemetry.tracer.top_phases(3)
         assert len(top) == 3
         assert all(name for name, _ in top)
@@ -112,11 +147,14 @@ class TestTimelineAcceptance:
         # little: every one of 20 in-process runs must reach it.
         spec = small(name, execution=execution)
         coverages = []
-        for _ in range(20):
+        failures = []
+        for run in range(20):
             telemetry = Telemetry()
             run_scenario(spec, seed=0, telemetry=telemetry)
             coverages.append(telemetry.tracer.coverage())
-        assert min(coverages) >= 0.90, coverages
+            if coverages[-1] < 0.90:
+                failures.append(coverage_report((name, execution, run), telemetry.tracer))
+        assert min(coverages) >= 0.90, (failures, coverages)
 
 
 class TestTelemetryCli:

@@ -121,16 +121,16 @@ class TestIncrementalDistanceIndex:
 
 
 class TestArrivalArrays:
-    def test_array_and_list_apis_agree(self):
+    def test_array_is_the_running_sum_of_sampled_gaps(self):
         process = UniformArrivalProcess(low_ms=100.0, high_ms=500.0)
         array = process.arrival_times_array(
             np.random.default_rng(7), start_ms=0.0, end_ms=60_000.0
         )
-        listed = process.arrival_times_ms(
-            np.random.default_rng(7), start_ms=0.0, end_ms=60_000.0
-        )
+        # The first chunk (1024 gaps of at least 100 ms) covers the interval.
+        gaps = process.sample_gaps_ms(np.random.default_rng(7), 1024)
+        times = np.cumsum(gaps)
         assert isinstance(array, np.ndarray)
-        np.testing.assert_allclose(array, np.asarray(listed))
+        np.testing.assert_array_equal(array, times[times < 60_000.0])
 
     def test_fixed_rate_is_exact(self):
         process = FixedRateArrivalProcess(rate_hz=2.0)
