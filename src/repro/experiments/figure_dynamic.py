@@ -24,8 +24,10 @@ runs on the scenario runner's event executor
 columns, devices and scaling actions are read from the state that run leaves
 behind.  The front-end delivers requests in non-decreasing completion time,
 so the columns, gathered in delivery order, are already in completion
-order.  Each request's uplink T1 and downlink T2 come from the spec's LTE
-channel.
+order, which is also the order each device recorded its responses in.  The
+per-user series, counts and means of Fig. 9 and Fig. 10c are read from these
+columns; a device keeps only its last few responses.  Each request's uplink
+T1 and downlink T2 come from the spec's LTE channel.
 
 Substitutions relative to the paper's testbed: the EC2 back-end is the
 simulated instance model, and the 50-concurrent-user background load the paper
@@ -66,9 +68,13 @@ class DynamicAccelerationResult:
 
     # -- per-user views (Fig. 9) ------------------------------------------------
 
+    def _served(self, user_id: int) -> np.ndarray:
+        """Mask of the user's successful requests."""
+        return self.success & (self.user_ids == user_id)
+
     def user_series(self, user_id: int) -> List[Dict[str, float]]:
         """Per-request series for one user: request index, response, group."""
-        served = self.success & (self.user_ids == user_id)
+        served = self._served(user_id)
         return [
             {
                 "request_index": index,
@@ -87,7 +93,10 @@ class DynamicAccelerationResult:
         ]
         if not candidates:
             raise ValueError("every user was promoted at least once")
-        return max(candidates, key=lambda device: len(device.response_times_ms)).user_id
+        return max(
+            candidates,
+            key=lambda device: np.count_nonzero(self._served(device.user_id)),
+        ).user_id
 
     def fully_promoted_user(self) -> int:
         """A user promoted to the highest group (Fig. 9c's user 8), earliest finisher."""
@@ -107,12 +116,14 @@ class DynamicAccelerationResult:
         """Per-user final group, promotion count and mean response (Fig. 10c)."""
         summary: Dict[int, Dict[str, float]] = {}
         for user_id, device in self.devices.items():
-            responses = device.response_times_ms
+            responses = self.response_ms[self._served(user_id)]
             summary[user_id] = {
                 "final_group": float(device.acceleration_group),
                 "promotions": float(len(device.promotions)),
-                "mean_response_ms": float(np.mean(responses)) if responses else float("nan"),
-                "requests": float(len(responses)),
+                "mean_response_ms": (
+                    float(np.mean(responses)) if responses.size else float("nan")
+                ),
+                "requests": float(responses.size),
             }
         return summary
 

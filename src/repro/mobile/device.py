@@ -8,14 +8,18 @@ heterogeneity as a local execution speed relative to a level-1 cloud core, so
 local execution time and offloading benefit can both be computed.
 
 :class:`MobileDevice` is the stateful per-user actor used by the experiments:
-it holds the device profile, battery, current acceleration group and the
-moderator that decides promotions.
+it holds the device profile, battery, current acceleration group and
+promotion times.  Of its responses it keeps only a count and the
+:data:`RECENT_RESPONSES` most recent ones, which is all the client
+moderator's threshold rule reads; a run's full per-user response series comes
+from the front-end's per-request columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -63,6 +67,19 @@ DEVICE_PROFILES: Dict[str, DeviceProfile] = {
 }
 
 
+#: How many of its latest response times a device keeps: the longest window
+#: a threshold promotion rule may average over.
+RECENT_RESPONSES = 32
+
+
+def check_window(window: int) -> None:
+    """Reject a response window the recent-response tail cannot cover."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if window > RECENT_RESPONSES:
+        raise ValueError(f"window must be <= {RECENT_RESPONSES}, got {window}")
+
+
 @dataclass
 class MobileDevice:
     """The per-user client state tracked during an experiment."""
@@ -71,7 +88,10 @@ class MobileDevice:
     profile: DeviceProfile
     acceleration_group: int
     battery: BatteryModel = field(default_factory=BatteryModel)
-    response_times_ms: List[float] = field(default_factory=list)
+    responses_recorded: int = 0
+    recent_responses_ms: Deque[float] = field(
+        default_factory=lambda: deque(maxlen=RECENT_RESPONSES)
+    )
     promotions: List[float] = field(default_factory=list)
     requests_sent: int = 0
     requests_failed: int = 0
@@ -88,24 +108,26 @@ class MobileDevice:
         """Record a completed request's perceived response time."""
         if not response_time_ms >= 0:
             raise ValueError(f"response_time_ms must be >= 0, got {response_time_ms}")
-        self.response_times_ms.append(response_time_ms)
+        self.responses_recorded += 1
+        self.recent_responses_ms.append(response_time_ms)
         self.battery.drain_offload(response_time_ms)
 
-    def record_responses(self, response_times_ms: "np.ndarray") -> None:
+    def record_responses(self, responses_ms: "np.ndarray") -> None:
         """Record a whole batch of response times in one vectorised step.
 
         Equivalent to calling :meth:`record_response` per value: the battery
         drain is linear in connection-open time, so draining once by the batch
         total lands on exactly the same level as draining per request.
         """
-        values = np.asarray(response_times_ms, dtype=float)
+        values = np.asarray(responses_ms, dtype=float)
         if values.size == 0:
             return
         invalid = ~(values >= 0)
         if np.any(invalid):
             bad = float(values[invalid][0])
             raise ValueError(f"response_time_ms must be >= 0, got {bad}")
-        self.response_times_ms.extend(values.tolist())
+        self.responses_recorded += values.size
+        self.recent_responses_ms.extend(values[-RECENT_RESPONSES:].tolist())
         self.battery.drain_offload(float(values.sum()))
 
     def record_failure(self) -> None:
@@ -129,12 +151,11 @@ class MobileDevice:
 
     def recent_mean_response_ms(self, window: int = 5) -> Optional[float]:
         """Mean of the last ``window`` response times, or None if no data."""
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if not self.response_times_ms:
+        check_window(window)
+        recent = self.recent_responses_ms
+        if not recent:
             return None
-        recent = self.response_times_ms[-window:]
-        return float(np.mean(recent))
+        return float(np.mean(list(recent)[-window:]))
 
     def local_execution_time_ms(self, task: OffloadableTask) -> float:
         """Time this device would need to run ``task`` locally."""

@@ -19,16 +19,22 @@ This module implements:
   time the radio connection stays open.
 * :class:`Moderator` — the component that applies a policy to a device after
   each completed request.
+
+The threshold rule reads only the device's last
+:data:`~repro.mobile.device.RECENT_RESPONSES` responses, so a ``window``
+longer than that is rejected at construction.  For a batch, :meth:`Moderator.observe_many` records the responses first (the
+battery drain included) and hands each policy the device's recent responses
+as they stood before the batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Protocol
+from typing import NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.mobile.device import MobileDevice
+from repro.mobile.device import MobileDevice, check_window
 
 
 class PromotionDecision(NamedTuple):
@@ -83,7 +89,8 @@ class StaticProbabilityPolicy:
     def decide_many(
         self,
         device: MobileDevice,
-        response_times_ms: np.ndarray,
+        prior_ms: Sequence[float],
+        responses_ms: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Vectorised :meth:`decide`: one uniform draw per response.
@@ -91,7 +98,7 @@ class StaticProbabilityPolicy:
         Consumes exactly one ``rng.random()`` per response, in order, so the
         stream state after a batch matches the scalar per-request path.
         """
-        return rng.random(len(response_times_ms)) < self.probability
+        return rng.random(len(responses_ms)) < self.probability
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,7 @@ class ResponseTimeThresholdPolicy:
     def __post_init__(self) -> None:
         if self.threshold_ms <= 0:
             raise ValueError(f"threshold_ms must be positive, got {self.threshold_ms}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        check_window(self.window)
 
     def decide(
         self,
@@ -128,24 +134,27 @@ class ResponseTimeThresholdPolicy:
     def decide_many(
         self,
         device: MobileDevice,
-        response_times_ms: np.ndarray,
+        prior_ms: Sequence[float],
+        responses_ms: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Vectorised :meth:`decide` over a batch already recorded on the device.
+        """Vectorised :meth:`decide` over a batch of responses.
 
-        The i-th decision uses the rolling window ending at the i-th new
-        response, computed with one cumulative sum — no RNG is consumed,
-        matching the scalar policy.
+        ``prior_ms`` holds the device's recent responses from before the
+        batch, oldest first.  The i-th decision uses the rolling window
+        ending at the i-th new response, computed with one cumulative sum
+        over the last ``window - 1`` prior responses and then the batch — no
+        RNG is consumed, matching the scalar policy.
         """
-        batch = len(response_times_ms)
+        batch = len(responses_ms)
         if batch == 0:
             return np.zeros(0, dtype=bool)
-        total = len(device.response_times_ms)
-        prior = total - batch
-        tail_start = max(0, prior - (self.window - 1))
-        tail = np.asarray(device.response_times_ms[tail_start:], dtype=float)
+        context = prior_ms[max(0, len(prior_ms) - (self.window - 1)):]
+        tail = np.concatenate(
+            (np.asarray(context, dtype=float), np.asarray(responses_ms, dtype=float))
+        )
         sums = np.concatenate(([0.0], np.cumsum(tail)))
-        end = (prior - tail_start) + 1 + np.arange(batch)
+        end = len(context) + 1 + np.arange(batch)
         start = np.maximum(end - self.window, 0)
         means = (sums[end] - sums[start]) / (end - start)
         return means > self.threshold_ms
@@ -195,22 +204,23 @@ class BatteryAwarePolicy:
     def decide_many(
         self,
         device: MobileDevice,
-        response_times_ms: np.ndarray,
+        prior_ms: Sequence[float],
+        responses_ms: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Vectorised :meth:`decide`: one draw per response against the
         battery-dependent probability.
 
-        The device's battery level is read once for the whole batch (the
-        batched executor drains per slot rather than per request), which is
-        the documented batched-mode approximation.
+        The device's battery level is read once for the whole batch, after
+        the batch's drain (the batched executor drains per slot rather than
+        per request), which is the documented batched-mode approximation.
         """
         probability = (
             self.low_battery_probability
             if device.battery.level <= self.battery_threshold
             else self.base_probability
         )
-        return rng.random(len(response_times_ms)) < probability
+        return rng.random(len(responses_ms)) < probability
 
 
 class Moderator:
@@ -251,15 +261,17 @@ class Moderator:
     def observe_many(
         self,
         device: MobileDevice,
-        response_times_ms: np.ndarray,
+        responses_ms: np.ndarray,
         completed_at_ms: np.ndarray,
     ) -> int:
         """Batched :meth:`observe`: record a slot's worth of responses at once.
 
-        Responses must be ordered by completion time.  Policies with a
-        ``decide_many`` make all their promotion draws in one vectorised call;
-        policies without it fall back to scalar ``decide`` per response.
-        Returns the number of promotions applied.
+        Responses must be ordered by completion time.  The batch is recorded
+        on the device first, then policies with a ``decide_many`` make all
+        their promotion draws in one vectorised call, given the device's
+        recent responses from before the batch; policies without it fall
+        back to scalar ``decide`` per response.  Returns the number of
+        promotions applied.
 
         One deliberate approximation versus the scalar path: when a device
         reaches the highest group mid-batch, the remaining responses of the
@@ -267,7 +279,7 @@ class Moderator:
         stops drawing at that point).  Promotions themselves are applied
         identically.
         """
-        values = np.asarray(response_times_ms, dtype=float)
+        values = np.asarray(responses_ms, dtype=float)
         stamps = np.asarray(completed_at_ms, dtype=float)
         if values.shape != stamps.shape:
             raise ValueError(
@@ -283,11 +295,12 @@ class Moderator:
                 if self.observe(device, float(response), float(stamp)).promote:
                     promotions += 1
             return promotions
+        prior = list(device.recent_responses_ms)
         device.record_responses(values)
         if values.size == 0 or device.acceleration_group >= self.max_group:
             return 0
         promotions = 0
-        decisions = decide_many(device, values, self._rng)
+        decisions = decide_many(device, prior, values, self._rng)
         for index in np.flatnonzero(decisions):
             if device.acceleration_group >= self.max_group:
                 break

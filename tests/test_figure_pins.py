@@ -23,6 +23,7 @@ DYNAMIC_PINS = {
     "rows": "5f916869badd4e607dba87f7a1cc8e0070a5833b4f50b48114a5341b6884cdd7",
     "stable_user_series": "6a17ccb80d8eb50c0d7e18cb92a060abfa76fd429471750e9e94345a3bf194ce",
     "fully_promoted_user_series": "7b86c551471af433efcfe623adab676e50caa52ff6d5789780178acad0eeab15",
+    "promotion_summary": "d13018bd4baf55e52df1892b675cca9586a8a3dd9a89f695a2a9f990880b3152",
 }
 
 FIG7_PIN = "26d4ff803415fbbb2cea0c899e1c1bb7d5e1bc242380c8ad1eee83dec20522f9"
@@ -48,6 +49,7 @@ class TestFigurePins:
             "fully_promoted_user_series": dynamic.user_series(
                 dynamic.fully_promoted_user()
             ),
+            "promotion_summary": dynamic.promotion_summary(),
         }
         assert {name: _digest(value) for name, value in outputs.items()} == DYNAMIC_PINS
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.mobile.device import DEVICE_PROFILES, DeviceProfile, MobileDevice
+from repro.mobile.device import (
+    DEVICE_PROFILES,
+    RECENT_RESPONSES,
+    DeviceProfile,
+    MobileDevice,
+)
 from repro.mobile.tasks import DEFAULT_TASK_POOL
 
 
@@ -50,8 +55,22 @@ class TestMobileDevice:
         device = self.make_device()
         level_before = device.battery.level
         device.record_response(2000.0)
-        assert device.response_times_ms == [2000.0]
+        assert device.responses_recorded == 1
+        assert list(device.recent_responses_ms) == [2000.0]
         assert device.battery.level < level_before
+
+    def test_tail_keeps_only_the_most_recent_responses(self):
+        device = self.make_device()
+        for value in range(RECENT_RESPONSES + 5):
+            device.record_response(float(value))
+        device.record_responses([1000.0, 1001.0])
+        assert device.responses_recorded == RECENT_RESPONSES + 7
+        expected = [float(v) for v in range(7, RECENT_RESPONSES + 5)] + [1000.0, 1001.0]
+        assert list(device.recent_responses_ms) == expected
+        device.record_responses([float(v) for v in range(3 * RECENT_RESPONSES)])
+        assert list(device.recent_responses_ms) == [
+            float(v) for v in range(2 * RECENT_RESPONSES, 3 * RECENT_RESPONSES)
+        ]
 
     def test_record_response_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -61,14 +80,16 @@ class TestMobileDevice:
         device = self.make_device()
         with pytest.raises(ValueError, match="response_time_ms"):
             device.record_response(float("nan"))
-        assert device.response_times_ms == []
+        assert device.responses_recorded == 0
+        assert not device.recent_responses_ms
         assert device.battery.level == 1.0
 
     def test_record_responses_rejects_nan(self):
         device = self.make_device()
         with pytest.raises(ValueError, match="got nan"):
             device.record_responses([2000.0, float("nan")])
-        assert device.response_times_ms == []
+        assert device.responses_recorded == 0
+        assert not device.recent_responses_ms
         assert device.battery.level == 1.0
 
     def test_promote_moves_up_and_records_time(self):
@@ -90,8 +111,11 @@ class TestMobileDevice:
         for value in (100.0, 200.0, 300.0):
             device.record_response(value)
         assert device.recent_mean_response_ms(window=2) == 250.0
+        assert device.recent_mean_response_ms(window=RECENT_RESPONSES) == 200.0
         with pytest.raises(ValueError):
             device.recent_mean_response_ms(window=0)
+        with pytest.raises(ValueError, match=f"window must be <= {RECENT_RESPONSES}"):
+            device.recent_mean_response_ms(window=RECENT_RESPONSES + 1)
 
     def test_local_execution_time_uses_profile(self):
         device = self.make_device(profile=DEVICE_PROFILES["wearable"])

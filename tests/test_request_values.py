@@ -136,4 +136,5 @@ class TestTraceFieldGuards:
             device.record_response(-1.0)
         with pytest.raises(ValueError, match="response_time_ms"):
             device.record_responses([2.0, -1.0])
-        assert device.response_times_ms == []
+        assert device.responses_recorded == 0
+        assert not device.recent_responses_ms

@@ -201,7 +201,7 @@ class TestBulkModeration:
     def test_static_decide_many_matches_scalar_stream(self):
         policy = StaticProbabilityPolicy(probability=0.3)
         device = self.make_device()
-        bulk = policy.decide_many(device, np.zeros(100), np.random.default_rng(5))
+        bulk = policy.decide_many(device, [], np.zeros(100), np.random.default_rng(5))
         rng = np.random.default_rng(5)
         scalar = [policy.decide(device, 0.0, rng).promote for _ in range(100)]
         np.testing.assert_array_equal(bulk, np.asarray(scalar))
@@ -211,17 +211,38 @@ class TestBulkModeration:
         device = self.make_device()
         responses = np.asarray([50.0, 60.0, 400.0, 500.0, 10.0, 10.0, 10.0])
         device.record_responses(responses)
-        decisions = policy.decide_many(device, responses, np.random.default_rng(0))
+        decisions = policy.decide_many(device, [], responses, np.random.default_rng(0))
         # Rolling 3-mean crosses 100 ms once the 400/500 responses land.
         assert decisions.tolist() == [False, False, True, True, True, True, False]
+
+    def test_threshold_decide_many_windows_reach_into_prior_responses(self):
+        policy = ResponseTimeThresholdPolicy(threshold_ms=100.0, window=3)
+        device = self.make_device()
+        # Only the last window - 1 prior responses count: 1000 ms drops out.
+        prior = [1000.0, 250.0, 50.0]
+        decisions = policy.decide_many(
+            device, prior, np.asarray([10.0, 10.0]), np.random.default_rng(0)
+        )
+        assert decisions.tolist() == [True, False]
 
     def test_battery_decide_many_draws_one_per_response(self):
         policy = BatteryAwarePolicy(base_probability=0.5)
         device = self.make_device()
         rng = np.random.default_rng(1)
-        decisions = policy.decide_many(device, np.zeros(50), rng)
+        decisions = policy.decide_many(device, [], np.zeros(50), rng)
         assert decisions.size == 50
         assert 0 < decisions.sum() < 50
+
+    def test_battery_decide_many_reads_the_level_after_the_batch_drain(self):
+        policy = BatteryAwarePolicy(
+            battery_threshold=0.5, low_battery_probability=1.0, base_probability=0.0
+        )
+        device = self.make_device()
+        device.battery.level = 0.5 + 1e-12
+        moderator = Moderator(policy, max_group=3, rng=np.random.default_rng(0))
+        # The batch's drain takes the battery below the threshold, so the
+        # whole batch draws against the low-battery probability.
+        assert moderator.observe_many(device, np.full(2, 1000.0), np.arange(2.0)) == 2
 
     def test_observe_many_promotes_sequentially(self):
         device = self.make_device(group=1)
@@ -237,7 +258,7 @@ class TestBulkModeration:
         assert promoted == 2
         assert device.acceleration_group == 3
         assert device.promotions == [0.0, 1.0]
-        assert len(device.response_times_ms) == 5
+        assert device.responses_recorded == 5
 
     def test_observe_many_with_zero_probability_never_promotes(self):
         device = self.make_device()
@@ -256,5 +277,6 @@ class TestBulkModeration:
         bulk_device.record_responses(responses)
         for response in responses:
             scalar_device.record_response(float(response))
-        assert bulk_device.response_times_ms == scalar_device.response_times_ms
+        assert bulk_device.responses_recorded == scalar_device.responses_recorded
+        assert bulk_device.recent_responses_ms == scalar_device.recent_responses_ms
         assert bulk_device.battery.level == pytest.approx(scalar_device.battery.level)
