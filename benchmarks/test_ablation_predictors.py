@@ -14,7 +14,6 @@ from conftest import print_rows, run_once
 
 from repro.analysis.crossval import accuracy_vs_history_size
 from repro.core.prediction import (
-    LastValuePredictor,
     MeanWorkloadPredictor,
     prediction_accuracy,
 )

@@ -77,7 +77,6 @@ from repro.scenarios import (
     ScenarioSpec,
     get_scenario,
     run_scenario,
-    scenario_names,
 )
 from repro.sdn.accelerator import SDNAccelerator
 
@@ -109,6 +108,5 @@ __all__ = [
     "get_scenario",
     "prediction_accuracy",
     "run_scenario",
-    "scenario_names",
     "__version__",
 ]

@@ -21,13 +21,11 @@ from repro.analysis.crossval import (
     accuracy_vs_history_size,
     cross_validate_predictor,
 )
-from repro.analysis.metrics import acceleration_ratio
 from repro.analysis.reporting import format_table, summarize_comparison, write_csv
 
 __all__ = [
     "BenchmarkResult",
     "CrossValidationResult",
-    "acceleration_ratio",
     "accuracy_vs_history_size",
     "benchmark_catalog",
     "benchmark_instance_type",

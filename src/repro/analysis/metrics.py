@@ -4,25 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-import numpy as np
-
-
-def acceleration_ratio(
-    slower_response_ms: "float | Sequence[float]",
-    faster_response_ms: "float | Sequence[float]",
-) -> float:
-    """How many times faster the second measurement is than the first.
-
-    Sequences are reduced to their means first.  This is the statistic the
-    paper reports in Fig. 5 (e.g. "a task is executed ≈1.25 times faster by a
-    server of level 2 when compared with one of level 1").
-    """
-    slower = float(np.mean(slower_response_ms))
-    faster = float(np.mean(faster_response_ms))
-    if slower <= 0 or faster <= 0:
-        raise ValueError("response times must be positive")
-    return slower / faster
-
 
 def federation_rollup(sites: Sequence[object]) -> Dict[str, float]:
     """Aggregate per-site results into one federation-wide summary.
@@ -39,8 +20,7 @@ def federation_rollup(sites: Sequence[object]) -> Dict[str, float]:
 
     Callers must pass one row per federation site, *including* sites that
     served zero requests (the multi-site runner always emits one row per
-    site; hand-assembled row lists can use :meth:`SiteResult.zero`): the
-    rollup's ``sites`` count is its contract with
+    site): the rollup's ``sites`` count is its contract with
     ``BrokeredPlan.indices_for_site`` — summing ``indices_for_site`` over
     ``range(int(rollup["sites"]))`` plus the unrouted remainder always
     reaches every request, which silently breaks if empty sites are

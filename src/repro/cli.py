@@ -436,7 +436,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """Render a run record as a self-contained HTML dashboard + OpenMetrics."""
     try:
         record = load_run_record(args.record)
-    except (OSError, ValueError, KeyError) as error:
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     record_path = Path(args.record)
@@ -475,7 +475,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         record_a = load_run_record(args.record_a)
         record_b = load_run_record(args.record_b)
-    except (OSError, ValueError, KeyError) as error:
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     diff = diff_records(
@@ -679,19 +679,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the full diff as JSON"
     )
     diff.add_argument(
-        "--max-counter-delta-pct", type=float, default=0.0,
+        "--max-counter-delta-pct", type=_non_negative_float, default=0.0,
         dest="max_counter_delta_pct", metavar="PCT",
         help="largest acceptable relative counter change in percent "
         "(default 0: any change is a regression)",
     )
     diff.add_argument(
-        "--max-series-divergence", type=float, default=0.0,
+        "--max-series-divergence", type=_non_negative_float, default=0.0,
         dest="max_series_divergence", metavar="VALUE",
         help="largest acceptable per-slot absolute series divergence "
         "(default 0: any divergence is a regression)",
     )
     diff.add_argument(
-        "--limit", type=int, default=12,
+        "--limit", type=_non_negative_int, default=12,
         help="rows to print per section in the text summary",
     )
     diff.set_defaults(handler=_cmd_diff)
@@ -704,6 +704,22 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """``argparse`` type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """``argparse`` type: a number of at least 0 (not NaN)."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
     return value
 
 

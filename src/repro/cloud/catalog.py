@@ -27,7 +27,7 @@ paper's time frame (2016–2017), in USD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, Iterable, Iterator
 
 from repro.cloud.performance import PerformanceProfile
 
@@ -81,11 +81,6 @@ class InstanceCatalog:
     def __contains__(self, name: str) -> bool:
         return name in self._types
 
-    @property
-    def names(self) -> List[str]:
-        """All instance type names in the catalog."""
-        return list(self._types)
-
     def get(self, name: str) -> InstanceType:
         """Look up an instance type by name."""
         try:
@@ -94,18 +89,6 @@ class InstanceCatalog:
             raise KeyError(
                 f"unknown instance type {name!r}; known types: {sorted(self._types)}"
             ) from None
-
-    def by_level(self, acceleration_level: int) -> List[InstanceType]:
-        """All types assigned to the given acceleration level."""
-        return [
-            instance_type
-            for instance_type in self._types.values()
-            if instance_type.acceleration_level == acceleration_level
-        ]
-
-    def levels(self) -> List[int]:
-        """Sorted list of distinct acceleration levels present in the catalog."""
-        return sorted({t.acceleration_level for t in self._types.values()})
 
     def subset(self, names: Iterable[str]) -> "InstanceCatalog":
         """A new catalog restricted to the given type names."""

@@ -56,22 +56,8 @@ class AccelerationLevelCharacterization:
     capacities: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def levels(self) -> List[int]:
-        return [group.level for group in self.groups]
-
-    @property
     def group_count(self) -> int:
         return len(self.groups)
-
-    def group_for_type(self, type_name: str) -> AccelerationGroup:
-        """The group to which ``type_name`` was assigned."""
-        for group in self.groups:
-            if type_name in group.instance_types:
-                return group
-        raise KeyError(f"instance type {type_name!r} was not characterised")
-
-    def level_for_type(self, type_name: str) -> int:
-        return self.group_for_type(type_name).level
 
     def acceleration_ratio(self, higher_level: int, lower_level: int) -> float:
         """How much faster ``higher_level`` executes a task than ``lower_level``.

@@ -25,7 +25,7 @@ averaged over the evaluation set; see :func:`prediction_accuracy`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -41,10 +41,6 @@ class PredictionOutcome:
     matched_index: int
     distance: int
     distances: Dict[int, int] = field(default_factory=dict)
-
-    def predicted_workloads(self, groups: Optional[Sequence[int]] = None) -> Dict[int, int]:
-        """Per-group predicted workloads ``W_{a_n}``."""
-        return self.predicted_slot.workload_vector(groups)
 
 
 class WorkloadPredictor:
@@ -199,21 +195,8 @@ def prediction_accuracy(predicted: TimeSlot, actual: TimeSlot) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Baseline predictors used by the ablation benchmarks
+# Baseline predictor used by the ablation benchmark
 # ---------------------------------------------------------------------------
-
-
-class LastValuePredictor:
-    """Naive baseline: tomorrow looks exactly like today."""
-
-    def __init__(self, history: Optional[TimeSlotHistory] = None) -> None:
-        self.history = history if history is not None else TimeSlotHistory()
-
-    def observe(self, slot: TimeSlot) -> None:
-        self.history.append(slot)
-
-    def predict(self, current: TimeSlot, **_: object) -> PredictionOutcome:
-        return PredictionOutcome(predicted_slot=current, matched_index=-1, distance=0)
 
 
 class MeanWorkloadPredictor:
@@ -226,9 +209,6 @@ class MeanWorkloadPredictor:
 
     def __init__(self, history: Optional[TimeSlotHistory] = None) -> None:
         self.history = history if history is not None else TimeSlotHistory()
-
-    def observe(self, slot: TimeSlot) -> None:
-        self.history.append(slot)
 
     def predict(self, current: TimeSlot, **_: object) -> PredictionOutcome:
         if len(self.history) == 0:

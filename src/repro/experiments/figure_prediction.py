@@ -26,7 +26,7 @@ from repro.analysis.crossval import (
     accuracy_vs_history_size,
     cross_validate_predictor,
 )
-from repro.core.timeslots import TimeSlot, TimeSlotHistory
+from repro.core.timeslots import TimeSlotHistory
 from repro.simulation.randomness import RandomStreams
 
 

@@ -15,10 +15,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.analysis.characterization import (
     DEFAULT_CONCURRENCY_SWEEP,

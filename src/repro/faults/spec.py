@@ -181,9 +181,3 @@ class FaultSpec:
             )
             or self.control_plane is not None
         )
-
-    def to_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
-        if self.control_plane is None:
-            payload.pop("control_plane")
-        return payload

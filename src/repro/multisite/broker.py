@@ -76,11 +76,6 @@ class BrokeredPlan:
         """Request indices assigned to one site, in arrival order."""
         return np.flatnonzero(self.site_ids == site_index)
 
-    @property
-    def unrouted(self) -> np.ndarray:
-        """Request indices no site could accept."""
-        return np.flatnonzero(self.site_ids == UNROUTED)
-
 
 def assign_home_sites(users: int, sites: Sequence[SiteSpec]) -> np.ndarray:
     """Deterministically home ``users`` at sites proportionally to population share.

@@ -91,10 +91,6 @@ class SiteRuntime:
     def highest_group(self) -> int:
         return max(self.spec.cloud.group_types)
 
-    def serving_groups(self) -> "tuple[int, ...]":
-        """The acceleration groups this site declares, sorted."""
-        return tuple(sorted(self.spec.cloud.group_types))
-
     def total_cost(self) -> float:
         """The site's provisioning bill so far (running instances included)."""
         return self.provisioner.total_cost(include_running=True)
@@ -125,10 +121,6 @@ class SiteRuntime:
                 rate[index] += profile.fluid_cores * profile.speed_factor
         return rate
 
-    def capacity_work_per_ms(self) -> float:
-        """Fleet-total serving rate — the degenerate single-group signal."""
-        return float(self.capacity_by_group(self.serving_groups()).sum())
-
     def remaining_instance_cap(self) -> int:
         """How many more instances this site's account cap still allows.
 
@@ -157,10 +149,6 @@ class SiteRuntime:
                 if instance.is_running and not instance.is_booting:
                     total[index] += int(instance.admission_limit)
         return total
-
-    def admission_capacity_requests(self) -> int:
-        """Fleet-total admission ceiling — the degenerate single-group signal."""
-        return int(self.admission_by_group(self.serving_groups()).sum())
 
     def sample_utilization(self, in_service_at) -> "tuple[float, float]":
         """Record one core-occupancy sample over the site's running fleet.

@@ -11,8 +11,8 @@ Like the scenario specs these are frozen dataclasses of plain values: each
 numeric or choice field declares its rule next to it and construction checks
 them through :func:`repro.scenarios.rules.check` (finite numbers, one
 ``"<field> must be <rule>, got <value>"`` message form).  Nested sections may
-be given in their dict form, so ``MultiSiteSpec(**spec.to_dict())`` rebuilds a
-spec, and specs pickle cleanly across campaign worker processes.
+be given in their dict form, so ``MultiSiteSpec(**dataclasses.asdict(spec))``
+rebuilds a spec, and specs pickle cleanly across campaign worker processes.
 
 Latency model
 -------------
@@ -42,9 +42,8 @@ flight at window onset depends on the scenario's fault plane
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.scenarios.rules import FractionWindow, check, choice, coerce, real
 from repro.scenarios.spec import CloudSpec, NetworkSpec
@@ -203,14 +202,3 @@ class MultiSiteSpec:
         for site in self.sites:
             groups.update(int(group) for group in site.cloud.group_types)
         return tuple(sorted(groups))
-
-    def site(self, name: str) -> SiteSpec:
-        """Look up one site by name."""
-        for site in self.sites:
-            if site.name == name:
-                return site
-        raise KeyError(f"unknown site {name!r}; known: {list(self.site_names)}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A plain-dict view (JSON/YAML friendly); ``MultiSiteSpec(**view)`` rebuilds it."""
-        return dataclasses.asdict(self)

@@ -29,7 +29,6 @@ from repro.scenarios.registry import (
     builtin_specs,
     get_scenario,
     register_scenario,
-    scenario_names,
 )
 from repro.scenarios.plan import RequestPlan, build_request_plan
 from repro.scenarios.runner import (
@@ -77,5 +76,4 @@ __all__ = [
     "get_scenario",
     "register_scenario",
     "run_scenario",
-    "scenario_names",
 ]

@@ -94,15 +94,6 @@ class CampaignResult:
     def __len__(self) -> int:
         return len(self.results)
 
-    def get(self, name: str) -> ScenarioResult:
-        """The result of one scenario by name."""
-        for result in self.results:
-            if result.name == name:
-                return result
-        raise KeyError(
-            f"no result for scenario {name!r}; have {[r.name for r in self.results]}"
-        )
-
     def rows(self) -> List[Dict[str, object]]:
         """Cross-scenario comparison rows, in submission order."""
         return [result.as_row() for result in self.results]

@@ -123,13 +123,8 @@ def get_scenario(name: str) -> ScenarioSpec:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(
-            f"unknown scenario {name!r}; known scenarios: {scenario_names()}"
+            f"unknown scenario {name!r}; known scenarios: {list(_REGISTRY)}"
         ) from None
-
-
-def scenario_names() -> List[str]:
-    """Registered scenario names, in registration order."""
-    return list(_REGISTRY)
 
 
 def builtin_specs() -> List[ScenarioSpec]:

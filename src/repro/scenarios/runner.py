@@ -59,12 +59,6 @@ class SiteGroupResult:
     requests_total: int
     requests_dropped: int
 
-    @property
-    def drop_rate(self) -> float:
-        if self.requests_total == 0:
-            return 0.0
-        return self.requests_dropped / self.requests_total
-
 
 @dataclass(frozen=True)
 class SiteResult:
@@ -92,43 +86,11 @@ class SiteResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
 
-    @classmethod
-    def zero(cls, name: str) -> "SiteResult":
-        """An explicit all-zero result for a site that served no request.
-
-        The multi-site runner itself always emits one (fully populated) row
-        per federation site, including sites the broker never picked; this
-        constructor is for callers assembling their own row lists for
-        :func:`repro.analysis.metrics.federation_rollup`, which requires an
-        explicit row per site rather than silently dropped empties.
-        """
-        return cls(
-            name=name,
-            requests_total=0,
-            requests_dropped=0,
-            mean_response_ms=float("nan"),
-            p95_response_ms=float("nan"),
-            allocation_cost_usd=0.0,
-            scaling_actions=0,
-            predictions=0,
-            mean_utilization=0.0,
-        )
-
     @property
     def drop_rate(self) -> float:
         if self.requests_total == 0:
             return 0.0
         return self.requests_dropped / self.requests_total
-
-    def group(self, group_id: int) -> SiteGroupResult:
-        """The tally for one requesting acceleration group at this site."""
-        for entry in self.groups:
-            if entry.group == group_id:
-                return entry
-        raise KeyError(
-            f"site {self.name!r} saw no group-{group_id} requests; "
-            f"have {[entry.group for entry in self.groups]}"
-        )
 
     def as_row(self) -> Dict[str, object]:
         """One per-site comparison row (the multisite CLI/CSV schema)."""
@@ -228,15 +190,6 @@ class ScenarioResult:
     @property
     def is_multisite(self) -> bool:
         return bool(self.sites)
-
-    def site(self, name: str) -> SiteResult:
-        """The per-site result for one site by name."""
-        for site in self.sites:
-            if site.name == name:
-                return site
-        raise KeyError(
-            f"no site result for {name!r}; have {[s.name for s in self.sites]}"
-        )
 
     def site_rows(self) -> List[Dict[str, object]]:
         """Per-site comparison rows (empty for single-site runs)."""

@@ -180,7 +180,7 @@ class CloudSpec:
             if type_name not in DEFAULT_CATALOG:
                 raise ValueError(
                     f"unknown instance type {type_name!r}; "
-                    f"known: {sorted(DEFAULT_CATALOG.names)}"
+                    f"known: {sorted(t.name for t in DEFAULT_CATALOG)}"
                 )
         type_names = list(group_types.values())
         if len(set(type_names)) != len(type_names):
@@ -322,11 +322,6 @@ class ScenarioSpec:
                     f"snapshots; scenario {self.name!r} does not use the "
                     "dynamic-load policy"
                 )
-
-    @property
-    def is_multisite(self) -> bool:
-        """Whether the scenario runs as a multi-site federation."""
-        return self.sites is not None
 
     @property
     def duration_ms(self) -> float:

@@ -28,11 +28,6 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        """The root seed from which all named streams are derived."""
-        return self._seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 
@@ -45,14 +40,6 @@ class RandomStreams:
         if name not in self._streams:
             self._streams[name] = np.random.default_rng(self._child_seed(name))
         return self._streams[name]
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Create an independent child :class:`RandomStreams` namespace.
-
-        Useful when a sub-component manages its own set of named streams (for
-        example, one namespace per simulated mobile device).
-        """
-        return RandomStreams(self._child_seed(name))
 
     def _child_seed(self, name: str) -> int:
         digest = hashlib.sha256(f"{self._seed}:{name}".encode("utf-8")).digest()

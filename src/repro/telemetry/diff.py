@@ -132,12 +132,6 @@ class RecordDiff:
 
     # -- exports --------------------------------------------------------------
 
-    def counter(self, name: str) -> Optional[CounterDelta]:
-        for entry in self.counters:
-            if entry.name == name:
-                return entry
-        return None
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "a": self.label_a,

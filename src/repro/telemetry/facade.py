@@ -53,9 +53,6 @@ class NullTelemetry:
     def span(self, name: str, *, slot: Optional[int] = None) -> _NullSpan:
         return _NULL_SPAN
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"enabled": False}
-
 
 #: The process-wide disabled collaborator (stateless, safe to share).
 NULL_TELEMETRY = NullTelemetry()

@@ -185,9 +185,16 @@ def build_run_record(spec, result, telemetry, *, environment=True) -> RunRecord:
 
 
 def load_run_record(path) -> RunRecord:
-    """Read a record file back, validating the schema version."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    schema = payload.get("schema")
+    """Read a record file back, validating the schema version.
+
+    Every error names the file: an unreadable one raises ``OSError``, and
+    one that is not a run record of this schema raises ``ValueError``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as error:
+        raise ValueError(f"{path}: not a JSON file ({error})") from None
+    schema = payload.get("schema") if isinstance(payload, dict) else None
     if not isinstance(schema, str) or not schema.startswith("repro.run-record/"):
         raise ValueError(f"{path}: not a run-record file (schema={schema!r})")
     major = schema.rsplit("/", 1)[-1]
@@ -196,18 +203,23 @@ def load_run_record(path) -> RunRecord:
             f"{path}: unsupported run-record schema {schema!r} "
             f"(this build reads {RECORD_SCHEMA!r})"
         )
-    return RunRecord(
-        schema=schema,
-        scenario=payload["scenario"],
-        execution=payload["execution"],
-        seed=int(payload["seed"]),
-        spec_hash=payload["spec_hash"],
-        slots=int(payload["slots"]),
-        result=payload.get("result", {}),
-        counters=payload.get("counters", {}),
-        gauges=payload.get("gauges", {}),
-        histograms=payload.get("histograms", {}),
-        series=payload.get("series", {}),
-        environment=payload.get("environment", {}),
-        trace=payload.get("trace", {}),
-    )
+    try:
+        return RunRecord(
+            schema=schema,
+            scenario=payload["scenario"],
+            execution=payload["execution"],
+            seed=int(payload["seed"]),
+            spec_hash=payload["spec_hash"],
+            slots=int(payload["slots"]),
+            result=payload.get("result", {}),
+            counters=payload.get("counters", {}),
+            gauges=payload.get("gauges", {}),
+            histograms=payload.get("histograms", {}),
+            series=payload.get("series", {}),
+            environment=payload.get("environment", {}),
+            trace=payload.get("trace", {}),
+        )
+    except KeyError as error:
+        raise ValueError(f"{path}: run record has no {error.args[0]!r} field") from None
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"{path}: malformed run record ({error})") from None

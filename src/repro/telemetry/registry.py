@@ -22,7 +22,7 @@ fit for a deterministic simulator:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -92,15 +92,8 @@ class Histogram:
         self.total = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        """Fold one value into its bucket (values above the last edge overflow)."""
-        index = int(np.searchsorted(self.edges, value, side="left"))
-        self.counts[index] += 1
-        self.total += float(value)
-        self.count += 1
-
     def observe_many(self, values: "np.ndarray | Sequence[float]") -> None:
-        """Vectorised :meth:`observe` over an array of values."""
+        """Fold each value into its bucket (values above the last edge overflow)."""
         array = np.asarray(values, dtype=float)
         if array.size == 0:
             return
@@ -179,11 +172,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-    def names(self) -> List[str]:
-        return sorted(
-            list(self._counters) + list(self._gauges) + list(self._histograms)
-        )
 
     def as_dict(self) -> Dict[str, object]:
         """A JSON-friendly export of every instrument, sorted by name."""

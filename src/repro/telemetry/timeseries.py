@@ -51,29 +51,15 @@ import numpy as np
 
 
 class NullSlotSeriesRecorder:
-    """The disabled recorder: every operation is a shared no-op."""
+    """The disabled recorder: the per-slot sample is a shared no-op.
+
+    Its other operations are called only under ``telemetry.enabled``.
+    """
 
     enabled = False
 
     def sample_fleet(self, slot: int, provisioner, prefix: str = "") -> None:
         pass
-
-    def append(self, name: str, slot: int, value: float) -> None:
-        pass
-
-    def ingest_plan(self, plan, *, slot_ms: float, periods: int) -> None:
-        pass
-
-    def ingest_broker(self, broker, site_names: Sequence[str]) -> None:
-        pass
-
-    def ingest_faults(
-        self, overlay, plan, *, slot_ms: float, periods: int, site_ids=None
-    ) -> None:
-        pass
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"slots": 0, "series": {}}
 
 
 #: The process-wide disabled recorder (stateless, safe to share).
@@ -230,9 +216,6 @@ class SlotSeriesRecorder:
 
     def __len__(self) -> int:
         return len(self._series)
-
-    def names(self) -> List[str]:
-        return sorted(self._series)
 
     def slots(self) -> int:
         """The longest recorded series length (0 when nothing was recorded)."""

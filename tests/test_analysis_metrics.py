@@ -2,19 +2,40 @@
 
 import pytest
 
-from repro.analysis.metrics import acceleration_ratio
+from repro.cloud.catalog import DEFAULT_CATALOG
+from repro.core.acceleration import (
+    AccelerationGroup,
+    AccelerationLevelCharacterization,
+    characterize_instances,
+)
 
 
 class TestAccelerationRatio:
+    """The Fig. 5 ratio: how many times faster one acceleration group runs a task."""
+
     def test_scalar_inputs(self):
-        assert acceleration_ratio(2000.0, 1600.0) == pytest.approx(1.25)
+        groups = [
+            AccelerationGroup(level=1, instance_types=("a",), capacity=1.0, speed_factor=1.6),
+            AccelerationGroup(level=2, instance_types=("b",), capacity=2.0, speed_factor=2.0),
+        ]
+        result = AccelerationLevelCharacterization(
+            groups=groups, work_units=300.0, response_threshold_ms=500.0
+        )
+        assert result.acceleration_ratio(2, 1) == pytest.approx(1.25)
 
     def test_sequence_inputs_use_means(self):
-        assert acceleration_ratio([2000.0, 2200.0], [1000.0, 1100.0]) == pytest.approx(2.0)
+        # A group's speed factor is the mean of its members' speeds.
+        catalog = DEFAULT_CATALOG.subset(["t2.nano", "t2.small", "t2.large", "m4.4xlarge"])
+        result = characterize_instances(
+            catalog,
+            measured_capacities={"t2.nano": 10, "t2.small": 10, "t2.large": 100, "m4.4xlarge": 100},
+            measured_speed_factors={"t2.nano": 1.0, "t2.small": 1.2, "t2.large": 2.0, "m4.4xlarge": 2.4},
+        )
+        assert result.acceleration_ratio(1, 0) == pytest.approx(2.0)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
-            acceleration_ratio(0.0, 100.0)
+            AccelerationGroup(level=1, instance_types=("a",), capacity=1.0, speed_factor=0.0)
 
 
 class TestGroupRollupRows:
@@ -58,9 +79,8 @@ class TestGroupRollupRows:
 
     def test_sites_without_group_data_contribute_nothing(self):
         from repro.analysis.metrics import group_rollup_rows
-        from repro.scenarios.runner import SiteResult
 
-        assert group_rollup_rows([SiteResult.zero("idle")]) == []
+        assert group_rollup_rows([self.make_site("idle", [])]) == []
 
     def test_zero_request_group_reports_zero_rate(self):
         from repro.analysis.metrics import group_rollup_rows

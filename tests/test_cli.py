@@ -91,6 +91,11 @@ class TestExecution:
             ["fig8", "--step-seconds", "-1"],
             ["fig8", "--step-seconds", "nan"],
             ["fig8", "--step-seconds", "inf"],
+            ["diff", "a.json", "b.json", "--max-counter-delta-pct", "nan"],
+            ["diff", "a.json", "b.json", "--max-counter-delta-pct", "-1"],
+            ["diff", "a.json", "b.json", "--max-series-divergence", "nan"],
+            ["diff", "a.json", "b.json", "--max-series-divergence", "-0.5"],
+            ["diff", "a.json", "b.json", "--limit", "-1"],
         ],
         ids=lambda argv: "-".join(argv),
     )
@@ -98,7 +103,7 @@ class TestExecution:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "usage:" in err
-        assert f"argument {argv[1]}: must be a positive" in err
+        assert f"argument {argv[-2]}: must be a " in err
         assert "Traceback" not in err
 
     def test_export_writes_csv_files(self, tmp_path, capsys):

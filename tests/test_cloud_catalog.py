@@ -33,7 +33,7 @@ class TestDefaultCatalogCalibration:
             "t2.nano", "t2.micro", "t2.small", "t2.medium", "t2.large",
             "m4.4xlarge", "m4.10xlarge", "c4.8xlarge",
         }
-        assert expected == set(DEFAULT_CATALOG.names)
+        assert expected == {t.name for t in DEFAULT_CATALOG}
 
     def test_paper_acceleration_level_assignment(self):
         levels = {t.name: t.acceleration_level for t in DEFAULT_CATALOG}
@@ -76,13 +76,22 @@ class TestInstanceCatalog:
         with pytest.raises(KeyError, match="t2.nano"):
             DEFAULT_CATALOG.get("t9.mega")
 
+    def test_get_unknown_type_message_lists_every_type_sorted(self):
+        known = sorted(instance_type.name for instance_type in DEFAULT_CATALOG)
+        with pytest.raises(KeyError) as caught:
+            DEFAULT_CATALOG.get("t9.mega")
+        assert caught.value.args[0] == f"unknown instance type 't9.mega'; known types: {known}"
+
     def test_by_level_and_levels(self):
-        assert {t.name for t in DEFAULT_CATALOG.by_level(1)} == {"t2.nano", "t2.small"}
-        assert DEFAULT_CATALOG.levels() == [0, 1, 2, 3, 4]
+        by_level = {}
+        for instance_type in DEFAULT_CATALOG:
+            by_level.setdefault(instance_type.acceleration_level, set()).add(instance_type.name)
+        assert by_level[1] == {"t2.nano", "t2.small"}
+        assert sorted(by_level) == [0, 1, 2, 3, 4]
 
     def test_subset(self):
         subset = DEFAULT_CATALOG.subset(["t2.nano", "t2.large"])
-        assert set(subset.names) == {"t2.nano", "t2.large"}
+        assert {t.name for t in subset} == {"t2.nano", "t2.large"}
         assert len(subset) == 2
 
     def test_contains_and_iter(self):

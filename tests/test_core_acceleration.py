@@ -8,6 +8,8 @@ from repro.core.acceleration import (
     characterize_instances,
 )
 
+CATALOG_NAMES = [instance_type.name for instance_type in DEFAULT_CATALOG]
+
 
 class TestAccelerationGroup:
     def test_validation(self):
@@ -46,10 +48,9 @@ class TestCharacterizeDefaultCatalog:
 
     def test_group_for_type_and_level_for_type(self):
         result = characterize_instances(DEFAULT_CATALOG)
-        assert result.level_for_type("t2.large") == 2
-        assert "t2.large" in result.group_for_type("t2.large").instance_types
-        with pytest.raises(KeyError):
-            result.group_for_type("unknown")
+        assert result.as_level_map()["t2.large"] == 2
+        assert "t2.large" in result.groups[2].instance_types
+        assert "unknown" not in result.as_level_map()
 
     def test_acceleration_ratio_unknown_level_raises(self):
         result = characterize_instances(DEFAULT_CATALOG)
@@ -58,18 +59,18 @@ class TestCharacterizeDefaultCatalog:
 
     def test_capacities_recorded_for_every_type(self):
         result = characterize_instances(DEFAULT_CATALOG)
-        assert set(result.capacities) == set(DEFAULT_CATALOG.names)
+        assert set(result.capacities) == set(CATALOG_NAMES)
 
 
 class TestCharacterizationOptions:
     def test_measured_capacities_override_analytic(self):
         # Force every type to the same measured capacity: everything lands in one group.
-        measured = {name: 50.0 for name in DEFAULT_CATALOG.names}
+        measured = {name: 50.0 for name in CATALOG_NAMES}
         result = characterize_instances(DEFAULT_CATALOG, measured_capacities=measured)
         assert result.group_count == 1
 
     def test_measured_speed_factors_override(self):
-        measured_speeds = {name: 1.0 for name in DEFAULT_CATALOG.names}
+        measured_speeds = {name: 1.0 for name in CATALOG_NAMES}
         result = characterize_instances(DEFAULT_CATALOG, measured_speed_factors=measured_speeds)
         for group in result.groups:
             assert group.speed_factor == 1.0
@@ -86,12 +87,11 @@ class TestCharacterizationOptions:
     def test_tighter_threshold_reduces_capacities(self):
         strict = characterize_instances(DEFAULT_CATALOG, response_threshold_ms=300.0)
         loose = characterize_instances(DEFAULT_CATALOG, response_threshold_ms=2000.0)
-        for name in DEFAULT_CATALOG.names:
+        for name in CATALOG_NAMES:
             assert strict.capacities[name] <= loose.capacities[name]
 
     def test_subset_catalog(self):
         subset = DEFAULT_CATALOG.subset(["t2.nano", "t2.micro"])
         result = characterize_instances(subset)
         assert result.group_count == 2
-        assert result.level_for_type("t2.micro") == 0
-        assert result.level_for_type("t2.nano") == 1
+        assert result.as_level_map() == {"t2.micro": 0, "t2.nano": 1}

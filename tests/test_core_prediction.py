@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.prediction import (
-    LastValuePredictor,
     MeanWorkloadPredictor,
     WorkloadPredictor,
     prediction_accuracy,
@@ -94,7 +93,7 @@ class TestWorkloadPredictor:
 
     def test_predict_next_workloads_returns_vector(self, history):
         predictor = WorkloadPredictor(history)
-        workloads = predictor.predict(slot(3, {1: [1, 2, 3], 2: []})).predicted_workloads([1, 2])
+        workloads = predictor.predict(slot(3, {1: [1, 2, 3], 2: []})).predicted_slot.workload_vector([1, 2])
         assert workloads == {1: 3, 2: 0}
 
     def test_observe_appends_to_history(self):
@@ -130,11 +129,6 @@ class TestAccuracyMetrics:
 
 
 class TestBaselinePredictors:
-    def test_last_value_predicts_current_slot(self, history):
-        predictor = LastValuePredictor(history)
-        current = slot(3, {1: [1]})
-        assert predictor.predict(current).predicted_slot is current
-
     def test_mean_predictor_averages_counts(self, history):
         predictor = MeanWorkloadPredictor(history)
         outcome = predictor.predict(slot(3, {1: [], 2: []}))

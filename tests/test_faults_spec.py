@@ -1,5 +1,7 @@
 """Validation and serialisation tests for the fault/resilience specs."""
 
+import dataclasses
+
 import pytest
 
 from repro.faults.spec import (
@@ -9,6 +11,7 @@ from repro.faults.spec import (
     PreemptionWindow,
     RetryPolicy,
 )
+from repro.scenarios.spec import ScenarioSpec
 
 
 class TestWindowValidation:
@@ -127,12 +130,12 @@ class TestFaultSpec:
 
     def test_dict_round_trip(self):
         spec = self.full_spec()
-        assert FaultSpec(**spec.to_dict()) == spec
+        assert FaultSpec(**dataclasses.asdict(spec)) == spec
 
     def test_dict_round_trip_without_control_plane(self):
         spec = FaultSpec(offload_failure_probability=0.1)
-        payload = spec.to_dict()
-        assert "control_plane" not in payload
+        payload = ScenarioSpec(name="faulty", faults=spec).to_dict()["faults"]
+        assert payload["control_plane"] is None
         assert FaultSpec(**payload) == spec
 
     def test_mapping_coercion(self):

@@ -9,17 +9,23 @@ example.  A package ``__init__`` that only re-exports is a namespace and is not
 checked; one that defines a function or class is checked like a module, and is
 reached only when something imports from the package itself.
 
-The symbol gate goes one level down: every public function, class and method
-must be named somewhere under ``src/``, ``examples/``, ``benchmarks/`` or
-``perfbench/`` outside its own body.  A symbol only tests call is dead code;
-delete it, or add it to the short commented allow-list with its reason.
+The class gate goes one level down: every public class must be named
+somewhere under ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/``
+outside its own body.  Functions and methods are judged by the call trace of
+``tests/call_reachability.py`` instead, which sees a dead method whose name a
+live one shares; the tests at the end check that gate's rules on a toy package.
+No module may import a name it never uses either.
 """
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
+
+import pytest
+from call_reachability import recording_calls, uncalled_functions
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -128,23 +134,11 @@ def test_every_module_is_reached_from_the_cli_or_an_example():
     assert unreached == [], f"modules no command or example imports: {unreached}"
 
 
-# --- public symbols ----------------------------------------------------------
+# --- public classes ----------------------------------------------------------
 
 #: Trees whose code counts as a use: what users run plus the benches.  Tests
-#: do not count, so a symbol only tests call is dead.
+#: do not count, so a class only tests name is dead.
 SCANNED_ROOTS = ("src", "examples", "benchmarks", "perfbench")
-
-#: Public symbols kept although only tests call them, each with its reason.
-ALLOWED_UNUSED = {
-    # The dynamic-broker parity oracle: per-slot shares that must match across modes.
-    "repro.scenarios.runner.ScenarioResult.slot_routing_shares",
-    # Whether a fault spec can fire at all: the spec's own summary predicate.
-    "repro.faults.spec.FaultSpec.has_faults",
-    # The bytes that define "same results": the registry record pins compare them.
-    "repro.telemetry.record.RunRecord.canonical_bytes",
-    # The paper's scalar Δ (Section IV-B1): the reference SlotDistanceIndex is tested against.
-    "repro.core.distance.slot_edit_distance",
-}
 
 _WORD = re.compile(r"[A-Za-z_]\w*")
 
@@ -189,22 +183,22 @@ def _mentions(node: ast.AST, skip: Set[int]) -> Counter:
     return counts
 
 
-def _definitions(scope: ast.AST, prefix: str = ""):
-    """``(qualified name, node)`` of each public function, class and method."""
+def _classes(scope: ast.AST, prefix: str = ""):
+    """``(qualified name, node)`` of each public class, nested ones included."""
     for node in scope.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef):
             if not node.name.startswith("_"):
                 yield prefix + node.name, node
-            if isinstance(node, ast.ClassDef):
-                yield from _definitions(node, f"{prefix}{node.name}.")
+            yield from _classes(node, f"{prefix}{node.name}.")
 
 
 def unused_symbols(root: Path, package: str = PACKAGE) -> List[str]:
-    """Public symbols of ``root/src/<package>`` that nothing under
-    :data:`SCANNED_ROOTS` names outside the symbol's own body.
+    """Public classes of ``root/src/<package>`` that nothing under
+    :data:`SCANNED_ROOTS` names outside the class's own body.
 
-    The scan goes by name, so a dead method that shares its name with a live
-    one is not reported: the gate errs toward keeping code.
+    The scan goes by name, so a class is judged by whether its name is used,
+    not by whether it is constructed: a dataclass's or NamedTuple's
+    constructor is not code in its own body, so a call trace cannot see it.
     """
     trees = {}
     for top in SCANNED_ROOTS:
@@ -223,42 +217,217 @@ def unused_symbols(root: Path, package: str = PACKAGE) -> List[str]:
         if root / "src" / package not in path.parents:
             continue
         module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
-        for qualname, node in _definitions(tree):
+        for qualname, node in _classes(tree):
             if total[node.name] == _mentions(node, docstrings[path])[node.name]:
                 unused.append(f"{module}.{qualname}")
     return sorted(unused)
 
 
 def test_every_public_symbol_is_used_outside_tests():
-    unused = set(unused_symbols(ROOT))
-    dead = sorted(unused - ALLOWED_UNUSED)
-    assert dead == [], f"public symbols only tests (or nothing) use: {dead}"
-    stale = sorted(ALLOWED_UNUSED - unused)
-    assert stale == [], f"allow-listed symbols that are used or gone: {stale}"
+    dead = unused_symbols(ROOT)
+    assert dead == [], f"public classes only tests (or nothing) use: {dead}"
+
+
+def _write(root: Path, files: Dict[str, str]) -> None:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
 
 
 def test_symbol_scan_flags_test_only_code_and_counts_string_and_bench_uses(tmp_path):
-    files = {
-        "src/demo/__init__.py": 'from demo.mod import Thing, helper\n__all__ = ["Thing", "helper"]\n',
+    _write(tmp_path, {
+        "src/demo/__init__.py": 'from demo.mod import Helper, Thing\n__all__ = ["Helper", "Thing"]\n',
         "src/demo/mod.py": (
             "class Thing:\n"
-            "    def used(self):\n"
-            "        pass\n"
-            "    def unused(self):\n"
-            '        """Calls only itself."""\n'
-            "        return self.unused()\n"
-            "    def by_name(self):\n"
-            "        pass\n"
-            "    def by_bench(self):\n"
-            "        pass\n"
-            "def helper():\n"
+            "    class Unused:\n"
+            '        """Names only itself."""\n'
+            "        def copy(self):\n"
+            "            return Thing.Unused()\n"
+            "class ByName:\n"
             "    pass\n"
+            "class ByBench:\n"
+            "    pass\n"
+            "class Helper:\n"
+            "    def unused(self):\n"
+            "        pass\n"
         ),
-        "src/demo/cli.py": 'from demo.mod import Thing\nThing().used()\nHOOK = "Thing.by_name"\n',
-        "perfbench/run.py": "from demo.mod import Thing\nThing().by_bench()\n",
-        "tests/test_mod.py": "from demo.mod import Thing, helper\nhelper()\nThing().unused()\n",
-    }
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text)
-    assert unused_symbols(tmp_path, "demo") == ["demo.mod.Thing.unused", "demo.mod.helper"]
+        "src/demo/cli.py": 'from demo.mod import Thing\nThing()\nHOOK = "ByName"\n',
+        "perfbench/run.py": "from demo.mod import ByBench\nByBench()\n",
+        "tests/test_mod.py": "from demo.mod import Helper, Thing\nHelper().unused()\nThing.Unused()\n",
+    })
+    assert unused_symbols(tmp_path, "demo") == ["demo.mod.Helper", "demo.mod.Thing.Unused"]
+
+
+# --- imports --------------------------------------------------------------------
+
+
+def _string_annotation_words(tree: ast.AST) -> Set[str]:
+    """The words of string annotations (forward references) and of ``__all__``."""
+    sources: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            sources.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            sources.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            sources.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            sources.append(node.value)
+    words: Set[str] = set()
+    for source in sources:
+        for child in ast.walk(source):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                words.update(_WORD.findall(child.value))
+    return words
+
+
+def unused_imports(src: Path, package: str = PACKAGE) -> List[str]:
+    """``module: name`` for each name a module of ``src/<package>`` imports and
+    never reads, lists in ``__all__`` or writes in a string annotation."""
+    unused = []
+    for path in sorted((src / package).rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported: Dict[str, int] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _string_annotation_words(tree)
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        unused.extend(
+            f"{module}:{line}: {name}" for name, line in imported.items() if name not in used
+        )
+    return sorted(unused)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports(SRC) == []
+
+
+def test_import_scan_counts_reads_string_annotations_and_reexports(tmp_path):
+    _write(tmp_path, {
+        "src/demo/__init__.py": 'from demo.mod import run\n__all__ = ["run"]\n',
+        "src/demo/mod.py": (
+            "from __future__ import annotations\n"
+            "import itertools\n"
+            "import os.path\n"
+            "from typing import Dict, List, TYPE_CHECKING\n"
+            "import numpy as np\n"
+            "if TYPE_CHECKING:\n"
+            "    from demo.other import Plan\n"
+            "def run(plan: 'Plan') -> Dict[str, int]:\n"
+            "    return {'n': np.size(os.path.sep)}\n"
+        ),
+    })
+    assert unused_imports(tmp_path / "src", "demo") == [
+        "demo.mod:2: itertools", "demo.mod:4: List",
+    ]
+
+
+# --- the call-trace gate on a toy package -------------------------------------
+
+TOY = {
+    "src/toy/__init__.py": "",
+    "src/toy/shapes.py": (
+        "from typing import Protocol\n"
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        raise NotImplementedError\n"
+        "class Square(Shape):\n"
+        "    def area(self):\n"
+        "        return 4\n"
+        "class Catalog:\n"
+        "    _size = 1\n"
+        "    @property\n"
+        "    def names(self):\n"
+        "        return ['square']\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self._size\n"
+        "    @size.setter\n"
+        "    def size(self, value):\n"
+        "        self._size = value\n"
+        "class Registry:\n"
+        "    def names(self):\n"
+        "        return []\n"
+        "class Router(Protocol):\n"
+        "    def route(self, shape):\n"
+        "        ...\n"
+        "class Nearest:\n"
+        "    def route(self, shape):\n"
+        "        return shape\n"
+    ),
+    "src/toy/cli.py": (
+        "import argparse\n"
+        "from toy.shapes import Catalog, Nearest, Square\n"
+        "def main(argv):\n"
+        "    parser = argparse.ArgumentParser()\n"
+        "    parser.add_argument('--verbose', action='store_true')\n"
+        "    args = parser.parse_args(argv)\n"
+        "    shape = Nearest().route(Square())\n"
+        "    catalog = Catalog()\n"
+        "    catalog.size = 2\n"
+        "    if args.verbose:\n"
+        "        report(shape, catalog)\n"
+        "    return catalog.names\n"
+        "def report(shape, catalog):\n"
+        "    return shape.area() * catalog.size\n"
+    ),
+}
+
+
+@pytest.fixture
+def toy(tmp_path):
+    """Run the toy CLI with the given arguments under the call trace; return
+    the toy's uncalled public functions."""
+    _write(tmp_path, TOY)
+    sys.path.insert(0, str(tmp_path / "src"))
+    try:
+        from toy.cli import main
+
+        def uncalled(*argv: str) -> List[str]:
+            with recording_calls() as ran:
+                main(list(argv))
+            return uncalled_functions(tmp_path / "src", ran, "toy")
+
+        yield uncalled
+    finally:
+        sys.path.remove(str(tmp_path / "src"))
+        for name in [name for name in sys.modules if name.split(".")[0] == "toy"]:
+            del sys.modules[name]
+
+
+def test_trace_gate_flags_a_test_only_method_whose_name_a_live_one_shares(toy):
+    # ``Catalog.names`` ran, so a scan by name would count ``Registry.names`` used.
+    assert "toy.shapes.Registry.names" in toy("--verbose")
+    assert "toy.shapes.Catalog.names" not in toy("--verbose")
+
+
+def test_trace_gate_passes_a_base_method_whose_override_ran(toy):
+    uncalled = toy("--verbose")
+    assert "toy.shapes.Shape.area" not in uncalled
+    assert "toy.shapes.Square.area" not in uncalled
+
+
+def test_trace_gate_passes_a_function_reached_only_through_a_cli_flag(toy):
+    assert toy() == ["toy.cli.report", "toy.shapes.Catalog.size", "toy.shapes.Registry.names",
+                     "toy.shapes.Shape.area", "toy.shapes.Square.area"]
+    assert toy("--verbose") == ["toy.shapes.Registry.names"]
+
+
+def test_trace_gate_passes_a_protocol_method_an_implementation_ran(toy):
+    # ``Router.route`` never runs itself; ``Nearest`` implements every method
+    # ``Router`` declares, so its call keeps the protocol's method live.
+    assert "toy.shapes.Router.route" not in toy()
+    assert "toy.shapes.Nearest.route" not in toy()
+
+
+def test_trace_gate_judges_a_property_setter_with_its_getter(toy):
+    # The setter runs on every call; the getter only under ``--verbose``.
+    assert toy().count("toy.shapes.Catalog.size") == 1
+    assert "toy.shapes.Catalog.size" not in toy("--verbose")

@@ -41,6 +41,23 @@ MULTISITE_BUILTINS = (
 )
 
 
+def site_named(result, name: str) -> SiteResult:
+    """One site's row of a federation result."""
+    (site,) = [site for site in result.sites if site.name == name]
+    return site
+
+
+def tally_of(site: SiteResult, group: int):
+    """One requesting group's tally at a site."""
+    (tally,) = [tally for tally in site.groups if tally.group == group]
+    return tally
+
+
+def drop_rate(tally) -> float:
+    """The drop rate of one group tally (0 when it saw no request)."""
+    return tally.requests_dropped / tally.requests_total if tally.requests_total else 0.0
+
+
 def with_capacity_signal(spec: ScenarioSpec, signal: str) -> ScenarioSpec:
     """A copy of a multi-site spec under a different live-state resolution."""
     return dataclasses.replace(
@@ -184,8 +201,8 @@ class TestOutageFailover:
     @pytest.mark.parametrize("execution", ["event", "batched"])
     def test_traffic_drains_to_secondary_without_drops(self, execution):
         result = run_scenario(self.failover_spec(execution=execution), seed=2)
-        primary = result.site("primary")
-        secondary = result.site("secondary")
+        primary = site_named(result, "primary")
+        secondary = site_named(result, "secondary")
         # Both sites served traffic, and the outage third moved to secondary.
         assert primary.requests_total > 0
         assert secondary.requests_total > 0.2 * result.requests_total
@@ -260,15 +277,16 @@ class TestBuiltinMultisiteScenarios:
             users=10, duration_hours=0.5, target_requests=150, execution="batched"
         )
         result = run_scenario(spec, seed=0)
-        assert result.site("budget-far").requests_total > 0
-        assert result.site("premium-near").requests_total == 0
+        assert site_named(result, "budget-far").requests_total > 0
+        assert site_named(result, "premium-near").requests_total == 0
 
     def test_edge_vs_core_splits_by_home(self):
         spec = get_scenario("edge-vs-core").with_overrides(
             users=12, duration_hours=0.5, target_requests=150, execution="batched"
         )
         result = run_scenario(spec, seed=0)
-        assert result.site("edge").requests_total > result.site("core").requests_total > 0
+        edge, core = site_named(result, "edge"), site_named(result, "core")
+        assert edge.requests_total > core.requests_total > 0
 
 
 def dynamic_spec(spillover=None, **overrides) -> ScenarioSpec:
@@ -355,8 +373,8 @@ class TestDynamicBrokerParity:
             seed=0,
         )
         assert result.requests_spilled > 0
-        assert result.site("cold").requests_spilled_in == result.requests_spilled
-        assert result.site("hot").requests_spilled_in == 0
+        assert site_named(result, "cold").requests_spilled_in == result.requests_spilled
+        assert site_named(result, "hot").requests_spilled_in == 0
 
     def test_hotspot_spillover_acceptance_criterion(self):
         """``--broker dynamic-load`` halves the saturated site's drop rate.
@@ -375,8 +393,8 @@ class TestDynamicBrokerParity:
             static = run_scenario(
                 static_spec.with_overrides(execution=execution), seed=0
             )
-            hot_static = static.site("hotspot").drop_rate
-            hot_dynamic = dynamic.site("hotspot").drop_rate
+            hot_static = site_named(static, "hotspot").drop_rate
+            hot_dynamic = site_named(dynamic, "hotspot").drop_rate
             assert hot_static > 0.05, "hotspot must actually saturate"
             assert hot_dynamic <= 0.5 * hot_static, (
                 f"{execution}: dynamic {hot_dynamic:.3f} vs static {hot_static:.3f}"
@@ -423,7 +441,7 @@ class TestFederationRollup:
             users=10, duration_hours=0.5, target_requests=150, execution="batched"
         )
         result = run_scenario(spec, seed=0)
-        empty = result.site("premium-near")
+        empty = site_named(result, "premium-near")
         assert empty.requests_total == 0
         assert len(result.sites) == 2
         rollup = federation_rollup(result.sites)
@@ -434,7 +452,17 @@ class TestFederationRollup:
         assert rollup["mean_ms"] == pytest.approx(result.mean_response_ms, rel=0.01)
 
     def test_site_result_zero_constructor_matches_rollup_contract(self):
-        zero = SiteResult.zero("idle")
+        zero = SiteResult(
+            name="idle",
+            requests_total=0,
+            requests_dropped=0,
+            mean_response_ms=float("nan"),
+            p95_response_ms=float("nan"),
+            allocation_cost_usd=0.0,
+            scaling_actions=0,
+            predictions=0,
+            mean_utilization=0.0,
+        )
         served = SiteResult(
             name="busy",
             requests_total=100,
@@ -530,7 +558,7 @@ class TestGroupAwareCapacityAccounting:
                 (g.group, g.requests_total) for g in site_batched.groups
             ]
             for g_event, g_batched in zip(site_event.groups, site_batched.groups):
-                assert abs(g_event.drop_rate - g_batched.drop_rate) <= 0.02
+                assert abs(drop_rate(g_event) - drop_rate(g_batched)) <= 0.02
 
     def test_acceptance_criterion_unpromoted_drop_rate_halved(self):
         """The group-aware signal cuts `lean`'s un-promoted (group-1) drop
@@ -544,8 +572,8 @@ class TestGroupAwareCapacityAccounting:
             fleet = run_scenario(
                 dataclasses.replace(fleet_spec, execution=execution), seed=0
             )
-            drop_fleet = fleet.site("lean").group(1).drop_rate
-            drop_grouped = grouped.site("lean").group(1).drop_rate
+            drop_fleet = drop_rate(tally_of(site_named(fleet, "lean"), 1))
+            drop_grouped = drop_rate(tally_of(site_named(grouped, "lean"), 1))
             assert drop_fleet > 0.05, "the starved site must actually saturate"
             assert drop_grouped <= 0.5 * drop_fleet, (
                 f"{execution}: per-group {drop_grouped:.3f} "
@@ -555,11 +583,11 @@ class TestGroupAwareCapacityAccounting:
             # drained at the phantom fleet rate); the group signal diverts
             # un-promoted traffic and spills the remainder.
             routed = fleet.requests_total - fleet.requests_unrouted
-            assert fleet.site("lean").requests_total == pytest.approx(
+            assert site_named(fleet, "lean").requests_total == pytest.approx(
                 0.5 * routed, rel=0.02
             )
-            assert grouped.site("lean").requests_total < (
-                0.8 * fleet.site("lean").requests_total
+            assert site_named(grouped, "lean").requests_total < (
+                0.8 * site_named(fleet, "lean").requests_total
             )
             assert grouped.requests_spilled > 0
             # Summed over groups, lean's admission looks bottomless to the
@@ -633,8 +661,8 @@ class TestFractionalCoreParity:
         small, large = federation.sites
         # t2.small: 3.2 effective cores at speed 1.0; t2.large: 6.5 at 1.25.
         # The historical int(round(...)) form reported 3.0 and 8.75 (7*1.25).
-        assert small.capacity_work_per_ms() == pytest.approx(3.2)
-        assert large.capacity_work_per_ms() == pytest.approx(6.5 * 1.25)
+        assert small.capacity_by_group(federation.group_axis()).sum() == pytest.approx(3.2)
+        assert large.capacity_by_group(federation.group_axis()).sum() == pytest.approx(6.5 * 1.25)
         import numpy as np
 
         np.testing.assert_allclose(
@@ -692,21 +720,22 @@ class TestBootDelayAccounting:
             task=DEFAULT_TASK_POOL.get("minimax"),
         )
         slow, instant = federation.sites
+        axis = federation.group_axis()
         # Both initial instances of `slow-boot` are still booting at t=0:
         # no serving capacity, no admission headroom, but both cap slots are
         # taken - the broker must not see them as free headroom *and* zero
         # capacity at once (the double count this fixes).
-        assert slow.capacity_work_per_ms() == 0.0
-        assert slow.admission_capacity_requests() == 0
+        assert slow.capacity_by_group(axis).sum() == 0.0
+        assert slow.admission_by_group(axis).sum() == 0
         assert slow.remaining_instance_cap() == 6 - 2
         assert slow.provisioner.launched_count == 2
         assert slow.provisioner.running_count == 0
         # The zero-delay site serves immediately.
-        assert instant.capacity_work_per_ms() > 0.0
+        assert instant.capacity_by_group(axis).sum() > 0.0
         # After the boot window the capacity appears, cap accounting unchanged.
         engine.clock.advance_to(120_000.0)
-        assert slow.capacity_work_per_ms() == pytest.approx(3.0 + 7.5)
-        assert slow.admission_capacity_requests() > 0
+        assert slow.capacity_by_group(axis).sum() == pytest.approx(3.0 + 7.5)
+        assert slow.admission_by_group(axis).sum() > 0
         assert slow.remaining_instance_cap() == 4
         assert slow.provisioner.running_count == 2
 
@@ -752,14 +781,14 @@ class TestGroupTallyContract:
     def test_clamped_requests_reported_under_requesting_group(self):
         event, batched = run_both(self.clamping_spec(), 0)
         for result in (event, batched):
-            high_only = result.site("high-only")
+            high_only = site_named(result, "high-only")
             assert high_only.requests_total > 0
             # Users homed at `full` are group 1; users homed at `high-only`
             # start at its lowest declared group, 2.  Both cohorts appear
             # under their *requesting* groups even though every request at
             # `high-only` is served by its group-2 fleet.
             assert {g.group for g in high_only.groups} <= {1, 2}
-            assert high_only.group(1).requests_total > 0
+            assert tally_of(high_only, 1).requests_total > 0
         for site_event, site_batched in zip(event.sites, batched.sites):
             assert [(g.group, g.requests_total) for g in site_event.groups] == [
                 (g.group, g.requests_total) for g in site_batched.groups

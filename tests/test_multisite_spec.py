@@ -1,5 +1,6 @@
 """Validation, round-tripping and pickling of the multi-site specs."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -78,7 +79,7 @@ class TestSiteSpec:
         assert SiteSpec(name="y", weight=2.5).broker_weight == 2.5
 
     def test_availability_honours_outages(self):
-        site = two_sites().site("edge")
+        site = two_sites().sites[0]
         assert site.available_at(0.0, 1000.0)
         assert not site.available_at(300.0, 1000.0)
         assert site.available_at(600.0, 1000.0)
@@ -103,15 +104,14 @@ class TestMultiSiteSpec:
 
     def test_site_lookup(self):
         spec = two_sites()
-        assert spec.site("core").wan_rtt_ms == 40.0
-        with pytest.raises(KeyError):
-            spec.site("moon")
+        assert spec.sites[spec.site_names.index("core")].wan_rtt_ms == 40.0
+        assert "moon" not in spec.site_names
 
     def test_round_trips_through_dict(self):
         spec = two_sites(policy="failover")
-        rebuilt = MultiSiteSpec(**spec.to_dict())
+        rebuilt = MultiSiteSpec(**dataclasses.asdict(spec))
         assert rebuilt == spec
-        assert rebuilt.site("edge").outages == spec.site("edge").outages
+        assert rebuilt.sites[0].outages == spec.sites[0].outages
 
     def test_pickles_cleanly(self):
         spec = two_sites()
@@ -132,8 +132,8 @@ class TestScenarioSpecIntegration:
         return ScenarioSpec(**defaults)
 
     def test_is_multisite_flag(self):
-        assert self.scenario().is_multisite
-        assert not ScenarioSpec(name="plain").is_multisite
+        assert self.scenario().sites is not None
+        assert ScenarioSpec(name="plain").sites is None
 
     def test_scenario_round_trips_with_sites(self):
         spec = self.scenario()
@@ -143,7 +143,7 @@ class TestScenarioSpecIntegration:
         assert rebuilt.sites.site_names == ("edge", "core")
 
     def test_scenario_accepts_dict_form_sites(self):
-        spec = self.scenario(sites=two_sites().to_dict())
+        spec = self.scenario(sites=dataclasses.asdict(two_sites()))
         assert isinstance(spec.sites, MultiSiteSpec)
 
     def test_scenario_rejects_garbage_sites(self):
@@ -191,7 +191,7 @@ class TestSpilloverSpec:
 
     def test_round_trips_and_pickles(self):
         spec = self.dynamic(SpilloverSpec(queue_limit_fraction=0.4))
-        rebuilt = MultiSiteSpec(**spec.to_dict())
+        rebuilt = MultiSiteSpec(**dataclasses.asdict(spec))
         assert rebuilt == spec
         assert rebuilt.spillover.queue_limit_fraction == 0.4
         assert pickle.loads(pickle.dumps(spec)) == spec
@@ -256,7 +256,7 @@ class TestCapacitySignal:
 
     def test_round_trips_through_dict(self):
         spec = self.make_sites(capacity_signal="fleet")
-        clone = MultiSiteSpec(**spec.to_dict())
+        clone = MultiSiteSpec(**dataclasses.asdict(spec))
         assert clone == spec
         assert clone.capacity_signal == "fleet"
 

@@ -76,10 +76,7 @@ class TestCampaignRunner:
             [tiny_spec("keep")]
         )
         # Same plan, same request population; only the service model differs.
-        assert (
-            event_only.get("keep").requests_total
-            == batched.get("keep").requests_total
-        )
+        assert event_only.results[0].requests_total == batched.results[0].requests_total
 
     def test_batched_campaign_covers_multisite_scenarios(self):
         from repro.scenarios import get_scenario
@@ -116,12 +113,6 @@ class TestCampaignRunner:
     def test_spec_pinned_seed_wins_over_derived(self):
         campaign = CampaignRunner(workers=1, seed=4).run([tiny_spec("pin", seed=77)])
         assert campaign.results[0].seed == 77
-
-    def test_get_by_name_and_missing(self):
-        campaign = CampaignRunner(workers=1).run([tiny_spec("only")])
-        assert campaign.get("only").name == "only"
-        with pytest.raises(KeyError):
-            campaign.get("absent")
 
     def test_format_table_and_csv(self, tmp_path):
         campaign = CampaignRunner(workers=1, seed=0).run([tiny_spec("csvme")])

@@ -1,5 +1,8 @@
 """Tests for the built-in scenario registry."""
 
+import json
+import pickle
+
 import pytest
 
 from repro.scenarios import (
@@ -7,9 +10,9 @@ from repro.scenarios import (
     builtin_specs,
     get_scenario,
     register_scenario,
-    scenario_names,
 )
 from repro.scenarios import registry as registry_module
+from repro.telemetry.record import spec_hash
 
 EXPECTED_BUILTINS = [
     "paper-baseline",
@@ -26,7 +29,7 @@ EXPECTED_BUILTINS = [
 class TestBuiltins:
     def test_all_expected_scenarios_registered(self):
         for name in EXPECTED_BUILTINS:
-            assert name in scenario_names()
+            assert name in [spec.name for spec in builtin_specs()]
 
     def test_builtin_specs_in_registration_order(self):
         names = [spec.name for spec in builtin_specs()]
@@ -56,6 +59,21 @@ class TestBuiltins:
     def test_get_unknown_scenario_raises_with_known_names(self):
         with pytest.raises(KeyError, match="paper-baseline"):
             get_scenario("nope")
+
+    def test_unknown_scenario_message_lists_every_name_in_registration_order(self):
+        names = [spec.name for spec in builtin_specs()]
+        with pytest.raises(KeyError) as caught:
+            get_scenario("nope")
+        assert caught.value.args[0] == f"unknown scenario 'nope'; known scenarios: {names}"
+
+    @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda spec: spec.name)
+    def test_builtin_survives_json_and_pickle_with_its_spec_hash(self, spec):
+        # A run record stores the spec's dict under its hash, and campaign
+        # workers receive the spec pickled: both must give the same spec back.
+        clone = ScenarioSpec(**json.loads(json.dumps(spec.to_dict())))
+        assert clone == spec
+        assert spec_hash(clone) == spec_hash(spec)
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestRegistration:

@@ -11,6 +11,7 @@ import pytest
 import repro.faults.spec
 import repro.multisite.spec
 import repro.scenarios.spec
+from repro.cloud.catalog import DEFAULT_CATALOG
 from repro.faults.spec import ControlPlaneFaults, RetryPolicy
 from repro.multisite.spec import SiteSpec
 from repro.scenarios import (
@@ -77,6 +78,13 @@ class TestCloudSpec:
     def test_rejects_unknown_instance_type(self):
         with pytest.raises(ValueError, match="unknown instance type"):
             CloudSpec(group_types={1: "z9.mega"})
+
+    def test_unknown_instance_type_message_lists_the_catalog_sorted(self):
+        known = sorted(instance_type.name for instance_type in DEFAULT_CATALOG)
+        assert "t2.nano" in known
+        with pytest.raises(ValueError) as caught:
+            CloudSpec(group_types={1: "z9.mega"})
+        assert str(caught.value) == f"unknown instance type 'z9.mega'; known: {known}"
 
     def test_rejects_unknown_price_multiplier_target(self):
         with pytest.raises(ValueError, match="price multiplier"):

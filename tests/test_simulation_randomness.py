@@ -34,17 +34,6 @@ class TestRandomStreams:
         with_extra = second.stream("main").random(3).tolist()
         assert only == with_extra
 
-    def test_spawn_creates_independent_namespace(self):
-        parent = RandomStreams(5)
-        child = parent.spawn("device-1")
-        assert isinstance(child, RandomStreams)
-        assert child.stream("x").random(3).tolist() != parent.stream("x").random(3).tolist()
-
-    def test_spawn_is_deterministic(self):
-        a = RandomStreams(5).spawn("device-1").stream("x").random(3)
-        b = RandomStreams(5).spawn("device-1").stream("x").random(3)
-        assert a.tolist() == b.tolist()
-
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             RandomStreams(0).stream("")
@@ -52,9 +41,6 @@ class TestRandomStreams:
     def test_non_integer_seed_rejected(self):
         with pytest.raises(TypeError):
             RandomStreams("seed")  # type: ignore[arg-type]
-
-    def test_seed_property(self):
-        assert RandomStreams(99).seed == 99
 
     def test_repr_lists_streams(self):
         streams = RandomStreams(0)

@@ -69,9 +69,7 @@ class TestRecorderUnit:
         assert recorder.as_dict()["series"]["x"] == [1.0, 2.0]
 
     def test_null_telemetry_recorder_is_noop(self):
-        NULL_TELEMETRY.recorder.append("x", 0, 1.0)
         NULL_TELEMETRY.recorder.sample_fleet(0, provisioner=None)
-        assert NULL_TELEMETRY.recorder.as_dict() == {"slots": 0, "series": {}}
         assert NULL_TELEMETRY.recorder.enabled is False
 
 
@@ -141,6 +139,63 @@ class TestRunRecordArtifact:
         with pytest.raises(ValueError, match="not a run-record"):
             load_run_record(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            "[1, 2]",
+            json.dumps({"schema": RECORD_SCHEMA, "scenario": "x"}),
+            json.dumps({
+                "schema": RECORD_SCHEMA, "scenario": "x", "execution": "event",
+                "seed": "seven", "spec_hash": "h", "slots": 1,
+            }),
+            json.dumps({
+                "schema": RECORD_SCHEMA, "scenario": "x", "execution": "event",
+                "seed": 7, "spec_hash": "h", "slots": [1],
+            }),
+        ],
+        ids=["not-json", "not-an-object", "missing-key", "bad-seed", "bad-slots"],
+    )
+    def test_load_errors_name_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="broken.json"):
+            load_run_record(path)
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
+    MINIMAL = {
+        "schema": RECORD_SCHEMA, "scenario": "x", "execution": "event",
+        "seed": 7, "spec_hash": "h", "slots": 2,
+    }
+
+    @pytest.mark.parametrize("key", ["scenario", "execution", "seed", "spec_hash", "slots"])
+    def test_load_names_a_missing_required_field(self, tmp_path, key):
+        payload = {name: value for name, value in self.MINIMAL.items() if name != key}
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as caught:
+            load_run_record(path)
+        assert str(caught.value) == f"{path}: run record has no {key!r} field"
+
+    def test_load_leaves_absent_optional_sections_empty(self, tmp_path):
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps(self.MINIMAL))
+        record = load_run_record(path)
+        assert (record.scenario, record.seed, record.slots) == ("x", 7, 2)
+        assert record.counters == record.series == record.environment == {}
+
+    def test_missing_file_is_an_os_error_the_cli_reports(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        with pytest.raises(FileNotFoundError):
+            load_run_record(missing)
+        assert main(["diff", str(missing), str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
+
     def test_load_rejects_future_schema(self, tmp_path):
         record = record_for(small("paper-baseline", execution="batched"), 4)
         payload = record.as_dict()
@@ -190,8 +245,8 @@ class TestDiff:
         )
         diff = diff_records(a, b)
         assert diff.verdict == "regression"
-        entry = diff.counter("scenario.requests_dropped")
-        assert entry is not None and entry.delta == 10
+        (entry,) = [row for row in diff.counters if row.name == "scenario.requests_dropped"]
+        assert entry.delta == 10
 
     def test_thresholds_downgrade_regression_to_ok(self):
         spec = small("paper-baseline", execution="batched")
@@ -227,7 +282,7 @@ class TestDiff:
         unprotected = record_for(bare, 3)
         diff = diff_records(resilient, unprotected)
         assert not diff.same_spec
-        dropped = diff.counter("fault.requests_dropped")
+        (dropped,) = [row for row in diff.counters if row.name == "fault.requests_dropped"]
         # PR 7's pinned A/B: resilience absorbs >= 50% of would-be failures.
         assert dropped.b > 0
         assert (dropped.b - dropped.a) / dropped.b >= 0.5
@@ -334,6 +389,60 @@ class TestRecordCli:
         assert code == 0
         assert payload["verdict"] == "identical"
         assert payload["series"]
+
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        """A record, a copy with two counters 1% higher, and a copy whose
+        dropped-request counter rises from zero."""
+        out = tmp_path_factory.mktemp("records")
+        assert main(self.RUN + ["--record-out", str(out)]) == 0
+        path = out / "hotspot-spillover-batched-seed9.json"
+        payload = json.loads(path.read_text())
+        bumped = json.loads(json.dumps(payload))
+        bumped["counters"]["scenario.requests_total"] *= 1.01
+        bumped["counters"]["site.hotspot.requests_total"] *= 1.01
+        (out / "bumped.json").write_text(json.dumps(bumped))
+        dropping = json.loads(json.dumps(payload))
+        assert dropping["counters"]["scenario.requests_dropped"] == 0
+        dropping["counters"]["scenario.requests_dropped"] = 2
+        (out / "dropping.json").write_text(json.dumps(dropping))
+        return {
+            "base": str(path),
+            "bumped": str(out / "bumped.json"),
+            "dropping": str(out / "dropping.json"),
+        }
+
+    @pytest.mark.parametrize(
+        "flags,code",
+        [
+            ([], 1),
+            (["--max-counter-delta-pct", "0.5"], 1),
+            (["--max-counter-delta-pct", "5"], 0),
+            (["--max-counter-delta-pct", "inf"], 0),
+        ],
+        ids=["default", "below-the-change", "above-the-change", "inf"],
+    )
+    def test_diff_counter_tolerance_sets_the_exit_code(self, records, capsys, flags, code):
+        assert main(["diff", records["base"], records["bumped"], *flags]) == code
+        verdict = "ok" if code == 0 else "regression"
+        assert f"verdict: {verdict}" in capsys.readouterr().out
+
+    def test_diff_counter_rising_from_zero_regresses_at_any_tolerance(self, records, capsys):
+        code = main(["diff", records["base"], records["dropping"],
+                     "--max-counter-delta-pct", "inf"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "scenario.requests_dropped" in out and "new)" in out
+        assert "verdict: regression" in out
+
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_diff_limit_caps_the_rows_of_a_section(self, records, capsys, limit):
+        main(["diff", records["base"], records["bumped"], "--limit", str(limit)])
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("counters changed (2):")
+        rows = [line.split()[0] for line in lines[start + 1 : start + 1 + limit]]
+        assert rows == ["scenario.requests_total", "site.hotspot.requests_total"][:limit]
+        assert lines[start + 1 + limit] == f"  ... and {2 - limit} more"
 
     def test_metrics_out_writes_registry_payload(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"
