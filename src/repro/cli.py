@@ -622,7 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_campaign.add_argument("--seed", type=int, default=0, help="campaign root seed")
     scenario_campaign.add_argument(
-        "--workers", type=int, default=None, help="worker processes (default: one per scenario, capped at CPU count)"
+        "--workers",
+        type=int,
+        default=None,
+        help="scenarios run at once: this process plus N-1 helpers "
+        "(default: one per scenario, capped at CPU count)",
     )
     scenario_campaign.add_argument(
         "--only", default="", help="comma-separated subset of scenario names"

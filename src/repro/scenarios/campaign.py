@@ -4,35 +4,48 @@ A *campaign* runs many scenarios and compares them in one table: the
 always-available answer to "does the adaptive model still hold up?" after any
 change to the predictor, allocator or simulation substrate.
 
-Scenarios are independent simulations, so the runner fans them out over a
-``multiprocessing`` pool.  Determinism is preserved under any worker count:
-each scenario's seed is derived from the campaign root seed and the scenario
-*name* (not submission order or worker id), every random draw inside a run
-comes from that scenario's own named streams, and results are returned in
-submission order.  The pool is handed the jobs largest-first (by planned
-request count) so no worker idles behind the longest scenario; the outcomes
-are put back in submission order before anything reads them.  One raising
-scenario does not cost the others: every job runs to completion, and the
-failures are then raised together in a :class:`CampaignError` that carries
-the successful results.
+Scenarios are independent simulations, so ``workers = W`` runs W of them at
+once: this process and W - 1 helper processes started with ``spawn`` (a fresh
+interpreter on every platform, so every job payload must pickle).  All of them
+take job indices from one shared queue, largest first by planned request
+count (ties in submission order): this process takes the largest job at once,
+and a helper asks for its first job only once it has booted, so no process
+idles behind the longest scenario.  Determinism is preserved under any worker
+count: each scenario's seed is derived from the campaign root seed and the
+scenario *name* (not submission order or process), every random draw inside
+a run comes from that scenario's own named streams, and the outcomes are put
+back in submission order before anything reads them.  One raising scenario
+does not cost the others: every job runs to completion, and the failures are
+then raised together in a :class:`CampaignError` that carries the successful
+results.  A helper that dies fails only the scenario it was running; the
+jobs still queued run here.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
+import multiprocessing
 import os
+import threading
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table, write_csv
-from repro.scenarios.pool import execution_context
 from repro.scenarios.registry import builtin_specs
 from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.spec import EXECUTION_MODES, ScenarioSpec
 from repro.telemetry import Telemetry
 from repro.telemetry.record import RunRecord, build_run_record
+
+
+#: How helper processes start: ``spawn``, a fresh interpreter, on every platform.
+EXECUTION_CONTEXT = multiprocessing.get_context("spawn")
+
+#: A job's outcome: its (result, record) pair, or ``None`` and the error text.
+Outcome = Tuple[Optional[Tuple[ScenarioResult, Optional[RunRecord]]], Optional[str]]
 
 
 def derive_scenario_seed(root_seed: int, name: str) -> int:
@@ -52,7 +65,7 @@ def _run_job(
 
     Returns the result plus, when telemetry was requested, a
     :class:`RunRecord` — both plain picklable dataclasses, so the pair
-    crosses the pool boundary unchanged.
+    crosses the process boundary unchanged.
     """
     spec, seed, telemetry_enabled = job
     if not (telemetry_enabled or spec.telemetry):
@@ -62,14 +75,129 @@ def _run_job(
     return result, build_run_record(spec, result, telemetry)
 
 
-def _run_job_guarded(
-    job: "Tuple[ScenarioSpec, int, bool]",
-) -> "Tuple[Optional[Tuple[ScenarioResult, Optional[RunRecord]]], Optional[str]]":
+def _run_job_guarded(job: "Tuple[ScenarioSpec, int, bool]") -> Outcome:
     """:func:`_run_job`, with an exception returned as its traceback text."""
     try:
         return _run_job(job), None
     except Exception:
         return None, traceback.format_exc()
+
+
+def _helper(link, jobs: "Sequence[Tuple[ScenarioSpec, int, bool]]") -> None:
+    """Helper process entry point: run the jobs this process is handed.
+
+    Its first message (``None``) says it has booted; every later one is the
+    ``(index, outcome)`` of the job it was handed last.  It stops when it is
+    handed ``None``.
+    """
+    reply = None
+    while True:
+        link.send(reply)
+        index = link.recv()
+        if index is None:
+            return
+        reply = (index, _run_job_guarded(jobs[index]))
+
+
+def _serve_helpers(
+    links: dict, take, outcomes: List[Optional[Outcome]], lost: dict
+) -> None:
+    """Hand helpers queued job indices as they ask, and store their outcomes.
+
+    ``links`` maps each helper's pipe end to its process.  A helper holds the
+    only other end, so its exit, clean or killed, reads as end of file; the
+    job it was handed and did not return then goes to ``lost``.
+    """
+    # Imported here: it costs every ``import repro`` about 4 ms otherwise.
+    from multiprocessing.connection import wait
+
+    held: dict = {}
+    waiting = list(links)
+    while waiting:
+        for link in wait(waiting):
+            try:
+                reply = link.recv()
+            except EOFError:
+                waiting.remove(link)
+                if held.get(link) is not None:
+                    lost[held[link]] = links[link]
+                continue
+            if reply is not None:
+                index, outcome = reply
+                outcomes[index] = outcome
+            held[link] = take()
+            try:
+                link.send(held[link])
+            except OSError:  # the helper died; its end of file comes next
+                pass
+
+
+def _run_with_helpers(
+    jobs: "Sequence[Tuple[ScenarioSpec, int, bool]]",
+    order: Sequence[int],
+    helpers: int,
+) -> List[Outcome]:
+    """Run ``jobs`` here and in ``helpers`` helper processes, in ``order``.
+
+    ``order`` fills one queue.  This process takes its first job before any
+    helper starts and keeps taking until the queue is empty, while a thread
+    hands each helper the next index whenever it asks.  Whether this returns
+    or raises, every helper is stopped and joined.
+    """
+    pending = collections.deque(order)
+
+    def take() -> Optional[int]:
+        try:
+            return pending.popleft()  # atomic: both threads take from here
+        except IndexError:
+            return None
+
+    outcomes: List[Optional[Outcome]] = [None] * len(jobs)
+    lost: dict = {}
+    links: dict = {}
+    failed: List[BaseException] = []
+
+    def serve() -> None:
+        try:
+            _serve_helpers(links, take, outcomes, lost)
+        except BaseException as error:  # raised again in the calling thread
+            failed.append(error)
+
+    server = threading.Thread(target=serve, name="campaign-helpers")
+    index = take()
+    try:
+        for _ in range(helpers):
+            ours, theirs = EXECUTION_CONTEXT.Pipe()
+            with theirs:
+                process = EXECUTION_CONTEXT.Process(
+                    target=_helper, args=(theirs, jobs), daemon=True
+                )
+                process.start()
+            links[ours] = process
+        server.start()
+        while index is not None:
+            outcomes[index] = _run_job_guarded(jobs[index])
+            index = take()
+        server.join()
+        if failed:
+            raise failed[0]
+    except BaseException:
+        for process in links.values():
+            process.terminate()
+        raise
+    finally:
+        if server.ident is not None:
+            server.join()
+        for link, process in links.items():
+            process.join()
+            link.close()
+    for index, process in lost.items():
+        outcomes[index] = (
+            None,
+            f"helper process exited with code {process.exitcode} "
+            "while running this scenario\n",
+        )
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -130,6 +258,11 @@ class CampaignError(RuntimeError):
 class CampaignRunner:
     """Executes a list of scenario specs, optionally across processes.
 
+    ``workers`` is how many scenarios run at once: this process plus
+    ``workers - 1`` spawned helpers, all taking jobs largest-first from one
+    shared queue (default: one per scenario, capped at the CPU count).  One
+    worker, or one scenario, runs the list as given in this process.
+
     ``execution`` overrides every scenario's execution mode for the whole
     campaign (``"batched"`` runs the entire campaign on the vectorised fast
     path); ``None`` keeps each spec's own mode.  ``telemetry=True`` gives
@@ -186,7 +319,7 @@ class CampaignRunner:
         if workers <= 1 or len(jobs) == 1:
             outcomes = [_run_job_guarded(job) for job in jobs]
         else:
-            # Longest-processing-time-first list scheduling: a worker that
+            # Longest-processing-time-first list scheduling: a process that
             # frees up takes the largest job left, so the critical scenario
             # starts at once instead of behind the small ones.  Host time
             # ranks with planned requests; a misjudged job costs balance,
@@ -194,14 +327,7 @@ class CampaignRunner:
             order = sorted(
                 range(len(jobs)), key=lambda index: -specs[index].workload.target_requests
             )
-            context = execution_context()
-            with context.Pool(processes=min(workers, len(jobs))) as pool:
-                dispatched = pool.map(
-                    _run_job_guarded, [jobs[i] for i in order], chunksize=1
-                )
-            outcomes = [None] * len(jobs)
-            for index, outcome in zip(order, dispatched):
-                outcomes[index] = outcome
+            outcomes = _run_with_helpers(jobs, order, min(workers, len(jobs)) - 1)
         done = [outcome for outcome, _ in outcomes if outcome is not None]
         results = tuple(result for result, _ in done)
         # Keep index-wise alignment with ``results``: scenarios without

@@ -7,8 +7,9 @@ collect it)::
 
 It runs, in this one process and under :func:`sys.settrace`, every CLI command
 at a small size and every ``scenario run`` flag that selects code, ``report``
-and ``diff`` (and a few bad inputs), every registry scenario in both execution
-modes, one tiny run per spec choice no registry scenario makes, each example's
+and ``diff`` (and a few bad inputs), the spec API on two bad inputs, every
+registry scenario in both execution modes, one tiny run per spec choice no
+registry scenario makes, each example's
 ``main()``, the ``benchmarks/`` suite and the perfbench workload specs.  The
 hook records the code object of every frame started and returns ``None``, so
 no line is traced.  It then exits 1 listing each public function or method
@@ -312,6 +313,21 @@ def _run_unused_choices() -> None:
             run_scenario(dataclasses.replace(spec, execution=execution), seed=0)
 
 
+def _run_bad_specs() -> None:
+    """The spec API's error paths: each bad input must raise ``ValueError``."""
+    from repro.scenarios import CloudSpec, ScenarioSpec
+
+    for label, build in (
+        ("unknown instance type", lambda: CloudSpec(group_types={1: "no-such-type"})),
+        ("malformed spec dict", lambda: ScenarioSpec(**{"name": "bad", "workload": "uniform"})),
+    ):
+        try:
+            build()
+        except ValueError:
+            continue
+        raise RuntimeError(f"{label}: no ValueError")
+
+
 def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -357,6 +373,7 @@ def _run_perfbench_specs() -> None:
 def exercise(work: Path) -> None:
     """Run everything a user or a bench runs, small."""
     _run_cli(work)
+    _run_bad_specs()
     _run_unused_choices()
     _run_examples()
     _run_benchmarks()

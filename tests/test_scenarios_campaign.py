@@ -1,7 +1,14 @@
 """Tests for the parallel campaign runner."""
 
 import csv
+import multiprocessing
+import os
 import pickle
+import signal
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +21,7 @@ from repro.scenarios import (
     derive_scenario_seed,
 )
 from repro.scenarios import campaign as campaign_module
-from repro.scenarios.pool import execution_context
+from repro.scenarios.campaign import EXECUTION_CONTEXT
 
 
 def tiny_spec(name: str, **kwargs) -> ScenarioSpec:
@@ -238,52 +245,79 @@ def sized(name: str, requests: int, **kwargs) -> ScenarioSpec:
     return tiny_spec(name, workload=workload, **kwargs)
 
 
-class FakePool:
-    """An in-process pool that records the order its jobs reach ``map``."""
+class UnstartedHelper:
+    """A helper process that never starts, so the parent drains the queue alone."""
 
-    def __init__(self, dispatched):
-        self.dispatched = dispatched
+    def __init__(self, started, target, args, daemon):
+        started.append(self)
 
-    def __enter__(self):
-        return self
+    def start(self):
+        pass
 
-    def __exit__(self, *exc_info):
-        return False
+    def terminate(self):
+        pass
 
-    def map(self, func, jobs, chunksize=1):
-        self.dispatched.extend(spec.name for spec, _, _ in jobs)
-        return [func(job) for job in jobs]
+    def join(self):
+        pass
+
+
+class ParentOnlyContext:
+    """Real pipes, helpers that never start; counts the helpers asked for."""
+
+    def __init__(self):
+        self.started = []
+
+    def Pipe(self):
+        return EXECUTION_CONTEXT.Pipe()
+
+    def Process(self, target, args, daemon):
+        return UnstartedHelper(self.started, target, args, daemon)
 
 
 @pytest.fixture
-def dispatched(monkeypatch):
-    """Route the campaign's pool through :class:`FakePool`; returns its record."""
-    order = []
+def parent_only(monkeypatch):
+    """Start no helpers; returns the context and the parent's run order."""
+    context = ParentOnlyContext()
+    ran = []
+    guarded = campaign_module._run_job_guarded
 
-    class FakeContext:
-        def Pool(self, processes):
-            return FakePool(order)
+    def recording(job):
+        ran.append(job[0].name)
+        return guarded(job)
 
-    monkeypatch.setattr(campaign_module, "execution_context", FakeContext)
-    return order
+    monkeypatch.setattr(campaign_module, "EXECUTION_CONTEXT", context)
+    monkeypatch.setattr(campaign_module, "_run_job_guarded", recording)
+    return context, ran
+
+
+FIVE_SIZES = (("a-60", 60), ("b-200", 200), ("c-120", 120), ("d-200", 200), ("e-60", 60))
 
 
 class TestDispatchOrder:
-    """The pool gets jobs largest-first; every output keeps submission order."""
+    """All processes take jobs largest-first; every output keeps submission order."""
 
-    def test_pool_gets_largest_first_with_ties_in_submission_order(self, dispatched):
-        specs = [
-            sized("a-60", 60),
-            sized("b-200", 200),
-            sized("c-120", 120),
-            sized("d-200", 200),
-            sized("e-60", 60),
-        ]
+    def test_queue_is_largest_first_with_ties_in_submission_order(self, parent_only):
+        context, ran = parent_only
+        specs = [sized(name, requests) for name, requests in FIVE_SIZES]
         campaign = CampaignRunner(workers=2, seed=0).run(specs)
-        assert dispatched == ["b-200", "d-200", "c-120", "a-60", "e-60"]
+        assert len(context.started) == 1
+        assert ran == ["b-200", "d-200", "c-120", "a-60", "e-60"]
         assert [r.name for r in campaign.results] == [s.name for s in specs]
         serial = CampaignRunner(workers=1, seed=0).run(specs)
         assert campaign.rows() == serial.rows()
+
+    @pytest.mark.parametrize(
+        "workers, jobs, helpers", [(2, 5, 1), (3, 5, 2), (5, 5, 4), (8, 5, 4), (4, 1, 0)]
+    )
+    def test_starts_one_helper_fewer_than_scenarios_at_once(
+        self, parent_only, workers, jobs, helpers
+    ):
+        context, ran = parent_only
+        specs = [sized(name, requests) for name, requests in FIVE_SIZES[:jobs]]
+        campaign = CampaignRunner(workers=workers, seed=0).run(specs)
+        assert len(context.started) == helpers
+        assert sorted(ran) == sorted(s.name for s in specs)
+        assert len(campaign) == jobs
 
     def test_outputs_keep_submission_order_when_a_small_first_job_fails(self):
         specs = [
@@ -293,20 +327,22 @@ class TestDispatchOrder:
             sized("large-ok", 600),
         ]
         errors = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             with pytest.raises(CampaignError) as caught:
                 CampaignRunner(workers=workers, seed=0, telemetry=True).run(specs)
             errors[workers] = caught.value
-        pooled = errors[2]
-        assert [r.name for r in pooled.partial.results] == ["mid-ok", "large-ok"]
-        assert [r.scenario for r in pooled.partial.records] == ["mid-ok", "large-ok"]
-        assert [name for name, _ in pooled.failures] == ["small-broken", "big-broken"]
-        assert pooled.partial.rows() == errors[1].partial.rows()
-        assert str(pooled) == str(errors[1])
+        for workers in (2, 3):
+            pooled = errors[workers]
+            assert [r.name for r in pooled.partial.results] == ["mid-ok", "large-ok"]
+            assert [r.scenario for r in pooled.partial.records] == ["mid-ok", "large-ok"]
+            assert [name for name, _ in pooled.failures] == ["small-broken", "big-broken"]
+            assert pooled.partial.rows() == errors[1].partial.rows()
+            assert str(pooled) == str(errors[1])
 
     def test_serial_campaign_never_reorders(self, monkeypatch):
-        def no_pool():
-            raise AssertionError("a one-worker campaign must not build a pool")
+        class NoHelpers:
+            def __getattr__(self, name):
+                raise AssertionError("a one-worker campaign must not start helpers")
 
         ran = []
         guarded = campaign_module._run_job_guarded
@@ -315,7 +351,7 @@ class TestDispatchOrder:
             ran.append(job[0].name)
             return guarded(job)
 
-        monkeypatch.setattr(campaign_module, "execution_context", no_pool)
+        monkeypatch.setattr(campaign_module, "EXECUTION_CONTEXT", NoHelpers())
         monkeypatch.setattr(campaign_module, "_run_job_guarded", recording)
         specs = [sized("small", 60), sized("large", 200), sized("mid", 120)]
         campaign = CampaignRunner(workers=1, seed=0).run(specs)
@@ -323,12 +359,138 @@ class TestDispatchOrder:
         assert [r.name for r in campaign.results] == ran
 
 
+class TestSharedQueue:
+    def test_every_job_runs_once_under_fast_thread_switches(self):
+        """Four processes share one queue while the thread serving the
+        helpers and the parent's own loop switch every microsecond; a job
+        taken twice or an outcome lost would change the rows."""
+        specs = [sized(f"q{i}", 60 + 20 * (i % 3)) for i in range(8)]
+        serial = CampaignRunner(workers=1, seed=5).run(specs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcome = run_within(120, CampaignRunner(workers=4, seed=5), specs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcome["campaign"].rows() == serial.rows()
+        assert multiprocessing.active_children() == []
+
+
+class HelperTrap:
+    """A telemetry flag that, read in a helper process, touches ``marker``
+    and then exits with ``exit_code`` (or, when it is ``None``, hangs until
+    killed).  Read in the parent, it is false."""
+
+    def __init__(self, marker, exit_code=None):
+        self.marker = str(marker)
+        self.exit_code = exit_code
+
+    def __bool__(self):
+        if multiprocessing.parent_process() is None:
+            return False
+        Path(self.marker).touch()
+        if self.exit_code is not None:
+            os._exit(self.exit_code)
+        time.sleep(600)
+        return False
+
+
+def run_within(seconds, runner, specs):
+    """``runner.run(specs)`` in a thread that must end within ``seconds``."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["campaign"] = runner.run(specs)
+        except BaseException as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"campaign still running after {seconds} s"
+    return outcome
+
+
+class TestDeadHelper:
+    """A helper that dies fails its own scenario only, and never hangs the run.
+
+    The parent holds the largest job until the helper has taken the next one,
+    so the helper dies mid-scenario and the parent runs everything still
+    queued.
+    """
+
+    SPECS = (("small", 60), ("largest", 240), ("second", 200), ("mid", 120))
+
+    def run_until_helper_dies(self, monkeypatch, tmp_path, exit_code):
+        marker = tmp_path / "helper-took-a-job"
+        guarded = campaign_module._run_job_guarded
+        killed = []
+
+        def parent_job(job):
+            if not killed:
+                deadline = time.monotonic() + 60
+                while not marker.exists():
+                    assert time.monotonic() < deadline, "helper never took a job"
+                    time.sleep(0.01)
+                if exit_code is None:
+                    (helper,) = multiprocessing.active_children()
+                    os.kill(helper.pid, signal.SIGKILL)
+                while multiprocessing.active_children():
+                    assert time.monotonic() < deadline, "helper still running"
+                    time.sleep(0.01)
+                killed.append(True)
+            return guarded(job)
+
+        monkeypatch.setattr(campaign_module, "_run_job_guarded", parent_job)
+        specs = [sized(name, requests) for name, requests in self.SPECS]
+        runner = CampaignRunner(workers=2, seed=0, telemetry=HelperTrap(marker, exit_code))
+        outcome = run_within(120, runner, specs)
+        assert multiprocessing.active_children() == []
+        error = outcome["error"]
+        assert isinstance(error, CampaignError)
+        done = [r.name for r in error.partial.results]
+        failed = [name for name, _ in error.failures]
+        assert sorted(done + failed) == sorted(name for name, _ in self.SPECS)
+        assert failed == ["second"]
+        assert done == ["small", "largest", "mid"]
+        clean = CampaignRunner(workers=1, seed=0).run(
+            [sized(name, requests) for name, requests in self.SPECS if name != "second"]
+        )
+        assert error.partial.rows() == clean.rows()
+        return error.failures[0][1]
+
+    def test_sigkilled_helper(self, monkeypatch, tmp_path):
+        text = self.run_until_helper_dies(monkeypatch, tmp_path, exit_code=None)
+        assert f"exited with code {-signal.SIGKILL}" in text
+
+    def test_helper_exit_code_is_named(self, monkeypatch, tmp_path):
+        text = self.run_until_helper_dies(monkeypatch, tmp_path, exit_code=7)
+        assert "helper process exited with code 7" in text
+
+    def test_helpers_are_stopped_when_run_raises(self, monkeypatch, tmp_path):
+        marker = tmp_path / "helper-took-a-job"
+
+        def interrupted(job):
+            deadline = time.monotonic() + 60
+            while not marker.exists():
+                assert time.monotonic() < deadline, "helper never took a job"
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(campaign_module, "_run_job_guarded", interrupted)
+        specs = [sized(name, requests) for name, requests in self.SPECS]
+        runner = CampaignRunner(workers=2, seed=0, telemetry=HelperTrap(marker))
+        outcome = run_within(120, runner, specs)
+        assert isinstance(outcome["error"], KeyboardInterrupt)
+        assert multiprocessing.active_children() == []
+
+
 class TestSpawnPickleContract:
-    """Every pool payload must survive the spawn/forkserver pickler."""
+    """Every helper payload must survive the spawn pickler."""
 
     def test_execution_context_is_pinned(self):
-        method = execution_context().get_start_method()
-        assert method in ("forkserver", "spawn")
+        assert EXECUTION_CONTEXT.get_start_method() == "spawn"
 
     def test_campaign_job_round_trips(self):
         from repro.scenarios.campaign import _run_job
