@@ -21,7 +21,7 @@ def federation_rollup(sites: Sequence[object]) -> Dict[str, float]:
     Callers must pass one row per federation site, *including* sites that
     served zero requests (the multi-site runner always emits one row per
     site): the rollup's ``sites`` count is its contract with
-    ``BrokeredPlan.indices_for_site`` — summing ``indices_for_site`` over
+    ``BrokeredPlan.site_ids`` — counting the requests of each site id in
     ``range(int(rollup["sites"]))`` plus the unrouted remainder always
     reaches every request, which silently breaks if empty sites are
     dropped before the rollup.

@@ -580,17 +580,18 @@ class MultisiteFaultPlane:
         """Re-home one request onto ``target``, fixing the WAN penalty.
 
         Dynamic brokers sample the window's network *after* this step, so the
-        request simply picks up the new site's draws; static brokers sampled
-        at plan time, so the T1 already on the plan is adjusted by the WAN
-        penalty delta (scaled by any degraded factor already applied).
+        request simply picks up the new site's draws and penalty; static
+        brokers sampled at plan time, so the T1 already on the plan is
+        adjusted by the WAN penalty delta (scaled by any degraded factor
+        already applied), the old penalty read from the matrix.
         """
-        new_extra = float(
-            self.penalty[int(self.home[int(plan.user_ids[index])]), target]
-        )
-        if not slot_broker.samples_network:
-            old_extra = float(slot_broker.extra_rtt_ms[index])
+        home = int(self.home[int(plan.user_ids[index])])
+        new_extra = float(self.penalty[home, target])
+        if slot_broker.samples_network:
+            slot_broker.extra_rtt_ms[index] = new_extra
+        else:
+            old_extra = float(self.penalty[home, int(slot_broker.site_ids[index])])
             plan.t1_ms[index] += (new_extra - old_extra) * float(
                 self.overlay.rtt_factor[index]
             )
-        slot_broker.extra_rtt_ms[index] = new_extra
         slot_broker.site_ids[index] = target

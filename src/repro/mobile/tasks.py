@@ -284,7 +284,7 @@ class OffloadableTask:
         samples = rng.normal(
             self.work_units, self.work_units * self.work_variability, size=count
         )
-        return np.maximum(samples, self.work_units * 0.1)
+        return np.maximum(samples, self.work_units * 0.1, out=samples)
 
     def execute(self, rng: Optional[np.random.Generator] = None) -> Any:
         """Really run the task's algorithm on a generated input."""

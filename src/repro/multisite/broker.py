@@ -56,25 +56,28 @@ from repro.scenarios.plan import RequestPlan
 #: Site id of a request no site could accept.
 UNROUTED = -1
 
+#: Plan-time site ids are one column per run; two bytes hold any federation
+#: a spec can sensibly declare (:func:`broker_assign` checks the bound).
+SITE_ID_DTYPE = np.int16
+
 
 @dataclass(frozen=True)
 class BrokeredPlan:
     """The broker's verdict for one request plan, as parallel arrays."""
 
     site_ids: np.ndarray  # per request; UNROUTED when no site was available
-    extra_rtt_ms: np.ndarray  # per request WAN penalty (0 for home-site service)
+    #: Per request WAN penalty (0 for home-site service); ``None`` when the
+    #: federation's penalty matrix is all zero, so every entry would be 0.
+    extra_rtt_ms: Optional[np.ndarray]
     home_site_of_user: np.ndarray  # per user
 
     def __post_init__(self) -> None:
-        if self.site_ids.size != self.extra_rtt_ms.size:
+        extra = self.extra_rtt_ms
+        if extra is not None and self.site_ids.size != extra.size:
             raise ValueError(
                 "site_ids and extra_rtt_ms must align, got "
-                f"{self.site_ids.size} vs {self.extra_rtt_ms.size}"
+                f"{self.site_ids.size} vs {extra.size}"
             )
-
-    def indices_for_site(self, site_index: int) -> np.ndarray:
-        """Request indices assigned to one site, in arrival order."""
-        return np.flatnonzero(self.site_ids == site_index)
 
 
 def assign_home_sites(users: int, sites: Sequence[SiteSpec]) -> np.ndarray:
@@ -208,8 +211,11 @@ def broker_assign(
     ``nearest-rtt`` policy adds the WAN penalty on top of it.
     """
     sites = federation.sites
+    most = int(np.iinfo(SITE_ID_DTYPE).max)
+    if len(sites) > most:
+        raise ValueError(f"a federation has at most {most} sites, got {len(sites)}")
     count = int(arrival_ms.size)
-    site_ids = np.full(count, UNROUTED, dtype=np.int64)
+    site_ids = np.full(count, UNROUTED, dtype=SITE_ID_DTYPE)
     home = assign_home_sites(users, sites)
     penalty = wan_penalty_matrix(sites)
     access = np.asarray(access_rtt_ms, dtype=float)
@@ -244,9 +250,10 @@ def broker_assign(
                 wrr_counts, weights, available, int(hi - lo)
             )
 
-    routed = site_ids >= 0
-    extra = np.zeros(count, dtype=float)
-    if penalty.any() and routed.any():
+    extra = None
+    if penalty.any():
+        routed = site_ids >= 0
+        extra = np.zeros(count, dtype=float)
         extra[routed] = penalty[home[user_ids[routed]], site_ids[routed]]
     return BrokeredPlan(site_ids=site_ids, extra_rtt_ms=extra, home_site_of_user=home)
 
@@ -298,7 +305,9 @@ class StaticSlotBroker:
     historical RNG draw order), but expose the same per-slot interface as
     :class:`DynamicBroker` so both executors run one code path: each
     ``broker_slot`` call just locates the slot window and records the
-    routing share realised by the fixed partition.
+    routing share realised by the fixed partition.  It keeps no WAN penalty
+    column: the penalty is on T1 since plan time, and failover reads it from
+    the penalty matrix.
     """
 
     samples_network = False
@@ -310,7 +319,6 @@ class StaticSlotBroker:
         self._arrival_ms = plan.arrival_ms
         self._site_count = int(site_count)
         self.site_ids = brokered.site_ids
-        self.extra_rtt_ms = brokered.extra_rtt_ms
         self.home_site_of_user = brokered.home_site_of_user
         self.spilled = np.zeros(len(plan), dtype=bool)
         self.requests_spilled = 0

@@ -79,6 +79,7 @@ from repro.multisite.federation import Federation, SiteRuntime, build_federation
 from repro.scenarios.batched import (
     DRAIN_MARGIN_MS,
     InstanceState,
+    append_successes,
     clamp_table,
     execute_batched,
     fold_slot_devices,
@@ -193,27 +194,48 @@ def sample_network_for_sites(
     plan: RequestPlan,
     brokered: BrokeredPlan,
     federation: Federation,
-) -> RequestPlan:
-    """Fill the plan's T1/T2 from each request's serving site.
+) -> None:
+    """Write the plan's T1/T2 in place from each request's serving site.
 
     Each site's channel samples its own partition in arrival order (one bulk
     draw per hop per site, from the site's named stream), and routed requests
     pay the broker's WAN penalty on top of T1 — identically in both execution
-    modes, since this happens before either executor runs.
+    modes, since this happens before either executor runs.  Unrouted
+    requests keep the plan's zeros.
     """
-    t1 = np.zeros(len(plan), dtype=float)
-    t2 = np.zeros(len(plan), dtype=float)
-    hours = (plan.arrival_ms / 3_600_000.0) % 24.0
+    hours = np.divide(plan.arrival_ms, 3_600_000.0)
+    np.remainder(hours, 24.0, out=hours)
     for site in federation:
-        picks = brokered.indices_for_site(site.index)
-        if picks.size == 0:
+        served = brokered.site_ids == site.index
+        count = int(np.count_nonzero(served))
+        if count == 0:
             continue
-        if picks.size == len(plan):
-            picks = slice(None)  # one site serves the whole plan
-        t1[picks] = site.channel.sample_t1_many(hours[picks])
-        t2[picks] = site.channel.sample_t2_many(hours[picks])
-    t1 += brokered.extra_rtt_ms
-    return plan.with_network(t1, t2)
+        # One site serving the whole plan samples through views, not copies.
+        picks = slice(None) if count == len(plan) else np.flatnonzero(served)
+        plan.t1_ms[picks] = site.channel.sample_t1_many(hours[picks])
+        plan.t2_ms[picks] = site.channel.sample_t2_many(hours[picks])
+    if brokered.extra_rtt_ms is not None:
+        np.add(plan.t1_ms, brokered.extra_rtt_ms, out=plan.t1_ms)
+
+
+def _broker_statically(
+    *, plan: RequestPlan, users: int, federation: Federation, duration_ms: float
+) -> StaticSlotBroker:
+    """Assign every request at plan time and sample its network in place.
+
+    The per-request WAN penalty column is dead once it is on T1, so it
+    ends with this call.
+    """
+    brokered = broker_assign(
+        arrival_ms=plan.arrival_ms,
+        user_ids=plan.user_ids,
+        users=users,
+        federation=federation.spec,
+        duration_ms=duration_ms,
+        access_rtt_ms=federation.mean_access_rtt_ms(),
+    )
+    sample_network_for_sites(plan=plan, brokered=brokered, federation=federation)
+    return StaticSlotBroker(plan=plan, brokered=brokered, site_count=len(federation))
 
 
 def run_slot_brokering(
@@ -707,7 +729,8 @@ def execute_batched_multisite(
     requests_total = 0
     dropped_total = 0
     unrouted_total = 0
-    success_chunks: List[np.ndarray] = []
+    successes = np.empty(len(plan))
+    succeeded_total = 0
     per_site = [SiteExecutionStats() for _ in federation.sites]
 
     for period in range(1, spec.periods + 1):
@@ -739,8 +762,7 @@ def execute_batched_multisite(
             t2 = plan.t2_ms[i0:i1]
             routing = plan.routing_ms[i0:i1]
             # Uplink/downlink derive from T1/T2, which the dynamic broker only
-            # fills at this slot's boundary — compute them per window, not from
-            # the whole-plan properties.
+            # fills at this slot's boundary — compute them per window.
             half_hops = (t1 + t2) / 2.0
             dispatch = arrival[i0:i1] + half_hops + routing
             dlink = half_hops
@@ -804,7 +826,9 @@ def execute_batched_multisite(
             failed = recorded & ~ok
             dropped_total += int(np.count_nonzero(failed))
             succeeded = recorded & ok
-            success_chunks.append(response[succeeded])
+            succeeded_total = append_successes(
+                successes, succeeded_total, response, succeeded
+            )
 
             for site in federation:
                 mask = recorded & (window_sites == site.index)
@@ -847,14 +871,11 @@ def execute_batched_multisite(
             sample_cursor += 1
 
         engine.clock.advance_to(horizon)
-        responses = (
-            np.concatenate(success_chunks) if success_chunks else np.empty(0, dtype=float)
-        )
     return FederationMetrics(
         requests_total=requests_total,
         requests_dropped=dropped_total,
         requests_unrouted=unrouted_total,
-        success_response_ms=responses,
+        success_response_ms=successes[:succeeded_total],
         utilization_samples=utilization_samples,
         per_site=per_site,
     )
@@ -961,19 +982,11 @@ def execute_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> Mult
                 access_rtt_ms=federation.mean_access_rtt_ms(),
             )
         else:
-            brokered = broker_assign(
-                arrival_ms=plan.arrival_ms,
-                user_ids=plan.user_ids,
+            slot_broker = _broker_statically(
+                plan=plan,
                 users=spec.users,
-                federation=sites_spec,
+                federation=federation,
                 duration_ms=duration_ms,
-                access_rtt_ms=federation.mean_access_rtt_ms(),
-            )
-            plan = sample_network_for_sites(
-                plan=plan, brokered=brokered, federation=federation
-            )
-            slot_broker = StaticSlotBroker(
-                plan=plan, brokered=brokered, site_count=len(federation)
             )
 
         # --- devices (homed per site, shared moderators) -----------------

@@ -93,10 +93,20 @@ class LogNormalLatencyModel:
         return max(base * self.diurnal_factor(hour_of_day), self.floor_ms)
 
     def diurnal_factors(self, hours_of_day: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`diurnal_factor` over an array of hours."""
-        hours = np.asarray(hours_of_day, dtype=float) % 24.0
-        phase = 2.0 * np.pi * (hours - self.peak_hour) / 24.0
-        return 1.0 + self.diurnal_amplitude * np.cos(phase)
+        """Vectorised :meth:`diurnal_factor` over an array of hours.
+
+        One fresh array, worked in place: each step is the scalar form's
+        IEEE operation in its order (``2.0 * math.pi`` folds first), and
+        multiplication commutes bit for bit.
+        """
+        factors = np.remainder(np.asarray(hours_of_day, dtype=float), 24.0)
+        np.subtract(factors, self.peak_hour, out=factors)
+        np.multiply(factors, 2.0 * np.pi, out=factors)
+        np.divide(factors, 24.0, out=factors)
+        np.cos(factors, out=factors)
+        np.multiply(factors, self.diurnal_amplitude, out=factors)
+        np.add(factors, 1.0, out=factors)
+        return factors
 
     def sample_many_at(
         self, rng: np.random.Generator, hours_of_day: np.ndarray
@@ -110,9 +120,9 @@ class LogNormalLatencyModel:
         """
         hours = np.asarray(hours_of_day, dtype=float)
         base = rng.lognormal(mean=self.mu, sigma=self.sigma, size=hours.shape)
-        if self.diurnal_amplitude == 0.0:
-            return np.maximum(base, self.floor_ms)
-        return np.maximum(base * self.diurnal_factors(hours), self.floor_ms)
+        if self.diurnal_amplitude != 0.0:
+            np.multiply(base, self.diurnal_factors(hours), out=base)
+        return np.maximum(base, self.floor_ms, out=base)
 
     def mean_rtt_ms(self) -> float:
         """Long-run mean RTT (averaged over the diurnal cycle)."""

@@ -334,6 +334,19 @@ def groups_present(groups: np.ndarray) -> List[int]:
     return np.flatnonzero(np.bincount(groups)).tolist()
 
 
+def append_successes(
+    successes: np.ndarray, filled: int, response: np.ndarray, succeeded: np.ndarray
+) -> int:
+    """Copy a window's successful responses into ``successes`` after ``filled``.
+
+    ``successes`` is the run's one preallocated buffer (a request succeeds at
+    most once); returns the new fill level.
+    """
+    count = int(np.count_nonzero(succeeded))
+    np.compress(succeeded, response, out=successes[filled : filled + count])
+    return filled + count
+
+
 def fold_slot_devices(
     devices, moderators, group_of_user, uids, response, delivered, failed, succeeded
 ) -> None:
@@ -430,12 +443,11 @@ def execute_batched(
     utilization_samples: List[float] = []
 
     arrival = plan.arrival_ms
-    uplink = plan.uplink_ms
-    downlink = plan.downlink_ms
 
     requests_total = 0
     dropped_total = 0
-    success_chunks: List[np.ndarray] = []
+    successes = np.empty(len(plan))
+    succeeded_total = 0
     rr_cursor = 0
 
     for period in range(1, spec.periods + 1):
@@ -448,8 +460,10 @@ def execute_batched(
             t1 = plan.t1_ms[i0:i1]
             t2 = plan.t2_ms[i0:i1]
             routing = plan.routing_ms[i0:i1]
-            dispatch = arrival[i0:i1] + uplink[i0:i1]
-            dlink = downlink[i0:i1]
+            # Uplink is half of both hops plus routing, added to the arrival
+            # in the event path's association.
+            dlink = (t1 + t2) / 2.0
+            dispatch = arrival[i0:i1] + (dlink + routing)
             work = plan.work_units[i0:i1]
             jitter = plan.jitter_z[i0:i1]
 
@@ -502,7 +516,9 @@ def execute_batched(
             failed = recorded & ~ok
             dropped_total += int(np.count_nonzero(failed))
             succeeded = recorded & ok
-            success_chunks.append(response[succeeded])
+            succeeded_total = append_successes(
+                successes, succeeded_total, response, succeeded
+            )
 
             while (
                 sample_cursor < len(sample_times)
@@ -536,12 +552,9 @@ def execute_batched(
             sample_cursor += 1
 
         engine.clock.advance_to(horizon)
-        responses = (
-            np.concatenate(success_chunks) if success_chunks else np.empty(0, dtype=float)
-        )
     return ExecutionMetrics(
         requests_total=requests_total,
         requests_dropped=dropped_total,
-        success_response_ms=responses,
+        success_response_ms=successes[:succeeded_total],
         utilization_samples=utilization_samples,
     )

@@ -12,7 +12,7 @@ draws forward into a handful of vectorised numpy calls:
 * RTTs come from ``CommunicationChannel.sample_t1_many/sample_t2_many``
   (``LogNormalLatencyModel`` sampled once per hop with per-request
   hour-of-day modulation) once the broker has picked each request's
-  serving site (:meth:`RequestPlan.with_network`),
+  serving site; they are written into the plan's own T1/T2 columns,
 * work units come from :meth:`OffloadableTask.sample_work_units_many`, and
 * service jitter is pre-drawn as standard-normal values that
   :func:`~repro.cloud.server.jittered_work_units` scales by the landing
@@ -23,11 +23,15 @@ batched fast path exactly comparable to the event path: for a deterministic
 configuration the two produce identical metrics, and for stochastic ones
 they differ only through the service-queueing approximation, never through
 different random draws.
+
+Each per-request column exists once per run: the network sampling, the
+fault overlay and the brokers write into the plan's arrays in place, and
+the executors derive anything else (uplink, downlink, dispatch times) per
+slot window.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,27 +65,6 @@ class RequestPlan:
     def __len__(self) -> int:
         return int(self.arrival_ms.size)
 
-    @property
-    def uplink_ms(self) -> np.ndarray:
-        """Pre-execution delay: the uplink half of both hops plus routing."""
-        return (self.t1_ms + self.t2_ms) / 2.0 + self.routing_ms
-
-    @property
-    def downlink_ms(self) -> np.ndarray:
-        """Post-execution delay: the downlink half of both hops."""
-        return (self.t1_ms + self.t2_ms) / 2.0
-
-    def with_network(self, t1_ms: np.ndarray, t2_ms: np.ndarray) -> "RequestPlan":
-        """A copy with the network draws replaced.
-
-        The runner builds the plan without network samples first
-        (the serving site — and hence the latency model — is only known once
-        the broker has assigned sites), then fills T1/T2 per site partition
-        and the WAN penalty through this method.
-        """
-        return dataclasses.replace(self, t1_ms=np.asarray(t1_ms, dtype=float),
-                                   t2_ms=np.asarray(t2_ms, dtype=float))
-
 
 def build_request_plan(
     *,
@@ -101,9 +84,9 @@ def build_request_plan(
     (:func:`~repro.sdn.accelerator.draw_routing_overhead_ms`); a dedicated jitter stream
     yields the service-time draws.
 
-    T1/T2 stay zero-filled: the runner samples the network per serving site
-    once the broker has assigned the requests (see
-    :meth:`RequestPlan.with_network`).
+    T1/T2 start zero-filled: the runner writes each request's network draws
+    into them in place once the broker has picked its serving site (at plan
+    time for the static policies, per slot for the dynamic one).
     """
     if users < 1:
         raise ValueError(f"users must be >= 1, got {users}")

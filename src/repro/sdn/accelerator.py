@@ -51,7 +51,8 @@ def draw_routing_overhead_ms(rng: np.random.Generator, count: int) -> np.ndarray
 
     Normal with mean 150 ms and standard deviation 25 ms, floored at 1 ms.
     """
-    return np.maximum(rng.normal(150.0, 25.0, size=count), 1.0)
+    draws = rng.normal(150.0, 25.0, size=count)
+    return np.maximum(draws, 1.0, out=draws)
 
 
 class RequestColumns:

@@ -43,7 +43,10 @@ class ArrivalProcess:
 
         Gaps are drawn in doubling chunks and accumulated with ``cumsum``, so
         generating a 100k-request workload costs a handful of numpy calls
-        rather than 100k scalar RNG round trips.
+        rather than 100k scalar RNG round trips.  Times never decrease, and
+        the loop only draws another chunk while the last time is before
+        ``end_ms``, so only the last chunk can reach ``end_ms``: it alone is
+        cut, at its ``searchsorted`` position.
         """
         if end_ms < start_ms:
             raise ValueError(f"end_ms {end_ms} before start_ms {start_ms}")
@@ -68,8 +71,11 @@ class ArrivalProcess:
             if max_arrivals is not None and generated >= max_arrivals:
                 break
             chunk *= 2
-        merged = np.concatenate(pieces) if pieces else np.empty(0, dtype=float)
-        merged = merged[merged < end_ms]
+        if not pieces:
+            return np.empty(0, dtype=float)
+        last = pieces[-1]
+        pieces[-1] = last[: int(np.searchsorted(last, end_ms, side="left"))]
+        merged = np.concatenate(pieces)
         if max_arrivals is not None:
             merged = merged[:max_arrivals]
         return merged

@@ -10,8 +10,10 @@ the CLI's JSON output (as zeros when faults are off).
 """
 
 import dataclasses
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.metrics import federation_rollup
@@ -23,6 +25,7 @@ from repro.faults.spec import (
     PreemptionWindow,
     RetryPolicy,
 )
+from repro.multisite.runner import execute_multisite
 from repro.multisite.spec import MultiSiteSpec, OutageWindow, SiteSpec
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.spec import (
@@ -32,6 +35,7 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.telemetry import NULL_TELEMETRY
 
 FAULT_BUILTINS = ("spot-preemption-storm", "flaky-uplink", "stale-broker")
 
@@ -346,3 +350,74 @@ class TestRollupAndCli:
         output = capsys.readouterr().out
         for column in ("retried", "failed_over", "degraded_local"):
             assert column in output
+
+
+class TestZeroPenaltyFailover:
+    """Failover on a static federation whose WAN penalty matrix is all zero.
+
+    Such a broker keeps no per-request WAN penalty column, so a re-homed
+    request's T1 adjustment reads the old penalty from the matrix.  The
+    pins are the values the run gave while the column still existed.
+    """
+
+    @staticmethod
+    def spec(execution: str) -> ScenarioSpec:
+        sites = MultiSiteSpec(
+            sites=(
+                SiteSpec(
+                    name="edge",
+                    cloud=CloudSpec(group_types={1: "t2.medium"}, instance_cap=6),
+                    population_share=2.0,
+                    outages=(OutageWindow(start=0.4, end=0.7),),
+                ),
+                SiteSpec(
+                    name="core",
+                    cloud=CloudSpec(group_types={1: "t2.medium"}, instance_cap=12),
+                ),
+            ),
+            policy="nearest-rtt",
+        )
+        return ScenarioSpec(
+            name="zero-wan-failover",
+            users=10,
+            duration_hours=0.5,
+            slot_minutes=10.0,
+            task_name="minimax",
+            execution=execution,
+            workload=WorkloadSpec(
+                pattern="flash-crowd",
+                target_requests=1500,
+                burst_factor=8.0,
+                burst_start=0.3,
+                burst_duration=0.1,
+            ),
+            policy=PolicySpec(promotion="static", promotion_probability=0.0),
+            sites=sites,
+            faults=FaultSpec(
+                offload_failure_probability=0.1,
+                retry=RetryPolicy(max_attempts=3, reroute_on_retry=True),
+            ),
+        )
+
+    @pytest.mark.parametrize("execution", ["event", "batched"])
+    def test_rehomed_site_and_t1_match_the_pins(self, execution):
+        run = execute_multisite(self.spec(execution), 0, NULL_TELEMETRY)
+        overlay = run.fault_plane.overlay
+        site_ids = run.slot_broker.site_ids
+        t1 = run.plan.t1_ms
+        moved = np.flatnonzero(overlay.rerouted)
+        assert moved.size == 122
+        assert int(overlay.killed.sum()) == 6
+        assert [
+            (int(index), int(site_ids[index]), float(t1[index]).hex())
+            for index in moved[:3]
+        ] == [
+            (6, 1, "0x1.aa6cf03d9806ep+4"),
+            (7, 1, "0x1.35200f4cdbf64p+3"),
+            (12, 1, "0x1.a21e12a2d4510p+5"),
+        ]
+        assert hashlib.sha256(t1.tobytes()).hexdigest()[:16] == "e17018ed9f4a2660"
+        assert (
+            hashlib.sha256(site_ids.astype(np.int64).tobytes()).hexdigest()[:16]
+            == "8a1c5ea4266824b6"
+        )

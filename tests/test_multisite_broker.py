@@ -1,11 +1,14 @@
 """Unit tests for the global request broker's routing policies."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.multisite.broker import (
+    SITE_ID_DTYPE,
     UNROUTED,
     DynamicBroker,
     assign_home_sites,
@@ -204,6 +207,32 @@ class TestWanPenalty:
         federation = make_sites()
         with pytest.raises(ValueError, match="one access RTT per site"):
             assign(federation, access=[40.0])
+
+    def test_zero_penalty_keeps_no_column(self):
+        federation = make_sites(
+            sites=(
+                SiteSpec(name="a", cloud=CloudSpec(instance_cap=10)),
+                SiteSpec(name="b", cloud=CloudSpec(instance_cap=10)),
+            )
+        )
+        brokered = assign(federation)
+        assert brokered.extra_rtt_ms is None
+        assert brokered.site_ids.dtype == SITE_ID_DTYPE
+
+
+class TestSiteIdBound:
+    def test_more_sites_than_the_site_id_dtype_holds_are_rejected(self):
+        # The bound is checked before any site is read.
+        too_many = SimpleNamespace(sites=[None] * (int(np.iinfo(SITE_ID_DTYPE).max) + 1))
+        with pytest.raises(ValueError, match="at most"):
+            broker_assign(
+                arrival_ms=np.zeros(1),
+                user_ids=np.zeros(1, dtype=np.int64),
+                users=1,
+                federation=too_many,
+                duration_ms=1.0,
+                access_rtt_ms=[],
+            )
 
 
 class TestDynamicBroker:

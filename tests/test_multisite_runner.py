@@ -434,7 +434,7 @@ class TestFederationRollup:
     def test_zero_request_site_keeps_an_explicit_row(self):
         # Regression: a site the broker never picks must still appear as an
         # explicit zero row, so federation_rollup and
-        # BrokeredPlan.indices_for_site agree on totals — with the zero row
+        # BrokeredPlan.site_ids agree on totals — with the zero row
         # silently dropped, rollup["sites"] undercounts and per-site sums no
         # longer reach requests_total.
         spec = get_scenario("price-arbitrage").with_overrides(
