@@ -56,6 +56,10 @@ OUTCOME_OK = 0  # offload succeeds (possibly after retries / failover)
 OUTCOME_DEGRADED_LOCAL = 1  # retries exhausted; executed on the device
 OUTCOME_DROPPED = 2  # retries exhausted and no local fallback
 
+#: Attempts per request; ``RetryPolicy.max_attempts`` is capped at
+#: :data:`~repro.faults.spec.MAX_ATTEMPTS`, this dtype's largest value.
+ATTEMPTS_DTYPE = np.int8
+
 
 @dataclass(frozen=True)
 class FaultSummary:
@@ -79,36 +83,36 @@ class FaultOverlay:
     build time; ``rerouted``/``killed`` (and, for killed requests, ``outcome``
     and ``extra_latency_ms``) are additionally mutated at slot boundaries by
     the :class:`MultisiteFaultPlane` — always through the shared brokering
-    step, never by an executor.  ``local_ms`` is the on-device execution time
-    of every request (meaningful where ``outcome`` is degraded-local), filled
-    once devices exist.
+    step, never by an executor.  ``final_attempt_ms`` is the retry ladder's
+    own attempt-time column: it ends at each request's final attempt.
+    There is no per-request local-time column: ``local_speed_of_user`` holds
+    one device speed per user, filled once devices exist, and
+    :meth:`fault_summary` divides the work of degraded-local requests by it.
     """
 
     spec: FaultSpec
     duration_ms: float
-    attempts: np.ndarray  # int64, >= 1: total offload attempts consumed
+    attempts: np.ndarray  # ATTEMPTS_DTYPE, >= 1: total offload attempts consumed
     outcome: np.ndarray  # int8: OUTCOME_* final disposition
     extra_latency_ms: np.ndarray  # time burned on failed attempts + backoff
     rtt_factor: np.ndarray  # degraded-window multiplier at the final attempt
     final_attempt_ms: np.ndarray  # start time of the final (deciding) attempt
     rerouted: np.ndarray  # bool: served by a failover site
     killed: np.ndarray  # bool: in-flight at an outage onset
-    local_ms: np.ndarray  # on-device execution time (zeros until filled)
+    local_speed_of_user: np.ndarray  # on-device speed per user (empty until filled)
 
     def __len__(self) -> int:
         return int(self.outcome.size)
 
-    def set_local_execution(
-        self, plan: RequestPlan, local_speed_of_user: np.ndarray
-    ) -> None:
-        """Fill per-request on-device execution times from the device fleet.
+    def set_local_execution(self, local_speed_of_user: np.ndarray) -> None:
+        """Keep the device fleet's on-device speed, one value per user.
 
-        Computed for *every* request (not just currently-degraded ones)
-        because outage kills can still degrade requests later, at slot
-        boundaries.
+        A degraded-local request's on-device time is its work over its
+        user's speed; :meth:`fault_summary` computes it for the requests
+        degraded at fold time, since outage kills can still degrade requests
+        at slot boundaries.
         """
-        speeds = np.asarray(local_speed_of_user, dtype=float)[plan.user_ids]
-        self.local_ms = plan.work_units / speeds
+        self.local_speed_of_user = np.asarray(local_speed_of_user, dtype=float)
 
     def apply_latency(self, plan: RequestPlan) -> None:
         """Fold retry latency into the plan's routing overhead.
@@ -163,7 +167,9 @@ class FaultOverlay:
                 (self.attempts[routed] - (self.outcome[routed] == OUTCOME_OK)).sum()
             ),
             local_response_ms=(
-                self.extra_latency_ms[local_mask] + self.local_ms[local_mask]
+                self.extra_latency_ms[local_mask]
+                + plan.work_units[local_mask]
+                / self.local_speed_of_user[plan.user_ids[local_mask]]
             ),
             local_user_counts=np.bincount(
                 plan.user_ids[local_mask], minlength=users
@@ -221,7 +227,7 @@ def _attempt_failure_probability(
                 continue
             inside &= site_ids == site_index_of_name(window.site)
         p[inside] += window.kill_probability
-    return np.clip(p, 0.0, 1.0)
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def build_fault_overlay(
@@ -243,49 +249,64 @@ def build_fault_overlay(
     per-attempt timeout), then — if attempts remain — waits out the jittered
     exponential backoff and re-attempts at the shifted instant.  Exhausted
     requests degrade to local execution or drop, per the policy.
+
+    Round 0 covers every request; later rounds work on the indices of the
+    requests still failing, element for element as a full-length pass would.
+    Every round still draws both uniform vectors at full length into one
+    reused buffer, before its early exit, so the draws stay positionally
+    stable.
     """
     n = len(plan)
     retry = faults.retry
-    attempts = np.ones(n, dtype=np.int64)
+    attempts = np.ones(n, dtype=ATTEMPTS_DTYPE)
     outcome = np.full(n, OUTCOME_OK, dtype=np.int8)
     extra = np.zeros(n, dtype=float)
-    t_attempt = plan.arrival_ms.astype(float).copy()
-    final_t = t_attempt.copy()
-    pending = np.ones(n, dtype=bool)
+    # Each request's current attempt time; once the ladder ends, its final one.
+    t_attempt = plan.arrival_ms.astype(float)
+    draws = np.empty(n)
+    pending: Optional[np.ndarray] = None  # indices still failing; None: all
 
     names = list(site_names)
 
     def site_index_of_name(name: str) -> int:
         return names.index(name)
 
-    for round_index in range(retry.max_attempts):
-        if not np.any(pending):
+    for round_index in range(retry.max_attempts if n else 0):
+        rng.random(out=draws)  # the failure draw
+        if pending is None:
+            pending = np.flatnonzero(
+                draws
+                < _attempt_failure_probability(
+                    faults, t_attempt, duration_ms, site_ids, site_index_of_name
+                )
+            )
+        else:
+            pending = pending[
+                draws[pending]
+                < _attempt_failure_probability(
+                    faults,
+                    t_attempt[pending],
+                    duration_ms,
+                    None if site_ids is None else site_ids[pending],
+                    site_index_of_name,
+                )
+            ]
+        rng.random(out=draws)  # the backoff-jitter draw, even if none failed
+        if pending.size == 0:
             break
-        u_fail = rng.random(n)
-        v_jitter = rng.random(n)
-        p = _attempt_failure_probability(
-            faults, t_attempt, duration_ms, site_ids, site_index_of_name
-        )
-        failed = pending & (u_fail < p)
-        succeeded = pending & ~failed
-        final_t[succeeded] = t_attempt[succeeded]
-        pending = failed
-        if not np.any(failed):
-            break
+        t_failed = t_attempt[pending]
         waste = np.minimum(
-            faults.failure_detection_ms * _window_factor(faults, t_attempt, duration_ms),
+            faults.failure_detection_ms * _window_factor(faults, t_failed, duration_ms),
             retry.attempt_timeout_ms,
         )
-        extra[failed] += waste[failed]
+        extra[pending] += waste
         if round_index < retry.max_attempts - 1:
-            backoff = retry.backoff_ms(round_index + 1, v_jitter)
-            delay = waste + backoff
-            extra[failed] += backoff[failed]
-            t_attempt[failed] += delay[failed]
-            attempts[failed] += 1
-            final_t[failed] = t_attempt[failed]
+            backoff = retry.backoff_ms(round_index + 1, draws[pending])
+            extra[pending] += backoff
+            t_attempt[pending] = t_failed + (waste + backoff)
+            attempts[pending] += 1
 
-    if np.any(pending):
+    if pending is not None and pending.size:
         outcome[pending] = (
             OUTCOME_DEGRADED_LOCAL if retry.local_fallback else OUTCOME_DROPPED
         )
@@ -296,11 +317,11 @@ def build_fault_overlay(
         attempts=attempts,
         outcome=outcome,
         extra_latency_ms=extra,
-        rtt_factor=_window_factor(faults, final_t, duration_ms),
-        final_attempt_ms=final_t,
+        rtt_factor=_window_factor(faults, t_attempt, duration_ms),
+        final_attempt_ms=t_attempt,
         rerouted=np.zeros(n, dtype=bool),
         killed=np.zeros(n, dtype=bool),
-        local_ms=np.zeros(n, dtype=float),
+        local_speed_of_user=np.empty(0),
     )
 
 
@@ -580,16 +601,15 @@ class MultisiteFaultPlane:
         """Re-home one request onto ``target``, fixing the WAN penalty.
 
         Dynamic brokers sample the window's network *after* this step, so the
-        request simply picks up the new site's draws and penalty; static
-        brokers sampled at plan time, so the T1 already on the plan is
-        adjusted by the WAN penalty delta (scaled by any degraded factor
-        already applied), the old penalty read from the matrix.
+        request simply picks up the new site's draws and penalty (read from
+        the matrix by its new site id); static brokers sampled at plan time,
+        so the T1 already on the plan is adjusted by the WAN penalty delta
+        (scaled by any degraded factor already applied), both penalties read
+        from the matrix.
         """
-        home = int(self.home[int(plan.user_ids[index])])
-        new_extra = float(self.penalty[home, target])
-        if slot_broker.samples_network:
-            slot_broker.extra_rtt_ms[index] = new_extra
-        else:
+        if not slot_broker.samples_network:
+            home = int(self.home[int(plan.user_ids[index])])
+            new_extra = float(self.penalty[home, target])
             old_extra = float(self.penalty[home, int(slot_broker.site_ids[index])])
             plan.t1_ms[index] += (new_extra - old_extra) * float(
                 self.overlay.rtt_factor[index]

@@ -29,10 +29,11 @@ Retry semantics
 The retry ladder for a request is: attempt, and on failure wait out the
 failure-detection time (inflated by any degraded window, capped by
 ``attempt_timeout_ms``), back off exponentially with jitter, and attempt
-again, up to ``max_attempts`` total attempts.  A request that exhausts its
-attempts is *gracefully degraded*: with ``local_fallback`` it executes on the
-device (the paper's no-offloading baseline path) and still counts as a
-success; without it the request is dropped.  ``reroute_on_retry`` lets
+again, up to ``max_attempts`` total attempts (at most :data:`MAX_ATTEMPTS`).
+A request that exhausts its attempts is *gracefully degraded*: with
+``local_fallback`` it executes on the device (the paper's no-offloading
+baseline path) and still counts as a success; without it the request is
+dropped.  ``reroute_on_retry`` lets
 multi-site retries land on the next spill-ranked site instead of hammering
 the one that failed.
 
@@ -90,11 +91,16 @@ class ControlPlaneFaults:
         check(self)
 
 
+#: The most attempts a retry policy may allow: the fault overlay keeps each
+#: request's attempt count in one signed byte.
+MAX_ATTEMPTS = 127
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How an offloading request answers a failed attempt."""
 
-    max_attempts: int = integer(3, ge=1)
+    max_attempts: int = integer(3, ge=1, le=MAX_ATTEMPTS)
     attempt_timeout_ms: float = real(2_000.0, gt=0.0)
     backoff_base_ms: float = real(200.0, ge=0.0)
     backoff_multiplier: float = real(2.0, ge=1.0)

@@ -56,9 +56,17 @@ from repro.scenarios.plan import RequestPlan
 #: Site id of a request no site could accept.
 UNROUTED = -1
 
-#: Plan-time site ids are one column per run; two bytes hold any federation
-#: a spec can sensibly declare (:func:`broker_assign` checks the bound).
+#: Site ids are one column per run; two bytes hold any federation a spec can
+#: sensibly declare (:func:`unrouted_site_ids` checks the bound).
 SITE_ID_DTYPE = np.int16
+
+
+def unrouted_site_ids(count: int, site_count: int) -> np.ndarray:
+    """A site-id column of ``count`` requests, all ``UNROUTED`` so far."""
+    most = int(np.iinfo(SITE_ID_DTYPE).max)
+    if site_count > most:
+        raise ValueError(f"a federation has at most {most} sites, got {site_count}")
+    return np.full(count, UNROUTED, dtype=SITE_ID_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -211,11 +219,8 @@ def broker_assign(
     ``nearest-rtt`` policy adds the WAN penalty on top of it.
     """
     sites = federation.sites
-    most = int(np.iinfo(SITE_ID_DTYPE).max)
-    if len(sites) > most:
-        raise ValueError(f"a federation has at most {most} sites, got {len(sites)}")
     count = int(arrival_ms.size)
-    site_ids = np.full(count, UNROUTED, dtype=SITE_ID_DTYPE)
+    site_ids = unrouted_site_ids(count, len(sites))
     home = assign_home_sites(users, sites)
     penalty = wan_penalty_matrix(sites)
     access = np.asarray(access_rtt_ms, dtype=float)
@@ -445,8 +450,7 @@ class DynamicBroker:
         self.sites = sites
         self.plan = plan
         self.duration_ms = float(duration_ms)
-        self.site_ids = np.full(count, UNROUTED, dtype=np.int64)
-        self.extra_rtt_ms = np.zeros(count, dtype=float)
+        self.site_ids = unrouted_site_ids(count, len(sites))
         self.spilled = np.zeros(count, dtype=bool)
         self.home_site_of_user = assign_home_sites(users, sites)
         self.penalty = wan_penalty_matrix(sites)
@@ -831,14 +835,10 @@ class DynamicBroker:
             )
             self.site_ids[lo:hi] = proposals
 
-        # 4. settle the window: WAN penalties, backlog, routing shares.
+        # 4. settle the window: backlog, routing shares.  The WAN penalty of
+        # each routed request is read from ``penalty`` when the window's
+        # network is sampled, after any failover moved it.
         window_sites = self.site_ids[i0:i1]
-        routed = np.flatnonzero(window_sites >= 0) + i0
-        if routed.size:
-            self.extra_rtt_ms[routed] = self.penalty[
-                self.home_site_of_user[self.plan.user_ids[routed]],
-                self.site_ids[routed],
-            ]
         self.backlog_work += used_work
         self.backlog_requests += used_requests
         served = window_sites[window_sites >= 0]

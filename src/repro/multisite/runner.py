@@ -46,7 +46,7 @@ drop totals).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -69,6 +69,7 @@ from repro.mobile.moderator import (
 )
 from repro.mobile.tasks import DEFAULT_TASK_POOL
 from repro.multisite.broker import (
+    SITE_ID_DTYPE,
     UNROUTED,
     BrokeredPlan,
     DynamicBroker,
@@ -121,7 +122,6 @@ class SiteExecutionStats:
 
     requests_total: int = 0
     requests_dropped: int = 0
-    success_chunks: List[np.ndarray] = field(default_factory=list)
     #: Per requesting-user acceleration group: requests seen / dropped at
     #: this site (the group of the *user's promotion level* at routing
     #: time, not the post-clamp serving group — the breakdown the
@@ -139,21 +139,25 @@ class SiteExecutionStats:
             if drops[group]:
                 dropped[group] = dropped.get(group, 0) + int(drops[group])
 
-    @property
-    def success_response_ms(self) -> np.ndarray:
-        if not self.success_chunks:
-            return np.empty(0, dtype=float)
-        return np.concatenate(self.success_chunks)
-
 
 @dataclass
 class FederationMetrics:
-    """Federation-wide data-plane outputs plus the per-site breakdown."""
+    """Federation-wide data-plane outputs plus the per-site breakdown.
+
+    ``success_buffer`` has one slot per request of the plan; the executor
+    fills its first ``requests_succeeded`` with successful responses, and
+    ``success_site_ids`` (``None`` for the implicit site) holds the serving
+    site of each.  A request succeeds in an executor or degrades locally,
+    never both, so the result fold writes degraded-local responses into the
+    spare tail.
+    """
 
     requests_total: int
     requests_dropped: int
     requests_unrouted: int
-    success_response_ms: np.ndarray
+    success_buffer: np.ndarray
+    requests_succeeded: int
+    success_site_ids: Optional[np.ndarray]
     utilization_samples: List[float]
     per_site: List[SiteExecutionStats]
 
@@ -305,9 +309,14 @@ def run_slot_brokering(
                     continue
                 plan.t1_ms[i0 + picks] = site.channel.sample_t1_many(hours[picks])
                 plan.t2_ms[i0 + picks] = site.channel.sample_t2_many(hours[picks])
-            routed = np.flatnonzero(window_sites >= 0)
+            # Routed requests pay the WAN penalty from their home to the site
+            # that serves them, after any failover moved them.
+            routed = np.flatnonzero(window_sites >= 0) + i0
             if routed.size:
-                plan.t1_ms[i0 + routed] += slot_broker.extra_rtt_ms[i0 + routed]
+                plan.t1_ms[routed] += slot_broker.penalty[
+                    slot_broker.home_site_of_user[plan.user_ids[routed]],
+                    slot_broker.site_ids[routed],
+                ]
             if fault_plane is not None:
                 fault_plane.apply_network_factor(plan, i0, i1)
         return i0, i1
@@ -625,30 +634,34 @@ def execute_event_multisite(
         buffer.flush(duration_ms + DRAIN_MARGIN_MS)
 
     with telemetry.span("stats.fold"):
+        successes = np.empty(count)
+        success_sites = np.empty(count, dtype=SITE_ID_DTYPE)
+        succeeded = 0
         for site in federation:
-            # In delivery order: numpy's pairwise sums over the responses
-            # depend on it.
+            # Site by site, each in delivery order: numpy's pairwise sums
+            # over the responses depend on it.
             log = np.asarray(site.accelerator.delivered, dtype=np.int64)
             success = columns.success[log]
             failed = ~success
             stats = per_site[site.index]
             stats.requests_total = int(log.size)
             stats.requests_dropped = int(np.count_nonzero(failed))
-            stats.success_chunks.append(columns.response_ms[log[success]])
+            rows = log[success]
+            filled = succeeded + rows.size
+            np.take(columns.response_ms, rows, out=successes[succeeded:filled])
+            success_sites[succeeded:filled] = site.index
+            succeeded = filled
             # Per-group site tallies key on the *requesting* group — the
             # user's promotion level as routed, not the post-clamp serving
             # group — so both executors report the same cohort breakdown.
             stats.tally_groups(columns.requested_group[log], failed)
-        successes = (
-            np.concatenate([stats.success_response_ms for stats in per_site])
-            if per_site
-            else np.empty(0, dtype=float)
-        )
     return FederationMetrics(
         requests_total=sum(stats.requests_total for stats in per_site) + unrouted,
         requests_dropped=sum(stats.requests_dropped for stats in per_site) + unrouted,
         requests_unrouted=unrouted,
-        success_response_ms=successes,
+        success_buffer=successes,
+        requests_succeeded=succeeded,
+        success_site_ids=success_sites,
         utilization_samples=utilization_samples,
         per_site=per_site,
     )
@@ -730,6 +743,7 @@ def execute_batched_multisite(
     dropped_total = 0
     unrouted_total = 0
     successes = np.empty(len(plan))
+    success_sites = np.empty(len(plan), dtype=SITE_ID_DTYPE)
     succeeded_total = 0
     per_site = [SiteExecutionStats() for _ in federation.sites]
 
@@ -826,16 +840,17 @@ def execute_batched_multisite(
             failed = recorded & ~ok
             dropped_total += int(np.count_nonzero(failed))
             succeeded = recorded & ok
-            succeeded_total = append_successes(
-                successes, succeeded_total, response, succeeded
+            filled = append_successes(successes, succeeded_total, response, succeeded)
+            np.compress(
+                succeeded, window_sites, out=success_sites[succeeded_total:filled]
             )
+            succeeded_total = filled
 
             for site in federation:
                 mask = recorded & (window_sites == site.index)
                 stats = per_site[site.index]
                 stats.requests_total += int(np.count_nonzero(mask))
                 stats.requests_dropped += int(np.count_nonzero(mask & ~ok))
-                stats.success_chunks.append(response[mask & succeeded])
                 stats.tally_groups(window_user_groups[mask], ~ok[mask])
 
             while (
@@ -875,7 +890,9 @@ def execute_batched_multisite(
         requests_total=requests_total,
         requests_dropped=dropped_total,
         requests_unrouted=unrouted_total,
-        success_response_ms=successes[:succeeded_total],
+        success_buffer=successes,
+        requests_succeeded=succeeded_total,
+        success_site_ids=success_sites,
         utilization_samples=utilization_samples,
         per_site=per_site,
     )
@@ -1033,7 +1050,6 @@ def execute_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> Mult
                 site_names=sites_spec.site_names,
             )
             overlay.set_local_execution(
-                plan,
                 np.asarray(
                     [
                         devices[user_id].profile.local_speed_factor
@@ -1085,7 +1101,9 @@ def execute_multisite(spec: ScenarioSpec, seed: "int | None", telemetry) -> Mult
             requests_total=single.requests_total,
             requests_dropped=single.requests_dropped,
             requests_unrouted=0,
-            success_response_ms=single.success_response_ms,
+            success_buffer=single.success_buffer,
+            requests_succeeded=single.requests_succeeded,
+            success_site_ids=None,
             utilization_samples=single.utilization_samples,
             per_site=[],
         )
@@ -1138,10 +1156,16 @@ def _fold_multisite_result(
     The implicit site of a single-site spec is reported as a single-site
     run: no ``sites``, no ``slot_site_requests``, unprefixed serving-stack
     metrics and no ``site.*``, ``federation.*`` or ``broker.*`` signals.
+
+    The fold copies no whole-run column: degraded-local responses go into
+    the success buffer's spare tail, and the percentiles partition the
+    arrays the fold owns in place.  So every read that depends on the
+    responses' order (the mean, the per-site extraction, the published
+    histogram and the recorder) comes before the federation-wide partition.
     """
     federation, slot_broker, devices = run.federation, run.slot_broker, run.devices
     metrics, plan, fault_plane = run.metrics, run.plan, run.fault_plane
-    successes = metrics.success_response_ms
+    succeeded = metrics.requests_succeeded
     requests_total = metrics.requests_total
     dropped_total = metrics.requests_dropped
     fault_summary = None
@@ -1158,19 +1182,15 @@ def _fold_multisite_result(
             fault_summary.requests_local + fault_summary.requests_dropped
         )
         dropped_total += fault_summary.requests_dropped
-        if fault_summary.local_response_ms.size:
-            successes = np.concatenate(
-                [successes, fault_summary.local_response_ms]
-            )
+        local = fault_summary.local_response_ms
+        metrics.success_buffer[succeeded : succeeded + local.size] = local
+        succeeded += local.size
         for user_id in np.flatnonzero(fault_summary.dropped_user_counts):
             devices[int(user_id)].record_failures(
                 int(fault_summary.dropped_user_counts[user_id])
             )
-    if successes.size:
-        mean_ms = float(successes.mean())
-        p50, p95, p99 = linear_percentiles(successes, (50.0, 95.0, 99.0))
-    else:
-        mean_ms = p50 = p95 = p99 = float("nan")
+    successes = metrics.success_buffer[:succeeded]
+    mean_ms = float(successes.mean()) if succeeded else float("nan")
 
     accuracies: List[float] = []
     for site in federation:
@@ -1228,13 +1248,19 @@ def _fold_multisite_result(
                 site_ids=slot_broker.site_ids,
             )
 
+    # Last: this reorders the successes in place.
+    if succeeded:
+        p50, p95, p99 = linear_percentiles(successes, (50.0, 95.0, 99.0))
+    else:
+        p50 = p95 = p99 = float("nan")
+
     return ScenarioResult(
         name=spec.name,
         seed=run.seed,
         users=spec.users,
         duration_hours=spec.duration_hours,
         requests_total=requests_total,
-        requests_succeeded=int(successes.size),
+        requests_succeeded=succeeded,
         requests_dropped=dropped_total,
         mean_response_ms=mean_ms,
         p50_response_ms=p50,
@@ -1310,23 +1336,24 @@ def _site_results(
             minlength=site_count,
         )
 
+    # Each site's successes, in the executor's order, as a copy the fold owns.
+    executed = metrics.success_buffer[: metrics.requests_succeeded]
+    site_of_success = metrics.success_site_ids[: metrics.requests_succeeded]
     site_results: List[SiteResult] = []
     for site in federation:
         stats = metrics.per_site[site.index]
-        site_successes = stats.success_response_ms
+        site_successes = executed[site_of_success == site.index]
+        site_mean = site_p95 = float("nan")
+        if site_successes.size:
+            site_mean = float(site_successes.mean())
+            (site_p95,) = linear_percentiles(site_successes, (95.0,))
         site_results.append(
             SiteResult(
                 name=site.name,
                 requests_total=stats.requests_total,
                 requests_dropped=stats.requests_dropped,
-                mean_response_ms=(
-                    float(site_successes.mean()) if site_successes.size else float("nan")
-                ),
-                p95_response_ms=(
-                    linear_percentiles(site_successes, (95.0,))[0]
-                    if site_successes.size
-                    else float("nan")
-                ),
+                mean_response_ms=site_mean,
+                p95_response_ms=site_p95,
                 allocation_cost_usd=site.total_cost(),
                 scaling_actions=len(site.autoscaler.actions),
                 predictions=sum(

@@ -69,7 +69,9 @@ class ExecutionMetrics:
 
     requests_total: int
     requests_dropped: int
-    success_response_ms: np.ndarray
+    #: One slot per request; the first ``requests_succeeded`` are filled.
+    success_buffer: np.ndarray
+    requests_succeeded: int
     utilization_samples: List[float]
 
 
@@ -555,6 +557,7 @@ def execute_batched(
     return ExecutionMetrics(
         requests_total=requests_total,
         requests_dropped=dropped_total,
-        success_response_ms=successes[:succeeded_total],
+        success_buffer=successes,
+        requests_succeeded=succeeded_total,
         utilization_samples=utilization_samples,
     )

@@ -101,9 +101,11 @@ def real(
     return _field(rule, default, default_factory)
 
 
-def integer(default: Any = MISSING, *, ge: Optional[int] = None) -> Any:
-    """An integral field, optionally bounded below by ``ge``."""
-    return _field(Rule(integer=True, lo=ge), default, MISSING)
+def integer(
+    default: Any = MISSING, *, ge: Optional[int] = None, le: Optional[int] = None
+) -> Any:
+    """An integral field, optionally bounded by ``ge`` below and ``le`` above."""
+    return _field(Rule(integer=True, lo=ge, hi=le), default, MISSING)
 
 
 def choice(default: Any, options: Tuple[Any, ...]) -> Any:

@@ -45,14 +45,18 @@ def linear_percentiles(values: np.ndarray, percents: Sequence[float]) -> List[fl
     passes those indices through ``np.unique``, whose first call in a
     process imports ``numpy.ma`` (about 15 ms), which a run's result fold
     would otherwise pay.  ``values`` must be non-empty and free of NaN.
+
+    A float64 array is partitioned in place, losing its order, so a caller
+    reads whatever depends on that order before this call.  Other input is
+    partitioned in a converted copy.
     """
-    values = np.asarray(values, dtype=float)
-    last = values.size - 1
+    ordered = np.asarray(values, dtype=float)
+    last = ordered.size - 1
     virtuals = [last * (percent / 100.0) for percent in percents]
     needed = {
         min(math.floor(virtual) + step, last) for virtual in virtuals for step in (0, 1)
     }
-    ordered = np.partition(values, sorted(needed))
+    ordered.partition(sorted(needed))
     results = []
     for virtual in virtuals:
         if virtual >= last:

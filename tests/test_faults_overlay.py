@@ -275,7 +275,7 @@ class TestFoldHelpers:
             retry=RetryPolicy(max_attempts=2, local_fallback=True),
         )
         overlay = build(plan, faults)
-        overlay.set_local_execution(plan, np.full(users, 0.25))
+        overlay.set_local_execution(np.full(users, 0.25))
         summary = overlay.fault_summary(users, plan)
         local = overlay.outcome == OUTCOME_DEGRADED_LOCAL
         assert summary.requests_local == int(np.count_nonzero(local))
@@ -298,7 +298,7 @@ class TestFoldHelpers:
             retry=RetryPolicy(max_attempts=1, local_fallback=True),
         )
         overlay = build(plan, faults)
-        overlay.set_local_execution(plan, np.full(users, 0.25))
+        overlay.set_local_execution(np.full(users, 0.25))
         site_ids = np.full(len(plan), -1, dtype=np.int64)
         site_ids[:40] = 0
         summary = overlay.fault_summary(users, plan, site_ids=site_ids)

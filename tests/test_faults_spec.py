@@ -4,13 +4,18 @@ import dataclasses
 
 import pytest
 
+import numpy as np
+
+from repro.faults.overlay import ATTEMPTS_DTYPE, build_fault_overlay
 from repro.faults.spec import (
+    MAX_ATTEMPTS,
     ControlPlaneFaults,
     DegradedWindow,
     FaultSpec,
     PreemptionWindow,
     RetryPolicy,
 )
+from repro.scenarios.plan import RequestPlan
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -84,6 +89,42 @@ class TestRetryPolicyValidation:
         assert policy.backoff_ms(1, 0.5) == pytest.approx(100.0)
         # jitter_unit is drawn from [0, 1); the supremum is 1.5x.
         assert policy.backoff_ms(1, 1.0) == pytest.approx(150.0)
+
+
+class TestMaxAttemptsBound:
+    def test_more_attempts_than_the_attempts_dtype_holds_are_rejected(self):
+        assert MAX_ATTEMPTS == int(np.iinfo(ATTEMPTS_DTYPE).max)
+        with pytest.raises(
+            ValueError,
+            match=rf"^max_attempts must be in \[1, {MAX_ATTEMPTS}\], got {MAX_ATTEMPTS + 1}$",
+        ):
+            RetryPolicy(max_attempts=MAX_ATTEMPTS + 1)
+        with pytest.raises(ValueError, match="max_attempts"):
+            FaultSpec(retry={"max_attempts": MAX_ATTEMPTS + 1})
+
+    def test_a_ladder_at_the_bound_counts_every_attempt(self):
+        # Every attempt fails, so each request climbs the whole ladder.
+        n = 8
+        plan = RequestPlan(
+            arrival_ms=np.arange(n, dtype=float),
+            user_ids=np.zeros(n, dtype=np.int64),
+            work_units=np.ones(n),
+            jitter_z=np.zeros(n),
+            t1_ms=np.zeros(n),
+            t2_ms=np.zeros(n),
+            routing_ms=np.zeros(n),
+        )
+        overlay = build_fault_overlay(
+            plan=plan,
+            faults=FaultSpec(
+                offload_failure_probability=1.0,
+                retry=RetryPolicy(max_attempts=MAX_ATTEMPTS, backoff_multiplier=1.0),
+            ),
+            duration_ms=1_000.0,
+            rng=np.random.default_rng(0),
+        )
+        assert overlay.attempts.dtype == ATTEMPTS_DTYPE
+        assert np.all(overlay.attempts == MAX_ATTEMPTS)
 
 
 class TestControlPlaneValidation:

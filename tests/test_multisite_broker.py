@@ -234,6 +234,19 @@ class TestSiteIdBound:
                 access_rtt_ms=[],
             )
 
+    def test_dynamic_broker_checks_the_same_bound(self):
+        from repro.multisite.broker import DynamicBroker
+
+        too_many = SimpleNamespace(sites=[None] * (int(np.iinfo(SITE_ID_DTYPE).max) + 1))
+        with pytest.raises(ValueError, match="at most"):
+            DynamicBroker(
+                plan=[],
+                users=1,
+                federation=too_many,
+                duration_ms=1.0,
+                access_rtt_ms=[],
+            )
+
 
 class TestDynamicBroker:
     """Unit tests for the slot-loop broker against synthetic live state."""
@@ -323,7 +336,8 @@ class TestDynamicBroker:
         homes = broker.home_site_of_user[
             np.asarray([uid % 10 for uid in np.flatnonzero(broker.spilled)])
         ]
-        assert np.all(broker.extra_rtt_ms[broker.spilled][homes == 0] == 35.0)
+        penalties = broker.penalty[homes, spilled_sites]
+        assert np.all(penalties[homes == 0] == 35.0)
 
     def test_no_spill_when_every_site_is_saturated(self):
         _, broker = self.make_broker(spillover=SpilloverSpec(queue_limit_fraction=0.5))
@@ -707,11 +721,21 @@ def assert_bitwise_equal(left, right):
     assert left.dtype == right.dtype and left.shape == right.shape
 
 
+def wan_penalties(broker):
+    """The WAN penalty each request pays at its serving site (0 if unrouted)."""
+    routed = np.flatnonzero(broker.site_ids >= 0)
+    penalties = np.zeros(broker.site_ids.size)
+    penalties[routed] = broker.penalty[
+        broker.home_site_of_user[broker.plan.user_ids[routed]],
+        broker.site_ids[routed],
+    ]
+    return penalties
+
+
 def assert_same_walk(chunked, scalar):
-    for name in (
-        "site_ids", "spilled", "extra_rtt_ms", "backlog_work", "backlog_requests",
-    ):
+    for name in ("site_ids", "spilled", "backlog_work", "backlog_requests"):
         assert_bitwise_equal(getattr(chunked, name), getattr(scalar, name))
+    assert_bitwise_equal(wan_penalties(chunked), wan_penalties(scalar))
     assert len(chunked.slot_site_requests) == len(scalar.slot_site_requests)
     for left, right in zip(chunked.slot_site_requests, scalar.slot_site_requests):
         assert_bitwise_equal(left, right)
