@@ -5,28 +5,36 @@ always-available answer to "does the adaptive model still hold up?" after any
 change to the predictor, allocator or simulation substrate.
 
 Scenarios are independent simulations, so ``workers = W`` runs W of them at
-once: this process and W - 1 helper processes started with ``spawn`` (a fresh
-interpreter on every platform, so every job payload must pickle).  All of them
-take job indices from one shared queue, largest first by planned request
-count (ties in submission order): this process takes the largest job at once,
-and a helper asks for its first job only once it has booted, so no process
-idles behind the longest scenario.  Determinism is preserved under any worker
-count: each scenario's seed is derived from the campaign root seed and the
-scenario *name* (not submission order or process), every random draw inside
-a run comes from that scenario's own named streams, and the outcomes are put
-back in submission order before anything reads them.  One raising scenario
-does not cost the others: every job runs to completion, and the failures are
-then raised together in a :class:`CampaignError` that carries the successful
-results.  A helper that dies fails only the scenario it was running; the
-jobs still queued run here.
+once in exactly W processes: this one and W - 1 helpers.  A helper is a plain
+child interpreter (``python -c`` with this interpreter's flags) linked to this
+process by its stdin and stdout: it reads this process's ``sys.path`` and the
+job list from stdin, imports this module (with the ``repro`` package) and
+whatever the jobs unpickle into, and nothing else (not the caller's
+``__main__``, not ``multiprocessing``), so every job payload must pickle by
+reference to an importable module.  All
+processes take job indices from one shared queue, largest first by planned
+request count (ties in submission order): this process takes the largest job
+at once, and a helper asks for its first job only once it has booted, so no
+process idles behind the longest scenario.  Determinism is preserved under
+any worker count: each scenario's seed is derived from the campaign root seed
+and the scenario *name* (not submission order or process), every random draw
+inside a run comes from that scenario's own named streams, and the outcomes
+are put back in submission order before anything reads them.  One raising
+scenario does not cost the others: every job runs to completion, and the
+failures are then raised together in a :class:`CampaignError` that carries
+the successful results.  A helper that dies fails only the scenario it was
+running; the jobs still queued run here.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import hashlib
-import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 import threading
 import traceback
 from dataclasses import dataclass
@@ -41,8 +49,17 @@ from repro.telemetry import Telemetry
 from repro.telemetry.record import RunRecord, build_run_record
 
 
-#: How helper processes start: ``spawn``, a fresh interpreter, on every platform.
-EXECUTION_CONTEXT = multiprocessing.get_context("spawn")
+#: The program a helper runs: take this process's ``sys.path`` from stdin,
+#: keep a duplicate of stdout as the reply stream and point stdout at stderr
+#: (a stray ``print`` in a job then cannot corrupt the link), then serve jobs.
+_HELPER_BOOT = (
+    "import os, pickle, sys\n"
+    "sys.path[:] = pickle.load(sys.stdin.buffer)\n"
+    "sink = os.fdopen(os.dup(1), 'wb')\n"
+    "os.dup2(2, 1)\n"
+    "from repro.scenarios.campaign import _helper\n"
+    "_helper(sys.stdin.buffer, sink)\n"
+)
 
 #: A job's outcome: its (result, record) pair, or ``None`` and the error text.
 Outcome = Tuple[Optional[Tuple[ScenarioResult, Optional[RunRecord]]], Optional[str]]
@@ -83,53 +100,40 @@ def _run_job_guarded(job: "Tuple[ScenarioSpec, int, bool]") -> Outcome:
         return None, traceback.format_exc()
 
 
-def _helper(link, jobs: "Sequence[Tuple[ScenarioSpec, int, bool]]") -> None:
+def _helper(source, sink) -> None:
     """Helper process entry point: run the jobs this process is handed.
 
-    Its first message (``None``) says it has booted; every later one is the
-    ``(index, outcome)`` of the job it was handed last.  It stops when it is
-    handed ``None``.
+    ``source`` carries the job list, then one job index per message.  The
+    first message on ``sink`` (``None``) says it has booted; every later one
+    is the ``(index, outcome)`` of the job it was handed last.  It stops when
+    it is handed ``None``, and quietly when the parent has gone.
     """
-    reply = None
-    while True:
-        link.send(reply)
-        index = link.recv()
-        if index is None:
-            return
-        reply = (index, _run_job_guarded(jobs[index]))
+    try:
+        jobs = pickle.load(source)
+        reply = None
+        while True:
+            pickle.dump(reply, sink)
+            sink.flush()
+            index = pickle.load(source)
+            if index is None:
+                return
+            reply = (index, _run_job_guarded(jobs[index]))
+    except (EOFError, BrokenPipeError):  # the parent has gone
+        pass
+    finally:
+        # Closed here, a reply the parent can no longer read is dropped
+        # instead of being flushed again, noisily, at exit.
+        with contextlib.suppress(BrokenPipeError):
+            sink.close()
 
 
-def _serve_helpers(
-    links: dict, take, outcomes: List[Optional[Outcome]], lost: dict
-) -> None:
-    """Hand helpers queued job indices as they ask, and store their outcomes.
-
-    ``links`` maps each helper's pipe end to its process.  A helper holds the
-    only other end, so its exit, clean or killed, reads as end of file; the
-    job it was handed and did not return then goes to ``lost``.
-    """
-    # Imported here: it costs every ``import repro`` about 4 ms otherwise.
-    from multiprocessing.connection import wait
-
-    held: dict = {}
-    waiting = list(links)
-    while waiting:
-        for link in wait(waiting):
-            try:
-                reply = link.recv()
-            except EOFError:
-                waiting.remove(link)
-                if held.get(link) is not None:
-                    lost[held[link]] = links[link]
-                continue
-            if reply is not None:
-                index, outcome = reply
-                outcomes[index] = outcome
-            held[link] = take()
-            try:
-                link.send(held[link])
-            except OSError:  # the helper died; its end of file comes next
-                pass
+def _start_helper() -> subprocess.Popen:
+    """Start one helper interpreter; its stdin and stdout are its link."""
+    return subprocess.Popen(
+        [sys.executable, *subprocess._args_from_interpreter_flags(), "-c", _HELPER_BOOT],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+    )
 
 
 def _run_with_helpers(
@@ -140,61 +144,88 @@ def _run_with_helpers(
     """Run ``jobs`` here and in ``helpers`` helper processes, in ``order``.
 
     ``order`` fills one queue.  This process takes its first job before any
-    helper starts and keeps taking until the queue is empty, while a thread
-    hands each helper the next index whenever it asks.  Whether this returns
-    or raises, every helper is stopped and joined.
+    helper starts and keeps taking until the queue is empty, while one thread
+    per helper hands it the next index whenever it asks.  Whether this
+    returns or raises, every helper is stopped and reaped.
     """
     pending = collections.deque(order)
 
     def take() -> Optional[int]:
         try:
-            return pending.popleft()  # atomic: both threads take from here
+            return pending.popleft()  # atomic: every thread takes from here
         except IndexError:
             return None
 
     outcomes: List[Optional[Outcome]] = [None] * len(jobs)
     lost: dict = {}
-    links: dict = {}
     failed: List[BaseException] = []
+    # The empty entry means the working directory: pin it to this one.
+    path = [os.getcwd() if entry == "" else entry for entry in sys.path]
+    preamble = pickle.dumps(path) + pickle.dumps(jobs)
 
-    def serve() -> None:
+    def serve(process: subprocess.Popen) -> None:
+        """Send ``process`` the preamble, then hand it queued job indices as
+        it asks, and store its outcomes.
+
+        The helper holds the only other ends of its pipes, so its exit,
+        clean or killed, reads as end of file (a broken pipe, or a truncated
+        reply); the job it was handed and did not return then goes to
+        ``lost``.
+        """
+        held = None
         try:
-            _serve_helpers(links, take, outcomes, lost)
+            process.stdin.write(preamble)
+            process.stdin.flush()
+            while True:
+                reply = pickle.load(process.stdout)
+                if reply is not None:
+                    index, outcome = reply
+                    outcomes[index] = outcome
+                held = take()
+                pickle.dump(held, process.stdin)
+                process.stdin.flush()
+        except (EOFError, BrokenPipeError, pickle.UnpicklingError):
+            if held is not None:
+                lost[held] = process
         except BaseException as error:  # raised again in the calling thread
             failed.append(error)
 
-    server = threading.Thread(target=serve, name="campaign-helpers")
+    processes: List[subprocess.Popen] = []
+    servers: List[threading.Thread] = []
     index = take()
     try:
         for _ in range(helpers):
-            ours, theirs = EXECUTION_CONTEXT.Pipe()
-            with theirs:
-                process = EXECUTION_CONTEXT.Process(
-                    target=_helper, args=(theirs, jobs), daemon=True
+            processes.append(_start_helper())
+            servers.append(
+                threading.Thread(
+                    target=serve, args=(processes[-1],), name="campaign-helper"
                 )
-                process.start()
-            links[ours] = process
-        server.start()
+            )
+            servers[-1].start()
         while index is not None:
             outcomes[index] = _run_job_guarded(jobs[index])
             index = take()
-        server.join()
+        for server in servers:
+            server.join()
         if failed:
             raise failed[0]
     except BaseException:
-        for process in links.values():
+        for process in processes:
             process.terminate()
         raise
     finally:
-        if server.ident is not None:
-            server.join()
-        for link, process in links.items():
-            process.join()
-            link.close()
+        for server in servers:
+            if server.ident is not None:
+                server.join()
+        for process in processes:
+            process.stdout.close()
+            with contextlib.suppress(BrokenPipeError):
+                process.stdin.close()  # a helper still waiting for a job stops
+            process.wait()
     for index, process in lost.items():
         outcomes[index] = (
             None,
-            f"helper process exited with code {process.exitcode} "
+            f"helper process exited with code {process.returncode} "
             "while running this scenario\n",
         )
     return outcomes
@@ -258,10 +289,13 @@ class CampaignError(RuntimeError):
 class CampaignRunner:
     """Executes a list of scenario specs, optionally across processes.
 
-    ``workers`` is how many scenarios run at once: this process plus
-    ``workers - 1`` spawned helpers, all taking jobs largest-first from one
-    shared queue (default: one per scenario, capped at the CPU count).  One
-    worker, or one scenario, runs the list as given in this process.
+    ``workers`` is how many scenarios run at once, in exactly that many
+    processes: this one plus ``workers - 1`` helper interpreters started with
+    ``python -c`` and linked by their stdin and stdout, each importing only
+    this module (with ``repro``) and what its jobs need, all taking jobs
+    largest-first from one shared queue (default: one per scenario, capped at
+    the CPU count).
+    One worker, or one scenario, runs the list as given in this process.
 
     ``execution`` overrides every scenario's execution mode for the whole
     campaign (``"batched"`` runs the entire campaign on the vectorised fast

@@ -1,11 +1,13 @@
 """Tests for the parallel campaign runner."""
 
 import csv
-import multiprocessing
+import io
 import os
 import pickle
 import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -21,7 +23,6 @@ from repro.scenarios import (
     derive_scenario_seed,
 )
 from repro.scenarios import campaign as campaign_module
-from repro.scenarios.campaign import EXECUTION_CONTEXT
 
 
 def tiny_spec(name: str, **kwargs) -> ScenarioSpec:
@@ -246,38 +247,34 @@ def sized(name: str, requests: int, **kwargs) -> ScenarioSpec:
 
 
 class UnstartedHelper:
-    """A helper process that never starts, so the parent drains the queue alone."""
+    """A helper that never boots: its stdout ends at once, so the parent
+    drains the queue alone."""
 
-    def __init__(self, started, target, args, daemon):
-        started.append(self)
-
-    def start(self):
-        pass
+    def __init__(self):
+        self.stdin = open(os.devnull, "wb")
+        self.stdout = io.BytesIO()
+        self.returncode = None
 
     def terminate(self):
         pass
 
-    def join(self):
-        pass
+    def wait(self):
+        self.returncode = 0
+        return self.returncode
 
 
-class ParentOnlyContext:
-    """Real pipes, helpers that never start; counts the helpers asked for."""
-
-    def __init__(self):
-        self.started = []
-
-    def Pipe(self):
-        return EXECUTION_CONTEXT.Pipe()
-
-    def Process(self, target, args, daemon):
-        return UnstartedHelper(self.started, target, args, daemon)
+def assert_reaped(started, count):
+    """``count`` helpers were started, and each was reaped and unlinked."""
+    assert len(started) == count
+    for helper in started:
+        assert helper.returncode is not None
+        assert helper.stdin.closed and helper.stdout.closed
 
 
 @pytest.fixture
 def parent_only(monkeypatch):
-    """Start no helpers; returns the context and the parent's run order."""
-    context = ParentOnlyContext()
+    """Start no helpers; returns the helpers asked for and the parent's run order."""
+    started = []
     ran = []
     guarded = campaign_module._run_job_guarded
 
@@ -285,9 +282,27 @@ def parent_only(monkeypatch):
         ran.append(job[0].name)
         return guarded(job)
 
-    monkeypatch.setattr(campaign_module, "EXECUTION_CONTEXT", context)
+    def start():
+        started.append(UnstartedHelper())
+        return started[-1]
+
+    monkeypatch.setattr(campaign_module, "_start_helper", start)
     monkeypatch.setattr(campaign_module, "_run_job_guarded", recording)
-    return context, ran
+    return started, ran
+
+
+@pytest.fixture
+def started_helpers(monkeypatch):
+    """Start real helpers; returns the list of their ``Popen`` objects."""
+    started = []
+    start = campaign_module._start_helper
+
+    def recording():
+        started.append(start())
+        return started[-1]
+
+    monkeypatch.setattr(campaign_module, "_start_helper", recording)
+    return started
 
 
 FIVE_SIZES = (("a-60", 60), ("b-200", 200), ("c-120", 120), ("d-200", 200), ("e-60", 60))
@@ -297,10 +312,10 @@ class TestDispatchOrder:
     """All processes take jobs largest-first; every output keeps submission order."""
 
     def test_queue_is_largest_first_with_ties_in_submission_order(self, parent_only):
-        context, ran = parent_only
+        started, ran = parent_only
         specs = [sized(name, requests) for name, requests in FIVE_SIZES]
         campaign = CampaignRunner(workers=2, seed=0).run(specs)
-        assert len(context.started) == 1
+        assert_reaped(started, 1)
         assert ran == ["b-200", "d-200", "c-120", "a-60", "e-60"]
         assert [r.name for r in campaign.results] == [s.name for s in specs]
         serial = CampaignRunner(workers=1, seed=0).run(specs)
@@ -312,10 +327,10 @@ class TestDispatchOrder:
     def test_starts_one_helper_fewer_than_scenarios_at_once(
         self, parent_only, workers, jobs, helpers
     ):
-        context, ran = parent_only
+        started, ran = parent_only
         specs = [sized(name, requests) for name, requests in FIVE_SIZES[:jobs]]
         campaign = CampaignRunner(workers=workers, seed=0).run(specs)
-        assert len(context.started) == helpers
+        assert_reaped(started, helpers)
         assert sorted(ran) == sorted(s.name for s in specs)
         assert len(campaign) == jobs
 
@@ -340,9 +355,8 @@ class TestDispatchOrder:
             assert str(pooled) == str(errors[1])
 
     def test_serial_campaign_never_reorders(self, monkeypatch):
-        class NoHelpers:
-            def __getattr__(self, name):
-                raise AssertionError("a one-worker campaign must not start helpers")
+        def no_helpers():
+            raise AssertionError("a one-worker campaign must not start helpers")
 
         ran = []
         guarded = campaign_module._run_job_guarded
@@ -351,7 +365,7 @@ class TestDispatchOrder:
             ran.append(job[0].name)
             return guarded(job)
 
-        monkeypatch.setattr(campaign_module, "EXECUTION_CONTEXT", NoHelpers())
+        monkeypatch.setattr(campaign_module, "_start_helper", no_helpers)
         monkeypatch.setattr(campaign_module, "_run_job_guarded", recording)
         specs = [sized("small", 60), sized("large", 200), sized("mid", 120)]
         campaign = CampaignRunner(workers=1, seed=0).run(specs)
@@ -360,8 +374,8 @@ class TestDispatchOrder:
 
 
 class TestSharedQueue:
-    def test_every_job_runs_once_under_fast_thread_switches(self):
-        """Four processes share one queue while the thread serving the
+    def test_every_job_runs_once_under_fast_thread_switches(self, started_helpers):
+        """Four processes share one queue while the threads serving the
         helpers and the parent's own loop switch every microsecond; a job
         taken twice or an outcome lost would change the rows."""
         specs = [sized(f"q{i}", 60 + 20 * (i % 3)) for i in range(8)]
@@ -373,20 +387,21 @@ class TestSharedQueue:
         finally:
             sys.setswitchinterval(interval)
         assert outcome["campaign"].rows() == serial.rows()
-        assert multiprocessing.active_children() == []
+        assert_reaped(started_helpers, 3)
 
 
 class HelperTrap:
     """A telemetry flag that, read in a helper process, touches ``marker``
     and then exits with ``exit_code`` (or, when it is ``None``, hangs until
-    killed).  Read in the parent, it is false."""
+    killed).  Read in the process that made it, it is false."""
 
     def __init__(self, marker, exit_code=None):
         self.marker = str(marker)
         self.exit_code = exit_code
+        self.parent_pid = os.getpid()
 
     def __bool__(self):
-        if multiprocessing.parent_process() is None:
+        if os.getpid() == self.parent_pid:
             return False
         Path(self.marker).touch()
         if self.exit_code is not None:
@@ -422,7 +437,7 @@ class TestDeadHelper:
 
     SPECS = (("small", 60), ("largest", 240), ("second", 200), ("mid", 120))
 
-    def run_until_helper_dies(self, monkeypatch, tmp_path, exit_code):
+    def run_until_helper_dies(self, monkeypatch, tmp_path, started_helpers, exit_code):
         marker = tmp_path / "helper-took-a-job"
         guarded = campaign_module._run_job_guarded
         killed = []
@@ -433,10 +448,10 @@ class TestDeadHelper:
                 while not marker.exists():
                     assert time.monotonic() < deadline, "helper never took a job"
                     time.sleep(0.01)
+                (helper,) = started_helpers
                 if exit_code is None:
-                    (helper,) = multiprocessing.active_children()
                     os.kill(helper.pid, signal.SIGKILL)
-                while multiprocessing.active_children():
+                while helper.poll() is None:
                     assert time.monotonic() < deadline, "helper still running"
                     time.sleep(0.01)
                 killed.append(True)
@@ -446,7 +461,7 @@ class TestDeadHelper:
         specs = [sized(name, requests) for name, requests in self.SPECS]
         runner = CampaignRunner(workers=2, seed=0, telemetry=HelperTrap(marker, exit_code))
         outcome = run_within(120, runner, specs)
-        assert multiprocessing.active_children() == []
+        assert_reaped(started_helpers, 1)
         error = outcome["error"]
         assert isinstance(error, CampaignError)
         done = [r.name for r in error.partial.results]
@@ -460,15 +475,21 @@ class TestDeadHelper:
         assert error.partial.rows() == clean.rows()
         return error.failures[0][1]
 
-    def test_sigkilled_helper(self, monkeypatch, tmp_path):
-        text = self.run_until_helper_dies(monkeypatch, tmp_path, exit_code=None)
+    def test_sigkilled_helper(self, monkeypatch, tmp_path, started_helpers):
+        text = self.run_until_helper_dies(
+            monkeypatch, tmp_path, started_helpers, exit_code=None
+        )
         assert f"exited with code {-signal.SIGKILL}" in text
 
-    def test_helper_exit_code_is_named(self, monkeypatch, tmp_path):
-        text = self.run_until_helper_dies(monkeypatch, tmp_path, exit_code=7)
+    def test_helper_exit_code_is_named(self, monkeypatch, tmp_path, started_helpers):
+        text = self.run_until_helper_dies(
+            monkeypatch, tmp_path, started_helpers, exit_code=7
+        )
         assert "helper process exited with code 7" in text
 
-    def test_helpers_are_stopped_when_run_raises(self, monkeypatch, tmp_path):
+    def test_helpers_are_stopped_when_run_raises(
+        self, monkeypatch, tmp_path, started_helpers
+    ):
         marker = tmp_path / "helper-took-a-job"
 
         def interrupted(job):
@@ -483,14 +504,26 @@ class TestDeadHelper:
         runner = CampaignRunner(workers=2, seed=0, telemetry=HelperTrap(marker))
         outcome = run_within(120, runner, specs)
         assert isinstance(outcome["error"], KeyboardInterrupt)
-        assert multiprocessing.active_children() == []
+        assert_reaped(started_helpers, 1)
+        assert started_helpers[0].returncode == -signal.SIGTERM
 
 
-class TestSpawnPickleContract:
-    """Every helper payload must survive the spawn pickler."""
+class TestHelperPickleContract:
+    """Helpers are plain child interpreters fed pickles over their stdin."""
 
-    def test_execution_context_is_pinned(self):
-        assert EXECUTION_CONTEXT.get_start_method() == "spawn"
+    def test_helper_command_line(self, monkeypatch):
+        calls = []
+
+        def recording_popen(args, **kwargs):
+            calls.append((args, kwargs))
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        campaign_module._start_helper()
+        ((args, kwargs),) = calls
+        flags = subprocess._args_from_interpreter_flags()
+        assert args == [sys.executable, *flags, "-c", campaign_module._HELPER_BOOT]
+        assert kwargs == {"stdin": subprocess.PIPE, "stdout": subprocess.PIPE}
+        assert "multiprocessing" not in campaign_module._HELPER_BOOT
 
     def test_campaign_job_round_trips(self):
         from repro.scenarios.campaign import _run_job
@@ -507,3 +540,205 @@ class TestSpawnPickleContract:
         result, record = _run_job(job)
         assert result.requests_total > 0
         assert record is None
+
+
+#: A module the launcher tests' scripts import, in the parent and in helpers.
+PROBE = '''
+import os
+import time
+from pathlib import Path
+
+from repro.scenarios import ScenarioSpec, WorkloadSpec, campaign
+
+
+def specs():
+    return [
+        ScenarioSpec(
+            name=f"probe-{i}",
+            users=8,
+            duration_hours=0.25,
+            slot_minutes=7.5,
+            workload=WorkloadSpec(pattern="uniform", target_requests=60 + 20 * i),
+        )
+        for i in range(3)
+    ]
+
+
+class InHelper:
+    """A telemetry flag that is always false.  Read in a helper, it first
+    prints ``noise`` lines to stdout, touches ``marker`` and sleeps ``hold``
+    seconds."""
+
+    def __init__(self, marker, noise=0, hold=0.0):
+        self.marker = marker
+        self.noise = noise
+        self.hold = hold
+        self.parent_pid = os.getpid()
+
+    def __bool__(self):
+        if os.getpid() != self.parent_pid:
+            for _ in range(self.noise):
+                print("helper noise " * 8)
+            Path(self.marker).touch()
+            time.sleep(self.hold)
+        return False
+
+
+def hold_parent_until(marker, then=None):
+    """This process starts its first job only once a helper has touched
+    ``marker``, and calls ``then`` first."""
+    guarded = campaign._run_job_guarded
+
+    def parent_job(job):
+        deadline = time.monotonic() + 60
+        while not Path(marker).exists():
+            assert time.monotonic() < deadline, "helper never took a job"
+            time.sleep(0.01)
+        if then is not None:
+            then()
+        return guarded(job)
+
+    campaign._run_job_guarded = parent_job
+'''
+
+SRC = Path(campaign_module.__file__).resolve().parents[2]
+
+
+def run_script(tmp_path, body, timeout=120):
+    """Run ``body`` as ``__main__`` of a fresh interpreter, beside ``PROBE``.
+
+    ``TOOK`` in the script names a marker file in ``tmp_path``.  The
+    interpreter runs in development mode, which shows unclosed files and
+    unreaped children as warnings, and passes the mode on to helpers.  It
+    runs in its own session, so a timeout kills its helpers too.
+    """
+    (tmp_path / "campaign_probe.py").write_text(PROBE)
+    script = tmp_path / "caller.py"
+    script.write_text(
+        f"import sys\nsys.path[:0] = [{str(SRC)!r}, {str(tmp_path)!r}]\n"
+        f"TOOK = {str(tmp_path / 'took')!r}\n" + textwrap.dedent(body)
+    )
+    with subprocess.Popen(
+        [sys.executable, "-X", "dev", str(script)],
+        cwd=tmp_path,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as process:
+        try:
+            out, err = process.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(process.args, process.returncode, out, err)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="counts POSIX child launches")
+class TestHelperLauncher:
+    """Each test runs a campaign in a fresh interpreter, so it sees what the
+    process imports and starts from its first line."""
+
+    def test_two_workers_start_one_child_and_no_resource_tracker(self, tmp_path):
+        done = run_script(
+            tmp_path,
+            """
+            import _posixsubprocess
+
+            children = []
+            fork_exec = _posixsubprocess.fork_exec
+
+            def counting(*args, **kwargs):
+                children.append(args)
+                return fork_exec(*args, **kwargs)
+
+            _posixsubprocess.fork_exec = counting
+            import campaign_probe
+            from repro.scenarios import CampaignRunner
+
+            if __name__ == "__main__":
+                campaign_probe.hold_parent_until(TOOK)
+                flag = campaign_probe.InHelper(TOOK)
+                CampaignRunner(workers=2, seed=0, telemetry=flag).run(campaign_probe.specs())
+                print(len(children), "multiprocessing.resource_tracker" in sys.modules)
+            """,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "False"]
+        assert done.stderr == ""
+
+    def test_callers_main_module_is_not_run_again(self, tmp_path):
+        marker = tmp_path / "main-ran-again"
+        done = run_script(
+            tmp_path,
+            f"""
+            from pathlib import Path
+
+            if __name__ != "__main__":
+                Path({str(marker)!r}).touch()
+
+            if __name__ == "__main__":
+                import campaign_probe
+                from repro.scenarios import CampaignRunner
+
+                campaign_probe.hold_parent_until(TOOK)
+                flag = campaign_probe.InHelper(TOOK)
+                CampaignRunner(workers=2, seed=0, telemetry=flag).run(campaign_probe.specs())
+            """,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "took").exists()
+        assert not marker.exists()
+        assert done.stderr == ""
+
+    def test_helper_exits_quietly_when_the_parent_is_killed(self, tmp_path):
+        killed_at = tmp_path / "killed-at"
+        done = run_script(
+            tmp_path,
+            f"""
+            import os
+            import signal
+            import time
+            from pathlib import Path
+
+            import campaign_probe
+            from repro.scenarios import CampaignRunner
+
+            def die():
+                Path({str(killed_at)!r}).write_text(repr(time.time()))
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            if __name__ == "__main__":
+                campaign_probe.hold_parent_until(TOOK, then=die)
+                flag = campaign_probe.InHelper(TOOK, hold=1.0)
+                CampaignRunner(workers=2, seed=0, telemetry=flag).run(campaign_probe.specs())
+            """,
+        )
+        # The helper holds the script's stderr, so ``run`` returns only once
+        # the helper has exited too.
+        ended = time.time()
+        assert done.returncode == -signal.SIGKILL
+        assert ended - float(killed_at.read_text()) < 10
+        assert done.stderr == ""
+
+    def test_a_job_printing_in_a_helper_keeps_the_rows(self, tmp_path):
+        done = run_script(
+            tmp_path,
+            """
+            import campaign_probe
+            from repro.scenarios import CampaignRunner
+
+            if __name__ == "__main__":
+                campaign_probe.hold_parent_until(TOOK)
+                flag = campaign_probe.InHelper(TOOK, noise=2000)
+                noisy = CampaignRunner(workers=2, seed=0, telemetry=flag)
+                rows = noisy.run(campaign_probe.specs()).rows()
+                alone = CampaignRunner(workers=1, seed=0).run(campaign_probe.specs())
+                print(len(rows), rows == alone.rows())
+            """,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["3", "True"]
+        noise = "helper noise " * 8 + "\n"
+        assert done.stderr.count(noise) in (2000, 4000)  # per job the helper ran
+        assert done.stderr.replace(noise, "") == ""
